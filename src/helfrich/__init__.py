@@ -33,7 +33,7 @@ from .energy import (
 )
 from .mesh import TriMesh, build_mesh, diameter, enclosed_volume
 from .mesh_io import read_mesh, write_mesh
-from .optimize import OptimizerState, RunConfig, energy_gradient, minimize, reduced_volume
+from .optimize import OptimizerState, RunConfig, minimize, reduced_volume
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "convexity_check",
     "curvature_field",
     "diameter",
-    "energy_gradient",
     "enclosed_volume",
     "f_ch",
     "hessian",

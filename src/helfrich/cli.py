@@ -28,7 +28,7 @@ from . import serialize
 from .constraints import ConstraintSet, constraint_residuals, no_overlap_check, phase_support
 from .curvature import curvature_field
 from .density import MaterialParams, convexity_check, hessian
-from .energy import EnergyReport, PhaseField, canham_helfrich, multiphase_energy, willmore
+from .energy import PhaseField, canham_helfrich, multiphase_energy
 from .errors import Diverged, HelfrichError, Infeasible, QualityCollapse
 from .mesh_io import read_mesh, write_mesh
 from .optimize import RunConfig, TrajectoryPoint, minimize
@@ -204,31 +204,11 @@ def cmd_eval(args):
     mesh, phases = _read_inputs(args, cfg)
     params = _material_params(args, cfg)
     curv = curvature_field(mesh)
-    if phases is None and len(params) == 1:
-        total = canham_helfrich(mesh, curv, params[0])
-        report = EnergyReport(
-            total, 0.0, willmore(mesh, curv, "quarter"), willmore(mesh, curv, "varifold")
-        )
-        from .energy import PhaseReport
-
-        report.phases.append(
-            PhaseReport(
-                1, float(curv.mixed_area.sum()),
-                float(np.sum(0.5 * params[0].beta * curv.H**2 * curv.mixed_area)),
-                float(np.sum(params[0].gamma * curv.K * curv.mixed_area)),
-                float(
-                    np.sum(
-                        (-params[0].beta * params[0].h0 * curv.H
-                         + 0.5 * params[0].beta * params[0].h0**2) * curv.mixed_area
-                    )
-                ),
-                0.0,
-            )
-        )
-    else:
-        if phases is None:
-            phases = PhaseField.uniform(mesh)
-        report = multiphase_energy(mesh, curv, phases, params)
+    if phases is None:
+        phases = PhaseField.uniform(mesh)
+        if len(params) == 1:
+            canham_helfrich(mesh, curv, params[0])  # raises if the tensor and scalar paths disagree
+    report = multiphase_energy(mesh, curv, phases, params)
     payload = report.to_dict()
     area = _option(args, cfg, "area")
     volume = _option(args, cfg, "volume")

@@ -108,18 +108,16 @@ class PhaseSupport:
         return float(self.weights.sum())
 
 
-def phase_support(mesh, phases, phase_id, mixed_area=None):
+def phase_support(mesh, phases, phase_id):
     """Vertex sampling of one phase's area measure.
 
     Vertices receive their mixed area times the fraction of incident face
     area in the phase; zero-weight vertices are dropped.
     """
-    from .curvature import mixed_voronoi_areas
+    from .curvature import geometry
     from .energy import vertex_phase_weights
 
-    if mixed_area is None:
-        mixed_area, _, _ = mixed_voronoi_areas(mesh)
-    w = vertex_phase_weights(mesh, phases)[:, phase_id - 1] * mixed_area
+    w = vertex_phase_weights(mesh, phases)[:, phase_id - 1] * geometry(mesh).a
     keep = w > 0
     return PhaseSupport(mesh.vertices[keep], w[keep], mesh.mean_edge_length)
 

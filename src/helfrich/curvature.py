@@ -1,8 +1,14 @@
 """Per-vertex curvature fields on triangle meshes.
 
-The construction keeps the classical discrete estimators as primaries and
-derives everything else from them so that the pointwise tensor identities
-hold to rounding, not just to discretization error:
+Every quantity comes from one forward geometry record per mesh position
+(:func:`geometry`), which implements the mixed-Voronoi operators of Meyer,
+Desbrun, Schroeder & Barr (2003), "Discrete Differential-Geometry
+Operators for Triangulated 2-Manifolds". The energy, its gradient, the
+curvature fields and ``TriMesh.angle_defects`` all read the same record;
+it is built on first use and stored on the mesh instance, whose vertices
+are read-only. The construction keeps the classical discrete estimators as
+primaries and derives everything else from them so that the pointwise
+tensor identities hold to rounding, not just to discretization error:
 
 * mixed Voronoi area ``a`` (Meyer style, obtuse fallback),
 * Gauss curvature ``K`` = angle defect / mixed area, so the global sum is
@@ -20,8 +26,9 @@ Principal directions come from a least-squares fit of normal variation
 over the one-ring; only the directions are used, the magnitudes come from
 (H, K).
 
-All per-vertex accumulations scatter face contributions with ``np.add.at``
-in face-index order, so repeated runs are bitwise deterministic.
+Per-vertex sums gather face-corner contributions with ``np.bincount``
+(``mesh._scatter``): corner column by corner column, faces in index order
+within a column, so repeated runs are bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateOneRing
+from .mesh import _scatter
 
 __all__ = ["CurvatureField", "curvature_field"]
 
@@ -62,6 +70,8 @@ class CurvatureField:
 
     Boundary vertices of open test meshes carry NaN in all curvature
     fields; only ``mixed_area`` and ``normal`` are populated there.
+    ``mixed_area``, ``normal`` and ``clamped`` are the read-only arrays of
+    the mesh's geometry record.
     """
 
     def __init__(self, mesh, mixed_area, normal, H, K, kappa1, kappa2, clamped,
@@ -112,70 +122,71 @@ class CurvatureField:
         return 2.0 * (self.kappa1**2 + self.kappa2**2)
 
 
-def _face_angles_and_cots(mesh):
-    xi, xj, xk = mesh.face_corner_positions()
+class _Geometry:
+    """Forward geometry of one mesh position; see :func:`geometry`.
 
-    def corner(u, w):
-        cross = np.linalg.norm(np.cross(u, w), axis=1)
-        dot = np.einsum("ij,ij->i", u, w)
-        return np.arctan2(cross, dot), dot / np.where(cross == 0, 1.0, cross)
-
-    th_i, cot_i = corner(xj - xi, xk - xi)
-    th_j, cot_j = corner(xk - xj, xi - xj)
-    th_k, cot_k = corner(xi - xk, xj - xk)
-    return np.stack([th_i, th_j, th_k], axis=1), np.stack([cot_i, cot_j, cot_k], axis=1)
-
-
-def mixed_voronoi_areas(mesh, theta=None, cot=None):
-    """Per-vertex mixed areas and the per-face-corner split they sum from.
-
-    Returns ``(a, corner_areas, obtuse_corner)`` with ``corner_areas`` of
-    shape (F, 3). Non-obtuse faces get the Voronoi split; a face obtuse at
-    corner c contributes area/2 to c and area/4 to the others.
+    Per face: corner cotangents ``cot`` (F, 3), the ``obtuse`` corner mask
+    and ``area``. Per vertex: mixed areas ``a``, angle defects ``defect``,
+    the cotangent vector ``L``, the unit normal ``nu`` with ``Nv_norm`` the
+    length of the area-vector sum it normalizes, the unclamped ``H_raw``,
+    the reconciled ``H``, ``K``, the ``clamped`` mask, and ``k_floor``.
+    Corner angles and face area vectors are not kept: the record lives as
+    long as its mesh, and only the gradient reads it per face.
+    Every array is read-only.
     """
-    if theta is None or cot is None:
-        theta, cot = _face_angles_and_cots(mesh)
-    xi, xj, xk = mesh.face_corner_positions()
-    areas = mesh.face_areas()
-    lij2 = np.sum((xj - xi) ** 2, axis=1)
-    ljk2 = np.sum((xk - xj) ** 2, axis=1)
-    lki2 = np.sum((xi - xk) ** 2, axis=1)
-    corner_areas = np.empty_like(theta)
-    corner_areas[:, 0] = (lij2 * cot[:, 2] + lki2 * cot[:, 1]) / 8.0
-    corner_areas[:, 1] = (lij2 * cot[:, 2] + ljk2 * cot[:, 0]) / 8.0
-    corner_areas[:, 2] = (lki2 * cot[:, 1] + ljk2 * cot[:, 0]) / 8.0
-    obtuse_corner = theta > np.pi / 2.0
-    any_obtuse = obtuse_corner.any(axis=1)
-    if any_obtuse.any():
-        fallback = np.where(obtuse_corner[any_obtuse], 0.5, 0.25) * areas[any_obtuse, None]
-        corner_areas[any_obtuse] = fallback
-    a = np.zeros(mesh.n_vertices)
-    for c in range(3):
-        np.add.at(a, mesh.faces[:, c], corner_areas[:, c])
-    return a, corner_areas, obtuse_corner
+
+    def __init__(self, mesh):
+        v, f = mesh.vertices, mesh.faces
+        V = mesh.n_vertices
+        xi, xj, xk = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+        e = (xj - xi, xk - xj, xi - xk)  # e[c] runs from corner c to c + 1
+        l2 = [np.einsum("ij,ij->i", ec, ec) for ec in e]
+        N = 0.5 * np.cross(e[0], xk - xi)  # as TriMesh.face_area_vectors
+        self.area = np.linalg.norm(N, axis=1)
+        # at corner c the edges are e[c] and -e[c - 1]; |e[c] x e[c - 1]| = 2 area
+        dots = np.stack([-np.einsum("ij,ij->i", e[c], e[c - 1]) for c in range(3)], axis=1)
+        twice = 2.0 * self.area[:, None]
+        theta = np.arctan2(twice, dots)
+        self.cot = dots / np.where(twice == 0, 1.0, twice)
+        corner_a = np.empty_like(theta)
+        for c in range(3):
+            # Voronoi share of corner c: its two edges times the opposite cotangents
+            corner_a[:, c] = (l2[c] * self.cot[:, c - 1] + l2[c - 1] * self.cot[:, (c + 1) % 3]) / 8.0
+        self.obtuse = theta > np.pi / 2.0
+        any_obtuse = self.obtuse.any(axis=1)
+        corner_a[any_obtuse] = np.where(self.obtuse[any_obtuse], 0.5, 0.25) * self.area[any_obtuse, None]
+        self.a = _scatter(f, corner_a.T, V)
+        defect = np.full(V, 2.0 * np.pi)
+        defect[mesh.boundary_vertices] = np.pi
+        self.defect = defect - _scatter(f, theta.T, V)
+        # L_v = sum over edges (cot a + cot b)(x_v - x_w); edge c faces corner c + 2
+        w = [self.cot[:, (c + 2) % 3, None] * e[c] for c in range(3)]
+        self.L = _scatter(f, [w[2] - w[0], w[0] - w[1], w[1] - w[2]], V)
+        Nv = _scatter(f, (N, N, N), V)
+        self.Nv_norm = np.linalg.norm(Nv, axis=1)
+        self.nu = Nv / np.where(self.Nv_norm == 0, 1.0, self.Nv_norm)[:, None]
+        self.H_raw = np.einsum("vi,vi->v", self.L, self.nu) / (2.0 * self.a)
+        self.K = self.defect / self.a
+        self.k_floor = (_K_FLOOR_FACTOR / mesh.mean_edge_length) ** 2
+        sign = np.where(self.H_raw < 0, -1.0, 1.0)
+        self.clamped = (self.K > self.k_floor) & (self.H_raw**2 < 4.0 * self.K)
+        self.H = np.where(self.clamped, sign * 2.0 * np.sqrt(np.maximum(self.K, 0.0)), self.H_raw)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
-def vertex_normals(mesh):
-    """Area-weighted unit vertex normals and the raw area-vector sums."""
-    N = np.zeros((mesh.n_vertices, 3))
-    area_vec = mesh.face_area_vectors()
-    for c in range(3):
-        np.add.at(N, mesh.faces[:, c], area_vec)
-    norms = np.linalg.norm(N, axis=1, keepdims=True)
-    return N / np.where(norms == 0, 1.0, norms), N
+def geometry(mesh):
+    """The :class:`_Geometry` record of ``mesh``, built on first use.
 
-
-def cotan_vector(mesh, cot=None):
-    """Unnormalized cotangent sum L_v = sum_j (cot a_ij + cot b_ij)(x_v - x_j)."""
-    if cot is None:
-        _, cot = _face_angles_and_cots(mesh)
-    v, f = mesh.vertices, mesh.faces
-    L = np.zeros((mesh.n_vertices, 3))
-    for host, other, far in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        w = cot[:, far, None] * (v[f[:, host]] - v[f[:, other]])
-        np.add.at(L, f[:, host], w)
-        np.add.at(L, f[:, other], -w)
-    return L
+    It is stored on the mesh instance; ``TriMesh.vertices`` is read-only
+    and :meth:`TriMesh.with_vertices` does not copy it, so a stored record
+    always matches its mesh's positions.
+    """
+    geo = mesh.__dict__.get("_geometry")
+    if geo is None:
+        geo = mesh._geometry = _Geometry(mesh)
+    return geo
 
 
 def scalar_curvatures(mesh):
@@ -183,22 +194,14 @@ def scalar_curvatures(mesh):
 
     This is the data the energy needs; no one-ring fit and no tensors.
     """
-    theta, cot = _face_angles_and_cots(mesh)
-    a, _, _ = mixed_voronoi_areas(mesh, theta, cot)
-    nu, _ = vertex_normals(mesh)
-    L = cotan_vector(mesh, cot)
-    Hbar_raw = L / (2.0 * a[:, None])
-    H_raw = np.einsum("ij,ij->i", Hbar_raw, nu)
-    defect = mesh.angle_defects()
-    K = defect / a
-    k_floor = (_K_FLOOR_FACTOR / mesh.mean_edge_length) ** 2
-    sign = np.where(H_raw < 0, -1.0, 1.0)
-    clamped = (K > k_floor) & (H_raw**2 < 4.0 * K)
-    H = np.where(clamped, sign * 2.0 * np.sqrt(np.maximum(K, 0.0)), H_raw)
+    geo = geometry(mesh)
+    kappa1, kappa2 = _principal_curvatures(geo.H, geo.K)
+    return geo.a, geo.nu, geo.H, geo.K, kappa1, kappa2, geo.clamped, geo.H_raw
+
+
+def _principal_curvatures(H, K):
     disc = np.sqrt(np.maximum(H**2 - 4.0 * K, 0.0))
-    kappa1 = (H + disc) / 2.0
-    kappa2 = (H - disc) / 2.0
-    return a, nu, H, K, kappa1, kappa2, clamped, H_raw
+    return (H + disc) / 2.0, (H - disc) / 2.0
 
 
 def _tangent_bases(nu):
@@ -228,12 +231,11 @@ def _principal_directions(mesh, nu, interior):
     w1 = np.einsum("ej,ej->e", dn, t1[src])
     w2 = np.einsum("ej,ej->e", dn, t2[src])
     # unknowns (s11, s12, s22): rows [u1,u2,0]->w1 and [0,u1,u2]->w2
-    M = np.zeros((mesh.n_vertices, 3, 3))
-    b = np.zeros((mesh.n_vertices, 3))
     r1 = np.stack([u1, u2, np.zeros_like(u1)], axis=1)
     r2 = np.stack([np.zeros_like(u1), u1, u2], axis=1)
-    np.add.at(M, src, np.einsum("ei,ej->eij", r1, r1) + np.einsum("ei,ej->eij", r2, r2))
-    np.add.at(b, src, r1 * w1[:, None] + r2 * w2[:, None])
+    rows = src[:, None]
+    M = _scatter(rows, [np.einsum("ei,ej->eij", r1, r1) + np.einsum("ei,ej->eij", r2, r2)], mesh.n_vertices)
+    b = _scatter(rows, [r1 * w1[:, None] + r2 * w2[:, None]], mesh.n_vertices)
     diag = M[:, (0, 1, 2), (0, 1, 2)].sum(axis=1) / 3.0
     det = np.linalg.det(M)
     bad = interior & (np.abs(det) <= 1e-12 * np.maximum(diag, 1e-300) ** 3)
@@ -270,14 +272,16 @@ def curvature_field(mesh, tensors=True):
         If the one-ring fit is singular or produces non-finite values at
         an interior vertex (the vertex index is attached).
     """
-    a, nu, H, K, kappa1, kappa2, clamped, _ = scalar_curvatures(mesh)
+    geo = geometry(mesh)
     interior = np.ones(mesh.n_vertices, dtype=bool)
     interior[mesh.boundary_vertices] = False
-    if not np.isfinite(H[interior]).all() or not np.isfinite(K[interior]).all():
-        bad = np.flatnonzero(interior & ~(np.isfinite(H) & np.isfinite(K)))
-        raise DegenerateOneRing(int(bad[0]))
-    for arr in (H, K, kappa1, kappa2):
-        arr[~interior] = np.nan
+    finite = np.isfinite(geo.H) & np.isfinite(geo.K)
+    if not finite[interior].all():
+        raise DegenerateOneRing(int(np.flatnonzero(interior & ~finite)[0]))
+    H = np.where(interior, geo.H, np.nan)
+    K = np.where(interior, geo.K, np.nan)
+    kappa1, kappa2 = _principal_curvatures(H, K)
+    a, nu, clamped = geo.a, geo.nu, geo.clamped
     d1 = d2 = S = None
     if tensors:
         d1, d2 = _principal_directions(mesh, nu, interior)

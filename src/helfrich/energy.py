@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curvature import geometry
 from .density import f_ch
 from .errors import PhaseCountMismatch, UnknownPhase
+from .mesh import _scatter
 
 __all__ = [
     "PhaseField",
@@ -72,10 +74,8 @@ class PhaseField:
 
     def interface_vertex_degrees(self, mesh):
         """Interface-edge degree per vertex; even everywhere on closed meshes."""
-        deg = np.zeros(mesh.n_vertices, dtype=np.int64)
         e = mesh.edges[self.interface_edges(mesh)]
-        np.add.at(deg, e.ravel(), 1)
-        return deg
+        return np.bincount(e.ravel(), minlength=mesh.n_vertices)
 
 
 def vertex_phase_weights(mesh, phases):
@@ -84,10 +84,10 @@ def vertex_phase_weights(mesh, phases):
     Proportional to incident face area per phase; rows sum to 1.
     """
     phases.check(mesh)
-    areas = mesh.face_areas()
-    w = np.zeros((mesh.n_vertices, phases.n_phases))
-    for c in range(3):
-        np.add.at(w, (mesh.faces[:, c], phases.labels - 1), areas)
+    n = phases.n_phases
+    areas = geometry(mesh).area
+    bins = mesh.faces * n + (phases.labels - 1)[:, None]
+    w = _scatter(bins, (areas,) * 3, mesh.n_vertices * n).reshape(mesh.n_vertices, n)
     total = w.sum(axis=1, keepdims=True)
     return w / np.where(total == 0, 1.0, total)
 
@@ -188,7 +188,6 @@ def multiphase_energy(mesh, curv, phases, params_list):
     w = vertex_phase_weights(mesh, phases)
     a = curv.mixed_area
     H, K = curv.H, curv.K
-    edge_len = mesh.edge_lengths()
     iface = phases.interface_edges(mesh)
     report = EnergyReport(0.0, 0.0, willmore(mesh, curv, "quarter"), willmore(mesh, curv, "varifold"))
     line = 0.0
@@ -197,7 +196,7 @@ def multiphase_energy(mesh, curv, phases, params_list):
         bending = float(np.sum(0.5 * params.beta * H**2 * ap))
         spont = float(np.sum((-params.beta * params.h0 * H + 0.5 * params.beta * params.h0**2) * ap))
         gauss = float(np.sum(params.gamma * K * ap))
-        blen = _phase_boundary_length(mesh, phases, p, iface, edge_len)
+        blen = _phase_boundary_length(mesh, phases, p, iface)
         line += params.sigma * blen
         report.phases.append(
             PhaseReport(p, float(ap.sum()), bending, gauss, spont, blen)
@@ -207,14 +206,13 @@ def multiphase_energy(mesh, curv, phases, params_list):
     return report
 
 
-def _phase_boundary_length(mesh, phases, phase_id, iface=None, edge_len=None):
+def _phase_boundary_length(mesh, phases, phase_id, iface=None):
     if iface is None:
         iface = phases.interface_edges(mesh)
-    if edge_len is None:
-        edge_len = mesh.edge_lengths()
     ef = mesh.edge_faces[iface]
     touches = (phases.labels[ef[:, 0]] == phase_id) | (phases.labels[ef[:, 1]] == phase_id)
-    return float(edge_len[iface[touches]].sum())
+    e = mesh.edges[iface[touches]]
+    return float(np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1).sum())
 
 
 def boundary_mass(mesh, phases, phase_id):

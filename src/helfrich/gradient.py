@@ -12,92 +12,33 @@ the umbilic reconciliation branch), and phase area fractions. The gradient
 differentiates each branch analytically; the energy itself is continuous
 across branch boundaries.
 
-Assembly is face-elemental: per-face corner derivative blocks are
-scattered into the vertex gradient with ``np.add.at`` in a fixed order, so
-results are deterministic.
+The forward quantities are read from the mesh's stored geometry record
+(``curvature.geometry``), so an energy evaluation followed by a gradient
+at the same positions computes them once. Assembly is face-elemental:
+each face's three corner blocks are summed into the vertex gradient with
+``np.bincount`` (``mesh._scatter``), corner by corner and faces in index
+order, so results are bitwise deterministic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curvature import _K_FLOOR_FACTOR
+from .curvature import geometry
 from .energy import vertex_phase_weights
 from .errors import DegenerateConfiguration
+from .mesh import _scatter
 
 __all__ = ["energy_and_gradient", "total_energy"]
 
 
-def _face_geometry(mesh):
-    xi, xj, xk = mesh.face_corner_positions()
-    N = 0.5 * np.cross(xj - xi, xk - xi)
-    area = np.linalg.norm(N, axis=1)
-    if not (area > 0).all():
+def _checked_geometry(mesh):
+    geo = geometry(mesh)
+    if not (geo.area > 0).all():
         raise DegenerateConfiguration("zero-area face")
-    nhat = N / area[:, None]
-    return (xi, xj, xk), N, area, nhat
-
-
-def _angles_cots(corners):
-    xi, xj, xk = corners
-
-    def one(u, w):
-        cr = np.linalg.norm(np.cross(u, w), axis=1)
-        dt = np.einsum("ij,ij->i", u, w)
-        return np.arctan2(cr, dt), dt / np.where(cr == 0, 1.0, cr)
-
-    ti, ci = one(xj - xi, xk - xi)
-    tj, cj = one(xk - xj, xi - xj)
-    tk, ck = one(xi - xk, xj - xk)
-    return np.stack([ti, tj, tk], 1), np.stack([ci, cj, ck], 1)
-
-
-def _scalar_fields(mesh, corners, N, area, nhat, theta, cot):
-    """Primitive vertex fields (a, d, L, nu, |N|, corner areas, obtuse masks)."""
-    xi, xj, xk = corners
-    V = mesh.n_vertices
-    f = mesh.faces
-    lij2 = np.sum((xj - xi) ** 2, 1)
-    ljk2 = np.sum((xk - xj) ** 2, 1)
-    lki2 = np.sum((xi - xk) ** 2, 1)
-    corner_a = np.empty_like(theta)
-    corner_a[:, 0] = (lij2 * cot[:, 2] + lki2 * cot[:, 1]) / 8.0
-    corner_a[:, 1] = (lij2 * cot[:, 2] + ljk2 * cot[:, 0]) / 8.0
-    corner_a[:, 2] = (lki2 * cot[:, 1] + ljk2 * cot[:, 0]) / 8.0
-    obtuse = theta > np.pi / 2
-    any_obt = obtuse.any(1)
-    corner_a[any_obt] = np.where(obtuse[any_obt], 0.5, 0.25) * area[any_obt, None]
-    a = np.zeros(V)
-    for c in range(3):
-        np.add.at(a, f[:, c], corner_a[:, c])
-    defect = np.full(V, 2.0 * np.pi)
-    for c in range(3):
-        np.subtract.at(defect, f[:, c], theta[:, c])
-    L = np.zeros((V, 3))
-    v = mesh.vertices
-    for host, other, far in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        wv = cot[:, far, None] * (v[f[:, host]] - v[f[:, other]])
-        np.add.at(L, f[:, host], wv)
-        np.add.at(L, f[:, other], -wv)
-    Nv = np.zeros((V, 3))
-    for c in range(3):
-        np.add.at(Nv, f[:, c], N)
-    Nv_norm = np.linalg.norm(Nv, axis=1)
-    if not (Nv_norm > 0).all():
+    if not (geo.Nv_norm > 0).all():
         raise DegenerateConfiguration("vanishing vertex normal")
-    nu = Nv / Nv_norm[:, None]
-    return a, defect, L, nu, Nv_norm, corner_a, obtuse, any_obt, (lij2, ljk2, lki2)
-
-
-def _branched_H(mesh, a, defect, L, nu):
-    h = np.einsum("vi,vi->v", L, nu)
-    H_raw = h / (2.0 * a)
-    K = defect / a
-    k_floor = (_K_FLOOR_FACTOR / mesh.mean_edge_length) ** 2
-    sign = np.where(H_raw < 0, -1.0, 1.0)
-    clamped = (K > k_floor) & (H_raw**2 < 4.0 * K)
-    H = np.where(clamped, sign * 2.0 * np.sqrt(np.maximum(K, 0.0)), H_raw)
-    return H, K, clamped, h
+    return geo
 
 
 def _phase_data(mesh, phases, params_list, H, K):
@@ -133,13 +74,10 @@ def _line_tension(mesh, phases, params_list):
 
 def total_energy(mesh, phases=None, params_list=None):
     """Discrete total energy at the mesh's current positions (fast path)."""
-    corners, N, area, nhat = _face_geometry(mesh)
-    theta, cot = _angles_cots(corners)
-    a, defect, L, nu, _, _, _, _, _ = _scalar_fields(mesh, corners, N, area, nhat, theta, cot)
-    H, K, _, _ = _branched_H(mesh, a, defect, L, nu)
-    G = _phase_data(mesh, phases, params_list, H, K)[0]
+    geo = _checked_geometry(mesh)
+    G = _phase_data(mesh, phases, params_list, geo.H, geo.K)[0]
     line = _line_tension(mesh, phases, params_list)[0]
-    return float(a @ G + line)
+    return float(geo.a @ G + line)
 
 
 def energy_and_gradient(mesh, phases=None, params_list=None):
@@ -153,16 +91,9 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     DegenerateConfiguration
         On zero-area faces or vanishing vertex normals.
     """
-    v = mesh.vertices
-    f = mesh.faces
-    V = mesh.n_vertices
-    corners, N, area, nhat = _face_geometry(mesh)
-    xi, xj, xk = corners
-    theta, cot = _angles_cots(corners)
-    a, defect, L, nu, Nv_norm, corner_a, obtuse, any_obt, l2 = _scalar_fields(
-        mesh, corners, N, area, nhat, theta, cot
-    )
-    H, K, clamped, h = _branched_H(mesh, a, defect, L, nu)
+    geo = _checked_geometry(mesh)
+    v, f = mesh.vertices, mesh.faces
+    a, H, K, clamped, cot, nu = geo.a, geo.H, geo.K, geo.clamped, geo.cot, geo.nu
     G, G_H, G_K, w, gp = _phase_data(mesh, phases, params_list, H, K)
     line, iface, iface_coeff = _line_tension(mesh, phases, params_list)
     E = float(a @ G + line)
@@ -170,7 +101,7 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     # per-vertex chain-rule coefficients against the primitives (h, d, a)
     coef_h = np.where(clamped, 0.0, G_H / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        clamp_d = np.where(clamped, a * G_H * H / (2.0 * defect), 0.0)
+        clamp_d = np.where(clamped, a * G_H * H / (2.0 * geo.defect), 0.0)
     coef_d = np.where(clamped, clamp_d + G_K, G_K)
     coef_a = np.where(
         clamped,
@@ -178,114 +109,60 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
         G - G_H * H - G_K * K,
     )
 
-    grad = np.zeros((V, 3))
-
-    # ---- angle gradients: feed both the defect pass and the cot pass ----
-    u_i, w_i = xj - xi, xk - xi
-    u_j, w_j = xk - xj, xi - xj
-    u_k, w_k = xi - xk, xj - xk
-    # dtheta[c][m] = d theta_c / d x_m, each (F, 3)
-    dtheta = {}
-    for c, (u, wv) in enumerate(((u_i, w_i), (u_j, w_j), (u_k, w_k))):
-        du = -np.cross(nhat, u) / np.sum(u * u, 1)[:, None]
-        dw = np.cross(nhat, wv) / np.sum(wv * wv, 1)[:, None]
-        dthis = -(du + dw)
-        j_idx, k_idx = (c + 1) % 3, (c + 2) % 3
-        dtheta[(c, c)] = dthis
-        dtheta[(c, j_idx)] = du
-        dtheta[(c, k_idx)] = dw
-
-    # PASS A: defect term, d(defect_v) = -sum d theta
+    # Face-local derivatives. Edge c runs from corner c to corner c + 1 and
+    # faces corner c + 2. A term that moves corner c by +ev[c] and corner
+    # c + 1 by -ev[c] is an edge term; q[:, c] collects the coefficient of
+    # d theta_c and qA the coefficient of the face area.
+    x = [v[f[:, c]] for c in range(3)]
+    e = [x[1] - x[0], x[2] - x[1], x[0] - x[2]]
+    l2 = [np.einsum("ij,ij->i", ec, ec) for ec in e]
+    nhat = 0.5 * np.cross(e[0], x[2] - x[0]) / geo.area[:, None]
+    s_corner = coef_a[f]
+    obtuse = geo.obtuse
+    any_obt = obtuse.any(axis=1)
+    h_corner = [coef_h[f[:, c], None] * nu[f[:, c]] for c in range(3)]
+    qcot = np.empty_like(cot)
+    ev = []
     for c in range(3):
-        wc = coef_d[f[:, c]][:, None]
-        for m in range(3):
-            np.add.at(grad, f[:, m], -wc * dtheta[(c, m)])
+        n, far = (c + 1) % 3, (c + 2) % 3
+        # mixed-area term on regular faces: (s_c + s_n) / 8 * |e_c|^2 cot_far
+        t = np.where(any_obt, 0.0, (s_corner[:, c] + s_corner[:, n]) / 8.0)
+        # cotangent-vector term <L, nu> through L
+        dh = h_corner[c] - h_corner[n]
+        qcot[:, far] = t * l2[c] - np.einsum("ij,ij->i", e[c], dh)
+        ev.append(cot[:, far, None] * dh - (2.0 * t * cot[:, far])[:, None] * e[c])
+    # defect term and d cot = -(1 + cot^2) d theta
+    q = -coef_d[f] - (1.0 + cot**2) * qcot
+    # d theta_c / d x_n = -nhat x e_c / |e_c|^2 and d theta_n / d x_c is its
+    # negative, so edge c carries (q_c - q_n) nhat x e_c / |e_c|^2
+    for c in range(3):
+        g = np.cross(nhat, e[c]) / l2[c][:, None]
+        ev[c] += (q[:, c] - q[:, (c + 1) % 3])[:, None] * g
 
-    # cot gradients from d cot = -(1 + cot^2) d theta
-    dcot_scale = -(1.0 + cot**2)
-
-    def add_dcot(m_corner, q, out):
-        """Accumulate q * d(cot at corner m) into out (list of 3 (F,3) blocks)."""
-        s = (q * dcot_scale[:, m_corner])[:, None]
-        for m in range(3):
-            out[m] += s * dtheta[(m_corner, m)]
-
-    # PASS B: mixed-area term
-    blocks = [np.zeros((len(f), 3)) for _ in range(3)]
-    s_corner = np.stack([coef_a[f[:, c]] for c in range(3)], axis=1)
-    lij2, ljk2, lki2 = l2
-    reg = ~any_obt
-    # Q = [ (s0+s1) lij^2 cot_k + (s0+s2) lki^2 cot_j + (s1+s2) ljk^2 cot_i ] / 8
-    for (pair, edge2, cedge, ea, eb) in (
-        ((0, 1), lij2, 2, 0, 1),   # edge i-j, cot at k
-        ((0, 2), lki2, 1, 2, 0),   # edge k-i, cot at j
-        ((1, 2), ljk2, 0, 1, 2),   # edge j-k, cot at i
-    ):
-        t = np.where(reg, (s_corner[:, pair[0]] + s_corner[:, pair[1]]) / 8.0, 0.0)
-        # t * cot * d(edge2): edge from corner ea to corner eb
-        evec = corners[eb] - corners[ea]
-        coefv = (2.0 * t * cot[:, cedge])[:, None] * evec
-        blocks[eb] += coefv
-        blocks[ea] -= coefv
-        # t * edge2 * d cot
-        add_dcot(cedge, t * edge2, blocks)
-    # obtuse faces: Q = area * (sum_c s_c * (1/2 if obtuse at c else 1/4))
-    q_obt = np.where(any_obt, np.sum(s_corner * np.where(obtuse, 0.5, 0.25), axis=1), 0.0)
-    dA = (
-        0.5 * np.cross(nhat, xk - xj),
-        0.5 * np.cross(nhat, xi - xk),
-        0.5 * np.cross(nhat, xj - xi),
-    )
-    for m in range(3):
-        blocks[m] += q_obt[:, None] * dA[m]
-
-    # PASS C1: cotangent vector term, d<L, nu> through L
-    ch = coef_h
-    for host, other, far in ((0, 1, 2), (0, 2, 1), (1, 2, 0), (1, 0, 2), (2, 0, 1), (2, 1, 0)):
-        hv = f[:, host]
-        nu_h = nu[hv]
-        q = ch[hv] * np.einsum("ij,ij->i", nu_h, corners[host] - corners[other])
-        add_dcot(far, q, blocks)
-        vecpart = (ch[hv] * cot[:, far])[:, None] * nu_h
-        blocks[host] += vecpart
-        blocks[other] -= vecpart
-
-    # PASS C2: d<L, nu> through the area-weighted normal
-    P_L = L - nu * np.einsum("vi,vi->v", nu, L)[:, None]
-    m_v = (coef_h / Nv_norm)[:, None] * P_L
-    M_f = m_v[f[:, 0]] + m_v[f[:, 1]] + m_v[f[:, 2]]
-    e1 = xj - xi
-    e2 = xk - xi
-    b_b = 0.5 * np.cross(e2, M_f)
-    b_c = 0.5 * np.cross(M_f, e1)
-    blocks[1] += b_b
-    blocks[2] += b_c
-    blocks[0] -= b_b + b_c
-
-    # PASS D: phase-area fraction term
+    # obtuse faces: area * (sum_c s_c * (1/2 if obtuse at c else 1/4))
+    qA = np.where(any_obt, np.sum(s_corner * np.where(obtuse, 0.5, 0.25), axis=1), 0.0)
+    # phase-area fraction term
     if w is not None:
-        star_area = np.zeros(V)
-        for c in range(3):
-            np.add.at(star_area, f[:, c], area)
+        star_area = _scatter(f, (geo.area,) * 3, mesh.n_vertices)
         tau = a[:, None] * gp  # (V, P)
         tau_w = np.einsum("vp,vp->v", tau, w)
         lab = phases.labels - 1
-        r_f = np.zeros(len(f))
         for c in range(3):
             vc = f[:, c]
-            r_f += (tau[vc, lab] - tau_w[vc]) / star_area[vc]
-        for m in range(3):
-            blocks[m] += r_f[:, None] * dA[m]
+            qA += (tau[vc, lab] - tau_w[vc]) / star_area[vc]
+    # <L, nu> through the area-weighted normal: M . N_f with M the face sum
+    P_L = geo.L - nu * np.einsum("vi,vi->v", nu, geo.L)[:, None]
+    m_v = (coef_h / geo.Nv_norm)[:, None] * P_L
+    M = qA[:, None] * nhat + m_v[f[:, 0]] + m_v[f[:, 1]] + m_v[f[:, 2]]
+    # d(M . N_f)/d x_c = M x e_{c+1} / 2
+    blocks = [0.5 * np.cross(M, e[(c + 1) % 3]) + ev[c] - ev[(c + 2) % 3] for c in range(3)]
+    grad = _scatter(f, blocks, mesh.n_vertices)
 
-    for m in range(3):
-        np.add.at(grad, f[:, m], blocks[m])
-
-    # PASS E: line tension
+    # line tension
     if iface is not None and len(iface) and iface_coeff is not None:
-        e = mesh.edges[iface]
-        d = v[e[:, 0]] - v[e[:, 1]]
-        unit = d / np.linalg.norm(d, axis=1, keepdims=True)
-        np.add.at(grad, e[:, 0], iface_coeff[:, None] * unit)
-        np.add.at(grad, e[:, 1], -iface_coeff[:, None] * unit)
+        ends = mesh.edges[iface]
+        d = v[ends[:, 0]] - v[ends[:, 1]]
+        pull = iface_coeff[:, None] * (d / np.linalg.norm(d, axis=1, keepdims=True))
+        grad += _scatter(ends, (pull, -pull), mesh.n_vertices)
 
     return E, grad

@@ -24,6 +24,31 @@ __all__ = ["TriMesh", "build_mesh", "enclosed_volume", "diameter"]
 # Face area below AREA_EPS_FACTOR * bbox_diag^2 counts as degenerate.
 AREA_EPS_FACTOR = 1e-12
 
+# Attributes that depend on the faces only; with_vertices shares them.
+_CONNECTIVITY = (
+    "faces", "allow_boundary", "half_edge_origin", "half_edge_dest", "half_edge_twin",
+    "half_edge_face", "half_edge_next", "edges", "edge_faces", "_edge_of_halfedge",
+    "boundary_vertices", "_n_components", "_component_labels", "_nbr_csr",
+)
+
+
+def _scatter(index, values, n):
+    """Sum ``values[c][r]`` into bin ``index[r, c]`` of ``n`` bins.
+
+    ``index`` is (R, C) and ``values`` holds C arrays of shape (R,) or
+    (R, ...); the result has shape ``(n,)`` plus that trailing shape. Each
+    column is summed by ``np.bincount``, rows in input order, and the
+    columns are added in turn, so the result is bitwise reproducible.
+    """
+    tail = np.shape(values[0])[1:]
+    width = int(np.prod(tail))
+    out = np.zeros((n, width))
+    for c, vals in enumerate(values):
+        flat = np.reshape(vals, (len(index), width))
+        for k in range(width):
+            out[:, k] += np.bincount(index[:, c], weights=flat[:, k], minlength=n)
+    return out.reshape((n,) + tail)
+
 
 class TriMesh:
     """Validated triangle mesh with half-edge adjacency.
@@ -260,7 +285,8 @@ class TriMesh:
         """New mesh with the same connectivity and new positions.
 
         Skips the combinatorial validation; degenerate-face and finiteness
-        checks still run.
+        checks still run. Only the connectivity attributes carry over, so
+        nothing computed from the old positions reaches the new mesh.
         """
         new = object.__new__(TriMesh)
         v = np.ascontiguousarray(vertices, dtype=np.float64)
@@ -268,9 +294,9 @@ class TriMesh:
             raise IndexOutOfRange("vertex array shape changed")
         if not np.isfinite(v).all():
             raise DegenerateFace("non-finite vertex coordinates")
-        new.__dict__.update(self.__dict__)
-        for cached in ("_nbr_csr",):
-            new.__dict__.pop(cached, None)
+        for name in _CONNECTIVITY:
+            if name in self.__dict__:
+                new.__dict__[name] = self.__dict__[name]
         new.vertices = v
         new._validate_face_areas()
         new.vertices.setflags(write=False)
@@ -281,18 +307,13 @@ class TriMesh:
         return TriMesh(self.vertices, self.faces[:, ::-1], allow_boundary=self.allow_boundary)
 
     def angle_defects(self):
-        """2*pi minus the incident corner angles, per vertex (open meshes: pi on the rim)."""
-        xi, xj, xk = self.face_corner_positions()
+        """2*pi minus the incident corner angles, per vertex (open meshes: pi on the rim).
 
-        def corner(u, w):
-            return np.arctan2(np.linalg.norm(np.cross(u, w), axis=1), np.einsum("ij,ij->i", u, w))
+        The array is the mesh's stored geometry record's, and read-only.
+        """
+        from .curvature import geometry
 
-        theta = np.stack([corner(xj - xi, xk - xi), corner(xk - xj, xi - xj), corner(xi - xk, xj - xk)], axis=1)
-        defect = np.full(self.n_vertices, 2.0 * np.pi)
-        defect[self.boundary_vertices] = np.pi
-        for c in range(3):
-            np.subtract.at(defect, self.faces[:, c], theta[:, c])
-        return defect
+        return geometry(self).defect
 
 
 def build_mesh(vertices, faces, allow_boundary=False):

@@ -15,15 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import constraint_residuals, isoperimetric_check, no_overlap_check, phase_support
+from .curvature import curvature_field, geometry
+from .energy import PhaseField, multiphase_energy
 from .errors import Diverged, Infeasible, InsufficientSamples, NonPositiveTarget, QualityCollapse
 from .gradient import energy_and_gradient, total_energy
-from .mesh import enclosed_volume
+from .mesh import _scatter, enclosed_volume
 
 __all__ = [
     "RunConfig",
     "OptimizerState",
     "TrajectoryPoint",
-    "energy_gradient",
     "minimize",
     "reduced_volume",
 ]
@@ -102,11 +103,6 @@ class OptimizerState:
     overlap_verdicts: list = field(default_factory=list)
 
 
-def energy_gradient(mesh, phases=None, params_list=None):
-    """Analytic gradient of the total energy; see :mod:`helfrich.gradient`."""
-    return energy_and_gradient(mesh, phases, params_list)[1]
-
-
 def reduced_volume(m, e):
     """Normalized volume v = 6 sqrt(pi) e / m^(3/2) and its feasibility verdict.
 
@@ -128,7 +124,7 @@ def _check_quality(mesh, cfg):
     ratio = max(e1.max(), e2.max(), e3.max()) / max(min(e1.min(), e2.min(), e3.min()), 1e-300)
     if ratio > cfg.max_edge_ratio:
         raise QualityCollapse(f"edge ratio {ratio:.1f} > {cfg.max_edge_ratio}")
-    area2 = 2.0 * mesh.face_areas()
+    area2 = 2.0 * geometry(mesh).area
     for a, b, c in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
         sin_angle = area2 / np.maximum(b * c, 1e-300)
         min_deg = np.degrees(np.arcsin(np.clip(sin_angle, 0.0, 1.0))).min()
@@ -136,49 +132,34 @@ def _check_quality(mesh, cfg):
             raise QualityCollapse(f"min angle {min_deg:.2f} deg < {cfg.min_angle_deg}")
 
 
-def _energy_terms(mesh, phases, params_list):
-    """Aggregate (bending, gauss, spontaneous, line) at current positions."""
-    from .curvature import scalar_curvatures
-    from .energy import vertex_phase_weights
-    from .gradient import _line_tension
-
-    a, _, H, K, _, _, _, _ = scalar_curvatures(mesh)
-    if phases is None:
-        w = np.ones((mesh.n_vertices, 1))
-        plist = params_list
-        cols = [0] * len(params_list)
-    else:
-        w = vertex_phase_weights(mesh, phases)
-        plist = params_list
-        cols = range(len(params_list))
-    bend = gauss = spont = 0.0
-    for p, col in zip(plist, cols):
-        ap = a * w[:, col]
-        bend += float(np.sum(0.5 * p.beta * H**2 * ap))
-        gauss += float(np.sum(p.gamma * K * ap))
-        spont += float(np.sum((-p.beta * p.h0 * H + 0.5 * p.beta * p.h0**2) * ap))
-    line = _line_tension(mesh, phases, params_list)[0]
-    return bend, gauss, spont, line
+def _terms(report):
+    """Aggregate (bending, gauss, spontaneous, line tension) of an energy report."""
+    return (
+        sum(p.bending for p in report.phases),
+        sum(p.gauss for p in report.phases),
+        sum(p.spontaneous for p in report.phases),
+        report.line_tension,
+    )
 
 
 class _Constraints:
     """Relative area/volume (and per-phase area) constraints with gradients."""
 
-    def __init__(self, mesh, phases, cs):
+    def __init__(self, phases, cs):
         self.cs = cs
         self.phases = phases
         self.per_phase = cs.phase_areas is not None and phases is not None
 
     def values(self, mesh):
         vals = []
+        fa = geometry(mesh).area
         if self.per_phase:
-            fa = mesh.face_areas()
             per = np.bincount(self.phases.labels - 1, weights=fa, minlength=len(self.cs.phase_areas))
             vals.extend(
                 (float(per[i]) - t) / t for i, t in enumerate(self.cs.phase_areas)
             )
         else:
-            vals.append((mesh.total_area() - self.cs.area) / self.cs.area)
+            vals.append((float(fa.sum()) - self.cs.area) / self.cs.area)
         vals.append((enclosed_volume(mesh) - self.cs.volume) / self.cs.volume)
         return np.array(vals)
 
@@ -191,25 +172,16 @@ class _Constraints:
             0.5 * np.cross(nhat, xi - xk),
             0.5 * np.cross(nhat, xj - xi),
         )
-        f = mesh.faces
+        f, V = mesh.faces, mesh.n_vertices
         grads = []
         if self.per_phase:
             for i, t in enumerate(self.cs.phase_areas):
-                g = np.zeros((mesh.n_vertices, 3))
                 sel = self.phases.labels == i + 1
-                for m in range(3):
-                    np.add.at(g, f[sel, m], dA[m][sel] / t)
-                grads.append(g)
+                grads.append(_scatter(f[sel], [d[sel] / t for d in dA], V))
         else:
-            g = np.zeros((mesh.n_vertices, 3))
-            for m in range(3):
-                np.add.at(g, f[:, m], dA[m] / self.cs.area)
-            grads.append(g)
-        gv = np.zeros((mesh.n_vertices, 3))
+            grads.append(_scatter(f, [d / self.cs.area for d in dA], V))
         cross = (np.cross(xj, xk), np.cross(xk, xi), np.cross(xi, xj))
-        for m in range(3):
-            np.add.at(gv, f[:, m], cross[m] / (6.0 * self.cs.volume))
-        grads.append(gv)
+        grads.append(_scatter(f, [c / (6.0 * self.cs.volume) for c in cross], V))
         return grads
 
 
@@ -241,7 +213,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         raise Infeasible(
             f"targets (m, e) = ({cs.area}, {cs.volume}) violate the isoperimetric inequality"
         )
-    con = _Constraints(mesh0, phases, cs)
+    con = _Constraints(phases, cs)
     if con.per_phase:
         for c0, target in zip(con.values(mesh0)[:-1], cs.phase_areas):
             if abs(c0) > 0.2:
@@ -249,6 +221,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                     f"initial phase area off target by {100 * abs(c0):.0f}% (> 20%)"
                 )
     mesh = mesh0
+    report_phases = phases if phases is not None else PhaseField.uniform(mesh0)
     lam = np.zeros(len(con.values(mesh)))
     rho = cfg.penalty_init
     step = None
@@ -260,8 +233,9 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
     prev_cnorm = np.inf
 
     def phi_value(m):
+        E_m = total_energy(m, phases, params_list)
         c = con.values(m)
-        return total_energy(m, phases, params_list) + lam @ c + 0.5 * rho * (c @ c), c
+        return E_m + lam @ c + 0.5 * rho * (c @ c), c
 
     E = total_energy(mesh, phases, params_list)
     phi, cvals = phi_value(mesh)
@@ -283,11 +257,11 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             phi = E + lam @ cvals + 0.5 * rho * (cvals @ cvals)
             if not np.isfinite(phi):
                 raise Diverged("augmented Lagrangian is not finite")
-            bend, gauss, spont, line = _energy_terms(mesh, phases, params_list)
+            report = multiphase_energy(mesh, curvature_field(mesh, tensors=False), report_phases, params_list)
             res_phase = float(np.abs(cvals[:-1]).max()) if con.per_phase else 0.0
             trajectory.append(
                 TrajectoryPoint(
-                    it, outer, E, phi, bend, gauss, spont, line,
+                    it, outer, E, phi, *_terms(report),
                     float(cvals[0]) if not con.per_phase else float("nan"),
                     float(cvals[-1]), res_phase, rho,
                     float(step) if step else 0.0, grad_norm,
@@ -350,11 +324,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         mult["phase_areas"] = [float(x) for x in lam[:-1]]
     else:
         mult["area"] = float(lam[0])
-    from .curvature import curvature_field
-    from .energy import PhaseField, multiphase_energy
-
-    final_phases = phases if phases is not None else PhaseField.uniform(mesh)
-    report = multiphase_energy(mesh, curvature_field(mesh, tensors=False), final_phases, params_list)
+    report = multiphase_energy(mesh, curvature_field(mesh, tensors=False), report_phases, params_list)
     return OptimizerState(
         mesh=mesh,
         iteration=it,

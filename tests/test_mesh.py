@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helfrich import shapes
 from helfrich.curvature import curvature_field
+from helfrich.density import MaterialParams
+from helfrich.energy import PhaseField
 from helfrich.errors import (
     DegenerateFace,
     IndexOutOfRange,
     InconsistentOrientation,
     NonManifold,
 )
-from helfrich.mesh import TriMesh, build_mesh, diameter, enclosed_volume
+from helfrich.gradient import energy_and_gradient
+from helfrich.mesh import TriMesh, _scatter, build_mesh, diameter, enclosed_volume
 
 from conftest import rotation_matrix
 
@@ -141,6 +146,48 @@ def test_with_vertices_guards(icosphere4):
     bad[0] = np.nan
     with pytest.raises(DegenerateFace):
         icosphere4.with_vertices(bad)
+
+
+def test_with_vertices_evaluates_like_a_fresh_mesh():
+    mesh = shapes.octasphere(3)
+    phases = PhaseField(shapes.equator_phase_labels(mesh))
+    params = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
+    energy_and_gradient(mesh, phases, params)  # geometry of the old positions is now stored
+    mesh.vertex_neighbors()
+    v2 = shapes.jittered(mesh, 0.02, seed=4).vertices
+    moved = mesh.with_vertices(v2)
+    assert moved.vertex_neighbors() is mesh.vertex_neighbors()
+    e1, g1 = energy_and_gradient(moved, phases, params)
+    e2, g2 = energy_and_gradient(TriMesh(v2, mesh.faces), phases, params)
+    assert e1 == e2
+    assert np.array_equal(g1, g2)
+
+
+def _scatter_oracle(index, values, n):
+    out = np.zeros((n,) + np.shape(values[0])[1:])
+    for c, vals in enumerate(values):
+        np.add.at(out, index[:, c], vals)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_scatter_matches_add_at(data):
+    n = data.draw(st.integers(1, 6), label="bins")
+    rows = data.draw(st.integers(0, 6), label="rows")
+    cols = data.draw(st.integers(1, 3), label="columns")
+    tail = data.draw(st.sampled_from([(), (3,)]), label="tail")
+    # few bins and repeated indices; bins above the largest index stay empty
+    index = data.draw(hnp.arrays(np.int64, (rows, cols), elements=st.integers(0, n - 1)))
+    weight = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    values = [data.draw(hnp.arrays(np.float64, (rows,) + tail, elements=weight)) for _ in range(cols)]
+    n_bins = n + data.draw(st.integers(0, 2), label="extra bins")
+    got = _scatter(index, values, n_bins)
+    want = _scatter_oracle(index, values, n_bins)
+    assert got.shape == want.shape
+    total = sum(float(np.abs(v).sum()) for v in values)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-15 * total
+    assert np.array_equal(got, _scatter(index, values, n_bins))
 
 
 def test_edges_and_adjacency(icosphere4):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,7 +117,7 @@ def test_constraint_gradients_match_fd():
 
     mesh = shapes.jittered(shapes.icosphere(2), 0.02, seed=9)
     cs = ConstraintSet(area=4 * np.pi, volume=4.0)
-    con = _Constraints(mesh, None, cs)
+    con = _Constraints(None, cs)
     grads = con.gradients(mesh)
     rng = np.random.default_rng(0)
     h = 1e-6
@@ -175,3 +181,30 @@ def test_multiphase_initial_phase_areas_sanity(split_sphere):
     params = [MaterialParams(1.0, 0.0, 0.0, 0.0, 1), MaterialParams(1.0, 0.0, 0.0, 0.0, 2)]
     with pytest.raises(Infeasible):
         minimize(mesh, phases, params, cs, RunConfig(max_iterations=5))
+
+
+def test_optimizer_path_does_not_import_scipy_sparse():
+    # scipy.sparse adds ~8 MiB of resident memory to a process that never needs it
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from helfrich import shapes
+        from helfrich.constraints import ConstraintSet
+        from helfrich.density import MaterialParams
+        from helfrich.gradient import energy_and_gradient
+        from helfrich.optimize import RunConfig, minimize
+
+        mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
+        params = [MaterialParams(1.0, 0.0, 0.0)]
+        energy_and_gradient(mesh, None, params)
+        cs = ConstraintSet(area=4 * np.pi, volume=4 * np.pi / 3)
+        minimize(mesh, None, params, cs, RunConfig(max_iterations=2))
+        print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
