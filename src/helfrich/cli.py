@@ -9,10 +9,11 @@ overlap   no-overlap scaling check between two phase supports
 hessian   9x9 density Hessian, eigenvalues, and convexity verdict
 
 ``--config file.json`` supplies a JSON run configuration; individual flags
-override config fields. Exit codes: 0 success, 1 parse/validation error,
-2 infeasible constraints, 3 optimizer failure, 4 verification failure.
-``HELFRICH_THREADS`` caps worker parallelism (all built-in kernels reduce
-in a fixed deterministic order regardless).
+override config fields. The keys ``run.seed`` and ``constraints.tol`` of
+older configs are accepted and ignored. Per-phase lists may start with a
+minus sign (``--gamma -0.3,-1``). Exit codes: 0 success, 1 parse/validation
+error (argparse's message follows the usage line), 2 infeasible
+constraints, 3 optimizer failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 
 import numpy as np
@@ -41,20 +43,15 @@ EXIT_OPTIMIZER = 3
 EXIT_VERIFICATION = 4
 
 
-def thread_cap():
-    """Worker-thread cap from HELFRICH_THREADS (default: hardware count)."""
-    raw = os.environ.get("HELFRICH_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("HELFRICH_THREADS must be >= 1")
-    return cap
-
-
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token such as "-0.3,-1" is a per-phase value list, not an option
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -92,7 +89,6 @@ def build_parser():
     p_min.add_argument("--constraint-tol", type=float)
     p_min.add_argument("--penalty-init", type=float)
     p_min.add_argument("--penalty-growth", type=float)
-    p_min.add_argument("--seed", type=int)
     p_min.add_argument("--out-dir", default=None, help="directory for trajectory/final mesh")
 
     p_ver = sub.add_parser("verify", help="inequality verification suite")
@@ -221,13 +217,13 @@ def cmd_eval(args):
 
 def _run_config(args, cfg):
     run = dict(cfg.get("run", {}))
+    run.pop("seed", None)  # older configs carry it; minimize draws no random numbers
     for flag, key in (
         ("max_iterations", "max_iterations"),
         ("grad_tol", "grad_tol"),
         ("constraint_tol", "constraint_tol"),
         ("penalty_init", "penalty_init"),
         ("penalty_growth", "penalty_growth"),
-        ("seed", "seed"),
     ):
         val = getattr(args, flag, None)
         if val is not None:
@@ -253,7 +249,6 @@ def cmd_minimize(args):
         volume=float(con["volume"]),
         phase_areas=con.get("phase_areas"),
         overlap_eps0=float(con.get("overlap_eps0", 0.0)),
-        tol=float(con.get("tol", 1e-6)),
     )
     run_cfg = _run_config(args, cfg)
     state = minimize(mesh, phases, params, cs, run_cfg)

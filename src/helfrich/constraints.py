@@ -42,14 +42,12 @@ class ConstraintSet:
     volume : target enclosed volume e (> 0)
     phase_areas : per-phase area targets, summing to ``area`` (optional)
     overlap_eps0 : threshold of the no-overlap condition (length units)
-    tol : relative constraint tolerance
     """
 
     area: float
     volume: float
     phase_areas: tuple = None
     overlap_eps0: float = 0.0
-    tol: float = 1e-6
 
     def __post_init__(self):
         if not (self.area > 0 and self.volume > 0):
@@ -130,7 +128,7 @@ def _cell_keys(points, eps, origin):
     return ((cells[:, 0] << 42) | (cells[:, 1] << 21) | cells[:, 2], cells)
 
 
-def _per_point_overlap_brute(pa, wa, pb, wb, eps):
+def _per_point_overlap_brute(pa, pb, wb, eps):
     s = np.zeros(len(pa))
     eps2 = eps * eps
     for i in range(len(pa)):
@@ -144,7 +142,7 @@ def _per_point_overlap_brute(pa, wa, pb, wb, eps):
     return s
 
 
-def _per_point_overlap_grid(pa, wa, pb, wb, eps):
+def _per_point_overlap_grid(pa, pb, wb, eps):
     origin = np.minimum(pa.min(axis=0), pb.min(axis=0)) - eps
     keys_b, _ = _cell_keys(pb, eps, origin)
     order_b = np.argsort(keys_b, kind="stable")
@@ -202,7 +200,7 @@ def overlap_measure(support_a, support_b, eps, method="grid"):
     if len(pa) == 0 or len(pb) == 0:
         return 0.0
     kernel = _per_point_overlap_grid if method == "grid" else _per_point_overlap_brute
-    s = kernel(pa, wa, pb, wb, eps)
+    s = kernel(pa, pb, wb, eps)
     return float(np.sum(wa * s))
 
 

@@ -3,7 +3,9 @@
 The mesh is the discrete carrier of a closed oriented surface: faces are
 counterclockwise when seen from outside, every edge is shared by exactly
 two faces with opposite traversal, and validation fails rather than
-repairs. Vertices are immutable after construction; moving vertices means
+repairs. Validation is numpy array code with no loop over vertices or
+faces: edge sorts plus a few passes per bit of the largest valence.
+Vertices are immutable after construction; moving vertices means
 building a new mesh (see :meth:`TriMesh.with_vertices`, which reuses the
 connectivity).
 """
@@ -103,8 +105,8 @@ class TriMesh:
         if (f[:, 0] == f[:, 1]).any() or (f[:, 1] == f[:, 2]).any() or (f[:, 2] == f[:, 0]).any():
             raise DegenerateFace("face with repeated vertex")
         key = np.sort(f, axis=1)
-        _, counts = np.unique(key, axis=0, return_counts=True)
-        if (counts > 1).any():
+        key = key[np.lexsort(key.T)]
+        if (key[1:] == key[:-1]).all(axis=1).any():
             raise NonManifold("duplicated face (same vertex triple)")
 
     def _build_half_edges(self):
@@ -156,42 +158,32 @@ class TriMesh:
         self._edge_of_halfedge[order] = eid
 
     def _validate_vertex_links(self):
-        """Each vertex star must be a single half-edge fan (no pinch points)."""
-        nv = len(self.vertices)
-        valence = np.bincount(self.half_edge_origin, minlength=nv)
-        out_he = np.full(nv, -1, dtype=np.int64)
-        out_he[self.half_edge_origin[::-1]] = np.arange(len(self.half_edge_origin) - 1, -1, -1)
-        twin, nxt = self.half_edge_twin, self.half_edge_next
-        boundary_vertices = []
-        for v in range(nv):
-            h0 = out_he[v]
-            seen = 1
-            h = h0
-            hit_boundary = False
-            for _ in range(valence[v]):
-                t = twin[nxt[nxt[h]]]  # next outgoing half-edge, counterclockwise
-                if t < 0:
-                    hit_boundary = True
-                    break
-                if t == h0:
-                    break
-                h = t
-                seen += 1
-            if hit_boundary:
-                # walk the other way to cover the full open fan
-                h = h0
-                while True:
-                    t = twin[h]
-                    if t < 0:
-                        break
-                    h = nxt[t]
-                    if h == h0:
-                        break
-                    seen += 1
-                boundary_vertices.append(v)
-            if seen != valence[v]:
-                raise NonManifold(f"pinched vertex {v}: star is not a single fan")
-        self.boundary_vertices = np.array(sorted(boundary_vertices), dtype=np.int64)
+        """Each vertex star must be a single half-edge fan (no pinch points).
+
+        The fans of a vertex are the components of h -> twin[next[next[h]]]
+        on its outgoing half-edges: a cycle for a closed star, a path for an
+        open one. Each component is labelled with its smallest half-edge by
+        min-propagation along the map and its inverse with pointer doubling
+        (Wyllie 1979), one round per bit of the largest valence.
+        """
+        origin, twin, nxt = self.half_edge_origin, self.half_edge_twin, self.half_edge_next
+        nh, nv = len(origin), len(self.vertices)
+        # index nh is a sink that stands for "off the boundary"; its label nh
+        # exceeds every half-edge's
+        label = np.arange(nh + 1)
+        rotated = twin[nxt[nxt]]
+        forward = np.append(np.where(rotated < 0, nh, rotated), nh)
+        backward = np.append(np.where(twin < 0, nh, nxt[twin]), nh)
+        rounds = int(np.bincount(origin).max() - 1).bit_length()
+        for ptr in (forward, backward):
+            for _ in range(rounds):
+                label = np.minimum(label, label[ptr])
+                ptr = ptr[ptr]
+        fans = np.bincount(origin[label[:nh] == np.arange(nh)], minlength=nv)
+        pinched = np.flatnonzero(fans > 1)
+        if len(pinched):
+            raise NonManifold(f"pinched vertex {pinched[0]}: star is not a single fan")
+        self.boundary_vertices = np.unique(origin[twin < 0])
 
     def _validate_face_areas(self):
         eps = AREA_EPS_FACTOR * self.bbox_diagonal**2

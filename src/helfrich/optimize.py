@@ -49,7 +49,6 @@ class RunConfig:
     min_angle_deg: float = 3.0
     max_edge_ratio: float = 50.0
     overlap_samples: int = 6
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("grad_tol", "constraint_tol", "penalty_init", "penalty_growth"):
@@ -235,10 +234,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
     def phi_value(m):
         E_m = total_energy(m, phases, params_list)
         c = con.values(m)
-        return E_m + lam @ c + 0.5 * rho * (c @ c), c
-
-    E = total_energy(mesh, phases, params_list)
-    phi, cvals = phi_value(mesh)
+        return E_m + lam @ c + 0.5 * rho * (c @ c)
 
     for outer in range(cfg.outer_iterations):
         if it >= cfg.max_iterations:
@@ -276,7 +272,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             s = step
             for _bt in range(cfg.max_backtracks):
                 trial = mesh.with_vertices(mesh.vertices - s * g)
-                phi_trial, _ = phi_value(trial)
+                phi_trial = phi_value(trial)
                 if phi_trial <= phi - cfg.armijo_c * s * gg:
                     accepted = True
                     break

@@ -51,30 +51,28 @@ _ICO_FACES = np.array(
 
 
 def _subdivide_on_sphere(verts, faces, levels, radius):
-    verts = [tuple(p) for p in verts / np.linalg.norm(verts, axis=1, keepdims=True)]
+    verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
+    faces = np.asarray(faces, dtype=np.int64)
     for _ in range(levels):
-        cache = {}
-        new_faces = []
-
-        def midpoint(a, b):
-            key = (a, b) if a < b else (b, a)
-            if key not in cache:
-                p = np.add(verts[a], verts[b])
-                verts.append(tuple(p / np.linalg.norm(p)))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        faces = new_faces
-    v = radius * np.asarray(verts)
-    return TriMesh(v, np.asarray(faces, dtype=np.int64))
+        # edges ab, bc, ca of every face, in face order; midpoints are
+        # numbered by first visit
+        a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+        key = np.minimum(a, b) * len(verts) + np.maximum(a, b)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(len(order)) + len(verts)
+        p = verts[a[first[order]]] + verts[b[first[order]]]
+        verts = np.vstack([verts, p / np.sqrt(np.vecdot(p, p))[:, None]])
+        ab, bc, ca = number[inverse].reshape(-1, 3).T
+        i, j, k = faces.T
+        faces = np.stack([i, ab, ca, ab, j, bc, ca, bc, k, ab, bc, ca], axis=1).reshape(-1, 3)
+    return TriMesh(radius * verts, faces)
 
 
 def icosphere(level=3, radius=1.0):
     """Icosahedral sphere subdivision: 20 * 4**level faces, all on the sphere."""
-    return _subdivide_on_sphere(_ICO_VERTS, [tuple(f) for f in _ICO_FACES], level, radius)
+    return _subdivide_on_sphere(_ICO_VERTS, _ICO_FACES, level, radius)
 
 
 def octasphere(level=3, radius=1.0):

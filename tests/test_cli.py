@@ -1,11 +1,13 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helfrich import shapes
-from helfrich.cli import main, thread_cap
+from helfrich.cli import main
 from helfrich.mesh_io import read_mesh, write_mesh
 from helfrich.serialize import dumps
 
@@ -152,11 +154,33 @@ def test_obj_reader_matches_off(workdir):
     assert np.array_equal(a.faces, b.faces)
 
 
-def test_thread_cap(monkeypatch):
-    monkeypatch.delenv("HELFRICH_THREADS", raising=False)
-    assert thread_cap() >= 1
-    monkeypatch.setenv("HELFRICH_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("HELFRICH_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_cap()
+def test_parse_error_names_the_reason(capsys):
+    assert run(["hessian", "--beta", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: helfrich hessian")
+    assert err[-1] == "helfrich hessian: error: the following arguments are required: --gamma"
+
+
+def test_negative_per_phase_lists(workdir, capsys):
+    common = ["eval", "--mesh", workdir / "split.off", "--phases", workdir / "labels.txt",
+              "--beta", "1,2", "--h0", "-0.2,.5"]
+    assert run(common + ["--gamma", "-0.3,-1", "--out", workdir / "neg1.json"]) == 0
+    assert run(common + ["--gamma=-0.3,-1", "--out", workdir / "neg2.json"]) == 0
+    assert (workdir / "neg1.json").read_bytes() == (workdir / "neg2.json").read_bytes()
+    gauss = [p["gauss"] for p in json.load(open(workdir / "neg1.json"))["phases"]]
+    assert gauss[1] < 0 and abs(gauss[0] / gauss[1] - 0.3) < 1e-9  # mirror-symmetric halves
+    assert capsys.readouterr().err == ""
+
+
+def test_readme_config_with_ignored_keys_runs(workdir):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    config["constraints"]["tol"] = 1e-6  # accepted from older configs and ignored
+    config["run"]["seed"] = 0
+    config.update(mesh=str(workdir / "split.off"), phase_labels=str(workdir / "labels.txt"),
+                  output_dir=str(workdir / "readme_run"))
+    (workdir / "readme.json").write_text(dumps(config))
+    rc = run(["minimize", "--config", workdir / "readme.json", "--max-iterations", "2",
+              "--out", workdir / "readme_state.json"])
+    assert rc == 0
+    assert json.load(open(workdir / "readme_state.json"))["iterations"] == 2

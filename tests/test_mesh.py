@@ -15,6 +15,7 @@ from helfrich.errors import (
 )
 from helfrich.gradient import energy_and_gradient
 from helfrich.mesh import TriMesh, _scatter, build_mesh, diameter, enclosed_volume
+from helfrich.shapes import _ICO_FACES, _ICO_VERTS
 
 from conftest import rotation_matrix
 
@@ -33,12 +34,18 @@ def test_back_to_back_triangles_rejected():
         build_mesh(verts, [(0, 1, 2), (0, 2, 1)])
 
 
-def test_inconsistent_orientation_rejected():
-    tet = shapes.tetrahedron()
-    faces = tet.faces.copy()
-    faces[0] = faces[0, ::-1]  # one face flipped: shared edges traversed twice same way
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.sampled_from([shapes.tetrahedron, shapes.octahedron, lambda: shapes.icosphere(1)]),
+    data=st.data(),
+)
+def test_inconsistent_orientation_rejected(shape, data):
+    mesh = shape()
+    faces = mesh.faces.copy()
+    i = data.draw(st.integers(0, len(faces) - 1), label="flipped face")
+    faces[i] = faces[i, ::-1]  # one face flipped: shared edges traversed twice same way
     with pytest.raises(InconsistentOrientation):
-        build_mesh(tet.vertices, faces)
+        build_mesh(mesh.vertices, faces)
 
 
 def test_subdivision_oracle_euler():
@@ -46,6 +53,136 @@ def test_subdivision_oracle_euler():
         m = shapes.icosphere(level)
         assert m.n_faces == 20 * 4**level
         assert m.euler_characteristic == 2
+
+
+def _subdivide_oracle(verts, faces, levels):
+    """Sphere subdivision with a dict midpoint cache, one face at a time."""
+    verts = [tuple(p) for p in verts / np.linalg.norm(verts, axis=1, keepdims=True)]
+    faces = [tuple(f) for f in faces]
+    for _ in range(levels):
+        cache = {}
+        new_faces = []
+
+        def midpoint(a, b):
+            key = (a, b) if a < b else (b, a)
+            if key not in cache:
+                p = np.add(verts[a], verts[b])
+                verts.append(tuple(p / np.linalg.norm(p)))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+        faces = new_faces
+    return np.asarray(verts), np.asarray(faces, dtype=np.int64)
+
+
+def _fan_walk_oracle(mesh):
+    """Boundary vertices by walking every vertex star one half-edge at a time.
+
+    Raises NonManifold at the first vertex whose star is not a single fan.
+    """
+    nv = mesh.n_vertices
+    valence = np.bincount(mesh.half_edge_origin, minlength=nv)
+    out_he = np.full(nv, -1, dtype=np.int64)
+    out_he[mesh.half_edge_origin[::-1]] = np.arange(len(mesh.half_edge_origin) - 1, -1, -1)
+    twin, nxt = mesh.half_edge_twin, mesh.half_edge_next
+    boundary_vertices = []
+    for v in range(nv):
+        h0 = out_he[v]
+        seen = 1
+        h = h0
+        hit_boundary = False
+        for _ in range(valence[v]):
+            t = twin[nxt[nxt[h]]]  # next outgoing half-edge, counterclockwise
+            if t < 0:
+                hit_boundary = True
+                break
+            if t == h0:
+                break
+            h = t
+            seen += 1
+        if hit_boundary:
+            # walk the other way to cover the full open fan
+            h = h0
+            while True:
+                t = twin[h]
+                if t < 0:
+                    break
+                h = nxt[t]
+                if h == h0:
+                    break
+                seen += 1
+            boundary_vertices.append(v)
+        if seen != valence[v]:
+            raise NonManifold(f"pinched vertex {v}: star is not a single fan")
+    return np.array(sorted(boundary_vertices), dtype=np.int64)
+
+
+def _half_edges_only(vertices, faces):
+    """A TriMesh built up to, not including, the vertex-link check."""
+    m = object.__new__(TriMesh)
+    m.vertices = np.asarray(vertices, dtype=np.float64)
+    m.faces = np.asarray(faces, dtype=np.int64)
+    m.allow_boundary = True
+    m._validate_indices()
+    m._build_half_edges()
+    return m
+
+
+def _same_link_verdict(vertices, faces):
+    """The fan check and the walk oracle raise alike or agree on the rim."""
+    m = _half_edges_only(vertices, faces)
+    try:
+        want = _fan_walk_oracle(m)
+    except NonManifold as exc:
+        with pytest.raises(NonManifold) as got:
+            m._validate_vertex_links()
+        assert str(got.value) == str(exc)
+        return False
+    m._validate_vertex_links()
+    assert m.boundary_vertices.dtype == want.dtype
+    assert np.array_equal(m.boundary_vertices, want)
+    return True
+
+
+_MESH_ARRAYS = (
+    "vertices", "faces", "half_edge_origin", "half_edge_dest", "half_edge_twin",
+    "half_edge_face", "half_edge_next", "edges", "edge_faces", "boundary_vertices",
+)
+
+
+def test_subdivision_matches_dict_oracle():
+    octa = shapes.octahedron()
+    for generator, verts, faces in (
+        (shapes.icosphere, _ICO_VERTS, _ICO_FACES),
+        (shapes.octasphere, octa.vertices, octa.faces),
+    ):
+        for level in range(6):
+            mesh = generator(level, radius=1.5)
+            v, f = _subdivide_oracle(verts, faces, level)
+            want = TriMesh(1.5 * v, f)
+            for name in _MESH_ARRAYS:
+                got, ref = getattr(mesh, name), getattr(want, name)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (generator, level, name)
+            assert np.array_equal(mesh.boundary_vertices, _fan_walk_oracle(mesh))
+
+
+@settings(max_examples=25, deadline=None)
+@given(dropped=st.sets(st.integers(0, 31), max_size=31))
+def test_fan_check_matches_walk_on_patch_subsets(dropped):
+    patch = shapes.flat_patch(4)
+    faces = np.delete(patch.faces, sorted(dropped), axis=0)
+    used, compact = np.unique(faces, return_inverse=True)
+    _same_link_verdict(patch.vertices[used], compact.reshape(faces.shape))
+
+
+def test_duplicated_face_rejected():
+    tet = shapes.tetrahedron()
+    faces = np.vstack([tet.faces, tet.faces[2, [1, 2, 0]]])
+    with pytest.raises(NonManifold, match="duplicated face"):
+        build_mesh(tet.vertices, faces)
 
 
 def test_index_and_reference_validation():
@@ -82,6 +219,12 @@ def test_pinched_vertex_rejected():
     fb[fb > 0] += 3
     with pytest.raises(NonManifold):
         build_mesh(verts, np.vstack([a.faces, fb]))
+    assert not _same_link_verdict(verts, np.vstack([a.faces, fb]))
+    # two open fans glued at vertex 0
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+    with pytest.raises(NonManifold, match="pinched vertex 0"):
+        build_mesh(verts, [(0, 1, 2), (0, 3, 4)], allow_boundary=True)
+    assert not _same_link_verdict(verts, [(0, 1, 2), (0, 3, 4)])
 
 
 def test_enclosed_volume_cube_exact():

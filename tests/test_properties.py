@@ -1,0 +1,96 @@
+"""Hypothesis properties: relabelling, rigid motions and file round trips."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from helfrich import shapes
+from helfrich.curvature import curvature_field
+from helfrich.density import MaterialParams
+from helfrich.diagnostics import standard_report
+from helfrich.energy import PhaseField, willmore
+from helfrich.gradient import total_energy
+from helfrich.mesh import TriMesh
+from helfrich.mesh_io import read_mesh, write_mesh
+
+PARAMS = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
+RTOL = 1e-12
+
+_BASE = shapes.jittered(shapes.icosphere(2), 0.02, seed=5)
+_LABELS = shapes.equator_phase_labels(_BASE)
+
+
+def _close(a, b, scale=None):
+    return abs(a - b) <= RTOL * max(abs(a), abs(b), scale or 0.0)
+
+
+def _invariants(mesh, labels):
+    curv = curvature_field(mesh)
+    records = sorted(standard_report(mesh).records, key=lambda r: r.name)
+    return total_energy(mesh, PhaseField(labels), PARAMS), willmore(mesh, curv), records
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_relabelling_leaves_energy_and_report_unchanged(data):
+    nv, nf = _BASE.n_vertices, _BASE.n_faces
+    new_index = np.array(data.draw(st.permutations(range(nv)), label="vertex relabelling"))
+    face_order = np.array(data.draw(st.permutations(range(nf)), label="face order"))
+    # rotating a face's corners keeps its orientation
+    shift = data.draw(hnp.arrays(np.int64, nf, elements=st.integers(0, 2)), label="corner shift")
+    vertices = np.empty_like(_BASE.vertices)
+    vertices[new_index] = _BASE.vertices
+    corners = (np.arange(3) + shift[:, None]) % 3
+    faces = np.take_along_axis(new_index[_BASE.faces[face_order]], corners, axis=1)
+    relabelled = TriMesh(vertices, faces)
+
+    e0, w0, rec0 = _invariants(_BASE, _LABELS)
+    e1, w1, rec1 = _invariants(relabelled, _LABELS[face_order])
+    assert _close(e0, e1) and _close(w0, w1)
+    assert [r.name for r in rec0] == [r.name for r in rec1]
+    for r0, r1 in zip(rec0, rec1):
+        # residual records sit at rounding level; measure them against 1
+        assert _close(r0.lhs, r1.lhs, 1.0) and _close(r0.rhs, r1.rhs, 1.0), r0.name
+        assert r0.passed == r1.passed, r0.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    quaternion=hnp.arrays(np.float64, 4, elements=st.floats(-1, 1)).filter(
+        lambda q: np.linalg.norm(q) > 0.1
+    ),
+    shift=hnp.arrays(np.float64, 3, elements=st.floats(-2, 2)),
+)
+def test_rigid_motion_leaves_energy_unchanged(quaternion, shift):
+    w, x, y, z = quaternion / np.linalg.norm(quaternion)
+    rotation = np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+    moved = _BASE.with_vertices(_BASE.vertices @ rotation.T + shift)
+    phases = PhaseField(_LABELS)
+    assert _close(total_energy(_BASE, phases, PARAMS), total_energy(moved, phases, PARAMS))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    suffix=st.sampled_from([".off", ".obj"]),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+    noise=hnp.arrays(np.float64, (42, 3), elements=st.floats(-0.05, 0.05)),
+)
+def test_file_round_trip_is_bitwise(suffix, scale, noise):
+    base = shapes.icosphere(1)
+    mesh = TriMesh(scale * (base.vertices + noise), base.faces)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh" + suffix)
+        write_mesh(path, mesh)
+        back = read_mesh(path)
+    assert back.vertices.dtype == mesh.vertices.dtype and back.faces.dtype == mesh.faces.dtype
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.faces, mesh.faces)
