@@ -49,6 +49,14 @@ class _Parser(argparse.ArgumentParser):
         # a token such as "-0.3,-1" is a per-phase value list, not an option
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand rejects the flags it does not know itself, so the
+        # usage line and the error name the subcommand, not the top level
+        parsed, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return parsed, extra
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, NonPositiveTarget, PhaseCountMismatch
-from .mesh import enclosed_volume
 
 __all__ = [
     "ConstraintSet",
@@ -283,10 +282,9 @@ class ConstraintResiduals:
 
 def constraint_residuals(mesh, phases, cs):
     """Relative area/volume residuals and the phase-sum boundary mass."""
-    from .energy import vertex_phase_weights
+    from .curvature import geometry
 
-    area = mesh.total_area()
-    vol = enclosed_volume(mesh)
+    geo = geometry(mesh)
     res_phase = ()
     if cs.phase_areas is not None:
         phases.check(mesh)
@@ -294,10 +292,7 @@ def constraint_residuals(mesh, phases, cs):
             raise PhaseCountMismatch(
                 f"{len(cs.phase_areas)} phase targets for {phases.n_phases} phases"
             )
-        face_area = mesh.face_areas()
-        per_phase = np.bincount(
-            phases.labels - 1, weights=face_area, minlength=phases.n_phases
-        )
+        per_phase = np.bincount(phases.labels - 1, weights=geo.area, minlength=phases.n_phases)
         res_phase = tuple(
             (float(per_phase[i]) - cs.phase_areas[i]) / cs.phase_areas[i]
             for i in range(phases.n_phases)
@@ -311,8 +306,8 @@ def constraint_residuals(mesh, phases, cs):
         ).sum()
     )
     return ConstraintResiduals(
-        area=(area - cs.area) / cs.area,
-        volume=(vol - cs.volume) / cs.volume,
+        area=(float(geo.area.sum()) - cs.area) / cs.area,
+        volume=(geo.volume - cs.volume) / cs.volume,
         phase_areas=res_phase,
         boundary_mass=blen,
     )

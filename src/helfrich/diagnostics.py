@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import _K_FLOOR_FACTOR, curvature_field
+from .curvature import curvature_field, geometry
 from .density import coercivity_constants
 from .energy import canham_helfrich, willmore
 from .errors import NotConvex
@@ -111,7 +111,7 @@ def verify_pointwise(curv):
             "|Hbar|^2 <= 2 |A|^2 at every vertex",
         )
     ]
-    k_floor = (_K_FLOOR_FACTOR / curv.mesh.mean_edge_length) ** 2
+    k_floor = geometry(curv.mesh).k_floor
     gauss_rhs = 0.5 * H2 - 0.5 * (curv.kappa1**2 + curv.kappa2**2)
     scale = np.abs(curv.K) + 0.5 * H2 + 0.5 * (curv.kappa1**2 + curv.kappa2**2)
     err = np.abs(curv.K - gauss_rhs) - (1e-10 * scale + 1.01 * k_floor)

@@ -254,15 +254,16 @@ class TriMesh:
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     def total_area(self):
-        return float(self.face_areas().sum())
+        from .curvature import geometry
 
-    def edge_lengths(self):
-        e = self.edges
-        return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
+        return float(geometry(self).area.sum())
 
     @property
     def mean_edge_length(self):
-        return float(self.edge_lengths().mean())
+        """Mean length over :attr:`edges`, from the stored geometry record."""
+        from .curvature import geometry
+
+        return geometry(self).mean_edge
 
     def vertex_neighbors(self):
         """One-ring neighbor lists in CSR form: (offsets, neighbor indices)."""
@@ -316,11 +317,13 @@ def build_mesh(vertices, faces, allow_boundary=False):
 def enclosed_volume(mesh):
     """Signed volume enclosed by a closed oriented mesh.
 
-    Divergence-theorem sum (1/6) sum_f det(x_i, x_j, x_k); exact for
-    polyhedra, negative if the orientation is inward.
+    Divergence-theorem sum (1/6) sum_f det(x_i, x_j, x_k), read from the
+    mesh's stored geometry record; exact for polyhedra, negative if the
+    orientation is inward.
     """
-    xi, xj, xk = mesh.face_corner_positions()
-    return float(np.einsum("ij,ij->", xi, np.cross(xj, xk)) / 6.0)
+    from .curvature import geometry
+
+    return geometry(mesh).volume
 
 
 def diameter(mesh):

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import constraint_residuals, isoperimetric_check, no_overlap_check, phase_support
-from .curvature import curvature_field, geometry
+from .curvature import _cotan_corners, curvature_field, geometry
 from .energy import PhaseField, multiphase_energy
 from .errors import Diverged, Infeasible, InsufficientSamples, NonPositiveTarget, QualityCollapse
 from .gradient import energy_and_gradient, total_energy
-from .mesh import _scatter, enclosed_volume
+from .mesh import _scatter
 
 __all__ = [
     "RunConfig",
@@ -72,11 +72,14 @@ class TrajectoryPoint:
     penalty: float
     step: float
     grad_norm: float
+    min_angle_deg: float
+    max_edge_ratio: float
+    iso_quotient: float  # 36 pi V^2 / A^3 of the mesh; 1 for a round sphere
 
     FIELDS = (
         "iteration", "outer", "energy", "augmented", "bending", "gauss", "spontaneous",
         "line_tension", "residual_area", "residual_volume", "residual_phase_max",
-        "penalty", "step", "grad_norm",
+        "penalty", "step", "grad_norm", "min_angle_deg", "max_edge_ratio", "iso_quotient",
     )
 
     def row(self):
@@ -116,19 +119,12 @@ def reduced_volume(m, e):
 
 
 def _check_quality(mesh, cfg):
-    xi, xj, xk = mesh.face_corner_positions()
-    e1 = np.linalg.norm(xj - xi, axis=1)
-    e2 = np.linalg.norm(xk - xj, axis=1)
-    e3 = np.linalg.norm(xi - xk, axis=1)
-    ratio = max(e1.max(), e2.max(), e3.max()) / max(min(e1.min(), e2.min(), e3.min()), 1e-300)
-    if ratio > cfg.max_edge_ratio:
-        raise QualityCollapse(f"edge ratio {ratio:.1f} > {cfg.max_edge_ratio}")
-    area2 = 2.0 * geometry(mesh).area
-    for a, b, c in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
-        sin_angle = area2 / np.maximum(b * c, 1e-300)
-        min_deg = np.degrees(np.arcsin(np.clip(sin_angle, 0.0, 1.0))).min()
-        if min_deg < cfg.min_angle_deg:
-            raise QualityCollapse(f"min angle {min_deg:.2f} deg < {cfg.min_angle_deg}")
+    geo = geometry(mesh)
+    if geo.edge_ratio > cfg.max_edge_ratio:
+        raise QualityCollapse(f"edge ratio {geo.edge_ratio:.1f} > {cfg.max_edge_ratio}")
+    min_deg = np.degrees(geo.min_angle)
+    if min_deg < cfg.min_angle_deg:
+        raise QualityCollapse(f"min angle {min_deg:.2f} deg < {cfg.min_angle_deg}")
 
 
 def _terms(report):
@@ -150,37 +146,51 @@ class _Constraints:
         self.per_phase = cs.phase_areas is not None and phases is not None
 
     def values(self, mesh):
+        geo = geometry(mesh)
         vals = []
-        fa = geometry(mesh).area
         if self.per_phase:
-            per = np.bincount(self.phases.labels - 1, weights=fa, minlength=len(self.cs.phase_areas))
+            per = np.bincount(self.phases.labels - 1, weights=geo.area, minlength=len(self.cs.phase_areas))
             vals.extend(
                 (float(per[i]) - t) / t for i, t in enumerate(self.cs.phase_areas)
             )
         else:
-            vals.append((float(fa.sum()) - self.cs.area) / self.cs.area)
-        vals.append((enclosed_volume(mesh) - self.cs.volume) / self.cs.volume)
+            vals.append((float(geo.area.sum()) - self.cs.area) / self.cs.area)
+        vals.append((geo.volume - self.cs.volume) / self.cs.volume)
         return np.array(vals)
 
     def gradients(self, mesh):
-        """List of (V, 3) gradients matching :meth:`values`."""
-        xi, xj, xk = mesh.face_corner_positions()
-        nhat = mesh.face_normals()
-        dA = (
-            0.5 * np.cross(nhat, xk - xj),
-            0.5 * np.cross(nhat, xi - xk),
-            0.5 * np.cross(nhat, xj - xi),
-        )
-        f, V = mesh.faces, mesh.n_vertices
-        grads = []
+        """List of (V, 3) gradients matching :meth:`values`, from the geometry record.
+
+        Area: grad A = L / 2, L the record's cotangent vector (Meyer,
+        Desbrun, Schroeder & Barr 2003). The identity holds face by face,
+        so it is exact on open meshes too, and a phase's area gradient is
+        L / 2 summed over that phase's faces only.
+
+        Volume: grad vol = Nv / 3, Nv the sum of the area vectors of the
+        faces around a vertex. This holds where the vertex star is closed;
+        at a rim vertex v the faces' edges x_j - x_k (j, k the other two
+        corners in order) no longer cancel, and the exact gradient adds
+        -x_v x sum_f (x_j - x_k) / 6.
+        """
+        geo = geometry(mesh)
+        v, f, V = mesh.vertices, mesh.faces, mesh.n_vertices
         if self.per_phase:
-            for i, t in enumerate(self.cs.phase_areas):
-                sel = self.phases.labels == i + 1
-                grads.append(_scatter(f[sel], [d[sel] / t for d in dA], V))
+            P = len(self.cs.phase_areas)
+            xi, xj, xk = mesh.face_corner_positions()
+            # phase p's faces scatter into bins p * V .. p * V + V - 1
+            bins = f + V * (self.phases.labels - 1)[:, None]
+            L = _scatter(bins, _cotan_corners(geo.cot, (xj - xi, xk - xj, xi - xk)), P * V)
+            grads = [L[i * V : (i + 1) * V] / (2.0 * t) for i, t in enumerate(self.cs.phase_areas)]
         else:
-            grads.append(_scatter(f, [d / self.cs.area for d in dA], V))
-        cross = (np.cross(xj, xk), np.cross(xk, xi), np.cross(xi, xj))
-        grads.append(_scatter(f, [c / (6.0 * self.cs.volume) for c in cross], V))
+            grads = [geo.L / (2.0 * self.cs.area)]
+        dvol = geo.nu * geo.Nv_norm[:, None]
+        if len(mesh.boundary_vertices):
+            rim = mesh.half_edge_twin < 0
+            o, d = mesh.half_edge_origin[rim], mesh.half_edge_dest[rim]
+            # sum_f (x_j - x_k) telescopes to the two rim neighbours
+            ends = _scatter(np.column_stack([o, d]), (v[d], -v[o]), V)
+            dvol = dvol - 0.5 * np.cross(v, ends)
+        grads.append(dvol / (3.0 * self.cs.volume))
         return grads
 
 
@@ -255,12 +265,15 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 raise Diverged("augmented Lagrangian is not finite")
             report = multiphase_energy(mesh, curvature_field(mesh, tensors=False), report_phases, params_list)
             res_phase = float(np.abs(cvals[:-1]).max()) if con.per_phase else 0.0
+            geo = geometry(mesh)
             trajectory.append(
                 TrajectoryPoint(
                     it, outer, E, phi, *_terms(report),
                     float(cvals[0]) if not con.per_phase else float("nan"),
                     float(cvals[-1]), res_phase, rho,
                     float(step) if step else 0.0, grad_norm,
+                    float(np.degrees(geo.min_angle)), geo.edge_ratio,
+                    36.0 * np.pi * geo.volume**2 / float(geo.area.sum()) ** 3,
                 )
             )
             if grad_norm < inner_tol:

@@ -44,3 +44,14 @@ def rotation_matrix(seed=0):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def sample_mesh(kind, seed, shift=(0.0, 0.0, 0.0), amplitude=0.02):
+    """Jittered closed ``icosphere(2)`` or open ``flat_patch(4)``, translated by ``shift``.
+
+    The open patch's volume and its gradient depend on the origin, so a
+    shift exercises the rim terms.
+    """
+    base = shapes.icosphere(2) if kind == "sphere" else shapes.flat_patch(4)
+    mesh = shapes.jittered(base, amplitude, seed=seed)
+    return mesh.with_vertices(mesh.vertices + np.asarray(shift))

@@ -161,6 +161,26 @@ def test_parse_error_names_the_reason(capsys):
     assert err[-1] == "helfrich hessian: error: the following arguments are required: --gamma"
 
 
+def test_unknown_flag_is_reported_by_its_subcommand(capsys):
+    assert run(["eval", "--beta", "1", "--no-such-flag"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: helfrich eval")
+    assert err[-1] == "helfrich eval: error: unrecognized arguments: --no-such-flag"
+
+
+def test_minimize_outputs_repeat_bytewise(workdir):
+    for name in ("rerun1", "rerun2"):
+        assert run(
+            ["minimize", "--mesh", workdir / "sphere.off", "--beta", "1", "--area", "12.5",
+             "--volume", "4.1", "--max-iterations", "8", "--out-dir", workdir / name,
+             "--out", workdir / f"{name}.json"]
+        ) == 0
+    header = (workdir / "rerun1" / "trajectory.csv").read_text().splitlines()[0]
+    assert header.endswith(",min_angle_deg,max_edge_ratio,iso_quotient")
+    for out in ("trajectory.csv", "state.json", "final.off"):
+        assert (workdir / "rerun1" / out).read_bytes() == (workdir / "rerun2" / out).read_bytes()
+
+
 def test_negative_per_phase_lists(workdir, capsys):
     common = ["eval", "--mesh", workdir / "split.off", "--phases", workdir / "labels.txt",
               "--beta", "1,2", "--h0", "-0.2,.5"]

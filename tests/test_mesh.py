@@ -17,7 +17,7 @@ from helfrich.gradient import energy_and_gradient
 from helfrich.mesh import TriMesh, _scatter, build_mesh, diameter, enclosed_volume
 from helfrich.shapes import _ICO_FACES, _ICO_VERTS
 
-from conftest import rotation_matrix
+from conftest import rotation_matrix, sample_mesh
 
 
 def test_octahedron_valid():
@@ -238,6 +238,24 @@ def test_enclosed_volume_sphere(icosphere4):
 def test_enclosed_volume_orientation_antisymmetry(icosphere4):
     vol = enclosed_volume(icosphere4)
     assert abs(enclosed_volume(icosphere4.flipped()) + vol) < 1e-12 * abs(vol)
+
+
+@pytest.mark.parametrize("kind", ["sphere", "patch"])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    shift=hnp.arrays(np.float64, 3, elements=st.floats(-2.0, 2.0)),
+    amplitude=st.floats(0.0, 0.05),
+)
+def test_record_volume_and_mean_edge_match_oracles(kind, seed, shift, amplitude):
+    mesh = sample_mesh(kind, seed, shift, amplitude)
+    xi, xj, xk = mesh.face_corner_positions()
+    # divergence-theorem determinant sum and the mean over the edge list
+    det = np.einsum("ij,ij->i", xi, np.cross(xj, xk))
+    e = mesh.edges
+    mean_edge = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1).mean()
+    assert abs(enclosed_volume(mesh) - det.sum() / 6.0) <= 1e-12 * np.abs(det).sum() / 6.0
+    assert abs(mesh.mean_edge_length - mean_edge) <= 1e-14 * mean_edge
 
 
 def test_diameter():

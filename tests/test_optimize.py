@@ -6,18 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helfrich import shapes
 from helfrich.constraints import ConstraintSet
-from helfrich.curvature import curvature_field
+from helfrich.curvature import curvature_field, geometry
 from helfrich.density import MaterialParams
 from helfrich.energy import PhaseField, willmore
 from helfrich.errors import Infeasible, NonPositiveTarget, QualityCollapse
 from helfrich.gradient import total_energy
 from helfrich.mesh import enclosed_volume
-from helfrich.optimize import RunConfig, minimize, reduced_volume
+from helfrich.optimize import RunConfig, _check_quality, _Constraints, minimize, reduced_volume
 
-from conftest import rotation_matrix
+from conftest import rotation_matrix, sample_mesh
 
 WILLMORE = [MaterialParams(1.0, 0.0, 0.0)]
 
@@ -130,6 +132,116 @@ def test_constraint_gradients_match_fd():
             fd = (con.values(mesh.with_vertices(vp)) - con.values(mesh.with_vertices(vm))) / (2 * h)
             for k, g in enumerate(grads):
                 assert abs(fd[k] - g[p, c]) < 1e-6 * max(1.0, abs(fd[k]))
+
+
+def _cross_product_gradients(mesh, phases, cs):
+    """Constraint gradients as per-face cross products, summed with np.add.at (oracle).
+
+    Area: d A_f / d x_c = n_f x (x_{c+2} - x_{c+1}) / 2; volume: the
+    determinant sum's d / d x_c = x_{c+1} x x_{c+2} / 6.
+    """
+    x = mesh.face_corner_positions()
+    nhat = mesh.face_normals()
+    f, V = mesh.faces, mesh.n_vertices
+
+    def scatter(sel, blocks):
+        out = np.zeros((V, 3))
+        for c in range(3):
+            np.add.at(out, f[sel, c], blocks[c][sel])
+        return out
+
+    dA = [0.5 * np.cross(nhat, x[(c + 2) % 3] - x[(c + 1) % 3]) for c in range(3)]
+    if phases is None:
+        grads = [scatter(slice(None), dA) / cs.area]
+    else:
+        grads = [scatter(phases.labels == i + 1, dA) / t for i, t in enumerate(cs.phase_areas)]
+    dvol = [np.cross(x[(c + 1) % 3], x[(c + 2) % 3]) for c in range(3)]
+    return grads + [scatter(slice(None), dvol) / (6.0 * cs.volume)]
+
+
+def _arcsin_guard(mesh):
+    """Longest over shortest edge and the smallest corner angle in degrees, via arcsin (oracle)."""
+    xi, xj, xk = mesh.face_corner_positions()
+    e1 = np.linalg.norm(xj - xi, axis=1)
+    e2 = np.linalg.norm(xk - xj, axis=1)
+    e3 = np.linalg.norm(xi - xk, axis=1)
+    ratio = max(e1.max(), e2.max(), e3.max()) / min(e1.min(), e2.min(), e3.min())
+    area2 = 2.0 * mesh.face_areas()
+    min_deg = min(
+        np.degrees(np.arcsin(np.clip(area2 / (b * c), 0.0, 1.0))).min()
+        for b, c in ((e2, e3), (e3, e1), (e1, e2))
+    )
+    return ratio, min_deg
+
+
+@pytest.mark.parametrize("kind", ["sphere", "patch"])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    shift=hnp.arrays(np.float64, 3, elements=st.floats(-2.0, 2.0)),
+    amplitude=st.floats(0.0, 0.05),
+    data=st.data(),
+)
+def test_constraint_gradients_match_cross_product_oracle(kind, seed, shift, amplitude, data):
+    mesh = sample_mesh(kind, seed, shift, amplitude)
+    labels = data.draw(hnp.arrays(np.int64, mesh.n_faces, elements=st.integers(1, 3)), label="labels")
+    for phases, cs in (
+        (None, ConstraintSet(area=2.0, volume=1.5)),
+        (PhaseField(labels, n_phases=3), ConstraintSet(area=2.0, volume=1.5, phase_areas=(0.5, 0.7, 0.8))),
+    ):
+        got = _Constraints(phases, cs).gradients(mesh)
+        want = _cross_product_gradients(mesh, phases, cs)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("kind", ["sphere", "patch"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), amplitude=st.floats(0.0, 0.08))
+def test_quality_guard_matches_arcsin_oracle(kind, seed, amplitude):
+    mesh = sample_mesh(kind, seed, amplitude=amplitude)
+    ratio, min_deg = _arcsin_guard(mesh)
+    geo = geometry(mesh)
+    assert abs(geo.edge_ratio - ratio) <= 1e-14 * ratio
+    assert abs(np.degrees(geo.min_angle) - min_deg) <= 1e-10 * min_deg
+    loose = 1.0 + 1e-8
+    _check_quality(mesh, RunConfig(max_edge_ratio=ratio * loose, min_angle_deg=min_deg / loose))
+    with pytest.raises(QualityCollapse, match="edge ratio"):
+        _check_quality(mesh, RunConfig(max_edge_ratio=ratio / loose, min_angle_deg=min_deg / loose))
+    with pytest.raises(QualityCollapse, match="min angle"):
+        _check_quality(mesh, RunConfig(max_edge_ratio=ratio * loose, min_angle_deg=min_deg * loose))
+
+
+def test_volume_gradient_matches_fd_on_open_patch():
+    # the volume is linear in each vertex, so central differences are exact
+    # up to rounding; rim vertices carry the boundary term
+    mesh = sample_mesh("patch", 7, shift=(0.3, -0.2, 0.7))
+    con = _Constraints(None, ConstraintSet(area=1.0, volume=1.0))
+    grad = con.gradients(mesh)[-1]
+    h = 1e-6
+    fd = np.empty_like(grad)
+    for p in range(mesh.n_vertices):
+        for c in range(3):
+            vp = mesh.vertices.copy()
+            vm = mesh.vertices.copy()
+            vp[p, c] += h
+            vm[p, c] -= h
+            fd[p, c] = (con.values(mesh.with_vertices(vp))[-1] - con.values(mesh.with_vertices(vm))[-1]) / (2 * h)
+    assert np.abs(fd - grad).max() <= 1e-8 * np.abs(grad).max()
+
+
+def test_trajectory_reports_mesh_quality():
+    mesh = sample_mesh("sphere", 3)
+    cs = ConstraintSet(area=4 * np.pi, volume=4.0)
+    first = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=1)).trajectory[0]
+    ratio, min_deg = _arcsin_guard(mesh)
+    xi, xj, xk = mesh.face_corner_positions()
+    vol = np.einsum("ij,ij->", xi, np.cross(xj, xk)) / 6.0
+    iso = 36.0 * np.pi * vol**2 / mesh.face_areas().sum() ** 3
+    assert abs(first.max_edge_ratio - ratio) <= 1e-14 * ratio
+    assert abs(first.min_angle_deg - min_deg) <= 1e-10 * min_deg
+    assert abs(first.iso_quotient - iso) <= 1e-12 * iso
 
 
 def test_prolate_ellipsoid_feasible_targets_converge():
