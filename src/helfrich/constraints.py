@@ -6,19 +6,21 @@ than epsilon,
 
     m(eps) = sum_{x in A} w_A(x) * sum_{y in B, |x-y| < eps} w_B(y),
 
-accelerated by a uniform spatial hash of cell size epsilon. The admissible
-scaling is m(eps) <= eps^3 / eps0 on (0, eps0): surface-to-surface contact
-scales like eps^2 and fails, curve or point contact scales like eps^3 and
-passes.
+accelerated by a uniform spatial hash. One hash of cell size max(eps)
+collects the cross pairs closer than the largest radius once, and every
+smaller radius of the gate masks the same pairs. The admissible scaling
+is m(eps) <= eps^3 / eps0 on (0, eps0): surface-to-surface contact scales
+like eps^2 and fails, curve or point contact scales like eps^3 and passes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamples, NonPositiveTarget, PhaseCountMismatch
+from .errors import InsufficientSamples, NonPositiveTarget, PhaseCountMismatch, UnknownPhase
 
 __all__ = [
     "ConstraintSet",
@@ -110,10 +112,17 @@ def phase_support(mesh, phases, phase_id):
 
     Vertices receive their mixed area times the fraction of incident face
     area in the phase; zero-weight vertices are dropped.
+
+    Raises
+    ------
+    UnknownPhase
+        If ``phase_id`` lies outside 1..n_phases.
     """
     from .curvature import geometry
     from .energy import vertex_phase_weights
 
+    if not 1 <= phase_id <= phases.n_phases:
+        raise UnknownPhase(f"phase {phase_id} is not in 1..{phases.n_phases}")
     w = vertex_phase_weights(mesh, phases)[:, phase_id - 1] * geometry(mesh).a
     keep = w > 0
     return PhaseSupport(mesh.vertices[keep], w[keep], mesh.mean_edge_length)
@@ -141,66 +150,89 @@ def _per_point_overlap_brute(pa, pb, wb, eps):
     return s
 
 
-def _per_point_overlap_grid(pa, pb, wb, eps):
+def _overlap_measures(support_a, support_b, radii):
+    """m(eps) for every eps in ``radii``, from one spatial hash.
+
+    B is hashed once with cell size max(radii). Candidate pairs come from
+    the 27 cells around each point of A, read as 9 key ranges of 3 cells
+    stacked in z, and are kept only when closer than the largest radius;
+    the survivors are sorted by (a, b) once, and each radius sums its own
+    hits per a with ``np.add.reduceat``. The pairs, their d^2, the
+    summation order and the final sum are those of the brute-force
+    kernel, so every measure is bitwise equal to it.
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    pa, wa = support_a.points, support_a.weights
+    pb, wb = support_b.points, support_b.weights
+    measures = np.zeros(len(radii))
+    if len(pa) == 0 or len(pb) == 0:
+        return measures
+    eps = float(radii.max())
     origin = np.minimum(pa.min(axis=0), pb.min(axis=0)) - eps
     keys_b, _ = _cell_keys(pb, eps, origin)
     order_b = np.argsort(keys_b, kind="stable")
     keys_b_sorted = keys_b[order_b]
     _, cells_a = _cell_keys(pa, eps, origin)
-    pairs_a = []
-    pairs_b = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                shifted = cells_a + np.array([dx, dy, dz], dtype=np.int64)
-                key = (shifted[:, 0] << 42) | (shifted[:, 1] << 21) | shifted[:, 2]
-                lo = np.searchsorted(keys_b_sorted, key, side="left")
-                hi = np.searchsorted(keys_b_sorted, key, side="right")
-                count = hi - lo
-                has = count > 0
-                if not has.any():
-                    continue
-                sizes = count[has]
-                ai = np.repeat(np.flatnonzero(has), sizes)
-                ramp = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-                bi = order_b[np.repeat(lo[has], sizes) + ramp]
-                pairs_a.append(ai)
-                pairs_b.append(bi)
-    s = np.zeros(len(pa))
+    pairs_a, pairs_b, pairs_d2 = [], [], []
+    for dx, dy in itertools.product((-1, 0, 1), repeat=2):
+        # z is the low field of the key and every cell index lies in
+        # [1, 2^20), so the cells z-1, z, z+1 of one column are one key range
+        key = ((cells_a[:, 0] + dx) << 42) | ((cells_a[:, 1] + dy) << 21) | cells_a[:, 2]
+        lo = np.searchsorted(keys_b_sorted, key - 1, side="left")
+        hi = np.searchsorted(keys_b_sorted, key + 1, side="right")
+        count = hi - lo
+        has = count > 0
+        if not has.any():
+            continue
+        sizes = count[has]
+        ai = np.repeat(np.flatnonzero(has), sizes)
+        ramp = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        bi = order_b[np.repeat(lo[has], sizes) + ramp]
+        d2 = np.sum((np.take(pa, ai, axis=0) - np.take(pb, bi, axis=0)) ** 2, axis=1)
+        # filtering each column's candidates keeps the pair list at the
+        # size of the hits, not of the 27-cell neighbourhoods
+        near = d2 < eps * eps
+        pairs_a.append(ai[near])
+        pairs_b.append(bi[near])
+        pairs_d2.append(d2[near])
     if not pairs_a:
-        return s
+        return measures
     ai = np.concatenate(pairs_a)
     bi = np.concatenate(pairs_b)
-    d2 = np.sum((pa[ai] - pb[bi]) ** 2, axis=1)
-    hit = d2 < eps * eps
-    ai, bi = ai[hit], bi[hit]
-    if len(ai) == 0:
-        return s
     # ascending (a, b) order makes the segment sums bitwise equal to the
     # brute-force masked sums
     order = np.lexsort((bi, ai))
-    ai, bi = ai[order], bi[order]
-    uniq_a, seg_start = np.unique(ai, return_index=True)
-    s[uniq_a] = np.add.reduceat(wb[bi], seg_start)
-    return s
+    ai = ai[order]
+    wb_pair = wb[bi[order]]
+    d2 = np.concatenate(pairs_d2)[order]
+    for k, e in enumerate(radii):
+        hit = d2 < e * e
+        a_hit = ai[hit]
+        if len(a_hit) == 0:
+            continue
+        seg_start = np.flatnonzero(np.r_[True, a_hit[1:] != a_hit[:-1]])
+        s = np.zeros(len(pa))
+        s[a_hit[seg_start]] = np.add.reduceat(wb_pair[hit], seg_start)
+        measures[k] = np.sum(wa * s)
+    return measures
 
 
 def overlap_measure(support_a, support_b, eps, method="grid"):
     """Product-measure mass of the eps-neighborhood of the diagonal.
 
     ``method='brute'`` runs the O(N*M) double loop; the default spatial
-    grid gives identical results (same summation order) in
-    O(N + M + matches).
+    grid (the one-radius case of the kernel ``no_overlap_check`` uses)
+    gives identical results (same summation order) in O(N + M + matches).
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
+    if method == "grid":
+        return float(_overlap_measures(support_a, support_b, [eps])[0])
     pa, wa = support_a.points, support_a.weights
     pb, wb = support_b.points, support_b.weights
     if len(pa) == 0 or len(pb) == 0:
         return 0.0
-    kernel = _per_point_overlap_grid if method == "grid" else _per_point_overlap_brute
-    s = kernel(pa, pb, wb, eps)
-    return float(np.sum(wa * s))
+    return float(np.sum(wa * _per_point_overlap_brute(pa, pb, wb, eps)))
 
 
 @dataclass(frozen=True)
@@ -245,7 +277,7 @@ def no_overlap_check(support_a, support_b, eps0, n_eps=6, eps_min=None):
             f"empty radius range ({eps_min:g}, {eps0:g}); refine the supports or raise eps0"
         )
     radii = np.geomspace(eps_min, 0.999 * eps0, n_eps)
-    measures = np.array([overlap_measure(support_a, support_b, e) for e in radii])
+    measures = _overlap_measures(support_a, support_b, radii)
     bounds = radii**3 / eps0
     passed = bool((measures <= bounds).all())
     nz = measures > 0

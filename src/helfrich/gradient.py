@@ -113,14 +113,16 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     # faces corner c + 2. A term that moves corner c by +ev[c] and corner
     # c + 1 by -ev[c] is an edge term; q[:, c] collects the coefficient of
     # d theta_c and qA the coefficient of the face area.
-    x = [v[f[:, c]] for c in range(3)]
+    x = [np.take(v, f[:, c], axis=0) for c in range(3)]
     e = [x[1] - x[0], x[2] - x[1], x[0] - x[2]]
     l2 = [np.einsum("ij,ij->i", ec, ec) for ec in e]
     nhat = 0.5 * np.cross(e[0], x[2] - x[0]) / geo.area[:, None]
     s_corner = coef_a[f]
     obtuse = geo.obtuse
     any_obt = obtuse.any(axis=1)
-    h_corner = [coef_h[f[:, c], None] * nu[f[:, c]] for c in range(3)]
+    h_corner = [
+        np.take(coef_h, f[:, c])[:, None] * np.take(nu, f[:, c], axis=0) for c in range(3)
+    ]
     qcot = np.empty_like(cot)
     ev = []
     for c in range(3):
@@ -153,7 +155,8 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     # <L, nu> through the area-weighted normal: M . N_f with M the face sum
     P_L = geo.L - nu * np.einsum("vi,vi->v", nu, geo.L)[:, None]
     m_v = (coef_h / geo.Nv_norm)[:, None] * P_L
-    M = qA[:, None] * nhat + m_v[f[:, 0]] + m_v[f[:, 1]] + m_v[f[:, 2]]
+    m_f = [np.take(m_v, f[:, c], axis=0) for c in range(3)]
+    M = qA[:, None] * nhat + m_f[0] + m_f[1] + m_f[2]
     # d(M . N_f)/d x_c = M x e_{c+1} / 2
     blocks = [0.5 * np.cross(M, e[(c + 1) % 3]) + ev[c] - ev[(c + 2) % 3] for c in range(3)]
     grad = _scatter(f, blocks, mesh.n_vertices)

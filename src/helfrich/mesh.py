@@ -240,7 +240,7 @@ class TriMesh:
     def face_corner_positions(self):
         """Positions of the three corners of every face: three (F, 3) arrays."""
         v, f = self.vertices, self.faces
-        return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+        return tuple(np.take(v, f[:, c], axis=0) for c in range(3))
 
     def face_area_vectors(self):
         xi, xj, xk = self.face_corner_positions()

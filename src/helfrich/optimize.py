@@ -305,10 +305,9 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         prev_cnorm = cnorm
         if phases is not None and cs.overlap_eps0 > 0 and phases.n_phases >= 2:
             gates = []
-            for pa in range(1, phases.n_phases + 1):
-                for pb in range(pa + 1, phases.n_phases + 1):
-                    sa = phase_support(mesh, phases, pa)
-                    sb = phase_support(mesh, phases, pb)
+            supports = [phase_support(mesh, phases, p) for p in range(1, phases.n_phases + 1)]
+            for i, sa in enumerate(supports):
+                for sb in supports[i + 1:]:
                     try:
                         gates.append(
                             no_overlap_check(sa, sb, cs.overlap_eps0, n_eps=cfg.overlap_samples)

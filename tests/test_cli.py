@@ -133,6 +133,18 @@ def test_overlap_command_pass_and_fail(workdir):
     assert json.load(open(workdir / "ovl2.json"))["passed"] is False
 
 
+def test_overlap_rejects_unknown_phase_ids(workdir, capsys):
+    # phase 0 once wrapped around to the last phase, and an id above the
+    # phase count escaped as an IndexError traceback
+    for phase_a, phase_b in ((0, 2), (1, 3)):
+        rc = run(
+            ["overlap", "--mesh", workdir / "split.off", "--phases", workdir / "labels.txt",
+             "--eps0", "0.15", "--phase-a", phase_a, "--phase-b", phase_b]
+        )
+        assert rc == 1
+        assert "is not in 1..2" in capsys.readouterr().err
+
+
 def test_exit_codes(workdir):
     assert run(["hessian", "--beta", "2"]) == 1  # missing --gamma
     assert run(["eval", "--mesh", workdir / "nonexistent.off", "--beta", "1"]) == 1

@@ -281,6 +281,36 @@ def test_overlap_gate_paths(split_sphere):
     assert state.overlap_verdicts and state.overlap_verdicts[0][0] is None
 
 
+def test_overlap_gate_builds_each_support_once_per_round(monkeypatch):
+    import helfrich.optimize as optimize
+    from helfrich.constraints import no_overlap_check, phase_support
+
+    mesh = shapes.octasphere(3)
+    z = mesh.vertices[mesh.faces].mean(axis=1)[:, 2]
+    phases = PhaseField(1 + (z > -0.4) + (z > 0.4))
+    per_phase = np.bincount(phases.labels - 1, weights=geometry(mesh).area)
+    params = [MaterialParams(1.0, 0.0, 0.0, 0.1, p) for p in (1, 2, 3)]
+    cs = ConstraintSet(
+        area=float(per_phase.sum()), volume=enclosed_volume(mesh),
+        phase_areas=tuple(per_phase), overlap_eps0=0.5,
+    )
+    built = []
+
+    def counting_support(m, ph, phase_id):
+        built.append(phase_id)
+        return phase_support(m, ph, phase_id)
+
+    monkeypatch.setattr(optimize, "phase_support", counting_support)
+    state = minimize(mesh, phases, params, cs, RunConfig(max_iterations=4, inner_iterations=2))
+    assert state.overlap_verdicts
+    assert built == [1, 2, 3] * len(state.overlap_verdicts)
+    # the gates pair the supports (1, 2), (1, 3), (2, 3) of the last round
+    sup = [phase_support(state.mesh, phases, p) for p in (1, 2, 3)]
+    for gate, (i, j) in zip(state.overlap_verdicts[-1], ((0, 1), (0, 2), (1, 2))):
+        expected = no_overlap_check(sup[i], sup[j], cs.overlap_eps0)
+        assert gate.measures.tobytes() == expected.measures.tobytes()
+
+
 def test_multiphase_initial_phase_areas_sanity(split_sphere):
     mesh, labels = split_sphere
     phases = PhaseField(labels)
