@@ -63,6 +63,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _nonnegative_int(text):
+    """argparse type for an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _float_list(text):
     return [float(tok) for tok in str(text).split(",") if tok != ""]
 
@@ -102,7 +113,7 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="inequality verification suite")
     common(p_ver)
     p_ver.add_argument("--corpus", action="store_true", help="run the shipped corpus")
-    p_ver.add_argument("--n-fields", type=int, default=20)
+    p_ver.add_argument("--n-fields", type=_nonnegative_int, default=20)
     p_ver.add_argument("--seed", type=int, default=0)
 
     p_ovl = sub.add_parser("overlap", help="no-overlap scaling check")

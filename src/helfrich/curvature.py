@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateOneRing
-from .mesh import _scatter
+from .mesh import _cross, _scatter
 
 __all__ = ["CurvatureField", "curvature_field"]
 
@@ -147,7 +147,7 @@ class _Geometry:
         xi, xj, xk = (np.take(v, f[:, c], axis=0) for c in range(3))
         e = (xj - xi, xk - xj, xi - xk)  # e[c] runs from corner c to c + 1
         l2 = [np.einsum("ij,ij->i", ec, ec) for ec in e]
-        N = 0.5 * np.cross(e[0], xk - xi)  # as TriMesh.face_area_vectors
+        N = 0.5 * _cross(e[0], xk - xi)  # as TriMesh.face_area_vectors
         self.area = np.linalg.norm(N, axis=1)
         self.volume = float(np.einsum("ij,ij->", xi, N) / 3.0)
         # half-edge 3 f + c is e[c] of face f; twins have bitwise equal lengths
@@ -231,9 +231,9 @@ def _tangent_bases(nu):
     smallest = np.argmin(np.abs(nu), axis=1)
     helper = np.zeros_like(nu)
     helper[np.arange(len(nu)), smallest] = 1.0
-    t1 = np.cross(nu, helper)
+    t1 = _cross(nu, helper)
     t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(nu, t1)
+    t2 = _cross(nu, t1)
     return t1, t2
 
 

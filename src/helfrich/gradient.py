@@ -27,7 +27,7 @@ import numpy as np
 from .curvature import geometry
 from .energy import vertex_phase_weights
 from .errors import DegenerateConfiguration
-from .mesh import _scatter
+from .mesh import _cross, _scatter
 
 __all__ = ["energy_and_gradient", "total_energy"]
 
@@ -116,7 +116,7 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     x = [np.take(v, f[:, c], axis=0) for c in range(3)]
     e = [x[1] - x[0], x[2] - x[1], x[0] - x[2]]
     l2 = [np.einsum("ij,ij->i", ec, ec) for ec in e]
-    nhat = 0.5 * np.cross(e[0], x[2] - x[0]) / geo.area[:, None]
+    nhat = 0.5 * _cross(e[0], x[2] - x[0]) / geo.area[:, None]
     s_corner = coef_a[f]
     obtuse = geo.obtuse
     any_obt = obtuse.any(axis=1)
@@ -138,7 +138,7 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     # d theta_c / d x_n = -nhat x e_c / |e_c|^2 and d theta_n / d x_c is its
     # negative, so edge c carries (q_c - q_n) nhat x e_c / |e_c|^2
     for c in range(3):
-        g = np.cross(nhat, e[c]) / l2[c][:, None]
+        g = _cross(nhat, e[c]) / l2[c][:, None]
         ev[c] += (q[:, c] - q[:, (c + 1) % 3])[:, None] * g
 
     # obtuse faces: area * (sum_c s_c * (1/2 if obtuse at c else 1/4))
@@ -158,7 +158,7 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     m_f = [np.take(m_v, f[:, c], axis=0) for c in range(3)]
     M = qA[:, None] * nhat + m_f[0] + m_f[1] + m_f[2]
     # d(M . N_f)/d x_c = M x e_{c+1} / 2
-    blocks = [0.5 * np.cross(M, e[(c + 1) % 3]) + ev[c] - ev[(c + 2) % 3] for c in range(3)]
+    blocks = [0.5 * _cross(M, e[(c + 1) % 3]) + ev[c] - ev[(c + 2) % 3] for c in range(3)]
     grad = _scatter(f, blocks, mesh.n_vertices)
 
     # line tension

@@ -52,6 +52,21 @@ def _scatter(index, values, n):
     return out.reshape((n,) + tail)
 
 
+def _cross(a, b):
+    """Row-wise cross product of two (n, 3) arrays, bitwise equal to ``np.cross``.
+
+    The three components ``a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0`` go
+    straight into a preallocated array, without the axis moves and copies
+    ``np.cross`` makes.
+    """
+    out = np.empty((len(a), 3))
+    for c in range(3):
+        i, j = (c + 1) % 3, (c + 2) % 3
+        np.multiply(a[:, i], b[:, j], out=out[:, c])
+        out[:, c] -= a[:, j] * b[:, i]
+    return out
+
+
 class TriMesh:
     """Validated triangle mesh with half-edge adjacency.
 
@@ -244,7 +259,7 @@ class TriMesh:
 
     def face_area_vectors(self):
         xi, xj, xk = self.face_corner_positions()
-        return 0.5 * np.cross(xj - xi, xk - xi)
+        return 0.5 * _cross(xj - xi, xk - xi)
 
     def face_areas(self):
         return np.linalg.norm(self.face_area_vectors(), axis=1)
@@ -327,19 +342,122 @@ def enclosed_volume(mesh):
 
 
 def diameter(mesh):
-    """Exact max pairwise vertex distance (convex-hull prefilter)."""
-    pts = mesh.vertices
-    if len(pts) > 32:
-        try:
-            from scipy.spatial import ConvexHull
+    """Exact max pairwise vertex distance, by box-pair pruning.
 
-            pts = pts[np.unique(ConvexHull(pts).vertices)]
-        except Exception:
-            pass  # degenerate hull: fall back to all points
-    best = 0.0
-    block = 1024
-    for i in range(0, len(pts), block):
-        chunk = pts[i : i + block]
-        d2 = np.sum((chunk[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        best = max(best, float(d2.max()))
-    return float(np.sqrt(best))
+    The method follows Malandain & Boissonnat, "Computing the diameter of
+    a point set" (2002), and Har-Peled, "A practical approach for
+    computing the diameter of a point set" (SoCG 2001). A chain of
+    farthest points gives a lower bound ``best`` on the squared diameter.
+    Pairs of axis-aligned boxes of vertices, refined from the one box of
+    all vertices down to single vertices, are dropped when their
+    farthest-corner bound is below ``best``.
+
+    Exactness: the bound is computed like a pair's d², as ``np.sum(d ** 2)``
+    with ``d = max(|hi_a - lo_b|, |hi_b - lo_a|)`` per axis. Subtraction,
+    squaring and the fixed-order sum all round monotonically, so no point
+    pair of two boxes has a float d² above the boxes' float bound, and the
+    pair that attains the maximum is never dropped. The result is bitwise
+    the square root of the largest ``np.sum((x_i - x_j) ** 2)`` over all
+    vertex pairs.
+    """
+    return float(np.sqrt(_max_pair_d2(mesh.vertices)))
+
+
+# Farthest-point rounds for the lower bound, and the number of box or
+# point pairs one vectorized step of the pair scan handles.
+_FARTHEST_ROUNDS = 4
+_PAIR_CHUNK = 1 << 15
+
+
+def _max_pair_d2(points):
+    """Largest ``np.sum((a - b) ** 2)`` over pairs of ``points``; see :func:`diameter`.
+
+    The points are sorted in Morton order on a grid of ``2**depth`` cells
+    a side, ``depth`` growing with N, so every cell of every coarser level
+    is a contiguous run; each cell keeps the actual min/max box of its
+    points. Survivors are refined in chunks, depth first, so extra memory
+    is O(N) plus a few chunks per level. The result is the maximum over
+    the surviving point pairs.
+    """
+    p = np.asarray(points, dtype=np.float64)
+    n = len(p)
+    best, i = 0.0, 0
+    for _ in range(_FARTHEST_ROUNDS):
+        d2 = np.sum((p - p[i]) ** 2, axis=1)
+        j = int(np.argmax(d2))
+        if d2[j] <= best:
+            break
+        best, i = d2[j], j
+
+    depth = max(1, int(np.ceil(np.log2(2.0 * n ** (1.0 / 3.0)))))
+    lo = p.min(axis=0)
+    extent = p.max(axis=0) - lo
+    frac = np.divide(p - lo, extent, out=np.zeros_like(p), where=extent > 0)
+    q = np.minimum((frac * 2**depth).astype(np.int64), 2**depth - 1)
+    code = np.zeros(n, dtype=np.int64)
+    for bit in range(depth):
+        for axis in range(3):
+            code |= ((q[:, axis] >> bit) & 1) << (3 * bit + axis)
+    order = np.argsort(code, kind="stable")
+    p, code = p[order], code[order]
+
+    # cells of each level: first point; the level below the finest is
+    # the points themselves
+    starts = [np.flatnonzero(np.concatenate([[True], np.diff(code >> 3 * (depth - level)) != 0]))
+              for level in range(depth + 1)]
+    starts.append(np.arange(n))
+    # per level: first child and child count of each cell, and the
+    # children's boxes (the finest level's children are points)
+    levels = []
+    for level in range(depth + 1):
+        children = starts[level + 1]
+        first = np.searchsorted(children, starts[level])
+        count = np.diff(np.append(first, len(children)))
+        boxes = None
+        if level < depth:
+            boxes = (np.minimum.reduceat(p, children, axis=0), np.maximum.reduceat(p, children, axis=0))
+        levels.append((first, count, boxes))
+
+    def scan(level, a, b):
+        """Largest surviving point-pair d² below the cell pairs (a, b) of ``level``.
+
+        Child pairs are scanned one chunk at a time, and survivors go one
+        level down as soon as a chunk's worth has gathered, so each level
+        holds O(chunk) pairs at a time.
+        """
+        first, count, boxes = levels[level]
+        nb = count[b]
+        size = count[a] * nb
+        ends = np.cumsum(size)
+        top, found, n_found = 0.0, [], 0
+        for start in range(0, int(ends[-1]), _PAIR_CHUNK):
+            k = np.arange(start, min(start + _PAIR_CHUNK, int(ends[-1])))
+            r = np.searchsorted(ends, k, side="right")
+            local = k - (ends[r] - size[r])
+            ia = first[a[r]] + local // nb[r]
+            ib = first[b[r]] + local % nb[r]
+            if boxes is None:  # points: the bound is the pair's d² itself
+                bound = np.sum((np.take(p, ia, axis=0) - np.take(p, ib, axis=0)) ** 2, axis=1)
+            else:
+                lo, hi = boxes
+                d = np.maximum(
+                    np.abs(np.take(hi, ia, axis=0) - np.take(lo, ib, axis=0)),
+                    np.abs(np.take(hi, ib, axis=0) - np.take(lo, ia, axis=0)),
+                )
+                bound = np.sum(d**2, axis=1)
+            # cells are in Morton order, so a pair of distinct parents has
+            # ia < ib; ia > ib only repeats a pair within one parent
+            keep = (ia <= ib) & (bound >= best)
+            if boxes is None:
+                top = max(top, float(bound.max(where=keep, initial=0.0)))
+                continue
+            found.append((ia[keep], ib[keep]))
+            n_found += len(found[-1][0])
+            if n_found >= _PAIR_CHUNK or (n_found and start + _PAIR_CHUNK >= ends[-1]):
+                a_next, b_next = (np.concatenate(c) for c in zip(*found))
+                top = max(top, scan(level + 1, a_next, b_next))
+                found, n_found = [], 0
+        return top
+
+    zero = np.zeros(1, dtype=np.int64)  # level 0: the one cell, paired with itself
+    return scan(0, zero, zero)

@@ -19,7 +19,7 @@ from .curvature import _cotan_corners, curvature_field, geometry
 from .energy import PhaseField, multiphase_energy
 from .errors import Diverged, Infeasible, InsufficientSamples, NonPositiveTarget, QualityCollapse
 from .gradient import energy_and_gradient, total_energy
-from .mesh import _scatter
+from .mesh import _cross, _scatter
 
 __all__ = [
     "RunConfig",
@@ -189,7 +189,7 @@ class _Constraints:
             o, d = mesh.half_edge_origin[rim], mesh.half_edge_dest[rim]
             # sum_f (x_j - x_k) telescopes to the two rim neighbours
             ends = _scatter(np.column_stack([o, d]), (v[d], -v[o]), V)
-            dvol = dvol - 0.5 * np.cross(v, ends)
+            dvol = dvol - 0.5 * _cross(v, ends)
         grads.append(dvol / (3.0 * self.cs.volume))
         return grads
 

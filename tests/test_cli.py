@@ -173,6 +173,19 @@ def test_parse_error_names_the_reason(capsys):
     assert err[-1] == "helfrich hessian: error: the following arguments are required: --gamma"
 
 
+def test_negative_n_fields_is_rejected(capsys):
+    assert run(["verify", "--corpus", "--n-fields", "-3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: helfrich verify")
+    assert err[-1] == "helfrich verify: error: argument --n-fields: expected an integer >= 0, got '-3'"
+
+
+def test_verify_corpus_report_repeats_bytewise(workdir):
+    for name in ("corpus1.json", "corpus2.json"):
+        assert run(["verify", "--corpus", "--seed", "0", "--out", workdir / name]) == 0
+    assert (workdir / "corpus1.json").read_bytes() == (workdir / "corpus2.json").read_bytes()
+
+
 def test_unknown_flag_is_reported_by_its_subcommand(capsys):
     assert run(["eval", "--beta", "1", "--no-such-flag"]) == 1
     err = capsys.readouterr().err.splitlines()

@@ -14,7 +14,15 @@ from helfrich.errors import (
     NonManifold,
 )
 from helfrich.gradient import energy_and_gradient
-from helfrich.mesh import TriMesh, _scatter, build_mesh, diameter, enclosed_volume
+from helfrich.mesh import (
+    TriMesh,
+    _cross,
+    _max_pair_d2,
+    _scatter,
+    build_mesh,
+    diameter,
+    enclosed_volume,
+)
 from helfrich.shapes import _ICO_FACES, _ICO_VERTS
 
 from conftest import rotation_matrix, sample_mesh
@@ -263,6 +271,88 @@ def test_diameter():
     assert abs(diameter(shapes.tetrahedron(edge=1.0)) - 1.0) < 1e-12
     for level in (3, 4):
         assert abs(diameter(shapes.icosphere(level)) - 2.0) < 1e-3
+
+
+def _max_pair_d2_oracle(points):
+    """All-pairs maximum of the d2 expression the pruned scan evaluates."""
+    return float(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2).max())
+
+
+@st.composite
+def _point_sets(draw):
+    kind = draw(st.sampled_from(["cloud", "icosphere", "coplanar", "collinear", "duplicates", "small"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(1, 400), label="points")
+    if kind == "cloud":
+        pts = rng.standard_normal((n, 3)) * rng.uniform(0.1, 3.0, 3)
+    elif kind == "icosphere":
+        pts = shapes.icosphere(draw(st.integers(0, 3), label="level")).vertices.copy()
+    elif kind == "coplanar":
+        uv = rng.uniform(-1.0, 1.0, (n, 2))
+        if draw(st.booleans(), label="axis-aligned plane"):
+            pts = np.column_stack([uv, np.full(n, 0.5)])
+        else:
+            frame = rng.standard_normal((2, 3))
+            pts = uv @ frame + rng.standard_normal(3)
+    elif kind == "collinear":
+        pts = rng.uniform(-1.0, 1.0, (n, 1)) * rng.standard_normal(3) + rng.standard_normal(3)
+    elif kind == "duplicates":
+        base = rng.standard_normal((draw(st.integers(1, 8), label="distinct"), 3))
+        pts = base[rng.integers(0, len(base), n)]
+    else:
+        pts = draw(
+            hnp.arrays(np.float64, (draw(st.integers(1, 32), label="points"), 3),
+                       elements=st.floats(-4.0, 4.0, allow_subnormal=False)),
+            label="small set",
+        )
+    if draw(st.booleans(), label="far from the origin"):
+        scale = 10.0 ** draw(st.integers(-6, 6), label="scale exponent")
+        pts = pts * scale + rng.uniform(-1e8, 1e8, 3)
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_point_sets())
+def test_pruned_diameter_equals_all_pairs_bitwise(points):
+    assert _max_pair_d2(points) == _max_pair_d2_oracle(points)
+
+
+# float.hex of the diameters the convex-hull prefilter and all-pairs scan
+# gave on the corpus; the pruned scan must reproduce them bitwise
+_CORPUS_DIAMETERS = {
+    "icosphere2": "0x1.0000000000000p+1",
+    "icosphere3": "0x1.0000000000000p+1",
+    "icosphere4": "0x1.0000000000000p+1",
+    "torus": "0x1.8000000000001p+2",
+    "capsule": "0x1.4000000000000p+3",
+    "perturbed_sphere": "0x1.050ae7e0f3956p+1",
+    "split_sphere": "0x1.0000000000000p+1",
+}
+
+
+def test_corpus_diameters_are_bitwise_unchanged(corpus):
+    assert sorted(corpus) == sorted(_CORPUS_DIAMETERS)
+    for name, (mesh, _) in corpus.items():
+        d = diameter(mesh)
+        assert d.hex() == _CORPUS_DIAMETERS[name], name
+        assert d == float(np.sqrt(_max_pair_d2_oracle(mesh.vertices))), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cross_equals_np_cross_bitwise(data):
+    n = data.draw(st.integers(0, 64), label="rows")
+    value = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    a = data.draw(hnp.arrays(np.float64, (n, 3), elements=value))
+    b = data.draw(hnp.arrays(np.float64, (n, 3), elements=value))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.cross(a, b)
+        got = _cross(a, b)
+    assert got.shape == (n, 3)
+    assert np.array_equal(got, want, equal_nan=True)
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((2, 5120, 3))
+    assert np.array_equal(_cross(a, b), np.cross(a, b))
 
 
 def test_gauss_bonnet_exact(corpus):
