@@ -274,6 +274,7 @@ def cmd_minimize(args):
     out_dir = getattr(args, "out_dir", None) or cfg.get("output_dir")
     payload = {
         "termination": state.termination,
+        "inner_stops": state.inner_stops,
         "iterations": state.iteration,
         "energy": state.energy,
         "augmented": state.augmented,

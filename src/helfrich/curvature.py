@@ -133,8 +133,9 @@ class _Geometry:
     Scalars: the signed enclosed ``volume`` (divergence theorem,
     sum_f x_i . N_f / 3 with N_f the face area vector; exact for
     polyhedra), ``mean_edge`` (mean length over ``mesh.edges``),
-    ``edge_ratio`` (longest over shortest edge) and ``min_angle`` (the
-    smallest corner angle, radians).
+    ``edge_ratio`` (longest over shortest edge) with ``short_edge_face``
+    a face holding the shortest edge, and ``min_angle`` (the smallest
+    corner angle, radians) with ``min_angle_face`` its face.
     Corner angles and face area vectors are not kept: the record lives as
     long as its mesh, and only the gradient reads it per face.
     Every array is read-only.
@@ -155,12 +156,16 @@ class _Geometry:
         edge_lengths = np.empty(mesh.n_edges)
         edge_lengths[mesh._edge_of_halfedge] = lengths
         self.mean_edge = float(edge_lengths.mean())
-        self.edge_ratio = float(lengths.max() / max(lengths.min(), 1e-300))
+        short = int(np.argmin(lengths))
+        self.short_edge_face = short // 3
+        self.edge_ratio = float(lengths.max() / max(lengths[short], 1e-300))
         # at corner c the edges are e[c] and -e[c - 1]; |e[c] x e[c - 1]| = 2 area
         dots = np.stack([-np.einsum("ij,ij->i", e[c], e[c - 1]) for c in range(3)], axis=1)
         twice = 2.0 * self.area[:, None]
         theta = np.arctan2(twice, dots)
-        self.min_angle = float(theta.min())
+        sharp = int(np.argmin(theta))
+        self.min_angle_face = sharp // 3
+        self.min_angle = float(theta.flat[sharp])
         self.cot = dots / np.where(twice == 0, 1.0, twice)
         corner_a = np.empty_like(theta)
         for c in range(3):

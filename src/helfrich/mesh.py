@@ -292,8 +292,11 @@ class TriMesh:
     def with_vertices(self, vertices):
         """New mesh with the same connectivity and new positions.
 
-        Skips the combinatorial validation; degenerate-face and finiteness
-        checks still run. Only the connectivity attributes carry over, so
+        Skips the combinatorial validation and the face-area check; the
+        shape and finiteness checks still run. Callers that need the
+        face-area check run ``_validate_face_areas`` (as ``shapes.jittered``
+        does) or read ``area`` from the geometry record (as the optimizer's
+        line search does). Only the connectivity attributes carry over, so
         nothing computed from the old positions reaches the new mesh.
         """
         new = object.__new__(TriMesh)
@@ -306,7 +309,6 @@ class TriMesh:
             if name in self.__dict__:
                 new.__dict__[name] = self.__dict__[name]
         new.vertices = v
-        new._validate_face_areas()
         new.vertices.setflags(write=False)
         return new
 

@@ -2,14 +2,24 @@
 
 Area and enclosed-volume constraints (total or per-phase) are enforced by
 an augmented Lagrangian on *relative* constraint values: an outer loop of
-multiplier updates and penalty growth around an inner backtracking
-gradient descent. Rigid translations are projected out of every descent
-direction; rotations are left free. Phase labels never change during a
-run.
+multiplier updates and penalty growth around an inner L-BFGS descent on
+the augmented Lagrangian (Nocedal & Wright, *Numerical Optimization*,
+ch. 7 and 17). The inner direction comes from the two-loop recursion over
+the last ``_MEMORY`` pairs of position and gradient changes, a memory that
+is cleared at every multiplier update. Each direction is searched by
+Armijo backtracking from the unit step. Steepest descent, from the last
+steepest step grown by ``step_grow``, takes over when the memory is empty,
+when the L-BFGS direction is not a descent direction, and when it fails
+``_LBFGS_TRIALS`` trials (the memory is then cleared). A trial that is
+degenerate, not finite or breaks the mesh-quality guard is rejected like
+one that fails the Armijo test. Rigid translations are projected out of
+every descent direction; rotations are left free. Phase labels never
+change during a run.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +27,17 @@ import numpy as np
 from .constraints import constraint_residuals, isoperimetric_check, no_overlap_check, phase_support
 from .curvature import _cotan_corners, curvature_field, geometry
 from .energy import PhaseField, multiphase_energy
-from .errors import Diverged, Infeasible, InsufficientSamples, NonPositiveTarget, QualityCollapse
+from .errors import (
+    DegenerateConfiguration,
+    DegenerateFace,
+    Diverged,
+    Infeasible,
+    InsufficientSamples,
+    NonPositiveTarget,
+    QualityCollapse,
+)
 from .gradient import energy_and_gradient, total_energy
-from .mesh import _cross, _scatter
+from .mesh import AREA_EPS_FACTOR, _cross, _scatter
 
 __all__ = [
     "RunConfig",
@@ -28,6 +46,16 @@ __all__ = [
     "minimize",
     "reduced_volume",
 ]
+
+# (s, y) pairs kept by the L-BFGS memory.
+_MEMORY = 10
+# Failed trials along an L-BFGS direction (s = 1, 1/2, 1/4 at the default
+# shrink) before the line search clears the memory and goes on along -g.
+# On a plateau where the energy is flat to rounding the memory fills with
+# pairs from rounding-level steps; the fallback keeps them from steering.
+_LBFGS_TRIALS = 3
+# A pair enters the memory only when s.y > _PAIR_COSINE * |s| |y|.
+_PAIR_COSINE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,16 +98,21 @@ class TrajectoryPoint:
     residual_volume: float
     residual_phase_max: float
     penalty: float
-    step: float
+    step: float  # accepted step length along the direction; 0 when no step was taken
     grad_norm: float
     min_angle_deg: float
     max_edge_ratio: float
     iso_quotient: float  # 36 pi V^2 / A^3 of the mesh; 1 for a round sphere
+    trials: int  # trial meshes the line search built
+    memory: int  # L-BFGS pairs behind the searched direction; 0 for steepest descent
+    clamped: int  # vertices where H was reconciled with K
+    obtuse: int  # faces with an obtuse corner
 
     FIELDS = (
         "iteration", "outer", "energy", "augmented", "bending", "gauss", "spontaneous",
         "line_tension", "residual_area", "residual_volume", "residual_phase_max",
         "penalty", "step", "grad_norm", "min_angle_deg", "max_edge_ratio", "iso_quotient",
+        "trials", "memory", "clamped", "obtuse",
     )
 
     def row(self):
@@ -88,7 +121,12 @@ class TrajectoryPoint:
 
 @dataclass
 class OptimizerState:
-    """Snapshot of a run: final mesh, multipliers, residuals, trajectory."""
+    """Snapshot of a run: final mesh, multipliers, residuals, trajectory.
+
+    ``inner_stops`` has one entry per outer round, saying why its inner
+    loop ended: 'grad_tol', 'inner_cap', 'stalled' (no acceptable step)
+    or 'budget' (``max_iterations`` reached).
+    """
 
     mesh: object
     iteration: int
@@ -103,6 +141,7 @@ class OptimizerState:
     energy_report: object = None
     trajectory: list = field(default_factory=list)
     overlap_verdicts: list = field(default_factory=list)
+    inner_stops: list = field(default_factory=list)
 
 
 def reduced_volume(m, e):
@@ -118,13 +157,51 @@ def reduced_volume(m, e):
     return float(v), isoperimetric_check(m, e)
 
 
-def _check_quality(mesh, cfg):
-    geo = geometry(mesh)
+def _quality_fault(geo, cfg):
+    """What a geometry record breaks of the mesh-quality guard, or None."""
     if geo.edge_ratio > cfg.max_edge_ratio:
-        raise QualityCollapse(f"edge ratio {geo.edge_ratio:.1f} > {cfg.max_edge_ratio}")
+        return (f"edge ratio {geo.edge_ratio:.3g} > {cfg.max_edge_ratio} "
+                f"(shortest edge in face {geo.short_edge_face})")
     min_deg = np.degrees(geo.min_angle)
     if min_deg < cfg.min_angle_deg:
-        raise QualityCollapse(f"min angle {min_deg:.2f} deg < {cfg.min_angle_deg}")
+        return f"min angle {min_deg:.3g} deg < {cfg.min_angle_deg} in face {geo.min_angle_face}"
+    return None
+
+
+def _check_quality(mesh, cfg):
+    """Raise QualityCollapse when a start mesh breaks the guard."""
+    fault = _quality_fault(geometry(mesh), cfg)
+    if fault:
+        raise QualityCollapse(f"{fault} at iteration 0")
+
+
+def _diverged(iteration, phi, grad):
+    """Diverged naming the iteration, phi and the vertex of the largest or a non-finite gradient."""
+    norms = np.linalg.norm(grad, axis=1)
+    v = int(np.argmax(np.where(np.isfinite(norms), norms, np.inf)))
+    return Diverged(
+        f"augmented Lagrangian {phi:.6g} at iteration {iteration}; "
+        f"vertex {v} has gradient norm {norms[v]:.6g}"
+    )
+
+
+def _two_loop(g, pairs):
+    """L-BFGS direction -H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4).
+
+    ``pairs`` holds flat (s, y, 1 / s.y), oldest first; the initial
+    inverse Hessian is (s.y / y.y) I of the newest pair.
+    """
+    q = g.ravel().copy()
+    alphas = []
+    for s, y, r in reversed(pairs):
+        alpha = r * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    _, y, r = pairs[-1]
+    q *= 1.0 / (r * (y @ y))
+    for (s, y, r), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - r * (y @ q)) * s
+    return -q.reshape(g.shape)
 
 
 def _terms(report):
@@ -215,7 +292,13 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
 
     Raises
     ------
-    Infeasible, QualityCollapse, Diverged
+    Infeasible
+    QualityCollapse
+        The start mesh breaks the quality guard, or a line search ran out
+        of trials and the guard rejected at least one of them.
+    Diverged
+        The augmented Lagrangian or its gradient is not finite at an
+        accepted mesh.
     """
     verdict = isoperimetric_check(cs.area, cs.volume)
     if verdict == "infeasible":
@@ -229,73 +312,122 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 raise Infeasible(
                     f"initial phase area off target by {100 * abs(c0):.0f}% (> 20%)"
                 )
+    _check_quality(mesh0, cfg)
     mesh = mesh0
     report_phases = phases if phases is not None else PhaseField.uniform(mesh0)
     lam = np.zeros(len(con.values(mesh)))
     rho = cfg.penalty_init
-    step = None
+    step = None  # steepest-descent step length, grown after each steepest accept
+    pairs = deque(maxlen=_MEMORY)
     trajectory = []
     overlap_log = []
+    inner_stops = []
     it = 0
     grad_norm = np.inf
     termination = "max_iterations"
     prev_cnorm = np.inf
 
-    def phi_value(m):
-        E_m = total_energy(m, phases, params_list)
-        c = con.values(m)
-        return E_m + lam @ c + 0.5 * rho * (c @ c)
+    def try_step(x):
+        """(trial mesh, phi, None) at positions x; (None, None, guard fault or None) if rejected."""
+        try:
+            trial = mesh.with_vertices(x)
+        except DegenerateFace:  # non-finite positions
+            return None, None, None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            geo = geometry(trial)
+        if geo.area.min() <= AREA_EPS_FACTOR * trial.bbox_diagonal**2:
+            return None, None, None  # TriMesh's degenerate-face threshold
+        fault = _quality_fault(geo, cfg)
+        if fault:
+            return None, None, fault
+        try:
+            E_m = total_energy(trial, phases, params_list)
+        except DegenerateConfiguration:  # a vertex normal vanished
+            return None, None, None
+        c = con.values(trial)
+        phi_m = E_m + lam @ c + 0.5 * rho * (c @ c)
+        return (trial, phi_m, None) if np.isfinite(phi_m) else (None, None, None)
 
     for outer in range(cfg.outer_iterations):
         if it >= cfg.max_iterations:
             break
         inner_tol = max(cfg.grad_tol, cfg.grad_tol * 100.0 * 0.25**outer)
+        pairs.clear()  # the multipliers or rho changed since these pairs
+        last = None  # positions and gradient before the last accepted step
+        stop = "inner_cap"
         for _ in range(cfg.inner_iterations):
             if it >= cfg.max_iterations:
+                stop = "budget"
                 break
             E, gE = energy_and_gradient(mesh, phases, params_list)
             cvals = con.values(mesh)
             g = gE.copy()
             for lam_i, rho_c, gc in zip(lam, rho * cvals, con.gradients(mesh)):
                 g += (lam_i + rho_c) * gc
+            phi = E + lam @ cvals + 0.5 * rho * (cvals @ cvals)
+            if not (np.isfinite(phi) and np.isfinite(g).all()):
+                raise _diverged(it, phi, g)
             g -= g.mean(axis=0)  # translations are a null space
             grad_norm = float(np.sqrt(np.mean(np.sum(g**2, axis=1))))
-            phi = E + lam @ cvals + 0.5 * rho * (cvals @ cvals)
-            if not np.isfinite(phi):
-                raise Diverged("augmented Lagrangian is not finite")
+            if last is not None:
+                s_k = (mesh.vertices - last[0]).ravel()
+                y_k = (g - last[1]).ravel()
+                sy = float(s_k @ y_k)
+                if sy > _PAIR_COSINE * np.linalg.norm(s_k) * np.linalg.norm(y_k):
+                    pairs.append((s_k, y_k, 1.0 / sy))
             report = multiphase_energy(mesh, curvature_field(mesh, tensors=False), report_phases, params_list)
             res_phase = float(np.abs(cvals[:-1]).max()) if con.per_phase else 0.0
             geo = geometry(mesh)
-            trajectory.append(
-                TrajectoryPoint(
-                    it, outer, E, phi, *_terms(report),
-                    float(cvals[0]) if not con.per_phase else float("nan"),
-                    float(cvals[-1]), res_phase, rho,
-                    float(step) if step else 0.0, grad_norm,
-                    float(np.degrees(geo.min_angle)), geo.edge_ratio,
-                    36.0 * np.pi * geo.volume**2 / float(geo.area.sum()) ** 3,
-                )
+            point = TrajectoryPoint(
+                it, outer, E, phi, *_terms(report),
+                float(cvals[0]) if not con.per_phase else float("nan"),
+                float(cvals[-1]), res_phase, rho, 0.0, grad_norm,
+                float(np.degrees(geo.min_angle)), geo.edge_ratio,
+                36.0 * np.pi * geo.volume**2 / float(geo.area.sum()) ** 3,
+                0, 0, int(geo.clamped.sum()), int(geo.obtuse.any(axis=1).sum()),
             )
+            trajectory.append(point)
             if grad_norm < inner_tol:
+                stop = "grad_tol"
                 break
             if step is None:
                 step = 1.0 / max(grad_norm, 1e-30)
             gg = float(np.sum(g * g))
+            d, slope, s, memory = -g, -gg, step, 0
+            if pairs:
+                d_qn = _two_loop(g, pairs)
+                d_qn -= d_qn.mean(axis=0)
+                slope_qn = float(np.sum(g * d_qn))
+                if slope_qn < 0:
+                    d, slope, s, memory = d_qn, slope_qn, 1.0, len(pairs)
             accepted = False
-            s = step
-            for _bt in range(cfg.max_backtracks):
-                trial = mesh.with_vertices(mesh.vertices - s * g)
-                phi_trial = phi_value(trial)
-                if phi_trial <= phi - cfg.armijo_c * s * gg:
+            guard = None  # the last guard fault among this search's trials
+            trials = 0
+            while trials < cfg.max_backtracks:
+                trials += 1
+                trial, phi_trial, fault = try_step(mesh.vertices + s * d)
+                guard = fault or guard
+                if trial is not None and phi_trial <= phi + cfg.armijo_c * s * slope:
                     accepted = True
                     break
-                s *= cfg.armijo_shrink
+                if memory and trials == _LBFGS_TRIALS:
+                    pairs.clear()
+                    d, slope, s, memory = -g, -gg, step, 0
+                else:
+                    s *= cfg.armijo_shrink
+            point.trials, point.memory = trials, memory
+            if not accepted and guard:
+                raise QualityCollapse(f"{guard} at iteration {it}: no acceptable step in {trials} trials")
             it += 1
             if not accepted:
-                break  # stall: hand control back to the outer loop
+                stop = "stalled"
+                break
+            point.step = s
+            if not memory:
+                step = s * cfg.step_grow
+            last = (mesh.vertices, g)
             mesh = trial
-            _check_quality(mesh, cfg)
-            step = s * cfg.step_grow
+        inner_stops.append(stop)
         # multiplier update and penalty management
         cvals = con.values(mesh)
         cnorm = float(np.abs(cvals).max())
@@ -347,4 +479,5 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         energy_report=report,
         trajectory=trajectory,
         overlap_verdicts=overlap_log,
+        inner_stops=inner_stops,
     )

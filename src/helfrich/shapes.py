@@ -198,9 +198,14 @@ def flat_patch(n=8, spacing=0.25):
 
 
 def jittered(mesh, amplitude, seed=0):
-    """Mesh with vertices displaced by iid normal noise of the given amplitude."""
+    """Mesh with vertices displaced by iid normal noise of the given amplitude.
+
+    Raises DegenerateFace when the noise collapses a face.
+    """
     rng = np.random.default_rng(seed)
-    return mesh.with_vertices(mesh.vertices + amplitude * rng.standard_normal(mesh.vertices.shape))
+    moved = mesh.with_vertices(mesh.vertices + amplitude * rng.standard_normal(mesh.vertices.shape))
+    moved._validate_face_areas()
+    return moved
 
 
 def equator_phase_labels(mesh):

@@ -201,7 +201,7 @@ def test_minimize_outputs_repeat_bytewise(workdir):
              "--out", workdir / f"{name}.json"]
         ) == 0
     header = (workdir / "rerun1" / "trajectory.csv").read_text().splitlines()[0]
-    assert header.endswith(",min_angle_deg,max_edge_ratio,iso_quotient")
+    assert header.endswith(",min_angle_deg,max_edge_ratio,iso_quotient,trials,memory,clamped,obtuse")
     for out in ("trajectory.csv", "state.json", "final.off"):
         assert (workdir / "rerun1" / out).read_bytes() == (workdir / "rerun2" / out).read_bytes()
 

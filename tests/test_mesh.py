@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helfrich import shapes
@@ -255,6 +255,7 @@ def test_enclosed_volume_orientation_antisymmetry(icosphere4):
     shift=hnp.arrays(np.float64, 3, elements=st.floats(-2.0, 2.0)),
     amplitude=st.floats(0.0, 0.05),
 )
+@example(seed=0, shift=np.array([0.5, 0.5, 5e-324]), amplitude=0.0)
 def test_record_volume_and_mean_edge_match_oracles(kind, seed, shift, amplitude):
     mesh = sample_mesh(kind, seed, shift, amplitude)
     xi, xj, xk = mesh.face_corner_positions()
@@ -262,7 +263,10 @@ def test_record_volume_and_mean_edge_match_oracles(kind, seed, shift, amplitude)
     det = np.einsum("ij,ij->i", xi, np.cross(xj, xk))
     e = mesh.edges
     mean_edge = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1).mean()
-    assert abs(enclosed_volume(mesh) - det.sum() / 6.0) <= 1e-12 * np.abs(det).sum() / 6.0
+    # the floor keeps a subnormal volume (e.g. shift z = 5e-324 on the flat
+    # patch) from demanding an exact match where 1e-12 relative rounds to 0
+    tol = max(1e-12 * np.abs(det).sum() / 6.0, 4 * np.finfo(float).smallest_subnormal)
+    assert abs(enclosed_volume(mesh) - det.sum() / 6.0) <= tol
     assert abs(mesh.mean_edge_length - mean_edge) <= 1e-14 * mean_edge
 
 
@@ -397,6 +401,15 @@ def test_with_vertices_guards(icosphere4):
     bad[0] = np.nan
     with pytest.raises(DegenerateFace):
         icosphere4.with_vertices(bad)
+
+
+def test_jittered_refuses_a_degenerate_mesh():
+    tet = shapes.tetrahedron()
+    v = tet.vertices.copy()
+    v[0] = v[1]
+    flat = tet.with_vertices(v)  # with_vertices leaves the face-area check to its callers
+    with pytest.raises(DegenerateFace, match="face 0 has area"):
+        shapes.jittered(flat, 0.0)
 
 
 def test_with_vertices_evaluates_like_a_fresh_mesh():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,10 +15,26 @@ from helfrich.constraints import ConstraintSet
 from helfrich.curvature import curvature_field, geometry
 from helfrich.density import MaterialParams
 from helfrich.energy import PhaseField, willmore
-from helfrich.errors import Infeasible, NonPositiveTarget, QualityCollapse
+from helfrich.errors import (
+    DegenerateConfiguration,
+    DegenerateFace,
+    Diverged,
+    Infeasible,
+    NonPositiveTarget,
+    QualityCollapse,
+)
 from helfrich.gradient import total_energy
-from helfrich.mesh import enclosed_volume
-from helfrich.optimize import RunConfig, _check_quality, _Constraints, minimize, reduced_volume
+from helfrich.mesh import TriMesh, enclosed_volume
+from helfrich.optimize import (
+    _MEMORY,
+    RunConfig,
+    _check_quality,
+    _Constraints,
+    _quality_fault,
+    _two_loop,
+    minimize,
+    reduced_volume,
+)
 
 from conftest import rotation_matrix, sample_mesh
 
@@ -350,3 +367,186 @@ def test_optimizer_path_does_not_import_scipy_sparse():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def _spiked_sphere():
+    """icosphere(2) with vertex 0 pushed out to radius 1.3: the first steepest
+    step moves it ~7 units and flattens faces to below a degree."""
+    base = shapes.icosphere(2)
+    v = base.vertices.copy()
+    v[0] *= 1.3
+    mesh = TriMesh(v, base.faces)
+    return mesh, ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh))
+
+
+def _recording_trials(monkeypatch):
+    trials = []
+    with_vertices = TriMesh.with_vertices
+
+    def recording(self, vertices):
+        trials.append(with_vertices(self, vertices))
+        return trials[-1]
+
+    monkeypatch.setattr(TriMesh, "with_vertices", recording)
+    return trials
+
+
+def test_run_survives_a_first_step_that_collapses_faces(monkeypatch):
+    mesh, cs = _spiked_sphere()
+    cfg = RunConfig(max_iterations=20)
+    trials = _recording_trials(monkeypatch)
+    state = minimize(mesh, None, WILLMORE, cs, cfg)
+    assert state.iteration == 20 and state.termination == "max_iterations"
+    # the first trial breaks the 3 degree guard; it is rejected, the step shrinks
+    assert _quality_fault(geometry(trials[0]), cfg) is not None
+    rejected = sum(_quality_fault(geometry(t), cfg) is not None for t in trials)
+    assert rejected >= 1
+    assert state.trajectory[0].trials > 1 and state.trajectory[0].step < 1.0 / state.trajectory[0].grad_norm
+    assert sum(p.trials for p in state.trajectory) == len(trials)
+
+
+def test_guard_rejections_that_exhaust_the_search_raise(monkeypatch):
+    mesh, cs = _spiked_sphere()
+    cfg = RunConfig(max_iterations=20, max_backtracks=1)
+    trials = _recording_trials(monkeypatch)
+    with pytest.raises(QualityCollapse) as err:
+        minimize(mesh, None, WILLMORE, cs, cfg)
+    geo = geometry(trials[0])
+    deg = np.degrees(geo.min_angle)
+    assert re.fullmatch(
+        rf"min angle {deg:.3g} deg < 3.0 in face {geo.min_angle_face} at iteration 0: "
+        r"no acceptable step in 1 trials",
+        str(err.value),
+    )
+
+
+@pytest.mark.parametrize("fault", ["degenerate_face", "degenerate_configuration", "not_finite"])
+def test_bad_trials_are_rejected_not_fatal(monkeypatch, fault):
+    import helfrich.optimize as optimize
+
+    mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
+    cs = ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh) * 0.999)
+    calls = []
+    if fault == "degenerate_face":
+        with_vertices = TriMesh.with_vertices
+
+        def collapsing(self, vertices):
+            if not calls:
+                vertices = vertices.copy()
+                a, b, _ = self.faces[0]
+                vertices[a] = vertices[b] * (1.0 + 1e-13)  # face 0: area > 0, below the floor
+            calls.append(with_vertices(self, vertices))
+            return calls[-1]
+
+        monkeypatch.setattr(TriMesh, "with_vertices", collapsing)
+    else:
+        def failing(m, phases, params):
+            calls.append(1)
+            if len(calls) == 1:
+                if fault == "not_finite":
+                    return float("nan")
+                raise DegenerateConfiguration("injected")
+            return total_energy(m, phases, params)
+
+        monkeypatch.setattr(optimize, "total_energy", failing)
+    state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=10))
+    assert state.iteration == 10
+    assert state.trajectory[0].trials >= 2  # the bad first trial, then a good one
+    if fault == "degenerate_face":
+        assert geometry(calls[0]).area.min() > 0.0
+        with pytest.raises(DegenerateFace):  # the threshold TriMesh applies
+            calls[0]._validate_face_areas()
+
+
+def test_diverged_names_iteration_vertex_and_value(monkeypatch):
+    import helfrich.optimize as optimize
+    from helfrich.gradient import energy_and_gradient
+
+    calls = []
+
+    def poisoned(m, phases, params):
+        calls.append(1)
+        E, g = energy_and_gradient(m, phases, params)
+        if len(calls) == 3:
+            g = g.copy()
+            g[17, 1] = np.inf
+        return E, g
+
+    monkeypatch.setattr(optimize, "energy_and_gradient", poisoned)
+    mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
+    cs = ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh))
+    with pytest.raises(Diverged, match=r"at iteration 2; vertex 17 has gradient norm inf$"):
+        minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=10))
+
+
+def test_start_mesh_guard_names_face_and_value():
+    mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=4)
+    geo = geometry(mesh)
+    cs = ConstraintSet(area=4 * np.pi, volume=4.0)
+    with pytest.raises(QualityCollapse) as err:
+        minimize(mesh, None, WILLMORE, cs, RunConfig(max_edge_ratio=1.05))
+    assert str(err.value) == (
+        f"edge ratio {geo.edge_ratio:.3g} > 1.05 (shortest edge in face {geo.short_edge_face}) "
+        "at iteration 0"
+    )
+
+
+def test_stall_ends_the_inner_round():
+    mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
+    cs = ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh) * 0.999)
+    state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=3, max_backtracks=0))
+    assert state.inner_stops == ["stalled"] * 3
+    assert [p.trials for p in state.trajectory] == [0, 0, 0]
+    assert [p.step for p in state.trajectory] == [0.0, 0.0, 0.0]
+
+
+def test_criterion_8_search_builds_few_trials(monkeypatch):
+    # criterion 8's configuration with a 150-iteration budget
+    mesh0 = shapes.jittered(shapes.icosphere(4), 0.01, seed=11)
+    cs = ConstraintSet(area=4 * np.pi, volume=4 * np.pi / 3)
+    trials = _recording_trials(monkeypatch)
+    state = minimize(mesh0, None, WILLMORE, cs, RunConfig(max_iterations=150))
+    assert state.iteration == 150
+    assert len(trials) <= 1.3 * state.iteration
+    points = state.trajectory
+    assert sum(p.trials for p in points) == len(trials)
+    # one entry per outer round; the memory restarts with every round
+    assert len(state.inner_stops) == len({p.outer for p in points})
+    assert state.inner_stops[-1] == "budget"
+    for a, b in zip(points, points[1:]):
+        assert b.memory <= _MEMORY
+        if b.outer != a.outer:
+            assert b.memory == 0
+    assert sum(p.memory > 0 for p in points) > 0.8 * len(points)
+    geo = geometry(mesh0)
+    assert points[0].clamped == int(geo.clamped.sum())
+    assert points[0].obtuse == int(geo.obtuse.any(axis=1).sum())
+
+
+def _dense_bfgs_direction(g, pairs):
+    """-H g with H built by the dense BFGS inverse update from gamma I (oracle)."""
+    n = g.size
+    s, y = pairs[-1]
+    H = (s @ y) / (y @ y) * np.eye(n)
+    for s, y in pairs:
+        r = 1.0 / (s @ y)
+        left = np.eye(n) - r * np.outer(s, y)
+        H = left @ H @ left.T + r * np.outer(s, s)
+    return -(H @ g.ravel()).reshape(g.shape)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**16), n_pairs=st.integers(1, 10), n_vertices=st.integers(2, 12))
+def test_two_loop_matches_dense_bfgs(seed, n_pairs, n_vertices):
+    rng = np.random.default_rng(seed)
+    n = 3 * n_vertices
+    pairs = []
+    for _ in range(n_pairs):
+        s = rng.standard_normal(n)
+        B = rng.standard_normal((n, n))
+        y = (B @ B.T / n + np.eye(n)) @ s  # s.y >= |s|^2 > 0
+        pairs.append((s, y))
+    g = rng.standard_normal((n_vertices, 3))
+    got = _two_loop(g, [(s, y, 1.0 / (s @ y)) for s, y in pairs])
+    want = _dense_bfgs_direction(g, pairs)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
