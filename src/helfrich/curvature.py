@@ -23,8 +23,10 @@ tensor identities hold to rounding, not just to discretization error:
   norm, and Gauss identities are exact by construction.
 
 Principal directions come from a least-squares fit of normal variation
-over the one-ring; only the directions are used, the magnitudes come from
-(H, K).
+over the one-ring (Rusinkiewicz 2004). Its 3x3 normal equations have only
+three distinct entries, so they are summed as per-vertex scalars and
+solved in closed form; only the directions are used, the magnitudes still
+come from (H, K).
 
 Per-vertex sums gather face-corner contributions with ``np.bincount``
 (``mesh._scatter``): corner column by corner column, faces in index order
@@ -245,35 +247,50 @@ def _tangent_bases(nu):
 def _principal_directions(mesh, nu, interior):
     """One-ring least-squares fit of normal variation; returns unit d1, d2.
 
-    Only the fitted directions are used downstream; the curvature
-    magnitudes come from (H, K).
+    The fit of Rusinkiewicz, "Estimating Curvatures and Their Derivatives
+    on Triangle Meshes" (3DPVT 2004), per vertex: in the tangent frame
+    (t1, t2) each directed edge gives the neighbour offset (u1, u2) and the
+    normal change (w1, w2), and the shape operator (s11, s12, s22) solves
+    rows [u1, u2, 0] -> w1 and [0, u1, u2] -> w2 in the least-squares
+    sense. Its normal equations M s = b have three distinct entries,
+    M = [[A, B, 0], [B, A + C, B], [0, B, C]] with A, B, C the one-ring
+    sums of u1^2, u1 u2, u2^2, so six per-vertex sums and Cramer's rule
+    solve them, with det M = (A + C)(AC - B^2). Off the interior M is
+    taken as I. Only the fitted directions are used downstream; the
+    curvature magnitudes come from (H, K).
     """
     t1, t2 = _tangent_bases(nu)
     offsets, nbrs = mesh.vertex_neighbors()
     counts = np.diff(offsets)
-    src = np.repeat(np.arange(mesh.n_vertices), counts)
-    du = mesh.vertices[nbrs] - mesh.vertices[src]
-    dn = nu[nbrs] - nu[src]
-    u1 = np.einsum("ej,ej->e", du, t1[src])
-    u2 = np.einsum("ej,ej->e", du, t2[src])
-    w1 = np.einsum("ej,ej->e", dn, t1[src])
-    w2 = np.einsum("ej,ej->e", dn, t2[src])
-    # unknowns (s11, s12, s22): rows [u1,u2,0]->w1 and [0,u1,u2]->w2
-    r1 = np.stack([u1, u2, np.zeros_like(u1)], axis=1)
-    r2 = np.stack([np.zeros_like(u1), u1, u2], axis=1)
-    rows = src[:, None]
-    M = _scatter(rows, [np.einsum("ei,ej->eij", r1, r1) + np.einsum("ei,ej->eij", r2, r2)], mesh.n_vertices)
-    b = _scatter(rows, [r1 * w1[:, None] + r2 * w2[:, None]], mesh.n_vertices)
-    diag = M[:, (0, 1, 2), (0, 1, 2)].sum(axis=1) / 3.0
-    det = np.linalg.det(M)
+    V = len(counts)
+    src = np.repeat(np.arange(V), counts)  # the CSR is sorted by source
+    u1, u2, w1, w2 = (np.zeros(len(nbrs)) for _ in range(4))
+    # component by component, so no (E, 3) array is built
+    for k in range(3):
+        f1, f2 = np.repeat(t1[:, k], counts), np.repeat(t2[:, k], counts)
+        for x, p1, p2 in ((mesh.vertices[:, k], u1, u2), (nu[:, k], w1, w2)):
+            d = np.take(x, nbrs) - np.repeat(x, counts)
+            p1 += d * f1
+            p2 += d * f2
+
+    def total(per_edge):
+        return np.bincount(src, weights=per_edge, minlength=V)
+
+    A, B, C = total(u1 * u1), total(u1 * u2), total(u2 * u2)
+    b1, b2, b3 = total(u1 * w1), total(u2 * w1 + u1 * w2), total(u2 * w2)
+    AC, BB, ApC = A * C, B * B, A + C
+    det = ApC * (AC - BB)
+    diag = 2.0 * ApC / 3.0  # mean of M's diagonal
     bad = interior & (np.abs(det) <= 1e-12 * np.maximum(diag, 1e-300) ** 3)
     if bad.any():
         raise DegenerateOneRing(int(np.flatnonzero(bad)[0]))
-    M[~interior] = np.eye(3)
-    s = np.linalg.solve(M, b[:, :, None])[:, :, 0]
-    if not np.isfinite(s[interior]).all():
-        raise DegenerateOneRing(int(np.flatnonzero(interior & ~np.isfinite(s).all(axis=1))[0]))
-    s11, s12, s22 = s[:, 0], s[:, 1], s[:, 2]
+    det = np.where(interior, det, 1.0)
+    s11 = np.where(interior, ((ApC * C - BB) * b1 - B * C * b2 + BB * b3) / det, b1)
+    s12 = np.where(interior, (AC * b2 - B * (C * b1 + A * b3)) / det, b2)
+    s22 = np.where(interior, (BB * b1 - A * B * b2 + (A * ApC - BB) * b3) / det, b3)
+    finite = np.isfinite(s11) & np.isfinite(s12) & np.isfinite(s22)
+    if not finite[interior].all():
+        raise DegenerateOneRing(int(np.flatnonzero(interior & ~finite)[0]))
     # closed-form 2x2 symmetric eigenvectors; (cos, sin) belongs to the
     # larger eigenvalue
     angle = 0.5 * np.arctan2(2.0 * s12, s11 - s22)

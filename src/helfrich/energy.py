@@ -185,30 +185,41 @@ def multiphase_energy(mesh, curv, phases, params_list):
         raise PhaseCountMismatch(
             f"{phases.n_phases} phases but {len(params_list)} parameter sets"
         )
-    w = vertex_phase_weights(mesh, phases)
-    a = curv.mixed_area
-    H, K = curv.H, curv.K
-    iface = phases.interface_edges(mesh)
     report = EnergyReport(0.0, 0.0, willmore(mesh, curv, "quarter"), willmore(mesh, curv, "varifold"))
-    line = 0.0
-    for p, params in enumerate(params_list, start=1):
-        ap = a * w[:, p - 1]
-        bending = float(np.sum(0.5 * params.beta * H**2 * ap))
-        spont = float(np.sum((-params.beta * params.h0 * H + 0.5 * params.beta * params.h0**2) * ap))
-        gauss = float(np.sum(params.gamma * K * ap))
-        blen = _phase_boundary_length(mesh, phases, p, iface)
-        line += params.sigma * blen
-        report.phases.append(
-            PhaseReport(p, float(ap.sum()), bending, gauss, spont, blen)
-        )
-    report.line_tension = line
+    report.phases, report.line_tension = _phase_terms(mesh, curv.mixed_area, curv.H, curv.K, phases, params_list)
     report.total = report.parts_sum()
     return report
 
 
-def _phase_boundary_length(mesh, phases, phase_id, iface=None):
-    if iface is None:
+def _phase_terms(mesh, a, H, K, phases, params_list):
+    """Per-phase reports and the total line tension of vertex data (a, H, K).
+
+    The breakdown :func:`multiphase_energy` reports, without the Willmore
+    terms. ``phases=None`` is one phase over the whole mesh: no phase
+    weights and no interface, so no line tension.
+    """
+    if phases is not None:
+        w = vertex_phase_weights(mesh, phases)
         iface = phases.interface_edges(mesh)
+        ends = mesh.edges[iface]
+        ef = mesh.edge_faces[iface]
+        left, right = phases.labels[ef[:, 0]], phases.labels[ef[:, 1]]
+        lengths = np.linalg.norm(mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]], axis=1)
+    reports = []
+    line = 0.0
+    for p, params in enumerate(params_list, start=1):
+        ap = a if phases is None else a * w[:, p - 1]
+        bending = float(np.sum(0.5 * params.beta * H**2 * ap))
+        spont = float(np.sum((-params.beta * params.h0 * H + 0.5 * params.beta * params.h0**2) * ap))
+        gauss = float(np.sum(params.gamma * K * ap))
+        blen = 0.0 if phases is None else float(lengths[(left == p) | (right == p)].sum())
+        line += params.sigma * blen
+        reports.append(PhaseReport(p, float(ap.sum()), bending, gauss, spont, blen))
+    return reports, line
+
+
+def _phase_boundary_length(mesh, phases, phase_id):
+    iface = phases.interface_edges(mesh)
     ef = mesh.edge_faces[iface]
     touches = (phases.labels[ef[:, 0]] == phase_id) | (phases.labels[ef[:, 1]] == phase_id)
     e = mesh.edges[iface[touches]]

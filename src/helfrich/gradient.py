@@ -35,9 +35,10 @@ __all__ = ["energy_and_gradient", "total_energy"]
 def _checked_geometry(mesh):
     geo = geometry(mesh)
     if not (geo.area > 0).all():
-        raise DegenerateConfiguration("zero-area face")
+        i = int(np.argmin(geo.area > 0))
+        raise DegenerateConfiguration(f"face {i} has area {geo.area[i]:.3g}")
     if not (geo.Nv_norm > 0).all():
-        raise DegenerateConfiguration("vanishing vertex normal")
+        raise DegenerateConfiguration(f"vertex {int(np.argmin(geo.Nv_norm > 0))} has a vanishing normal")
     return geo
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .constraints import constraint_residuals, isoperimetric_check, no_overlap_check, phase_support
 from .curvature import _cotan_corners, curvature_field, geometry
-from .energy import PhaseField, multiphase_energy
+from .energy import PhaseField, _phase_terms, multiphase_energy
 from .errors import (
     DegenerateConfiguration,
     DegenerateFace,
@@ -204,13 +204,23 @@ def _two_loop(g, pairs):
     return -q.reshape(g.shape)
 
 
-def _terms(report):
-    """Aggregate (bending, gauss, spontaneous, line tension) of an energy report."""
+def _terms(mesh, phases, params_list):
+    """(bending, gauss, spontaneous, line tension) of ``multiphase_energy``, from the record.
+
+    Rim vertices carry NaN curvature, as in ``curvature_field``.
+    """
+    geo = geometry(mesh)
+    H, K = geo.H, geo.K
+    rim = mesh.boundary_vertices
+    if len(rim):
+        H, K = H.copy(), K.copy()
+        H[rim] = K[rim] = np.nan
+    reports, line = _phase_terms(mesh, geo.a, H, K, phases, params_list)
     return (
-        sum(p.bending for p in report.phases),
-        sum(p.gauss for p in report.phases),
-        sum(p.spontaneous for p in report.phases),
-        report.line_tension,
+        sum(p.bending for p in reports),
+        sum(p.gauss for p in reports),
+        sum(p.spontaneous for p in reports),
+        line,
     )
 
 
@@ -314,7 +324,6 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 )
     _check_quality(mesh0, cfg)
     mesh = mesh0
-    report_phases = phases if phases is not None else PhaseField.uniform(mesh0)
     lam = np.zeros(len(con.values(mesh)))
     rho = cfg.penalty_init
     step = None  # steepest-descent step length, grown after each steepest accept
@@ -375,11 +384,10 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 sy = float(s_k @ y_k)
                 if sy > _PAIR_COSINE * np.linalg.norm(s_k) * np.linalg.norm(y_k):
                     pairs.append((s_k, y_k, 1.0 / sy))
-            report = multiphase_energy(mesh, curvature_field(mesh, tensors=False), report_phases, params_list)
             res_phase = float(np.abs(cvals[:-1]).max()) if con.per_phase else 0.0
             geo = geometry(mesh)
             point = TrajectoryPoint(
-                it, outer, E, phi, *_terms(report),
+                it, outer, E, phi, *_terms(mesh, phases, params_list),
                 float(cvals[0]) if not con.per_phase else float("nan"),
                 float(cvals[-1]), res_phase, rho, 0.0, grad_norm,
                 float(np.degrees(geo.min_angle)), geo.edge_ratio,
@@ -464,6 +472,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         mult["phase_areas"] = [float(x) for x in lam[:-1]]
     else:
         mult["area"] = float(lam[0])
+    report_phases = phases if phases is not None else PhaseField.uniform(mesh)
     report = multiphase_energy(mesh, curvature_field(mesh, tensors=False), report_phases, params_list)
     return OptimizerState(
         mesh=mesh,

@@ -1,11 +1,15 @@
+import tracemalloc
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helfrich import shapes
-from helfrich.curvature import _principal_directions, curvature_field
+from helfrich.curvature import _principal_directions, _tangent_bases, curvature_field, geometry
 from helfrich.errors import DegenerateOneRing
+from helfrich.mesh import _scatter
 
 
 def interior_mask(mesh):
@@ -114,6 +118,182 @@ def test_degenerate_one_ring_raises():
     with pytest.raises(DegenerateOneRing) as err:
         _principal_directions(stub, nu, np.array([True, False, False]))
     assert err.value.vertex == 0
+
+
+def oracle_directions(mesh, nu, interior):
+    """The one-ring fit with the 3x3 normal equations assembled per vertex.
+
+    Returns (d1, d2, s) with s the fitted (s11, s12, s22); raises
+    DegenerateOneRing like ``_principal_directions``.
+    """
+    t1, t2 = _tangent_bases(nu)
+    offsets, nbrs = mesh.vertex_neighbors()
+    counts = np.diff(offsets)
+    src = np.repeat(np.arange(mesh.n_vertices), counts)
+    du = mesh.vertices[nbrs] - mesh.vertices[src]
+    dn = nu[nbrs] - nu[src]
+    u1 = np.einsum("ej,ej->e", du, t1[src])
+    u2 = np.einsum("ej,ej->e", du, t2[src])
+    w1 = np.einsum("ej,ej->e", dn, t1[src])
+    w2 = np.einsum("ej,ej->e", dn, t2[src])
+    # unknowns (s11, s12, s22): rows [u1,u2,0]->w1 and [0,u1,u2]->w2
+    r1 = np.stack([u1, u2, np.zeros_like(u1)], axis=1)
+    r2 = np.stack([np.zeros_like(u1), u1, u2], axis=1)
+    rows = src[:, None]
+    M = _scatter(rows, [np.einsum("ei,ej->eij", r1, r1) + np.einsum("ei,ej->eij", r2, r2)], mesh.n_vertices)
+    b = _scatter(rows, [r1 * w1[:, None] + r2 * w2[:, None]], mesh.n_vertices)
+    diag = M[:, (0, 1, 2), (0, 1, 2)].sum(axis=1) / 3.0
+    det = np.linalg.det(M)
+    bad = interior & (np.abs(det) <= 1e-12 * np.maximum(diag, 1e-300) ** 3)
+    if bad.any():
+        raise DegenerateOneRing(int(np.flatnonzero(bad)[0]))
+    M[~interior] = np.eye(3)
+    s = np.linalg.solve(M, b[:, :, None])[:, :, 0]
+    if not np.isfinite(s[interior]).all():
+        raise DegenerateOneRing(int(np.flatnonzero(interior & ~np.isfinite(s).all(axis=1))[0]))
+    s11, s12, s22 = s[:, 0], s[:, 1], s[:, 2]
+    angle = 0.5 * np.arctan2(2.0 * s12, s11 - s22)
+    c, sn = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    return c * t1 + sn * t2, -sn * t1 + c * t2, s
+
+
+@lru_cache(maxsize=None)
+def fit_base(kind):
+    return {
+        "icosphere2": lambda: shapes.icosphere(2),
+        "icosphere3": lambda: shapes.icosphere(3),
+        "octasphere3": lambda: shapes.octasphere(3),
+        "torus": shapes.torus,
+    }[kind]()
+
+
+def star_stub(offsets):
+    """Vertex 0 joined to neighbours at ``offsets``; only vertex 0 is interior."""
+    k = len(offsets)
+    return SimpleNamespace(
+        vertices=np.vstack([np.zeros(3), offsets]),
+        n_vertices=k + 1,
+        vertex_neighbors=lambda: (
+            np.concatenate([[0], np.arange(k, 2 * k + 1)]),
+            np.concatenate([np.arange(1, k + 1), np.zeros(k, dtype=np.int64)]),
+        ),
+    )
+
+
+def fit_outcome(fit, mesh, nu, interior):
+    try:
+        return fit(mesh, nu, interior)
+    except DegenerateOneRing as err:
+        return err.vertex
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["icosphere2", "icosphere3", "octasphere3", "torus"]),
+    amplitude=st.floats(0.0, 0.02),
+    seed=st.integers(0, 2**16),
+)
+def test_principal_directions_match_assembled_oracle(kind, amplitude, seed):
+    mesh = shapes.jittered(fit_base(kind), amplitude, seed)
+    curv = curvature_field(mesh)
+    d1, d2, s = oracle_directions(mesh, curv.normal, interior_mask(mesh))
+    S = curv.shape_operator
+    S_oracle = curv.kappa1[:, None, None] * np.einsum("vi,vj->vij", d1, d1) + curv.kappa2[
+        :, None, None
+    ] * np.einsum("vi,vj->vij", d2, d2)
+    # Where the fitted operator is isotropic to rounding (the 12 valence-5
+    # vertices of an unjittered icosphere) its eigenframe is arbitrary and
+    # the two fits may pick frames an angle ~ ulp / gap apart; S then moves
+    # by that angle times kappa1 - kappa2 (which there is sqrt(ulp) noise).
+    gap = np.hypot(s[:, 0] - s[:, 2], 2.0 * s[:, 1])
+    gap = gap / np.maximum(np.hypot(s[:, 0] + s[:, 2], gap), 1e-300)
+    frame = (curv.kappa1 - curv.kappa2) * np.minimum(2.0, 1e-14 / np.maximum(gap, 1e-300))
+    err = np.abs(S - S_oracle).max(axis=(1, 2))
+    assert (err <= 1e-12 * np.abs(S).max() + frame).all()
+    for d in (curv.direction1, curv.direction2):
+        assert np.abs(np.linalg.norm(d, axis=1) - 1.0).max() < 1e-12
+        assert np.abs(np.einsum("vi,vi->v", d, curv.normal)).max() < 1e-12
+    assert np.abs(np.einsum("vi,vi->v", curv.direction1, curv.direction2)).max() < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=2, max_size=8),
+    lengths=st.lists(st.floats(0.1, 2.0), min_size=8, max_size=8),
+    collinear=st.booleans(),
+)
+def test_degenerate_one_ring_matches_oracle(angles, lengths, collinear):
+    # a flat star around vertex 0; collinear offsets cannot determine
+    # curvature across their line
+    k = len(angles)
+    theta = np.full(k, angles[0]) if collinear else np.asarray(angles)
+    # keep general position well clear of the det threshold, where two
+    # roundings of the same determinant may fall on either side
+    spread = np.abs(np.sin(theta - theta[0])).max()
+    assume(collinear or spread > 1e-2)
+    r = np.asarray(lengths[:k]) * np.where(np.arange(k) % 2, -1.0, 1.0)
+    stub = star_stub(np.column_stack([r * np.cos(theta), r * np.sin(theta), np.zeros(k)]))
+    nu = np.tile(np.array([0.0, 0, 1.0]), (k + 1, 1))
+    interior = np.arange(k + 1) == 0
+    new = fit_outcome(_principal_directions, stub, nu, interior)
+    old = fit_outcome(oracle_directions, stub, nu, interior)
+    assert isinstance(new, int) == isinstance(old, int)
+    if isinstance(old, int):
+        assert new == old == 0
+
+
+# the stub of test_degenerate_one_ring_raises, and three neighbours in
+# general position on the paraboloid z = (x^2 + 3 y^2) / 2
+PARABOLOID_XY = np.array([[1.0, 0.0], [0.0, 1.0], [-0.7, 0.7]])
+FIXED_STUBS = {
+    "collinear": np.array([[1.0, 0, 0], [2.0, 0, 0]]),
+    "well_posed": np.column_stack([PARABOLOID_XY, 0.5 * (PARABOLOID_XY[:, 0] ** 2 + 3.0 * PARABOLOID_XY[:, 1] ** 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_STUBS))
+def test_fixed_stubs_raise_like_oracle(name):
+    offsets = FIXED_STUBS[name]
+    stub = star_stub(offsets)
+    nu = np.tile(np.array([0.0, 0, 1.0]), (len(offsets) + 1, 1))
+    interior = np.arange(len(offsets) + 1) == 0
+    new = fit_outcome(_principal_directions, stub, nu, interior)
+    old = fit_outcome(oracle_directions, stub, nu, interior)
+    if name == "collinear":
+        assert new == old == 0
+    else:
+        assert not isinstance(old, int)
+        for d in new:
+            assert np.abs(np.linalg.norm(d, axis=1) - 1.0).max() < 1e-12
+            assert np.abs(d[:, 2]).max() < 1e-12
+
+
+def test_open_mesh_rim_directions_are_unit_tangent():
+    patch = shapes.jittered(shapes.flat_patch(n=6, spacing=0.3), 0.02, seed=4)
+    curv = curvature_field(patch)
+    rim = patch.boundary_vertices
+    for d in (curv.direction1, curv.direction2):
+        assert np.abs(np.linalg.norm(d[rim], axis=1) - 1.0).max() < 1e-12
+        assert np.abs(np.einsum("vi,vi->v", d[rim], curv.normal[rim])).max() < 1e-12
+    assert np.abs(np.einsum("vi,vi->v", curv.direction1[rim], curv.direction2[rim])).max() < 1e-12
+    assert np.isnan(curv.kappa1[rim]).all() and np.isnan(curv.kappa2[rim]).all()
+
+
+def test_principal_directions_peak_allocation():
+    # The component-wise fit peaks at ~113 bytes per directed edge and the
+    # assembled normal equations at ~290; one (E, 3, 3) float array is 72
+    # more, which this bound does not leave room for.
+    mesh = shapes.jittered(shapes.icosphere(5), 1e-3, 0)
+    nu = geometry(mesh).nu
+    n_edges = len(mesh.vertex_neighbors()[1])
+    interior = interior_mask(mesh)
+    tracemalloc.start()
+    try:
+        _principal_directions(mesh, nu, interior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * n_edges, f"{peak / n_edges:.0f} bytes per directed edge"
 
 
 def test_clamp_reconciles_discriminant(icosphere4_curv):

@@ -123,9 +123,8 @@ def test_rotation_equivariance():
 
 def test_degenerate_configuration_raises():
     tet = shapes.tetrahedron()
-    bad = tet.vertices.copy()
-    bad[0] = bad[1]  # zero-area faces
-    with pytest.raises((DegenerateConfiguration, Exception)):
-        v = tet.vertices.copy()
-        v[0] = v[1]
+    v = tet.vertices.copy()
+    v[0] = v[1]  # zero-area faces: every face holding both vertices 0 and 1
+    first = int(np.flatnonzero(np.isin(tet.faces, [0, 1]).sum(axis=1) == 2)[0])
+    with pytest.raises(DegenerateConfiguration, match=rf"^face {first} has area 0$"):
         total_energy(tet.with_vertices(v), None, [MaterialParams(1.0, 0.0)])

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helfrich import shapes
+from helfrich import optimize, shapes
 from helfrich.constraints import ConstraintSet
 from helfrich.curvature import curvature_field, geometry
 from helfrich.density import MaterialParams
-from helfrich.energy import PhaseField, willmore
+from helfrich.energy import PhaseField, multiphase_energy, willmore
 from helfrich.errors import (
     DegenerateConfiguration,
     DegenerateFace,
@@ -246,6 +246,44 @@ def test_volume_gradient_matches_fd_on_open_patch():
             vm[p, c] -= h
             fd[p, c] = (con.values(mesh.with_vertices(vp))[-1] - con.values(mesh.with_vertices(vm))[-1]) / (2 * h)
     assert np.abs(fd - grad).max() <= 1e-8 * np.abs(grad).max()
+
+
+@pytest.mark.parametrize("two_phase", [False, True])
+def test_trajectory_energy_terms_match_energy_report(monkeypatch, two_phase):
+    meshes = []
+    terms = optimize._terms
+
+    def recording(mesh, phases, params_list):
+        meshes.append(mesh)
+        return terms(mesh, phases, params_list)
+
+    monkeypatch.setattr(optimize, "_terms", recording)
+    if two_phase:
+        mesh = shapes.jittered(shapes.octasphere(3), 0.01, seed=5)
+        phases = PhaseField(shapes.equator_phase_labels(mesh))
+        params = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
+        cs = ConstraintSet(area=4 * np.pi, volume=4.0, phase_areas=(2 * np.pi, 2 * np.pi))
+    else:
+        mesh = sample_mesh("sphere", 3)
+        phases, params = None, [MaterialParams(1.0, -0.6, 0.4)]
+        cs = ConstraintSet(area=4 * np.pi, volume=4.0)
+    trajectory = minimize(mesh, phases, params, cs, RunConfig(max_iterations=6)).trajectory
+    assert len(trajectory) == len(meshes) == 6
+    report_phases = phases if phases is not None else PhaseField.uniform(mesh)
+    for point, at in zip(trajectory, meshes):
+        report = multiphase_energy(at, curvature_field(at, tensors=False), report_phases, params)
+        want = (
+            sum(p.bending for p in report.phases),
+            sum(p.gauss for p in report.phases),
+            sum(p.spontaneous for p in report.phases),
+            report.line_tension,
+        )
+        got = (point.bending, point.gauss, point.spontaneous, point.line_tension)
+        scale = max(abs(x) for x in want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300)
+        assert abs(sum(got) - point.energy) <= 1e-12 * scale
+        assert (point.line_tension > 0) == two_phase
 
 
 def test_trajectory_reports_mesh_quality():
