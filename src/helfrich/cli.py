@@ -219,10 +219,8 @@ def cmd_eval(args):
     mesh, phases = _read_inputs(args, cfg)
     params = _material_params(args, cfg)
     curv = curvature_field(mesh)
-    if phases is None:
-        phases = PhaseField.uniform(mesh)
-        if len(params) == 1:
-            canham_helfrich(mesh, curv, params[0])  # raises if the tensor and scalar paths disagree
+    if phases is None and len(params) == 1:
+        canham_helfrich(mesh, curv, params[0])  # raises if the tensor and scalar paths disagree
     report = multiphase_energy(mesh, curv, phases, params)
     payload = report.to_dict()
     area = _option(args, cfg, "area")

@@ -63,6 +63,16 @@ class ConstraintSet:
                     f"phase areas sum to {sum(pa)}, target total is {self.area}"
                 )
 
+    def check_phases(self, mesh, phases):
+        """Raise PhaseCountMismatch unless there is one phase area target per phase, if any."""
+        if self.phase_areas is None:
+            return
+        if phases is None:
+            raise PhaseCountMismatch(f"{len(self.phase_areas)} phase area targets but no phase labels")
+        phases.check(mesh)
+        if len(self.phase_areas) != phases.n_phases:
+            raise PhaseCountMismatch(f"{len(self.phase_areas)} phase targets for {phases.n_phases} phases")
+
     @property
     def isoperimetric_verdict(self):
         return isoperimetric_check(self.area, self.volume)
@@ -318,12 +328,8 @@ def constraint_residuals(mesh, phases, cs):
 
     geo = geometry(mesh)
     res_phase = ()
+    cs.check_phases(mesh, phases)
     if cs.phase_areas is not None:
-        phases.check(mesh)
-        if len(cs.phase_areas) != phases.n_phases:
-            raise PhaseCountMismatch(
-                f"{len(cs.phase_areas)} phase targets for {phases.n_phases} phases"
-            )
         per_phase = np.bincount(phases.labels - 1, weights=geo.area, minlength=phases.n_phases)
         res_phase = tuple(
             (float(per_phase[i]) - cs.phase_areas[i]) / cs.phase_areas[i]

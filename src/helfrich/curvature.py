@@ -219,16 +219,6 @@ def geometry(mesh):
     return geo
 
 
-def scalar_curvatures(mesh):
-    """Light curvature pass: (a, normal, H, K, kappa1, kappa2, clamped, raw H).
-
-    This is the data the energy needs; no one-ring fit and no tensors.
-    """
-    geo = geometry(mesh)
-    kappa1, kappa2 = _principal_curvatures(geo.H, geo.K)
-    return geo.a, geo.nu, geo.H, geo.K, kappa1, kappa2, geo.clamped, geo.H_raw
-
-
 def _principal_curvatures(H, K):
     disc = np.sqrt(np.maximum(H**2 - 4.0 * K, 0.0))
     return (H + disc) / 2.0, (H - disc) / 2.0

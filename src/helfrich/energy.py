@@ -10,6 +10,7 @@ boundary curve).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,8 +171,9 @@ def multiphase_energy(mesh, curv, phases, params_list):
     ----------
     mesh : TriMesh
     curv : CurvatureField
-    phases : PhaseField
+    phases : PhaseField or None
         Labels must cover {1..N}; one entry of ``params_list`` per phase.
+        None is one phase over the whole mesh.
     params_list : sequence of MaterialParams
         ``params_list[i]`` applies to phase ``i + 1``; its ``sigma`` is the
         line tension that phase pays on its boundary curve.
@@ -180,50 +182,71 @@ def multiphase_energy(mesh, curv, phases, params_list):
     -------
     EnergyReport
     """
-    phases.check(mesh)
-    if phases.n_phases != len(params_list):
-        raise PhaseCountMismatch(
-            f"{phases.n_phases} phases but {len(params_list)} parameter sets"
-        )
     report = EnergyReport(0.0, 0.0, willmore(mesh, curv, "quarter"), willmore(mesh, curv, "varifold"))
     report.phases, report.line_tension = _phase_terms(mesh, curv.mixed_area, curv.H, curv.K, phases, params_list)
     report.total = report.parts_sum()
     return report
 
 
+class _Interface(NamedTuple):
+    """Interface edges (ids into ``mesh.edges``), the labels on both sides, the lengths."""
+
+    edges: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    length: np.ndarray
+
+    def boundary_length(self, phase_id):
+        """Length of the boundary curve of phase ``phase_id``."""
+        return float(self.length[(self.left == phase_id) | (self.right == phase_id)].sum())
+
+
+# the interface of phases=None, one phase over the whole mesh
+_NO_INTERFACE = _Interface(*(np.empty(0, dtype=np.int64),) * 3, np.empty(0))
+
+
+def _interface(mesh, phases):
+    iface = phases.interface_edges(mesh)
+    ef = mesh.edge_faces[iface]
+    ends = mesh.edges[iface]
+    length = np.linalg.norm(mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]], axis=1)
+    return _Interface(iface, phases.labels[ef[:, 0]], phases.labels[ef[:, 1]], length)
+
+
+def _phase_split(mesh, phases, params_list):
+    """(V, P) vertex phase weights and the :class:`_Interface`, one parameter set per phase.
+
+    Every energy route reads its phase split here, so PhaseCountMismatch
+    is raised in one place. ``phases=None`` is one phase over the whole
+    mesh: weights None and no interface.
+    """
+    if phases is None:
+        if len(params_list) != 1:
+            raise PhaseCountMismatch(f"{len(params_list)} parameter sets but no phase labels")
+        return None, _NO_INTERFACE
+    if phases.n_phases != len(params_list):
+        raise PhaseCountMismatch(f"{phases.n_phases} phases but {len(params_list)} parameter sets")
+    return vertex_phase_weights(mesh, phases), _interface(mesh, phases)
+
+
 def _phase_terms(mesh, a, H, K, phases, params_list):
     """Per-phase reports and the total line tension of vertex data (a, H, K).
 
     The breakdown :func:`multiphase_energy` reports, without the Willmore
-    terms. ``phases=None`` is one phase over the whole mesh: no phase
-    weights and no interface, so no line tension.
+    terms; ``phases=None`` is one phase over the whole mesh.
     """
-    if phases is not None:
-        w = vertex_phase_weights(mesh, phases)
-        iface = phases.interface_edges(mesh)
-        ends = mesh.edges[iface]
-        ef = mesh.edge_faces[iface]
-        left, right = phases.labels[ef[:, 0]], phases.labels[ef[:, 1]]
-        lengths = np.linalg.norm(mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]], axis=1)
+    w, iface = _phase_split(mesh, phases, params_list)
     reports = []
     line = 0.0
     for p, params in enumerate(params_list, start=1):
-        ap = a if phases is None else a * w[:, p - 1]
+        ap = a if w is None else a * w[:, p - 1]
         bending = float(np.sum(0.5 * params.beta * H**2 * ap))
         spont = float(np.sum((-params.beta * params.h0 * H + 0.5 * params.beta * params.h0**2) * ap))
         gauss = float(np.sum(params.gamma * K * ap))
-        blen = 0.0 if phases is None else float(lengths[(left == p) | (right == p)].sum())
+        blen = iface.boundary_length(p)
         line += params.sigma * blen
         reports.append(PhaseReport(p, float(ap.sum()), bending, gauss, spont, blen))
     return reports, line
-
-
-def _phase_boundary_length(mesh, phases, phase_id):
-    iface = phases.interface_edges(mesh)
-    ef = mesh.edge_faces[iface]
-    touches = (phases.labels[ef[:, 0]] == phase_id) | (phases.labels[ef[:, 1]] == phase_id)
-    e = mesh.edges[iface[touches]]
-    return float(np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1).sum())
 
 
 def boundary_mass(mesh, phases, phase_id):
@@ -231,7 +254,7 @@ def boundary_mass(mesh, phases, phase_id):
     phases.check(mesh)
     if not (phases.labels == phase_id).any():
         raise UnknownPhase(f"phase {phase_id} does not occur")
-    return _phase_boundary_length(mesh, phases, phase_id)
+    return _interface(mesh, phases).boundary_length(phase_id)
 
 
 def interface_kink(mesh, phases):

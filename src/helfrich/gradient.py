@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature import geometry
-from .energy import vertex_phase_weights
+from .energy import _phase_split
 from .errors import DegenerateConfiguration
 from .mesh import _cross, _scatter
 
@@ -43,41 +43,31 @@ def _checked_geometry(mesh):
 
 
 def _phase_data(mesh, phases, params_list, H, K):
-    """Per-vertex G, G_H, G_K and per-(vertex,phase) weights and densities."""
-    P = len(params_list)
-    beta = np.array([p.beta for p in params_list])
-    gamma = np.array([p.gamma for p in params_list])
-    h0 = np.array([p.h0 for p in params_list])
-    if P == 1 and phases is None:
-        g = 0.5 * beta[0] * (H - h0[0]) ** 2 + gamma[0] * K
-        return g, beta[0] * (H - h0[0]), np.full(len(H), gamma[0]), None, g[:, None]
-    w = vertex_phase_weights(mesh, phases)
-    gp = 0.5 * beta[None, :] * (H[:, None] - h0[None, :]) ** 2 + gamma[None, :] * K[:, None]
-    G = np.einsum("vp,vp->v", w, gp)
-    G_H = np.einsum("vp,vp->v", w, beta[None, :] * (H[:, None] - h0[None, :]))
-    G_K = w @ gamma
-    return G, G_H, G_K, w, gp
+    """Per-vertex G, G_H, G_K, per-(vertex,phase) weights and densities, and line terms.
 
-
-def _line_tension(mesh, phases, params_list):
-    if phases is None:
-        return 0.0, None, None
-    iface = phases.interface_edges(mesh)
-    if len(iface) == 0:
-        return 0.0, iface, None
-    sigma = np.array([p.sigma for p in params_list])
-    ef = mesh.edge_faces[iface]
-    coeff = sigma[phases.labels[ef[:, 0]] - 1] + sigma[phases.labels[ef[:, 1]] - 1]
-    e = mesh.edges[iface]
-    length = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
-    return float(coeff @ length), iface, coeff
+    The line terms are the line-tension energy, the interface and its edge
+    coefficients sigma_left + sigma_right. ``phases=None`` is the fast path.
+    """
+    w, iface = _phase_split(mesh, phases, params_list)
+    beta, gamma, h0, sigma = (
+        np.array([getattr(p, k) for p in params_list]) for k in ("beta", "gamma", "h0", "sigma")
+    )
+    coeff = sigma[iface.left - 1] + sigma[iface.right - 1]
+    if w is None:
+        G = 0.5 * beta[0] * (H - h0[0]) ** 2 + gamma[0] * K
+        G_H, G_K, gp = beta[0] * (H - h0[0]), np.full(len(H), gamma[0]), G[:, None]
+    else:
+        gp = 0.5 * beta[None, :] * (H[:, None] - h0[None, :]) ** 2 + gamma[None, :] * K[:, None]
+        G = np.einsum("vp,vp->v", w, gp)
+        G_H = np.einsum("vp,vp->v", w, beta[None, :] * (H[:, None] - h0[None, :]))
+        G_K = w @ gamma
+    return G, G_H, G_K, w, gp, float(coeff @ iface.length), iface, coeff
 
 
 def total_energy(mesh, phases=None, params_list=None):
     """Discrete total energy at the mesh's current positions (fast path)."""
     geo = _checked_geometry(mesh)
-    G = _phase_data(mesh, phases, params_list, geo.H, geo.K)[0]
-    line = _line_tension(mesh, phases, params_list)[0]
+    G, *_, line, _, _ = _phase_data(mesh, phases, params_list, geo.H, geo.K)
     return float(geo.a @ G + line)
 
 
@@ -95,8 +85,7 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     geo = _checked_geometry(mesh)
     v, f = mesh.vertices, mesh.faces
     a, H, K, clamped, cot, nu = geo.a, geo.H, geo.K, geo.clamped, geo.cot, geo.nu
-    G, G_H, G_K, w, gp = _phase_data(mesh, phases, params_list, H, K)
-    line, iface, iface_coeff = _line_tension(mesh, phases, params_list)
+    G, G_H, G_K, w, gp, line, iface, coeff = _phase_data(mesh, phases, params_list, H, K)
     E = float(a @ G + line)
 
     # per-vertex chain-rule coefficients against the primitives (h, d, a)
@@ -163,10 +152,10 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     grad = _scatter(f, blocks, mesh.n_vertices)
 
     # line tension
-    if iface is not None and len(iface) and iface_coeff is not None:
-        ends = mesh.edges[iface]
+    if len(iface.edges):
+        ends = mesh.edges[iface.edges]
         d = v[ends[:, 0]] - v[ends[:, 1]]
-        pull = iface_coeff[:, None] * (d / np.linalg.norm(d, axis=1, keepdims=True))
+        pull = coeff[:, None] * (d / iface.length[:, None])
         grad += _scatter(ends, (pull, -pull), mesh.n_vertices)
 
     return E, grad

@@ -8,7 +8,7 @@ ch. 7 and 17). The inner direction comes from the two-loop recursion over
 the last ``_MEMORY`` pairs of position and gradient changes, a memory that
 is cleared at every multiplier update. Each direction is searched by
 Armijo backtracking from the unit step. Steepest descent, from the last
-steepest step grown by ``step_grow``, takes over when the memory is empty,
+steepest step grown by ``_STEP_GROW``, takes over when the memory is empty,
 when the L-BFGS direction is not a descent direction, and when it fails
 ``_LBFGS_TRIALS`` trials (the memory is then cleared). A trial that is
 degenerate, not finite or breaks the mesh-quality guard is rejected like
@@ -26,13 +26,14 @@ import numpy as np
 
 from .constraints import constraint_residuals, isoperimetric_check, no_overlap_check, phase_support
 from .curvature import _cotan_corners, curvature_field, geometry
-from .energy import PhaseField, _phase_terms, multiphase_energy
+from .energy import _phase_terms, multiphase_energy
 from .errors import (
     DegenerateConfiguration,
     DegenerateFace,
     Diverged,
     Infeasible,
     InsufficientSamples,
+    NonManifold,
     NonPositiveTarget,
     QualityCollapse,
 )
@@ -56,6 +57,12 @@ _MEMORY = 10
 _LBFGS_TRIALS = 3
 # A pair enters the memory only when s.y > _PAIR_COSINE * |s| |y|.
 _PAIR_COSINE = 1e-10
+_OUTER_ITERATIONS = 60  # multiplier updates
+_PENALTY_MAX = 1e12  # cap on the penalty rho
+_ARMIJO_C = 1e-4  # sufficient-decrease constant
+_ARMIJO_SHRINK = 0.5  # backtracking factor
+_STEP_GROW = 2.0  # steepest step growth after a steepest accept
+_OVERLAP_SAMPLES = 6  # radii of each no-overlap gate
 
 
 @dataclass(frozen=True)
@@ -67,16 +74,10 @@ class RunConfig:
     constraint_tol: float = 1e-5        # relative residual target
     penalty_init: float = 10.0
     penalty_growth: float = 10.0
-    penalty_max: float = 1e12
-    outer_iterations: int = 60
     inner_iterations: int = 60          # cap per outer round
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    step_grow: float = 2.0
     max_backtracks: int = 40
     min_angle_deg: float = 3.0
     max_edge_ratio: float = 50.0
-    overlap_samples: int = 6
 
     def __post_init__(self):
         for name in ("grad_tol", "constraint_tol", "penalty_init", "penalty_growth"):
@@ -204,33 +205,13 @@ def _two_loop(g, pairs):
     return -q.reshape(g.shape)
 
 
-def _terms(mesh, phases, params_list):
-    """(bending, gauss, spontaneous, line tension) of ``multiphase_energy``, from the record.
-
-    Rim vertices carry NaN curvature, as in ``curvature_field``.
-    """
-    geo = geometry(mesh)
-    H, K = geo.H, geo.K
-    rim = mesh.boundary_vertices
-    if len(rim):
-        H, K = H.copy(), K.copy()
-        H[rim] = K[rim] = np.nan
-    reports, line = _phase_terms(mesh, geo.a, H, K, phases, params_list)
-    return (
-        sum(p.bending for p in reports),
-        sum(p.gauss for p in reports),
-        sum(p.spontaneous for p in reports),
-        line,
-    )
-
-
 class _Constraints:
     """Relative area/volume (and per-phase area) constraints with gradients."""
 
     def __init__(self, phases, cs):
         self.cs = cs
         self.phases = phases
-        self.per_phase = cs.phase_areas is not None and phases is not None
+        self.per_phase = cs.phase_areas is not None
 
     def values(self, mesh):
         geo = geometry(mesh)
@@ -302,6 +283,10 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
 
     Raises
     ------
+    NonManifold
+        The start mesh is open.
+    PhaseCountMismatch
+        Phase labels, parameter sets and phase area targets disagree.
     Infeasible
     QualityCollapse
         The start mesh breaks the quality guard, or a line search ran out
@@ -315,6 +300,9 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         raise Infeasible(
             f"targets (m, e) = ({cs.area}, {cs.volume}) violate the isoperimetric inequality"
         )
+    if len(mesh0.boundary_vertices):
+        raise NonManifold(f"start mesh is open: {len(mesh0.boundary_vertices)} boundary vertices")
+    cs.check_phases(mesh0, phases)
     con = _Constraints(phases, cs)
     if con.per_phase:
         for c0, target in zip(con.values(mesh0)[:-1], cs.phase_areas):
@@ -357,7 +345,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         phi_m = E_m + lam @ c + 0.5 * rho * (c @ c)
         return (trial, phi_m, None) if np.isfinite(phi_m) else (None, None, None)
 
-    for outer in range(cfg.outer_iterations):
+    for outer in range(_OUTER_ITERATIONS):
         if it >= cfg.max_iterations:
             break
         inner_tol = max(cfg.grad_tol, cfg.grad_tol * 100.0 * 0.25**outer)
@@ -386,8 +374,11 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                     pairs.append((s_k, y_k, 1.0 / sy))
             res_phase = float(np.abs(cvals[:-1]).max()) if con.per_phase else 0.0
             geo = geometry(mesh)
+            reports, line = _phase_terms(mesh, geo.a, geo.H, geo.K, phases, params_list)
             point = TrajectoryPoint(
-                it, outer, E, phi, *_terms(mesh, phases, params_list),
+                it, outer, E, phi,
+                *(sum(getattr(p, term) for p in reports) for term in ("bending", "gauss", "spontaneous")),
+                line,
                 float(cvals[0]) if not con.per_phase else float("nan"),
                 float(cvals[-1]), res_phase, rho, 0.0, grad_norm,
                 float(np.degrees(geo.min_angle)), geo.edge_ratio,
@@ -415,14 +406,14 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 trials += 1
                 trial, phi_trial, fault = try_step(mesh.vertices + s * d)
                 guard = fault or guard
-                if trial is not None and phi_trial <= phi + cfg.armijo_c * s * slope:
+                if trial is not None and phi_trial <= phi + _ARMIJO_C * s * slope:
                     accepted = True
                     break
                 if memory and trials == _LBFGS_TRIALS:
                     pairs.clear()
                     d, slope, s, memory = -g, -gg, step, 0
                 else:
-                    s *= cfg.armijo_shrink
+                    s *= _ARMIJO_SHRINK
             point.trials, point.memory = trials, memory
             if not accepted and guard:
                 raise QualityCollapse(f"{guard} at iteration {it}: no acceptable step in {trials} trials")
@@ -432,7 +423,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 break
             point.step = s
             if not memory:
-                step = s * cfg.step_grow
+                step = s * _STEP_GROW
             last = (mesh.vertices, g)
             mesh = trial
         inner_stops.append(stop)
@@ -440,8 +431,8 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         cvals = con.values(mesh)
         cnorm = float(np.abs(cvals).max())
         lam = lam + rho * cvals
-        if cnorm > 0.25 * prev_cnorm and rho < cfg.penalty_max:
-            rho = min(rho * cfg.penalty_growth, cfg.penalty_max)
+        if cnorm > 0.25 * prev_cnorm and rho < _PENALTY_MAX:
+            rho = min(rho * cfg.penalty_growth, _PENALTY_MAX)
         prev_cnorm = cnorm
         if phases is not None and cs.overlap_eps0 > 0 and phases.n_phases >= 2:
             gates = []
@@ -450,7 +441,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 for sb in supports[i + 1:]:
                     try:
                         gates.append(
-                            no_overlap_check(sa, sb, cs.overlap_eps0, n_eps=cfg.overlap_samples)
+                            no_overlap_check(sa, sb, cs.overlap_eps0, n_eps=_OVERLAP_SAMPLES)
                         )
                     except InsufficientSamples:
                         # eps0 below mesh resolution: the scaling gate is
@@ -472,8 +463,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         mult["phase_areas"] = [float(x) for x in lam[:-1]]
     else:
         mult["area"] = float(lam[0])
-    report_phases = phases if phases is not None else PhaseField.uniform(mesh)
-    report = multiphase_energy(mesh, curvature_field(mesh, tensors=False), report_phases, params_list)
+    report = multiphase_energy(mesh, curvature_field(mesh, tensors=False), phases, params_list)
     return OptimizerState(
         mesh=mesh,
         iteration=it,

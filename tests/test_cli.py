@@ -229,3 +229,28 @@ def test_readme_config_with_ignored_keys_runs(workdir):
               "--out", workdir / "readme_state.json"])
     assert rc == 0
     assert json.load(open(workdir / "readme_state.json"))["iterations"] == 2
+
+
+def test_minimize_phase_count_errors_exit_1(workdir, capsys):
+    base = ["minimize", "--mesh", workdir / "split.off", "--area", "12.566", "--volume", "4.0",
+            "--max-iterations", "2"]
+    # two parameter sets without phase labels
+    assert run(base + ["--beta", "1,2"]) == 1
+    assert "2 parameter sets but no phase labels" in capsys.readouterr().err
+    # phase area targets without phase labels
+    assert run(base + ["--beta", "1", "--phase-areas", "6.283,6.283"]) == 1
+    assert "2 phase area targets but no phase labels" in capsys.readouterr().err
+    # three targets for two phases
+    assert run(base + ["--beta", "1,2", "--phases", workdir / "labels.txt",
+                       "--phase-areas", "4.1887,4.1887,4.1886"]) == 1
+    assert "3 phase targets for 2 phases" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["penalty_max", "outer_iterations", "armijo_c", "armijo_shrink",
+                                 "step_grow", "overlap_samples"])
+def test_config_with_removed_run_key_exits_1(workdir, capsys, key):
+    config = {"mesh": str(workdir / "sphere.off"), "params": [{"beta": 1.0}],
+              "constraints": {"area": 12.566, "volume": 4.0}, "run": {key: 1}}
+    (workdir / f"removed_{key}.json").write_text(dumps(config))
+    assert run(["minimize", "--config", workdir / f"removed_{key}.json"]) == 1
+    assert key in capsys.readouterr().err

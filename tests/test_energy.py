@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helfrich import shapes
 from helfrich.curvature import curvature_field
@@ -14,6 +16,7 @@ from helfrich.energy import (
     willmore,
 )
 from helfrich.errors import PhaseCountMismatch, UnknownPhase
+from helfrich.gradient import total_energy
 
 FOUR_PI = 4 * np.pi
 
@@ -158,3 +161,41 @@ def test_kink_decreases_under_refinement():
         kinks.append(interface_kink(mesh, phases))
     assert kinks[0] > kinks[1] > kinks[2]
     assert interface_kink(shapes.octasphere(2), PhaseField.uniform(shapes.octasphere(2))) == 0.0
+
+
+_PROPERTY_MESHES = {
+    "octasphere2": shapes.octasphere(2),
+    "jittered_icosphere2": shapes.jittered(shapes.icosphere(2), 0.02, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROPERTY_MESHES))
+@settings(max_examples=25, deadline=None)
+@given(n_phases=st.integers(1, 4), data=st.data())
+def test_energy_routes_share_one_phase_split(name, n_phases, data):
+    mesh = _PROPERTY_MESHES[name]
+    labels = data.draw(
+        hnp.arrays(np.int64, mesh.n_faces, elements=st.integers(1, n_phases)), label="labels"
+    )
+    sigma = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n_phases, max_size=n_phases), label="sigma")
+    params = [
+        MaterialParams(1.0 + 0.25 * p, -0.1 * p, 0.2 * p - 0.3, s, phase_id=p + 1)
+        for p, s in enumerate(sigma)
+    ]
+    phases = PhaseField(labels, n_phases=n_phases)
+    rep = multiphase_energy(mesh, curvature_field(mesh, tensors=False), phases, params)
+    scale = abs(rep.line_tension) + sum(
+        abs(p.bending) + abs(p.gauss) + abs(p.spontaneous) for p in rep.phases
+    )
+    assert abs(total_energy(mesh, phases, params) - rep.total) <= 1e-12 * scale
+
+    present = np.unique(labels)
+    line = sum(params[p - 1].sigma * boundary_mass(mesh, phases, p) for p in present)
+    assert abs(rep.line_tension - line) <= 1e-12 * max(abs(line), 1e-300)
+
+    # every interface edge bounds exactly two phases
+    ef = mesh.edge_faces
+    cut = labels[ef[:, 0]] != labels[ef[:, 1]]
+    ends = mesh.edges[cut]
+    interface = np.linalg.norm(mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]], axis=1).sum()
+    assert abs(sum(p.boundary_length for p in rep.phases) - 2.0 * interface) <= 1e-12 * max(interface, 1e-300)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from helfrich import shapes
-from helfrich.curvature import scalar_curvatures
+from helfrich.curvature import geometry
 from helfrich.density import MaterialParams
 from helfrich.energy import PhaseField, multiphase_energy, canham_helfrich
 from helfrich.curvature import curvature_field
-from helfrich.errors import DegenerateConfiguration
+from helfrich.errors import DegenerateConfiguration, PhaseCountMismatch
 from helfrich.gradient import energy_and_gradient, total_energy
 
 from conftest import rotation_matrix
@@ -19,7 +19,8 @@ def eligible_vertices(mesh, hstep):
     areas); central differences are only meaningful away from the branch
     boundaries.
     """
-    _, _, _, K, _, _, _, Hraw = scalar_curvatures(mesh)
+    geo = geometry(mesh)
+    Hraw, K = geo.H_raw, geo.K
     D = Hraw**2 - 4 * K
     band = 2.0 * (hstep / mesh.mean_edge_length) * (Hraw**2 + 4 * np.abs(K))
     near = np.abs(D) < np.maximum(band, 1e-12)
@@ -128,3 +129,16 @@ def test_degenerate_configuration_raises():
     first = int(np.flatnonzero(np.isin(tet.faces, [0, 1]).sum(axis=1) == 2)[0])
     with pytest.raises(DegenerateConfiguration, match=rf"^face {first} has area 0$"):
         total_energy(tet.with_vertices(v), None, [MaterialParams(1.0, 0.0)])
+
+
+@pytest.mark.parametrize("route", [total_energy, energy_and_gradient])
+def test_parameter_count_mismatch_is_named(route):
+    mesh = shapes.octasphere(3)
+    phases = PhaseField(shapes.equator_phase_labels(mesh))
+    one, two = MaterialParams(1.0, 0.0), MaterialParams(2.0, 0.0, phase_id=2)
+    with pytest.raises(PhaseCountMismatch, match="2 parameter sets but no phase labels"):
+        route(mesh, None, [one, two])
+    with pytest.raises(PhaseCountMismatch, match="2 phases but 1 parameter sets"):
+        route(mesh, phases, [one])
+    with pytest.raises(PhaseCountMismatch, match="2 phases but 3 parameter sets"):
+        route(mesh, phases, [one, two, two])

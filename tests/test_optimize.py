@@ -20,7 +20,9 @@ from helfrich.errors import (
     DegenerateFace,
     Diverged,
     Infeasible,
+    NonManifold,
     NonPositiveTarget,
+    PhaseCountMismatch,
     QualityCollapse,
 )
 from helfrich.gradient import total_energy
@@ -251,13 +253,13 @@ def test_volume_gradient_matches_fd_on_open_patch():
 @pytest.mark.parametrize("two_phase", [False, True])
 def test_trajectory_energy_terms_match_energy_report(monkeypatch, two_phase):
     meshes = []
-    terms = optimize._terms
+    evaluate = optimize.energy_and_gradient
 
     def recording(mesh, phases, params_list):
         meshes.append(mesh)
-        return terms(mesh, phases, params_list)
+        return evaluate(mesh, phases, params_list)
 
-    monkeypatch.setattr(optimize, "_terms", recording)
+    monkeypatch.setattr(optimize, "energy_and_gradient", recording)
     if two_phase:
         mesh = shapes.jittered(shapes.octasphere(3), 0.01, seed=5)
         phases = PhaseField(shapes.equator_phase_labels(mesh))
@@ -588,3 +590,44 @@ def test_two_loop_matches_dense_bfgs(seed, n_pairs, n_vertices):
     got = _two_loop(g, [(s, y, 1.0 / (s @ y)) for s, y in pairs])
     want = _dense_bfgs_direction(g, pairs)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _no_iterations(monkeypatch):
+    """Make any inner iteration fail, so a test sees what minimize rejects up front."""
+
+    def unreachable(*args):
+        raise AssertionError("minimize started iterating")
+
+    monkeypatch.setattr(optimize, "energy_and_gradient", unreachable)
+    monkeypatch.setattr(optimize, "total_energy", unreachable)
+
+
+def test_parameter_count_mismatch_is_named_by_minimize():
+    mesh = shapes.octasphere(3)
+    phases = PhaseField(shapes.equator_phase_labels(mesh))
+    cs = ConstraintSet(area=4 * np.pi, volume=4.0)
+    two = [MaterialParams(1.0, 0.0), MaterialParams(2.0, 0.0, phase_id=2)]
+    with pytest.raises(PhaseCountMismatch, match="2 parameter sets but no phase labels"):
+        minimize(mesh, None, two, cs, RunConfig(max_iterations=3))
+    with pytest.raises(PhaseCountMismatch, match="2 phases but 3 parameter sets"):
+        minimize(mesh, phases, two + two[1:], cs, RunConfig(max_iterations=3))
+
+
+def test_phase_targets_are_checked_up_front(monkeypatch):
+    mesh = shapes.octasphere(3)
+    phases = PhaseField(shapes.equator_phase_labels(mesh))
+    two = [MaterialParams(1.0, 0.0), MaterialParams(2.0, 0.0, phase_id=2)]
+    _no_iterations(monkeypatch)
+    halves = ConstraintSet(area=4 * np.pi, volume=4.0, phase_areas=(2 * np.pi, 2 * np.pi))
+    with pytest.raises(PhaseCountMismatch, match="2 phase area targets but no phase labels"):
+        minimize(mesh, None, WILLMORE, halves, RunConfig(max_iterations=3))
+    thirds = ConstraintSet(area=4 * np.pi, volume=4.0, phase_areas=(4 * np.pi / 3,) * 3)
+    with pytest.raises(PhaseCountMismatch, match="3 phase targets for 2 phases"):
+        minimize(mesh, phases, two, thirds, RunConfig(max_iterations=3))
+
+
+def test_open_start_mesh_is_rejected_up_front(monkeypatch):
+    mesh = sample_mesh("patch", 0)
+    _no_iterations(monkeypatch)
+    with pytest.raises(NonManifold, match=f"{len(mesh.boundary_vertices)} boundary vertices"):
+        minimize(mesh, None, WILLMORE, ConstraintSet(area=1.0, volume=0.01), RunConfig(max_iterations=3))
