@@ -126,7 +126,11 @@ class OptimizerState:
 
     ``inner_stops`` has one entry per outer round, saying why its inner
     loop ended: 'grad_tol', 'inner_cap', 'stalled' (no acceptable step)
-    or 'budget' (``max_iterations`` reached).
+    or 'budget' (``max_iterations`` reached). ``termination`` says why
+    the run ended: 'converged' (gradient and residuals within tolerance),
+    'max_iterations' (budget spent), 'outer_limit' (every outer round ran
+    before the budget was spent) or 'no_overlap_violation' (a no-overlap
+    gate failed).
     """
 
     mesh: object
@@ -279,7 +283,9 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
     -------
     OptimizerState
         With the full scalar trajectory; ``termination`` is 'converged',
-        'max_iterations', or 'no_overlap_violation'.
+        'max_iterations' (the inner-iteration budget is spent),
+        'outer_limit' (all outer rounds ran with budget left) or
+        'no_overlap_violation'.
 
     Raises
     ------
@@ -454,6 +460,9 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         if grad_norm < cfg.grad_tol and cnorm < cfg.constraint_tol:
             termination = "converged"
             break
+    else:
+        if it < cfg.max_iterations:
+            termination = "outer_limit"
 
     E = total_energy(mesh, phases, params_list)
     cvals = con.values(mesh)

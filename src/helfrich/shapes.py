@@ -120,15 +120,13 @@ def torus(big_radius=2.0, small_radius=1.0, n_u=64, n_v=32):
     verts = np.column_stack(
         [(r * np.cos(uu)).ravel(), (r * np.sin(uu)).ravel(), (small_radius * np.sin(ww)).ravel()]
     )
-    faces = []
-    for i in range(n_u):
-        for j in range(n_v):
-            a = i * n_v + j
-            b = ((i + 1) % n_u) * n_v + j
-            c = ((i + 1) % n_u) * n_v + (j + 1) % n_v
-            d = i * n_v + (j + 1) % n_v
-            faces.extend([(a, b, c), (a, c, d)])
-    return TriMesh(verts, np.array(faces, dtype=np.int64))
+    i = np.arange(n_u)[:, None]
+    j = np.arange(n_v)[None, :]
+    i1, j1 = (i + 1) % n_u, (j + 1) % n_v
+    a, b, c, d = i * n_v + j, i1 * n_v + j, i1 * n_v + j1, i * n_v + j1
+    # faces (a, b, c), (a, c, d) per grid cell, cells in (i, j) order
+    faces = np.stack(np.broadcast_arrays(a, b, c, a, c, d), axis=-1).reshape(-1, 3)
+    return TriMesh(verts, faces)
 
 
 def capsule(radius=0.5, cylinder_length=9.0, n_around=32, n_cap=8, n_length=48):
@@ -148,27 +146,25 @@ def capsule(radius=0.5, cylinder_length=9.0, n_around=32, n_cap=8, n_length=48):
         ang = np.pi / 2 * i / n_cap
         rows.append((radius * np.sin(ang), half + radius * np.cos(ang)))
     phi = 2 * np.pi * np.arange(n_around) / n_around
-    ring = np.column_stack([np.cos(phi), np.sin(phi)])
-    verts = [(0.0, 0.0, -half - radius)]
-    for rho, z in rows:
-        verts.extend((rho * c, rho * s, z) for c, s in ring)
-    verts.append((0.0, 0.0, half + radius))
-    verts = np.array(verts, dtype=np.float64)
-    faces = []
-    for k in range(n_around):
-        faces.append((0, 1 + (k + 1) % n_around, 1 + k))
-    for r0 in range(len(rows) - 1):
-        base0 = 1 + r0 * n_around
-        base1 = base0 + n_around
-        for k in range(n_around):
-            k1 = (k + 1) % n_around
-            faces.append((base0 + k, base0 + k1, base1 + k1))
-            faces.append((base0 + k, base1 + k1, base1 + k))
+    rho, z = np.array(rows).T
+    ring = np.stack(
+        [rho[:, None] * np.cos(phi), rho[:, None] * np.sin(phi), np.repeat(z[:, None], n_around, axis=1)],
+        axis=-1,
+    )
+    verts = np.vstack([(0.0, 0.0, -half - radius), ring.reshape(-1, 3), (0.0, 0.0, half + radius)])
+    k = np.arange(n_around)
+    k1 = (k + 1) % n_around
+    south = np.column_stack([np.zeros_like(k), 1 + k1, 1 + k])
+    # two faces per quad between ring r and ring r + 1, quads in (r, k) order
+    base0 = 1 + n_around * np.arange(len(rows) - 1)[:, None]
+    base1 = base0 + n_around
+    wall = np.stack(
+        np.broadcast_arrays(base0 + k, base0 + k1, base1 + k1, base0 + k, base1 + k1, base1 + k), axis=-1
+    ).reshape(-1, 3)
     top = len(verts) - 1
     base = 1 + (len(rows) - 1) * n_around
-    for k in range(n_around):
-        faces.append((top, base + k, base + (k + 1) % n_around))
-    return TriMesh(verts, np.array(faces, dtype=np.int64))
+    north = np.column_stack([np.full_like(k, top), base + k, base + k1])
+    return TriMesh(verts, np.vstack([south, wall, north]))
 
 
 def flat_patch(n=8, spacing=0.25):
@@ -235,7 +231,8 @@ def standard_corpus():
         corpus[f"icosphere{level}"] = (icosphere(level), None)
     corpus["torus"] = (torus(2.0, 1.0, 64, 32), None)
     corpus["capsule"] = (capsule(), None)
-    corpus["perturbed_sphere"] = (jittered(icosphere(3), 0.01, seed=7), None)
+    # same connectivity and positions as a fresh icosphere(3)
+    corpus["perturbed_sphere"] = (jittered(corpus["icosphere3"][0], 0.01, seed=7), None)
     split = octasphere(4)
     corpus["split_sphere"] = (split, equator_phase_labels(split))
     return corpus

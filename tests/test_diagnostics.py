@@ -9,6 +9,7 @@ from helfrich.energy import willmore
 from helfrich.errors import NotConvex
 from helfrich.diagnostics import (
     first_variation,
+    random_trig_fields,
     refinement_probe,
     standard_report,
     verify_diameter,
@@ -19,6 +20,7 @@ from helfrich.diagnostics import (
 )
 
 FOUR_PI = 4 * np.pi
+CORPUS_NAMES = ["icosphere2", "icosphere3", "icosphere4", "torus", "capsule", "perturbed_sphere", "split_sphere"]
 
 
 def spheroid_willmore_quarter(a=1.0, c=0.5):
@@ -47,10 +49,7 @@ def spheroid_willmore_quarter(a=1.0, c=0.5):
     return val
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["icosphere2", "icosphere3", "icosphere4", "torus", "capsule", "perturbed_sphere", "split_sphere"],
-)
+@pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_standard_report_passes_on_corpus(corpus, name):
     mesh, _ = corpus[name]
     report = standard_report(mesh, name)
@@ -212,3 +211,49 @@ def test_verify_functions_do_not_mutate(icosphere4, icosphere4_curv):
     standard_report(icosphere4, "probe")
     assert np.array_equal(icosphere4.vertices, before)
     assert np.array_equal(icosphere4_curv.H, h_before)
+
+
+def _einsum_trig_fields(n_fields, length_scale, seed=0, n_waves=3):
+    """The plane-wave fields with the three-operand einsum Jacobian; same draws."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for _ in range(n_fields):
+        wave = rng.normal(0.0, 1.5 / length_scale, size=(3, n_waves, 3))
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, n_waves))
+        amp = rng.normal(0.0, 1.0, size=(3, n_waves))
+
+        def X(points, wave=wave, phase=phase, amp=amp):
+            arg = np.einsum("itj,nj->nit", wave, points) + phase[None]
+            vals = np.einsum("it,nit->ni", amp, np.cos(arg))
+            jac = -np.einsum("it,nit,itj->nij", amp, np.sin(arg), wave)
+            return vals, jac
+
+        fields.append(X)
+    return fields
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_trig_fields_bitwise_equal_the_einsum_oracle(corpus, name, seed):
+    mesh, _ = corpus[name]
+    length = mesh.bbox_diagonal / 2
+    got = random_trig_fields(20, length, seed=seed)
+    want = _einsum_trig_fields(20, length, seed=seed)
+    for X, Y in zip(got, want):
+        (vals, jac), (vals_o, jac_o) = X(mesh.vertices), Y(mesh.vertices)
+        assert jac.shape == jac_o.shape == (mesh.n_vertices, 3, 3)
+        assert vals.tobytes() == vals_o.tobytes()
+        assert jac.tobytes() == jac_o.tobytes()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_trig_field_jacobian_matches_central_differences(corpus, name):
+    mesh, _ = corpus[name]
+    length = mesh.bbox_diagonal / 2
+    h = 1e-5 * length
+    points = mesh.vertices
+    for X in random_trig_fields(20, length, seed=0):
+        _, jac = X(points)
+        for j, e in enumerate(h * np.eye(3)):
+            fd = (X(points + e)[0] - X(points - e)[0]) / (2.0 * h)
+            assert np.abs(fd - jac[:, :, j]).max() <= 1e-8 * np.abs(jac).max()

@@ -93,6 +93,17 @@ def test_perturbed_sphere_short_run_progress():
     assert willmore(state.mesh, curv, "quarter") < 4 * np.pi * 1.05
 
 
+
+@pytest.mark.parametrize("budget, termination", [(1000, "outer_limit"), (120, "max_iterations")])
+def test_termination_names_the_outer_limit(budget, termination):
+    # 60 outer rounds of 2 inner iterations each spend 120 iterations
+    mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=2)
+    cs = ConstraintSet(area=4 * np.pi, volume=4 * np.pi / 3 * 0.995)
+    state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=budget, inner_iterations=2))
+    assert state.iteration == 120
+    assert state.inner_stops == ["inner_cap"] * optimize._OUTER_ITERATIONS
+    assert state.termination == termination
+
 def test_frame_indifference():
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=3)
     cs = ConstraintSet(area=4 * np.pi, volume=enclosed_volume(mesh))
