@@ -114,7 +114,7 @@ def build_parser():
     common(p_ver)
     p_ver.add_argument("--corpus", action="store_true", help="run the shipped corpus")
     p_ver.add_argument("--n-fields", type=_nonnegative_int, default=20)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p_ovl = sub.add_parser("overlap", help="no-overlap scaling check")
     common(p_ovl)

@@ -12,6 +12,8 @@ connectivity).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -344,31 +346,98 @@ def enclosed_volume(mesh):
 
 
 def diameter(mesh):
-    """Exact max pairwise vertex distance, by box-pair pruning.
+    """Exact max pairwise vertex distance, by pruning pairs of vertex cells.
 
     The method follows Malandain & Boissonnat, "Computing the diameter of
     a point set" (2002), and Har-Peled, "A practical approach for
     computing the diameter of a point set" (SoCG 2001). A chain of
     farthest points gives a lower bound ``best`` on the squared diameter.
-    Pairs of axis-aligned boxes of vertices, refined from the one box of
-    all vertices down to single vertices, are dropped when their
-    farthest-corner bound is below ``best``.
+    Pairs of cells of vertices, refined from the one cell of all vertices
+    down to single vertices, are dropped when either of two bounds on the
+    squared distance of their vertices is below ``best``:
 
-    Exactness: the bound is computed like a pair's d², as ``np.sum(d ** 2)``
-    with ``d = max(|hi_a - lo_b|, |hi_b - lo_a|)`` per axis. Subtraction,
-    squaring and the fixed-order sum all round monotonically, so no point
-    pair of two boxes has a float d² above the boxes' float bound, and the
-    pair that attains the maximum is never dropped. The result is bitwise
-    the square root of the largest ``np.sum((x_i - x_j) ** 2)`` over all
-    vertex pairs.
+    - the box bound ``np.sum(d ** 2)``, ``d = max(|hi_a - lo_b|, |hi_b -
+      lo_a|)`` per axis, over the cells' min/max boxes. Its slack is
+      linear in the cell size, so on a round shell each vertex would keep
+      O(√N) partners.
+    - the cone bound. About the bounding-box centre c, each cell holds a
+      unit axis n, a half-angle α with every vertex direction within α of
+      n, and the vertices' radius range [r_lo, r_hi]. Two vertices of
+      cells a and b subtend an angle ψ <= θ = min(π, φ + α_a + α_b) at c,
+      φ the angle of the axes, so by the law of cosines
+      ``|x - y|² = (r_x - r_y)² + 2 r_x r_y (1 - cos ψ)
+      <= gap² + 2 r_hi_a r_hi_b (1 - cos θ)``, with
+      ``gap = max(r_hi_a - r_lo_b, r_hi_b - r_lo_a)``, which bounds
+      r_x² + r_y² - 2 r_x r_y cos θ at every corner of the two radius
+      ranges at once. Near the farthest pair cos is flat, so the slack is
+      second order in the cell size.
+
+    Exactness of the box bound: it is computed like a pair's d².
+    Subtraction, squaring and the fixed-order sum all round monotonically,
+    so no vertex pair of two boxes has a float d² above the boxes' float
+    bound.
+
+    Exactness of the cone bound, with u = 2**-53, and ε <= 1e-14 the error
+    of numpy's ``arccos`` and ``cos`` (a few ulps). It is evaluated in
+    units of s, a power of two with every |x_k - c_k| <= s/2, so radii are
+    below 1 and every error below is absolute; underflow adds at most
+    2**-1070 to any of them.
+
+    1. Directions: offsets, radii and unit vectors round to within 4u of
+       the radius, 2u of the direction and 6u of unit length. A vertex
+       with radius <= 2**-500 gets direction e_x; as r < 2**-499, the law
+       of cosines above moves by at most 4r < 2**-497 whatever its true
+       direction.
+    2. Half-angles and the axis angle: a computed cosine of two such unit
+       vectors is within δ = 20u of the cosine of their angle (3u from
+       the dot product, 12u from their lengths). arccos grows fastest at
+       ±1, so an error δ in its argument moves it by at most
+       arccos(1 - δ) < 1.01 √(2δ) = 6.8e-8 rad; clipping to [-1, 1] only
+       moves a cosine towards the true one. With the direction error and
+       ε, each computed angle, α = arccos(min cos) over the cell's vertices
+       and φ alike, is short of the true one by less than m/3, where
+       m = 2**-20 rad. Each α carries +m, so α_a + α_b + φ exceeds the
+       true angle bound by at least m, far more than the rounding of the
+       two sums (< 1e-14). cos falls on [0, π], and cos(fl(π)) rounds to
+       -1, so ``1 - cos θ`` is short by less than ε + 3u.
+    3. Corner evaluation: with radii within 4u, ``gap`` within 9u and
+       every term at most 4, the float bound is short of the real one by
+       less than 76u + 2ε + 2**-497 < 3.1e-14.
+
+    A cell pair is dropped when its float bound is below
+    ``t = (min(best, 2**1023) - 2**-1020) / s² - 2**-40`` (t < 0, so
+    nothing is dropped, when best <= 2**-1020). Rounding t costs 3u, so
+    any vertex pair in it has |x - y|² < best - 2**-1020 -
+    s² (2**-40 - 3u - 3.1e-14). Its float d² is at most
+    (1 + 6u) |x - y|² + 2**-1073, and best < s², so it is below ``best``;
+    the cap 2**1023 keeps it finite. So the pair that attains the maximum
+    is never dropped, and for coordinates whose differences are finite the
+    result is bitwise the square root of the largest
+    ``np.sum((x_i - x_j) ** 2)`` over all vertex pairs. s is clamped to
+    [2**-500, 2**600]; at the top, s² overflows and the cone drops nothing.
     """
     return float(np.sqrt(_max_pair_d2(mesh.vertices)))
 
 
-# Farthest-point rounds for the lower bound, and the number of box or
+# Farthest-point rounds for the lower bound, and the number of cell or
 # point pairs one vectorized step of the pair scan handles.
 _FARTHEST_ROUNDS = 4
 _PAIR_CHUNK = 1 << 15
+# Rounding margins of the cone bound, proved in diameter's docstring: m,
+# the radians added to every half-angle; the slack in units of s² and in
+# original units; the radius, in units of s, below which a direction is e_x.
+_ANGLE_MARGIN = 2.0**-20
+_MARGIN = 2.0**-40
+_TINY = 2.0**-1020
+_CENTRAL = 2.0**-500
+_E_X = np.array([[1.0], [0.0], [0.0]])
+
+
+def _directions(v):
+    """Lengths and unit vectors of the columns of ``v``; e_x for lengths <= ``_CENTRAL``."""
+    length = np.sqrt(np.sum(v**2, axis=0))
+    central = length <= _CENTRAL
+    return length, np.where(central, _E_X, v / np.where(central, 1.0, length))
 
 
 def _max_pair_d2(points):
@@ -376,49 +445,68 @@ def _max_pair_d2(points):
 
     The points are sorted in Morton order on a grid of ``2**depth`` cells
     a side, ``depth`` growing with N, so every cell of every coarser level
-    is a contiguous run; each cell keeps the actual min/max box of its
-    points. Survivors are refined in chunks, depth first, so extra memory
-    is O(N) plus a few chunks per level. The result is the maximum over
-    the surviving point pairs.
+    is a contiguous run. Each cell keeps the actual min/max box of its
+    points and their cone and radius range about the box centre; boxes,
+    radius ranges and axes are reduced level by level from the points.
+    Survivors are refined in chunks, depth first, so extra memory is O(N)
+    plus a few chunks per level. The result is the maximum over the
+    surviving point pairs.
     """
-    p = np.asarray(points, dtype=np.float64)
-    n = len(p)
+    x = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    n = x.shape[1]
     best, i = 0.0, 0
     for _ in range(_FARTHEST_ROUNDS):
-        d2 = np.sum((p - p[i]) ** 2, axis=1)
+        d2 = np.sum((x - x[:, i:i + 1]) ** 2, axis=0)
         j = int(np.argmax(d2))
         if d2[j] <= best:
             break
         best, i = d2[j], j
 
-    depth = max(1, int(np.ceil(np.log2(2.0 * n ** (1.0 / 3.0)))))
-    lo = p.min(axis=0)
-    extent = p.max(axis=0) - lo
-    frac = np.divide(p - lo, extent, out=np.zeros_like(p), where=extent > 0)
+    # the finest cells hold a few points: with the cone bound they prune
+    # about as well as single points would, at one level of reductions less
+    depth = max(1, int(np.ceil(np.log2(n ** (1.0 / 3.0)))))
+    lo = x.min(axis=1)
+    extent = x.max(axis=1) - lo
+    frac = np.divide(x - lo[:, None], extent[:, None], out=np.zeros_like(x), where=extent[:, None] > 0)
     q = np.minimum((frac * 2**depth).astype(np.int64), 2**depth - 1)
-    code = np.zeros(n, dtype=np.int64)
+    # Morton code: bit b of the grid index along axis k goes to bit 3b + k
+    side = np.arange(2**depth)
+    spread = np.zeros(2**depth, dtype=np.int64)
     for bit in range(depth):
-        for axis in range(3):
-            code |= ((q[:, axis] >> bit) & 1) << (3 * bit + axis)
+        spread |= ((side >> bit) & 1) << (3 * bit)
+    code = spread[q[0]] | spread[q[1]] << 1 | spread[q[2]] << 2
     order = np.argsort(code, kind="stable")
-    p, code = p[order], code[order]
+    x, code = np.take(x, order, axis=1), code[order]
 
-    # cells of each level: first point; the level below the finest is
-    # the points themselves
-    starts = [np.flatnonzero(np.concatenate([[True], np.diff(code >> 3 * (depth - level)) != 0]))
-              for level in range(depth + 1)]
-    starts.append(np.arange(n))
-    # per level: first child and child count of each cell, and the
-    # children's boxes (the finest level's children are points)
-    levels = []
-    for level in range(depth + 1):
-        children = starts[level + 1]
-        first = np.searchsorted(children, starts[level])
-        count = np.diff(np.append(first, len(children)))
-        boxes = None
-        if level < depth:
-            boxes = (np.minimum.reduceat(p, children, axis=0), np.maximum.reduceat(p, children, axis=0))
-        levels.append((first, count, boxes))
+    # offsets from the box centre c in units of s, a power of two with
+    # every offset component in [-1/2, 1/2]
+    exponent = int(np.frexp(extent.max())[1]) + 1
+    scale = math.ldexp(1.0, min(max(exponent, -500), 600))
+    radius, unit = _directions((x - (lo + 0.5 * extent)[:, None]) / scale)
+    cut = (min(best, 2.0**1023) - _TINY) / (scale * scale) - _MARGIN
+
+    # first point of every cell (starts) and first child of every cell
+    # (firsts), per level; the children of the finest level are the points
+    starts, firsts = [np.arange(n)], []
+    for level in range(depth, -1, -1):
+        key = code[starts[0]] >> 3 * (depth - level)
+        firsts.insert(0, np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]])))
+        starts.insert(0, starts[0][firsts[0]])
+    # the children of each level: box corners, radius range, cone axis and
+    # half-angle; axes are normalized sums of their points' directions
+    cells, total = [(x, x, radius, radius, None, None)], unit
+    for level in range(depth, 0, -1):
+        lo, hi, r_lo, r_hi = cells[0][:4]
+        first = firsts[level]
+        total = np.add.reduceat(total, first, axis=1)
+        axis = _directions(total)[1]
+        size = np.diff(np.append(starts[level], n))
+        cos = np.minimum.reduceat(np.sum(unit * np.repeat(axis, size, axis=1), axis=0), starts[level])
+        cells.insert(0, (
+            np.minimum.reduceat(lo, first, axis=1), np.maximum.reduceat(hi, first, axis=1),
+            np.minimum.reduceat(r_lo, first), np.maximum.reduceat(r_hi, first),
+            axis, np.arccos(np.clip(cos, -1.0, 1.0)) + _ANGLE_MARGIN,
+        ))
 
     def scan(level, a, b):
         """Largest surviving point-pair d² below the cell pairs (a, b) of ``level``.
@@ -427,7 +515,9 @@ def _max_pair_d2(points):
         level down as soon as a chunk's worth has gathered, so each level
         holds O(chunk) pairs at a time.
         """
-        first, count, boxes = levels[level]
+        first = firsts[level]
+        lo, hi, r_lo, r_hi, axis, half = cells[level]
+        count = np.diff(np.append(first, len(r_lo)))
         nb = count[b]
         size = count[a] * nb
         ends = np.cumsum(size)
@@ -438,21 +528,24 @@ def _max_pair_d2(points):
             local = k - (ends[r] - size[r])
             ia = first[a[r]] + local // nb[r]
             ib = first[b[r]] + local % nb[r]
-            if boxes is None:  # points: the bound is the pair's d² itself
-                bound = np.sum((np.take(p, ia, axis=0) - np.take(p, ib, axis=0)) ** 2, axis=1)
-            else:
-                lo, hi = boxes
-                d = np.maximum(
-                    np.abs(np.take(hi, ia, axis=0) - np.take(lo, ib, axis=0)),
-                    np.abs(np.take(hi, ib, axis=0) - np.take(lo, ia, axis=0)),
-                )
-                bound = np.sum(d**2, axis=1)
             # cells are in Morton order, so a pair of distinct parents has
             # ia < ib; ia > ib only repeats a pair within one parent
-            keep = (ia <= ib) & (bound >= best)
-            if boxes is None:
-                top = max(top, float(bound.max(where=keep, initial=0.0)))
+            keep = ia <= ib
+            ia, ib = ia[keep], ib[keep]
+            d = np.maximum(
+                np.abs(np.take(hi, ia, axis=1) - np.take(lo, ib, axis=1)),
+                np.abs(np.take(hi, ib, axis=1) - np.take(lo, ia, axis=1)),
+            )
+            bound = np.sum(d**2, axis=0)  # for points: the pair's d² itself
+            if level == depth:
+                top = max(top, float(bound.max(initial=0.0)))
                 continue
+            keep = bound >= best
+            ia, ib = ia[keep], ib[keep]
+            cos = np.sum(np.take(axis, ia, axis=1) * np.take(axis, ib, axis=1), axis=0)
+            theta = np.arccos(np.clip(cos, -1.0, 1.0)) + half[ia] + half[ib]
+            gap = np.maximum(r_hi[ia] - r_lo[ib], r_hi[ib] - r_lo[ia])
+            keep = gap**2 + 2.0 * r_hi[ia] * r_hi[ib] * (1.0 - np.cos(np.minimum(theta, np.pi))) >= cut
             found.append((ia[keep], ib[keep]))
             n_found += len(found[-1][0])
             if n_found >= _PAIR_CHUNK or (n_found and start + _PAIR_CHUNK >= ends[-1]):

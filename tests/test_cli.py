@@ -180,6 +180,13 @@ def test_negative_n_fields_is_rejected(capsys):
     assert err[-1] == "helfrich verify: error: argument --n-fields: expected an integer >= 0, got '-3'"
 
 
+def test_negative_seed_is_rejected(capsys):
+    assert run(["verify", "--corpus", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: helfrich verify")
+    assert err[-1] == "helfrich verify: error: argument --seed: expected an integer >= 0, got '-1'"
+
+
 def test_verify_corpus_report_repeats_bytewise(workdir):
     for name in ("corpus1.json", "corpus2.json"):
         assert run(["verify", "--corpus", "--seed", "0", "--out", workdir / name]) == 0

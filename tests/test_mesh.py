@@ -284,7 +284,7 @@ def _max_pair_d2_oracle(points):
 
 @st.composite
 def _point_sets(draw):
-    kind = draw(st.sampled_from(["cloud", "icosphere", "coplanar", "collinear", "duplicates", "small"]))
+    kind = draw(st.sampled_from(["cloud", "icosphere", "coplanar", "collinear", "duplicates", "small", "shell"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     n = draw(st.integers(1, 400), label="points")
     if kind == "cloud":
@@ -300,6 +300,20 @@ def _point_sets(draw):
             pts = uv @ frame + rng.standard_normal(3)
     elif kind == "collinear":
         pts = rng.uniform(-1.0, 1.0, (n, 1)) * rng.standard_normal(3) + rng.standard_normal(3)
+    elif kind == "shell":
+        # round shells, where the cone bound prunes hardest: jittered unit
+        # vectors, hemispherical caps, and {p, -p} sets whose antipodal
+        # pairs tie in d² up to rounding
+        form = draw(st.sampled_from(["sphere", "cap", "antipodal"]), label="shell form")
+        m = (n + 1) // 2 if form == "antipodal" else n
+        pts = rng.standard_normal((m, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        if form == "cap":
+            pts[:, 2] = np.abs(pts[:, 2])
+        amplitude = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.05)), label="jitter")
+        pts = pts + amplitude * rng.standard_normal((m, 3))
+        if form == "antipodal":
+            pts = np.concatenate([pts, -pts])
     elif kind == "duplicates":
         base = rng.standard_normal((draw(st.integers(1, 8), label="distinct"), 3))
         pts = base[rng.integers(0, len(base), n)]
@@ -321,8 +335,26 @@ def test_pruned_diameter_equals_all_pairs_bitwise(points):
     assert _max_pair_d2(points) == _max_pair_d2_oracle(points)
 
 
-# float.hex of the diameters the convex-hull prefilter and all-pairs scan
-# gave on the corpus; the pruned scan must reproduce them bitwise
+def _max_pair_d2_rows(points, rows=128):
+    """The oracle's expression a block of rows at a time, each row against itself and later rows."""
+    best = 0.0
+    for start in range(0, len(points), rows):
+        block = points[start:start + rows, None, :] - points[None, start:, :]
+        best = max(best, float(np.sum(block**2, axis=2).max()))
+    return best
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1e-3])
+def test_pruned_diameter_equals_all_pairs_bitwise_at_v10242(amplitude):
+    mesh = shapes.icosphere(5)
+    if amplitude:
+        mesh = shapes.jittered(mesh, amplitude, seed=0)
+    assert mesh.n_vertices == 10242
+    assert _max_pair_d2(mesh.vertices) == _max_pair_d2_rows(mesh.vertices)
+
+
+# float.hex of the corpus diameters as the all-pairs maximum gives them;
+# the pruned scan must reproduce them bitwise
 _CORPUS_DIAMETERS = {
     "icosphere2": "0x1.0000000000000p+1",
     "icosphere3": "0x1.0000000000000p+1",
