@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateOneRing
-from .mesh import _cross, _scatter
+from .mesh import _cross, _face_vectors, _scatter
 
 __all__ = ["CurvatureField", "curvature_field"]
 
@@ -127,8 +127,11 @@ class CurvatureField:
 class _Geometry:
     """Forward geometry of one mesh position; see :func:`geometry`.
 
-    Per face: corner cotangents ``cot`` (F, 3), the ``obtuse`` corner mask
-    and ``area``. Per vertex: mixed areas ``a``, angle defects ``defect``,
+    Per face: the edge vectors ``e`` (3, F, 3), ``e[c]`` running from
+    corner c to corner c + 1, their squared lengths ``l2`` (3, F), corner
+    cotangents ``cot`` (F, 3), the ``obtuse`` corner mask and ``area``;
+    the gradients and ``energy.interface_kink`` read these and gather no
+    face corners. Per vertex: mixed areas ``a``, angle defects ``defect``,
     the cotangent vector ``L``, the unit normal ``nu`` with ``Nv_norm`` the
     length of the area-vector sum it normalizes, the unclamped ``H_raw``,
     the reconciled ``H``, ``K``, the ``clamped`` mask, and ``k_floor``.
@@ -139,22 +142,19 @@ class _Geometry:
     a face holding the shortest edge, and ``min_angle`` (the smallest
     corner angle, radians) with ``min_angle_face`` its face.
     Corner angles and face area vectors are not kept: the record lives as
-    long as its mesh, and only the gradient reads it per face.
-    Every array is read-only.
+    long as its mesh. ``splits`` maps each ``energy.PhaseField`` to its
+    phase split (``energy._split``). Every array is read-only.
     """
 
     def __init__(self, mesh):
-        v, f = mesh.vertices, mesh.faces
-        V = mesh.n_vertices
-        # np.take gathers rows about 3x faster than v[f[:, c]]
-        xi, xj, xk = (np.take(v, f[:, c], axis=0) for c in range(3))
-        e = (xj - xi, xk - xj, xi - xk)  # e[c] runs from corner c to c + 1
-        l2 = [np.einsum("ij,ij->i", ec, ec) for ec in e]
-        N = 0.5 * _cross(e[0], xk - xi)  # as TriMesh.face_area_vectors
+        f, V = mesh.faces, mesh.n_vertices
+        x0, e, N = _face_vectors(mesh.vertices, f)
+        l2 = np.stack([np.einsum("ij,ij->i", ec, ec) for ec in e])
+        self.e, self.l2 = e, l2
         self.area = np.linalg.norm(N, axis=1)
-        self.volume = float(np.einsum("ij,ij->", xi, N) / 3.0)
+        self.volume = float(np.einsum("ij,ij->", x0, N) / 3.0)
         # half-edge 3 f + c is e[c] of face f; twins have bitwise equal lengths
-        lengths = np.sqrt(np.stack(l2, axis=1)).ravel()
+        lengths = np.sqrt(l2.T).ravel()
         edge_lengths = np.empty(mesh.n_edges)
         edge_lengths[mesh._edge_of_halfedge] = lengths
         self.mean_edge = float(edge_lengths.mean())
@@ -190,6 +190,7 @@ class _Geometry:
         sign = np.where(self.H_raw < 0, -1.0, 1.0)
         self.clamped = (self.K > self.k_floor) & (self.H_raw**2 < 4.0 * self.K)
         self.H = np.where(self.clamped, sign * 2.0 * np.sqrt(np.maximum(self.K, 0.0)), self.H_raw)
+        self.splits = {}
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)

@@ -17,7 +17,7 @@ import numpy as np
 from .curvature import geometry
 from .density import f_ch
 from .errors import PhaseCountMismatch, UnknownPhase
-from .mesh import _scatter
+from .mesh import _cross, _scatter
 
 __all__ = [
     "PhaseField",
@@ -40,15 +40,17 @@ class PhaseField:
     labels : (F,) array_like of int
         One label per face, 1-based.
     n_phases : int, optional
-        Number of phases; defaults to ``max(labels)``.
+        Number of phases; defaults to ``max(labels)``; ``labels`` keeps a
+        read-only copy, so the splits stored under the field stay valid.
     """
 
     def __init__(self, labels, n_phases=None):
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.array(labels, dtype=np.int64)
         if labels.ndim != 1:
             raise PhaseCountMismatch("labels must be one integer per face")
         if labels.size and labels.min() < 1:
             raise PhaseCountMismatch("phase labels are 1-based")
+        labels.setflags(write=False)
         self.labels = labels
         self.n_phases = int(n_phases if n_phases is not None else labels.max(initial=1))
         if labels.max(initial=1) > self.n_phases:
@@ -82,15 +84,10 @@ class PhaseField:
 def vertex_phase_weights(mesh, phases):
     """(V, N) fractions splitting each vertex's mixed area between phases.
 
-    Proportional to incident face area per phase; rows sum to 1.
+    Proportional to incident face area per phase; rows sum to 1. Read-only:
+    the array of the phase split stored on the mesh's geometry record.
     """
-    phases.check(mesh)
-    n = phases.n_phases
-    areas = geometry(mesh).area
-    bins = mesh.faces * n + (phases.labels - 1)[:, None]
-    w = _scatter(bins, (areas,) * 3, mesh.n_vertices * n).reshape(mesh.n_vertices, n)
-    total = w.sum(axis=1, keepdims=True)
-    return w / np.where(total == 0, 1.0, total)
+    return _split(mesh, phases)[0]
 
 
 def canham_helfrich(mesh, curv, params, check_paths=True, rtol=1e-9):
@@ -209,8 +206,24 @@ def _interface(mesh, phases):
     iface = phases.interface_edges(mesh)
     ef = mesh.edge_faces[iface]
     ends = mesh.edges[iface]
+    # not the record's half-edge lengths: sqrt of an einsum can differ by an ulp
     length = np.linalg.norm(mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]], axis=1)
     return _Interface(iface, phases.labels[ef[:, 0]], phases.labels[ef[:, 1]], length)
+
+
+def _split(mesh, phases):
+    """Read-only (V, N) vertex phase weights and the :class:`_Interface`, once per geometry record."""
+    geo = geometry(mesh)
+    if phases not in geo.splits:
+        phases.check(mesh)
+        n = phases.n_phases
+        bins = mesh.faces * n + (phases.labels - 1)[:, None]
+        w = _scatter(bins, (geo.area,) * 3, mesh.n_vertices * n).reshape(mesh.n_vertices, n)
+        total = w.sum(axis=1, keepdims=True)
+        w /= np.where(total == 0, 1.0, total)
+        w.setflags(write=False)
+        geo.splits[phases] = w, _interface(mesh, phases)
+    return geo.splits[phases]
 
 
 def _phase_split(mesh, phases, params_list):
@@ -226,7 +239,7 @@ def _phase_split(mesh, phases, params_list):
         return None, _NO_INTERFACE
     if phases.n_phases != len(params_list):
         raise PhaseCountMismatch(f"{phases.n_phases} phases but {len(params_list)} parameter sets")
-    return vertex_phase_weights(mesh, phases), _interface(mesh, phases)
+    return _split(mesh, phases)
 
 
 def _phase_terms(mesh, a, H, K, phases, params_list):
@@ -251,10 +264,10 @@ def _phase_terms(mesh, a, H, K, phases, params_list):
 
 def boundary_mass(mesh, phases, phase_id):
     """Length of the boundary curve of one phase (0 for a whole closed mesh)."""
-    phases.check(mesh)
+    iface = _split(mesh, phases)[1]
     if not (phases.labels == phase_id).any():
         raise UnknownPhase(f"phase {phase_id} does not occur")
-    return _interface(mesh, phases).boundary_length(phase_id)
+    return iface.boundary_length(phase_id)
 
 
 def interface_kink(mesh, phases):
@@ -263,10 +276,10 @@ def interface_kink(mesh, phases):
     The discrete counterpart of the smooth no-kink condition at phase
     boundaries: refining a phase split of a smooth shape drives it to 0.
     """
-    iface = phases.interface_edges(mesh)
+    iface = _split(mesh, phases)[1].edges
     if len(iface) == 0:
         return 0.0
-    n = mesh.face_normals()
-    ef = mesh.edge_faces[iface]
-    cosang = np.clip(np.einsum("ij,ij->i", n[ef[:, 0]], n[ef[:, 1]]), -1.0, 1.0)
+    geo = geometry(mesh)
+    n0, n1 = (0.5 * _cross(geo.e[0, f], -geo.e[2, f]) / geo.area[f, None] for f in mesh.edge_faces[iface].T)
+    cosang = np.clip(np.einsum("ij,ij->i", n0, n1), -1.0, 1.0)
     return float(np.arccos(cosang).max())

@@ -12,9 +12,10 @@ the umbilic reconciliation branch), and phase area fractions. The gradient
 differentiates each branch analytically; the energy itself is continuous
 across branch boundaries.
 
-The forward quantities are read from the mesh's stored geometry record
-(``curvature.geometry``), so an energy evaluation followed by a gradient
-at the same positions computes them once. Assembly is face-elemental:
+The forward quantities, face edges and phase split included, are read
+from the mesh's stored geometry record (``curvature.geometry``), so an
+energy evaluation followed by a gradient at the same positions computes
+them once. Assembly is face-elemental:
 each face's three corner blocks are summed into the vertex gradient with
 ``np.bincount`` (``mesh._scatter``), corner by corner and faces in index
 order, so results are bitwise deterministic.
@@ -83,8 +84,8 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
         On zero-area faces or vanishing vertex normals.
     """
     geo = _checked_geometry(mesh)
-    v, f = mesh.vertices, mesh.faces
-    a, H, K, clamped, cot, nu = geo.a, geo.H, geo.K, geo.clamped, geo.cot, geo.nu
+    f = mesh.faces
+    a, H, K, clamped, cot, nu, e, l2 = geo.a, geo.H, geo.K, geo.clamped, geo.cot, geo.nu, geo.e, geo.l2
     G, G_H, G_K, w, gp, line, iface, coeff = _phase_data(mesh, phases, params_list, H, K)
     E = float(a @ G + line)
 
@@ -103,10 +104,7 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     # faces corner c + 2. A term that moves corner c by +ev[c] and corner
     # c + 1 by -ev[c] is an edge term; q[:, c] collects the coefficient of
     # d theta_c and qA the coefficient of the face area.
-    x = [np.take(v, f[:, c], axis=0) for c in range(3)]
-    e = [x[1] - x[0], x[2] - x[1], x[0] - x[2]]
-    l2 = [np.einsum("ij,ij->i", ec, ec) for ec in e]
-    nhat = 0.5 * _cross(e[0], x[2] - x[0]) / geo.area[:, None]
+    nhat = 0.5 * _cross(e[0], -e[2]) / geo.area[:, None]
     s_corner = coef_a[f]
     obtuse = geo.obtuse
     any_obt = obtuse.any(axis=1)
@@ -154,7 +152,7 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
     # line tension
     if len(iface.edges):
         ends = mesh.edges[iface.edges]
-        d = v[ends[:, 0]] - v[ends[:, 1]]
+        d = mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]]
         pull = coeff[:, None] * (d / iface.length[:, None])
         grad += _scatter(ends, (pull, -pull), mesh.n_vertices)
 

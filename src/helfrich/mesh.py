@@ -69,6 +69,20 @@ def _cross(a, b):
     return out
 
 
+def _face_vectors(vertices, faces):
+    """Corner-0 positions (F, 3), edges ``e`` (3, F, 3) and area vectors of all faces.
+
+    ``e[c]`` runs from corner c to c + 1; ``-e[2]`` equals ``x2 - x0``
+    bitwise. The face-area check and the geometry record both start here.
+    """
+    # np.take gathers rows about 3x faster than vertices[faces[:, c]]
+    x = [np.take(vertices, faces[:, c], axis=0) for c in range(3)]
+    e = np.empty((3, len(faces), 3))
+    for c in range(3):  # in place; stacking would copy all three
+        np.subtract(x[(c + 1) % 3], x[c], out=e[c])
+    return x[0], e, 0.5 * _cross(e[0], -e[2])
+
+
 class TriMesh:
     """Validated triangle mesh with half-edge adjacency.
 
@@ -204,9 +218,10 @@ class TriMesh:
 
     def _validate_face_areas(self):
         eps = AREA_EPS_FACTOR * self.bbox_diagonal**2
-        if (self.face_areas() <= eps).any():
-            bad = int(np.argmin(self.face_areas()))
-            raise DegenerateFace(f"face {bad} has area <= {eps:g}")
+        area = np.linalg.norm(_face_vectors(self.vertices, self.faces)[2], axis=1)
+        bad = int(np.argmin(area))
+        if area[bad] <= eps:
+            raise DegenerateFace(f"face {bad} has area {area[bad]:.3g} <= {eps:.3g}")
 
     # -- basic queries -----------------------------------------------------
 
@@ -254,22 +269,6 @@ class TriMesh:
         adj = coo_matrix((data, (e[:, 0], e[:, 1])), shape=(self.n_vertices,) * 2)
         self._n_components, self._component_labels = connected_components(adj, directed=False)
 
-    def face_corner_positions(self):
-        """Positions of the three corners of every face: three (F, 3) arrays."""
-        v, f = self.vertices, self.faces
-        return tuple(np.take(v, f[:, c], axis=0) for c in range(3))
-
-    def face_area_vectors(self):
-        xi, xj, xk = self.face_corner_positions()
-        return 0.5 * _cross(xj - xi, xk - xi)
-
-    def face_areas(self):
-        return np.linalg.norm(self.face_area_vectors(), axis=1)
-
-    def face_normals(self):
-        n = self.face_area_vectors()
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
-
     def total_area(self):
         from .curvature import geometry
 
@@ -299,7 +298,8 @@ class TriMesh:
         face-area check run ``_validate_face_areas`` (as ``shapes.jittered``
         does) or read ``area`` from the geometry record (as the optimizer's
         line search does). Only the connectivity attributes carry over, so
-        nothing computed from the old positions reaches the new mesh.
+        nothing computed from the old positions reaches the new mesh: its
+        geometry record, face edges and phase splits included, is its own.
         """
         new = object.__new__(TriMesh)
         v = np.ascontiguousarray(vertices, dtype=np.float64)

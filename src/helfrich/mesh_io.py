@@ -8,6 +8,7 @@ library works on in-memory meshes.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -38,28 +39,32 @@ def write_mesh(path, mesh):
 
 
 def read_off(path, allow_boundary=False):
-    """Read an OFF file (header OFF, then counts, vertices, faces)."""
+    """Read an OFF file (header OFF, then counts, vertices, faces; ``#`` starts a comment).
+
+    Malformed, non-triangle or truncated input raises MeshError naming the path.
+    """
     with open(path) as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+        tokens = re.sub(r"#[^\n]*", "", fh.read()).split()
     if not tokens or tokens[0].upper() not in ("OFF", "COFF", "NOFF"):
         raise MeshError(f"{path}: missing OFF header")
-    pos = 1
-    nv, nf = int(tokens[pos]), int(tokens[pos + 1])
-    pos += 3  # vertex, face, edge counts
-    verts = np.array(tokens[pos : pos + 3 * nv], dtype=np.float64).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        k = int(tokens[pos])
-        if k != 3:
-            raise MeshError(f"{path}: non-triangle face with {k} vertices")
-        faces.append([int(t) for t in tokens[pos + 1 : pos + 4]])
-        pos += 1 + k
-    return TriMesh(verts, np.array(faces, dtype=np.int64), allow_boundary=allow_boundary)
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])  # then the edge count
+        if nv < 0 or nf < 0:
+            raise MeshError(f"{path}: negative vertex or face count")
+        start, end = 4 + 3 * nv, 4 + 3 * nv + 4 * nf
+        if len(tokens) < start:
+            raise MeshError(f"{path}: truncated vertex section: {nv} vertices declared")
+        verts = np.array(tokens[4:start], dtype=np.float64).reshape(nv, 3)
+        # while every face before it is a triangle, face i's count is token 4 i
+        counts = np.array(tokens[start:end:4], dtype=np.int64)
+        if (counts != 3).any():
+            raise MeshError(f"{path}: non-triangle face with {counts[np.argmax(counts != 3)]} vertices")
+        if len(tokens) < end:
+            raise MeshError(f"{path}: truncated face section: {nf} faces declared")
+        faces = np.array(tokens[start:end], dtype=np.int64).reshape(nf, 4)[:, 1:]
+    except (ValueError, IndexError) as err:
+        raise MeshError(f"{path}: malformed OFF counts or numbers") from err
+    return TriMesh(verts, faces, allow_boundary=allow_boundary)
 
 
 def write_off(path, mesh):

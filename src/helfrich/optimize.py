@@ -248,10 +248,9 @@ class _Constraints:
         v, f, V = mesh.vertices, mesh.faces, mesh.n_vertices
         if self.per_phase:
             P = len(self.cs.phase_areas)
-            xi, xj, xk = mesh.face_corner_positions()
             # phase p's faces scatter into bins p * V .. p * V + V - 1
             bins = f + V * (self.phases.labels - 1)[:, None]
-            L = _scatter(bins, _cotan_corners(geo.cot, (xj - xi, xk - xj, xi - xk)), P * V)
+            L = _scatter(bins, _cotan_corners(geo.cot, geo.e), P * V)
             grads = [L[i * V : (i + 1) * V] / (2.0 * t) for i, t in enumerate(self.cs.phase_areas)]
         else:
             grads = [geo.L / (2.0 * self.cs.area)]

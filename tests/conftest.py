@@ -46,6 +46,14 @@ def rotation_matrix(seed=0):
     )
 
 
+def face_corners(mesh):
+    """Positions of the three corners of every face: three (F, 3) arrays.
+
+    The oracles gather them here, apart from the geometry record.
+    """
+    return tuple(mesh.vertices[mesh.faces[:, c]] for c in range(3))
+
+
 def sample_mesh(kind, seed, shift=(0.0, 0.0, 0.0), amplitude=0.02):
     """Jittered closed ``icosphere(2)`` or open ``flat_patch(4)``, translated by ``shift``.
 

@@ -153,6 +153,18 @@ def test_vertex_phase_weights_partition(split_sphere):
     assert (w >= 0).all()
 
 
+def test_phase_labels_are_a_read_only_copy(split_sphere):
+    mesh, labels = split_sphere
+    mine = labels.copy()
+    phases = PhaseField(mine)
+    params = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
+    before = total_energy(mesh, phases, params)
+    mine[:] = 1  # the caller's array, after construction
+    assert total_energy(mesh.with_vertices(mesh.vertices), phases, params) == before
+    with pytest.raises(ValueError):
+        phases.labels[0] = 2
+
+
 def test_kink_decreases_under_refinement():
     kinks = []
     for level in (2, 3, 4):

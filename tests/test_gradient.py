@@ -1,13 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from helfrich import shapes
 from helfrich.curvature import geometry
 from helfrich.density import MaterialParams
-from helfrich.energy import PhaseField, multiphase_energy, canham_helfrich
+from helfrich.constraints import ConstraintSet
+from helfrich.energy import PhaseField, interface_kink, multiphase_energy, canham_helfrich
 from helfrich.curvature import curvature_field
 from helfrich.errors import DegenerateConfiguration, PhaseCountMismatch
 from helfrich.gradient import energy_and_gradient, total_energy
+from helfrich.optimize import _Constraints
 
 from conftest import rotation_matrix
 
@@ -142,3 +146,31 @@ def test_parameter_count_mismatch_is_named(route):
         route(mesh, phases, [one])
     with pytest.raises(PhaseCountMismatch, match="2 phases but 3 parameter sets"):
         route(mesh, phases, [one, two, two])
+
+
+def test_two_phase_outputs_pinned():
+    """Bitwise values of the two-phase routes on a jittered icosphere(3).
+
+    Pinned when each route gathered its own face corners; every route now
+    reads the geometry record's edges and the stored phase split, and the
+    bits must not move.
+    """
+    base = shapes.icosphere(3)
+    phases = PhaseField(shapes.equator_phase_labels(base))
+    mesh = shapes.jittered(base, 0.01, seed=5)
+    params = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
+
+    def sha(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    E, grad = energy_and_gradient(mesh, phases, params)
+    assert E.hex() == "0x1.22ea11cfa6848p+6"
+    assert sha(grad) == "6f5462dc4e23f7408a67c27c74bfd6f44099adb3582e2a320cd2db3adec7518a"
+    assert multiphase_energy(mesh, curvature_field(mesh), phases, params).total.hex() == "0x1.22ea11cfa6849p+6"
+    assert interface_kink(mesh, phases).hex() == "0x1.b3ca6edec14e2p-2"
+    cs = ConstraintSet(area=4 * np.pi, volume=4.0, phase_areas=(2 * np.pi, 2 * np.pi))
+    assert [sha(g) for g in _Constraints(phases, cs).gradients(mesh)] == [
+        "b3ea5411dfb76e6c829fd9fad18561a798f1ef9b8bd8fac272610e2e365702d6",
+        "f701574247b3ccb5ed7a6bb65e13ca9ee816a92a41215fb18389de9c9cade16c",
+        "31819517a8aca1e410d5993baecf5073885309a6572b8bf726ca558f8eb9532c",
+    ]

@@ -25,7 +25,7 @@ from helfrich.mesh import (
 )
 from helfrich.shapes import _ICO_FACES, _ICO_VERTS
 
-from conftest import rotation_matrix, sample_mesh
+from conftest import face_corners, rotation_matrix, sample_mesh
 
 
 def test_octahedron_valid():
@@ -203,8 +203,9 @@ def test_index_and_reference_validation():
 
 def test_degenerate_face_rejected():
     verts = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]
-    with pytest.raises(DegenerateFace):
-        build_mesh(verts, [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)])
+    # face 3 is flat; the threshold is 1e-12 * bbox_diagonal^2 = 5e-12
+    with pytest.raises(DegenerateFace, match=r"^face 3 has area 0 <= 5e-12$"):
+        build_mesh(verts, [(0, 2, 3), (0, 3, 1), (1, 3, 2), (0, 1, 2)])
 
 
 def test_open_mesh_needs_flag():
@@ -258,7 +259,7 @@ def test_enclosed_volume_orientation_antisymmetry(icosphere4):
 @example(seed=0, shift=np.array([0.5, 0.5, 5e-324]), amplitude=0.0)
 def test_record_volume_and_mean_edge_match_oracles(kind, seed, shift, amplitude):
     mesh = sample_mesh(kind, seed, shift, amplitude)
-    xi, xj, xk = mesh.face_corner_positions()
+    xi, xj, xk = face_corners(mesh)
     # divergence-theorem determinant sum and the mean over the edge list
     det = np.einsum("ij,ij->i", xi, np.cross(xj, xk))
     e = mesh.edges

@@ -60,3 +60,38 @@ def test_bad_files_rejected(tmp_path):
         read_obj(q)
     with pytest.raises(MeshError):
         read_mesh(tmp_path / "mesh.stl")
+
+
+def _tet_off_lines():
+    tet = shapes.tetrahedron()
+    return ["OFF", "4 4 6"] + [f"{x} {y} {z}" for x, y, z in tet.vertices] + [f"3 {a} {b} {c}" for a, b, c in tet.faces]
+
+
+def test_off_comment_inside_a_record(tmp_path):
+    lines = _tet_off_lines()
+    x, y, z = lines[2].split()
+    lines[2] = f"{x} {y} # z follows on the next line\n{z}"
+    lines[6] = lines[6].replace("3 ", "3 # count, then the indices\n", 1)
+    path = tmp_path / "mid.off"
+    path.write_text("\n".join(lines) + "\n")
+    mesh = read_off(path)
+    tet = shapes.tetrahedron()
+    assert np.array_equal(mesh.vertices, tet.vertices)
+    assert np.array_equal(mesh.faces, tet.faces)
+
+
+def test_off_quad_face_named(tmp_path):
+    lines = _tet_off_lines()
+    lines[7] = "4 0 1 2 3"  # the second face
+    path = tmp_path / "quad.off"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match="non-triangle face with 4 vertices"):
+        read_off(path)
+
+
+@pytest.mark.parametrize("keep, section", [(4, "vertex"), (8, "face")])
+def test_off_truncated_file_names_the_path(tmp_path, keep, section):
+    path = tmp_path / "cut.off"
+    path.write_text("\n".join(_tet_off_lines()[:keep]) + "\n")
+    with pytest.raises(MeshError, match=rf"cut\.off: truncated {section} section"):
+        read_off(path)

@@ -38,7 +38,7 @@ from helfrich.optimize import (
     reduced_volume,
 )
 
-from conftest import rotation_matrix, sample_mesh
+from conftest import face_corners, rotation_matrix, sample_mesh
 
 WILLMORE = [MaterialParams(1.0, 0.0, 0.0)]
 
@@ -170,8 +170,9 @@ def _cross_product_gradients(mesh, phases, cs):
     Area: d A_f / d x_c = n_f x (x_{c+2} - x_{c+1}) / 2; volume: the
     determinant sum's d / d x_c = x_{c+1} x x_{c+2} / 6.
     """
-    x = mesh.face_corner_positions()
-    nhat = mesh.face_normals()
+    x = face_corners(mesh)
+    n = np.cross(x[1] - x[0], x[2] - x[0])
+    nhat = n / np.linalg.norm(n, axis=1, keepdims=True)
     f, V = mesh.faces, mesh.n_vertices
 
     def scatter(sel, blocks):
@@ -191,12 +192,12 @@ def _cross_product_gradients(mesh, phases, cs):
 
 def _arcsin_guard(mesh):
     """Longest over shortest edge and the smallest corner angle in degrees, via arcsin (oracle)."""
-    xi, xj, xk = mesh.face_corner_positions()
+    xi, xj, xk = face_corners(mesh)
     e1 = np.linalg.norm(xj - xi, axis=1)
     e2 = np.linalg.norm(xk - xj, axis=1)
     e3 = np.linalg.norm(xi - xk, axis=1)
     ratio = max(e1.max(), e2.max(), e3.max()) / min(e1.min(), e2.min(), e3.min())
-    area2 = 2.0 * mesh.face_areas()
+    area2 = np.linalg.norm(np.cross(xj - xi, xk - xi), axis=1)
     min_deg = min(
         np.degrees(np.arcsin(np.clip(area2 / (b * c), 0.0, 1.0))).min()
         for b, c in ((e2, e3), (e3, e1), (e1, e2))
@@ -299,14 +300,37 @@ def test_trajectory_energy_terms_match_energy_report(monkeypatch, two_phase):
         assert (point.line_tension > 0) == two_phase
 
 
+def test_two_phase_run_builds_each_phase_split_once(monkeypatch):
+    import helfrich.energy as energy
+
+    seen = []  # the meshes themselves, so no id is reused
+
+    def recording(build):
+        def wrapper(mesh, phases):
+            seen.append(mesh)
+            return build(mesh, phases)
+        return wrapper
+
+    for name in ("_interface", "vertex_phase_weights"):
+        monkeypatch.setattr(energy, name, recording(getattr(energy, name)))
+    mesh = shapes.jittered(shapes.octasphere(3), 0.01, seed=5)
+    phases = PhaseField(shapes.equator_phase_labels(mesh))
+    params = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
+    cs = ConstraintSet(area=4 * np.pi, volume=4.0, phase_areas=(2 * np.pi, 2 * np.pi))
+    state = minimize(mesh, phases, params, cs, RunConfig(max_iterations=12))
+    assert len(seen) > state.iteration
+    assert len({id(m) for m in seen}) == len(seen)
+
+
 def test_trajectory_reports_mesh_quality():
     mesh = sample_mesh("sphere", 3)
     cs = ConstraintSet(area=4 * np.pi, volume=4.0)
     first = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=1)).trajectory[0]
     ratio, min_deg = _arcsin_guard(mesh)
-    xi, xj, xk = mesh.face_corner_positions()
+    xi, xj, xk = face_corners(mesh)
     vol = np.einsum("ij,ij->", xi, np.cross(xj, xk)) / 6.0
-    iso = 36.0 * np.pi * vol**2 / mesh.face_areas().sum() ** 3
+    area = 0.5 * np.linalg.norm(np.cross(xj - xi, xk - xi), axis=1).sum()
+    iso = 36.0 * np.pi * vol**2 / area**3
     assert abs(first.max_edge_ratio - ratio) <= 1e-14 * ratio
     assert abs(first.min_angle_deg - min_deg) <= 1e-10 * min_deg
     assert abs(first.iso_quotient - iso) <= 1e-12 * iso
