@@ -82,14 +82,18 @@ def build_parser():
     parser = _Parser(prog="helfrich", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each subcommand registers only the flags it reads, so a flag it
+    # would ignore is an error rather than a silent no-op
+    def common(p, phases=True, material=True):
         p.add_argument("--config", help="JSON run configuration; flags override its fields")
         p.add_argument("--mesh", help="input mesh (.off or .obj)")
-        p.add_argument("--phases", help="per-face integer phase labels, one per line")
-        p.add_argument("--beta", help="bending rigidity, comma-separated per phase")
-        p.add_argument("--gamma", help="Gaussian rigidity, comma-separated per phase")
-        p.add_argument("--h0", help="spontaneous curvature, comma-separated per phase")
-        p.add_argument("--sigma", help="line tension, comma-separated per phase")
+        if phases:
+            p.add_argument("--phases", help="per-face integer phase labels, one per line")
+        if material:
+            p.add_argument("--beta", help="bending rigidity, comma-separated per phase")
+            p.add_argument("--gamma", help="Gaussian rigidity, comma-separated per phase")
+            p.add_argument("--h0", help="spontaneous curvature, comma-separated per phase")
+            p.add_argument("--sigma", help="line tension, comma-separated per phase")
         p.add_argument("--out", help="output file (default: stdout)")
 
     p_eval = sub.add_parser("eval", help="energy report for a mesh")
@@ -111,13 +115,13 @@ def build_parser():
     p_min.add_argument("--out-dir", default=None, help="directory for trajectory/final mesh")
 
     p_ver = sub.add_parser("verify", help="inequality verification suite")
-    common(p_ver)
+    common(p_ver, phases=False, material=False)
     p_ver.add_argument("--corpus", action="store_true", help="run the shipped corpus")
     p_ver.add_argument("--n-fields", type=_nonnegative_int, default=20)
     p_ver.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p_ovl = sub.add_parser("overlap", help="no-overlap scaling check")
-    common(p_ovl)
+    common(p_ovl, material=False)
     p_ovl.add_argument("--mesh-b", help="second mesh (defaults to phase split of --mesh)")
     p_ovl.add_argument("--phase-a", type=int, default=1)
     p_ovl.add_argument("--phase-b", type=int, default=2)
@@ -169,11 +173,15 @@ def _material_params(args, cfg):
     ]
 
 
-def _read_inputs(args, cfg, allow_boundary=False):
+def _mesh_path(args, cfg):
     mesh_path = _option(args, cfg, "mesh")
     if not mesh_path:
         raise HelfrichError("--mesh (or config mesh) is required")
-    mesh = read_mesh(mesh_path, allow_boundary=allow_boundary)
+    return mesh_path
+
+
+def _read_inputs(args, cfg):
+    mesh = read_mesh(_mesh_path(args, cfg))
     phases = None
     labels_path = _option(args, cfg, "phases") or cfg.get("phase_labels")
     if labels_path:
@@ -306,11 +314,9 @@ def cmd_verify(args):
         for name, (mesh, labels) in standard_corpus().items():
             reports.append(standard_report(mesh, name, n_fields=args.n_fields, seed=args.seed))
     else:
-        mesh, _ = _read_inputs(args, cfg)
+        mesh_path = _mesh_path(args, cfg)
         reports.append(
-            standard_report(
-                mesh, _option(args, cfg, "mesh"), n_fields=args.n_fields, seed=args.seed
-            )
+            standard_report(read_mesh(mesh_path), mesh_path, n_fields=args.n_fields, seed=args.seed)
         )
     payload = {"all_pass": all(r.all_pass for r in reports), "reports": [r.to_dict() for r in reports]}
     _emit(args, payload)

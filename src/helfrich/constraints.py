@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curvature import _cotan_corners, geometry
+from .energy import vertex_phase_weights
 from .errors import InsufficientSamples, NonPositiveTarget, PhaseCountMismatch, UnknownPhase
+from .mesh import _cross, _scatter
 
 __all__ = [
     "ConstraintSet",
@@ -128,9 +131,6 @@ def phase_support(mesh, phases, phase_id):
     UnknownPhase
         If ``phase_id`` lies outside 1..n_phases.
     """
-    from .curvature import geometry
-    from .energy import vertex_phase_weights
-
     if not 1 <= phase_id <= phases.n_phases:
         raise UnknownPhase(f"phase {phase_id} is not in 1..{phases.n_phases}")
     w = vertex_phase_weights(mesh, phases)[:, phase_id - 1] * geometry(mesh).a
@@ -298,6 +298,62 @@ def no_overlap_check(support_a, support_b, eps0, n_eps=6, eps_min=None):
     return OverlapVerdict(passed, slope, radii, measures, bounds, float(eps0))
 
 
+class _Constraints:
+    """Relative area/volume (and per-phase area) constraints with gradients."""
+
+    def __init__(self, phases, cs):
+        self.cs = cs
+        self.phases = phases
+        self.per_phase = cs.phase_areas is not None
+
+    def values(self, mesh):
+        geo = geometry(mesh)
+        vals = []
+        if self.per_phase:
+            per = np.bincount(self.phases.labels - 1, weights=geo.area, minlength=len(self.cs.phase_areas))
+            vals.extend(
+                (float(per[i]) - t) / t for i, t in enumerate(self.cs.phase_areas)
+            )
+        else:
+            vals.append((float(geo.area.sum()) - self.cs.area) / self.cs.area)
+        vals.append((geo.volume - self.cs.volume) / self.cs.volume)
+        return np.array(vals)
+
+    def gradients(self, mesh):
+        """List of (V, 3) gradients matching :meth:`values`, from the geometry record.
+
+        Area: grad A = L / 2, L the record's cotangent vector (Meyer,
+        Desbrun, Schroeder & Barr 2003). The identity holds face by face,
+        so it is exact on open meshes too, and a phase's area gradient is
+        L / 2 summed over that phase's faces only.
+
+        Volume: grad vol = Nv / 3, Nv the sum of the area vectors of the
+        faces around a vertex. This holds where the vertex star is closed;
+        at a rim vertex v the faces' edges x_j - x_k (j, k the other two
+        corners in order) no longer cancel, and the exact gradient adds
+        -x_v x sum_f (x_j - x_k) / 6.
+        """
+        geo = geometry(mesh)
+        v, f, V = mesh.vertices, mesh.faces, mesh.n_vertices
+        if self.per_phase:
+            P = len(self.cs.phase_areas)
+            # phase p's faces scatter into bins p * V .. p * V + V - 1
+            bins = f + V * (self.phases.labels - 1)[:, None]
+            L = _scatter(bins, _cotan_corners(geo.cot, geo.e), P * V)
+            grads = [L[i * V : (i + 1) * V] / (2.0 * t) for i, t in enumerate(self.cs.phase_areas)]
+        else:
+            grads = [geo.L / (2.0 * self.cs.area)]
+        dvol = geo.nu * geo.Nv_norm[:, None]
+        if len(mesh.boundary_vertices):
+            rim = mesh.half_edge_twin < 0
+            o, d = mesh.half_edge_origin[rim], mesh.half_edge_dest[rim]
+            # sum_f (x_j - x_k) telescopes to the two rim neighbours
+            ends = _scatter(np.column_stack([o, d]), (v[d], -v[o]), V)
+            dvol = dvol - 0.5 * _cross(v, ends)
+        grads.append(dvol / (3.0 * self.cs.volume))
+        return grads
+
+
 @dataclass(frozen=True)
 class ConstraintResiduals:
     """Relative residuals against a :class:`ConstraintSet`."""
@@ -305,7 +361,7 @@ class ConstraintResiduals:
     area: float
     volume: float
     phase_areas: tuple
-    boundary_mass: float  # total open-boundary length; 0 on closed meshes
+    boundary_mass: float  # open-rim length, see constraint_residuals
 
     @property
     def max_abs(self):
@@ -323,18 +379,16 @@ class ConstraintResiduals:
 
 
 def constraint_residuals(mesh, phases, cs):
-    """Relative area/volume residuals and the phase-sum boundary mass."""
-    from .curvature import geometry
+    """Relative area/volume residuals and the open-rim length of the mesh.
 
-    geo = geometry(mesh)
-    res_phase = ()
+    The per-phase area and volume residuals are the optimizer's own
+    :meth:`_Constraints.values`. ``boundary_mass`` is the total length of
+    the mesh's boundary edges (edges with one incident face), so it is 0
+    on every closed mesh; it is not the length of a phase's boundary
+    curve, which is :func:`helfrich.energy.boundary_mass`.
+    """
     cs.check_phases(mesh, phases)
-    if cs.phase_areas is not None:
-        per_phase = np.bincount(phases.labels - 1, weights=geo.area, minlength=phases.n_phases)
-        res_phase = tuple(
-            (float(per_phase[i]) - cs.phase_areas[i]) / cs.phase_areas[i]
-            for i in range(phases.n_phases)
-        )
+    *per_phase, volume = _Constraints(phases, cs).values(mesh).tolist()
     boundary_he = mesh.half_edge_twin < 0
     blen = float(
         np.linalg.norm(
@@ -344,8 +398,8 @@ def constraint_residuals(mesh, phases, cs):
         ).sum()
     )
     return ConstraintResiduals(
-        area=(float(geo.area.sum()) - cs.area) / cs.area,
-        volume=(geo.volume - cs.volume) / cs.volume,
-        phase_areas=res_phase,
+        area=(float(geometry(mesh).area.sum()) - cs.area) / cs.area,
+        volume=volume,
+        phase_areas=tuple(per_phase) if cs.phase_areas is not None else (),
         boundary_mass=blen,
     )

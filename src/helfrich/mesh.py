@@ -32,7 +32,7 @@ AREA_EPS_FACTOR = 1e-12
 _CONNECTIVITY = (
     "faces", "allow_boundary", "half_edge_origin", "half_edge_dest", "half_edge_twin",
     "half_edge_face", "half_edge_next", "edges", "edge_faces", "_edge_of_halfedge",
-    "boundary_vertices", "_n_components", "_component_labels", "_nbr_csr",
+    "boundary_vertices", "_n_components", "_nbr_csr",
 )
 
 
@@ -81,6 +81,31 @@ def _face_vectors(vertices, faces):
     for c in range(3):  # in place; stacking would copy all three
         np.subtract(x[(c + 1) % 3], x[c], out=e[c])
     return x[0], e, 0.5 * _cross(e[0], -e[2])
+
+
+def _count_components(edges, n):
+    """Number of connected components of the graph on ``n`` nodes with ``edges`` (E, 2).
+
+    Hook and compress (Shiloach & Vishkin, J. Algorithms 3, 1982) on a
+    forest with ``parent[v] <= v`` whose roots are their own parents.
+    Each round every root hooks onto the smallest root it shares an edge
+    with, then pointer jumping flattens every tree to a star, so the next
+    round again reads roots at both ends of each edge. While an edge joins
+    two trees its larger root gets a strictly smaller parent, so the
+    rounds end when both ends of every edge share a root; edges inside a
+    tree are dropped as they appear. The roots left count the components.
+    """
+    parent = np.arange(n)
+    a, b = edges.T
+    while len(a):
+        pa, pb = parent[a], parent[b]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
+        split = parent[a] != parent[b]
+        a, b = a[split], b[split]
+    return int(np.count_nonzero(parent == np.arange(n)))
 
 
 class TriMesh:
@@ -247,7 +272,9 @@ class TriMesh:
 
     @property
     def n_components(self):
-        self._compute_components()
+        """Connected components of the edge graph, counted once per connectivity."""
+        if not hasattr(self, "_n_components"):
+            self._n_components = _count_components(self.edges, self.n_vertices)
         return self._n_components
 
     @property
@@ -258,16 +285,6 @@ class TriMesh:
     @property
     def bbox_diagonal(self):
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
-
-    def _compute_components(self):
-        if hasattr(self, "_n_components"):
-            return
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
-        e = self.edges
-        data = np.ones(len(e), dtype=np.int8)
-        adj = coo_matrix((data, (e[:, 0], e[:, 1])), shape=(self.n_vertices,) * 2)
-        self._n_components, self._component_labels = connected_components(adj, directed=False)
 
     def total_area(self):
         from .curvature import geometry

@@ -24,8 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import constraint_residuals, isoperimetric_check, no_overlap_check, phase_support
-from .curvature import _cotan_corners, curvature_field, geometry
+from .constraints import (
+    _Constraints,
+    constraint_residuals,
+    isoperimetric_check,
+    no_overlap_check,
+    phase_support,
+)
+from .curvature import curvature_field, geometry
 from .energy import _phase_terms, multiphase_energy
 from .errors import (
     DegenerateConfiguration,
@@ -38,7 +44,7 @@ from .errors import (
     QualityCollapse,
 )
 from .gradient import energy_and_gradient, total_energy
-from .mesh import AREA_EPS_FACTOR, _cross, _scatter
+from .mesh import AREA_EPS_FACTOR
 
 __all__ = [
     "RunConfig",
@@ -207,62 +213,6 @@ def _two_loop(g, pairs):
     for (s, y, r), alpha in zip(pairs, reversed(alphas)):
         q += (alpha - r * (y @ q)) * s
     return -q.reshape(g.shape)
-
-
-class _Constraints:
-    """Relative area/volume (and per-phase area) constraints with gradients."""
-
-    def __init__(self, phases, cs):
-        self.cs = cs
-        self.phases = phases
-        self.per_phase = cs.phase_areas is not None
-
-    def values(self, mesh):
-        geo = geometry(mesh)
-        vals = []
-        if self.per_phase:
-            per = np.bincount(self.phases.labels - 1, weights=geo.area, minlength=len(self.cs.phase_areas))
-            vals.extend(
-                (float(per[i]) - t) / t for i, t in enumerate(self.cs.phase_areas)
-            )
-        else:
-            vals.append((float(geo.area.sum()) - self.cs.area) / self.cs.area)
-        vals.append((geo.volume - self.cs.volume) / self.cs.volume)
-        return np.array(vals)
-
-    def gradients(self, mesh):
-        """List of (V, 3) gradients matching :meth:`values`, from the geometry record.
-
-        Area: grad A = L / 2, L the record's cotangent vector (Meyer,
-        Desbrun, Schroeder & Barr 2003). The identity holds face by face,
-        so it is exact on open meshes too, and a phase's area gradient is
-        L / 2 summed over that phase's faces only.
-
-        Volume: grad vol = Nv / 3, Nv the sum of the area vectors of the
-        faces around a vertex. This holds where the vertex star is closed;
-        at a rim vertex v the faces' edges x_j - x_k (j, k the other two
-        corners in order) no longer cancel, and the exact gradient adds
-        -x_v x sum_f (x_j - x_k) / 6.
-        """
-        geo = geometry(mesh)
-        v, f, V = mesh.vertices, mesh.faces, mesh.n_vertices
-        if self.per_phase:
-            P = len(self.cs.phase_areas)
-            # phase p's faces scatter into bins p * V .. p * V + V - 1
-            bins = f + V * (self.phases.labels - 1)[:, None]
-            L = _scatter(bins, _cotan_corners(geo.cot, geo.e), P * V)
-            grads = [L[i * V : (i + 1) * V] / (2.0 * t) for i, t in enumerate(self.cs.phase_areas)]
-        else:
-            grads = [geo.L / (2.0 * self.cs.area)]
-        dvol = geo.nu * geo.Nv_norm[:, None]
-        if len(mesh.boundary_vertices):
-            rim = mesh.half_edge_twin < 0
-            o, d = mesh.half_edge_origin[rim], mesh.half_edge_dest[rim]
-            # sum_f (x_j - x_k) telescopes to the two rim neighbours
-            ends = _scatter(np.column_stack([o, d]), (v[d], -v[o]), V)
-            dvol = dvol - 0.5 * _cross(v, ends)
-        grads.append(dvol / (3.0 * self.cs.volume))
-        return grads
 
 
 def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):

@@ -193,6 +193,33 @@ def test_verify_corpus_report_repeats_bytewise(workdir):
     assert (workdir / "corpus1.json").read_bytes() == (workdir / "corpus2.json").read_bytes()
 
 
+VERIFY = ["verify", "--n-fields", "1"]
+OVERLAP = ["overlap", "--eps0", "0.15"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        (VERIFY, ["--beta", "5", "--gamma", "-100"]),  # outside the convexity window
+        (VERIFY, ["--h0", "1"]),
+        (VERIFY, ["--sigma", "1"]),
+        (VERIFY, ["--phases", "labels.txt"]),
+        (OVERLAP, ["--beta", "1"]),
+        (OVERLAP, ["--gamma", "-0.5"]),
+        (OVERLAP, ["--h0", "1"]),
+        (OVERLAP, ["--sigma", "1"]),
+    ],
+    ids=lambda x: x[0] if x in (VERIFY, OVERLAP) else x[0].lstrip("-"),
+)
+def test_flags_a_subcommand_never_reads_are_rejected(workdir, capsys, command, flags):
+    # verify reports the mesh alone and overlap compares phase supports; a
+    # material or phase flag given to them would change nothing, so it fails
+    assert run([*command, "--mesh", workdir / "split.off", *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: helfrich {command[0]}")
+    assert err[-1] == f"helfrich {command[0]}: error: unrecognized arguments: {' '.join(flags)}"
+
+
 def test_unknown_flag_is_reported_by_its_subcommand(capsys):
     assert run(["eval", "--beta", "1", "--no-such-flag"]) == 1
     err = capsys.readouterr().err.splitlines()

@@ -5,6 +5,7 @@ from helfrich import shapes
 from helfrich.constraints import (
     ConstraintSet,
     PhaseSupport,
+    _Constraints,
     constraint_residuals,
     isoperimetric_check,
     no_overlap_check,
@@ -161,3 +162,11 @@ def test_constraint_residuals_per_phase(split_sphere):
     )
     res = constraint_residuals(mesh, PhaseField(labels), cs)
     assert np.abs(res.phase_areas).max() < 1e-12
+    # the end-of-run report and the optimizer's constraint values agree bitwise
+    cs = ConstraintSet(area=12.0, volume=4.0, phase_areas=(5.0, 7.0))
+    res = constraint_residuals(mesh, PhaseField(labels), cs)
+    vals = _Constraints(PhaseField(labels), cs).values(mesh)
+    assert vals.tobytes() == np.array([*res.phase_areas, res.volume]).tobytes()
+    assert res.phase_areas[0] != res.phase_areas[1]
+    total = _Constraints(None, ConstraintSet(area=12.0, volume=4.0)).values(mesh)
+    assert total.tobytes() == np.array([res.area, res.volume]).tobytes()

@@ -174,3 +174,24 @@ def test_two_phase_outputs_pinned():
         "f701574247b3ccb5ed7a6bb65e13ca9ee816a92a41215fb18389de9c9cade16c",
         "31819517a8aca1e410d5993baecf5073885309a6572b8bf726ca558f8eb9532c",
     ]
+
+
+def test_single_phase_none_equals_uniform_bitwise():
+    """``phases=None`` is a fast path, not a different energy.
+
+    With h0, gamma and sigma all nonzero, ``PhaseField.uniform`` (whose
+    split weights are all 1 and whose interface is empty) gives the same
+    bits as ``None`` for the energy, its gradient and the report total.
+    """
+    mesh = shapes.jittered(shapes.icosphere(4), 0.01, seed=3)
+    params = [MaterialParams(1.0, -0.5, 0.3, 0.2)]
+    uniform = PhaseField.uniform(mesh)
+    E0, g0 = energy_and_gradient(mesh, None, params)
+    E1, g1 = energy_and_gradient(mesh, uniform, params)
+    assert E0.hex() == E1.hex()
+    assert g0.tobytes() == g1.tobytes()
+    curv = curvature_field(mesh)
+    assert (
+        multiphase_energy(mesh, curv, None, params).total.hex()
+        == multiphase_energy(mesh, curv, uniform, params).total.hex()
+    )

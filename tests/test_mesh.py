@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from helfrich import shapes
 from helfrich.curvature import curvature_field
@@ -16,6 +18,7 @@ from helfrich.errors import (
 from helfrich.gradient import energy_and_gradient
 from helfrich.mesh import (
     TriMesh,
+    _count_components,
     _cross,
     _max_pair_d2,
     _scatter,
@@ -234,6 +237,65 @@ def test_pinched_vertex_rejected():
     with pytest.raises(NonManifold, match="pinched vertex 0"):
         build_mesh(verts, [(0, 1, 2), (0, 3, 4)], allow_boundary=True)
     assert not _same_link_verdict(verts, [(0, 1, 2), (0, 3, 4)])
+
+
+def _scipy_components(edges, n):
+    """Component count of a graph by scipy's breadth-first search."""
+    adj = coo_matrix((np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    return connected_components(adj, directed=False)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_count_components_matches_scipy_on_any_graph(data):
+    # paths through a random node order (some edges cut) make deep trees, where a
+    # round that stops pointer jumping early loses a hook; random extra
+    # edges add self-loops, repeats and either orientation
+    n = data.draw(st.integers(1, 60), label="n")
+    order = np.array(data.draw(st.permutations(range(n)), label="order"), dtype=np.int64)
+    cut = data.draw(hnp.arrays(np.bool_, max(n - 1, 0)), label="cut")
+    extra = data.draw(
+        hnp.arrays(np.int64, st.tuples(st.integers(0, 20), st.just(2)), elements=st.integers(0, n - 1)),
+        label="extra",
+    )
+    edges = np.vstack([np.column_stack([order[:-1], order[1:]])[~cut], extra])
+    assert _count_components(edges, n) == _scipy_components(edges, n)
+
+
+def _disjoint_union(meshes):
+    verts, faces, offset = [], [], 0
+    for k, m in enumerate(meshes):
+        verts.append(m.vertices + np.array([3.0 * k, 0.0, 0.0]))
+        faces.append(m.faces + offset)
+        offset += m.n_vertices
+    return TriMesh(np.vstack(verts), np.vstack(faces))
+
+
+def _component_cases():
+    """name -> (mesh, known component count)."""
+    cases = {name: (mesh, 1) for name, (mesh, _) in shapes.standard_corpus().items()}
+    cases["two_spheres_touching"] = (shapes.two_spheres_touching(), 2)
+    spheres = [shapes.icosphere(1), shapes.octasphere(2), shapes.icosphere(2), shapes.octahedron()]
+    for k in range(1, 5):
+        cases[f"union{k}"] = (_disjoint_union(spheres[:k]), k)
+    return cases
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_components_and_genus_match_scipy(seed):
+    # hook-and-compress is order dependent in its rounds, not its answer:
+    # random vertex numberings change which roots hook where
+    for name, (mesh, known) in _component_cases().items():
+        perm = np.arange(mesh.n_vertices)
+        if seed is not None:
+            perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+        verts = np.empty_like(mesh.vertices)
+        verts[perm] = mesh.vertices
+        fresh = TriMesh(verts, perm[mesh.faces])  # no cached count
+        count = _scipy_components(fresh.edges, fresh.n_vertices)
+        assert count == known, name
+        assert fresh.n_components == count, name
+        assert fresh.genus == count - fresh.euler_characteristic // 2, name
 
 
 def test_enclosed_volume_cube_exact():

@@ -418,12 +418,14 @@ def test_multiphase_initial_phase_areas_sanity(split_sphere):
 
 
 def test_optimizer_path_does_not_import_scipy_sparse():
-    # scipy.sparse adds ~8 MiB of resident memory to a process that never needs it
+    # numpy is the only runtime dependency: neither the optimizer nor the
+    # verify report, which counts each mesh's components, loads scipy
     code = textwrap.dedent(
         """
+        import os
         import sys
         import numpy as np
-        from helfrich import shapes
+        from helfrich import cli, shapes
         from helfrich.constraints import ConstraintSet
         from helfrich.density import MaterialParams
         from helfrich.gradient import energy_and_gradient
@@ -434,7 +436,8 @@ def test_optimizer_path_does_not_import_scipy_sparse():
         energy_and_gradient(mesh, None, params)
         cs = ConstraintSet(area=4 * np.pi, volume=4 * np.pi / 3)
         minimize(mesh, None, params, cs, RunConfig(max_iterations=2))
-        print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+        assert cli.main(["verify", "--corpus", "--n-fields", "1", "--out", os.devnull]) == 0
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         """
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
