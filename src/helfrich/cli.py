@@ -8,12 +8,14 @@ verify    inequality suite on a mesh or the shipped corpus; JSON report
 overlap   no-overlap scaling check between two phase supports
 hessian   9x9 density Hessian, eigenvalues, and convexity verdict
 
-``--config file.json`` supplies a JSON run configuration; individual flags
-override config fields. The keys ``run.seed`` and ``constraints.tol`` of
-older configs are accepted and ignored. Per-phase lists may start with a
-minus sign (``--gamma -0.3,-1``). Exit codes: 0 success, 1 parse/validation
-error (argparse's message follows the usage line), 2 infeasible
-constraints, 3 optimizer failure, 4 verification failure.
+``--config file.json`` supplies a JSON run configuration; each flag given
+is written over its config key (``_SCHEMA``). Besides those keys a config
+may hold the other ``RunConfig`` fields under ``run``, and the keys
+``run.seed`` and ``constraints.tol`` of older configs, which are ignored;
+any other key is an error. Per-phase lists may start with a minus sign
+(``--gamma -0.3,-1``). Exit codes: 0 success, 1 parse/validation error
+(argparse's message follows the usage line), 2 infeasible constraints,
+3 optimizer failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import os
 import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -78,6 +81,9 @@ def _float_list(text):
     return [float(tok) for tok in str(text).split(",") if tok != ""]
 
 
+_MATERIAL = ("beta", "gamma", "h0", "sigma")
+
+
 def build_parser():
     parser = _Parser(prog="helfrich", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -90,10 +96,9 @@ def build_parser():
         if phases:
             p.add_argument("--phases", help="per-face integer phase labels, one per line")
         if material:
-            p.add_argument("--beta", help="bending rigidity, comma-separated per phase")
-            p.add_argument("--gamma", help="Gaussian rigidity, comma-separated per phase")
-            p.add_argument("--h0", help="spontaneous curvature, comma-separated per phase")
-            p.add_argument("--sigma", help="line tension, comma-separated per phase")
+            for name, what in zip(_MATERIAL, ("bending rigidity", "Gaussian rigidity",
+                                              "spontaneous curvature", "line tension")):
+                p.add_argument(f"--{name}", help=f"{what}, comma-separated per phase")
         p.add_argument("--out", help="output file (default: stdout)")
 
     p_eval = sub.add_parser("eval", help="energy report for a mesh")
@@ -112,7 +117,7 @@ def build_parser():
     p_min.add_argument("--constraint-tol", type=float)
     p_min.add_argument("--penalty-init", type=float)
     p_min.add_argument("--penalty-growth", type=float)
-    p_min.add_argument("--out-dir", default=None, help="directory for trajectory/final mesh")
+    p_min.add_argument("--out-dir", help="directory for trajectory/final mesh")
 
     p_ver = sub.add_parser("verify", help="inequality verification suite")
     common(p_ver, phases=False, material=False)
@@ -123,9 +128,9 @@ def build_parser():
     p_ovl = sub.add_parser("overlap", help="no-overlap scaling check")
     common(p_ovl, material=False)
     p_ovl.add_argument("--mesh-b", help="second mesh (defaults to phase split of --mesh)")
-    p_ovl.add_argument("--phase-a", type=int, default=1)
-    p_ovl.add_argument("--phase-b", type=int, default=2)
-    p_ovl.add_argument("--eps0", type=float, required=False)
+    p_ovl.add_argument("--phase-a", type=int, help="first phase of --phases (default 1)")
+    p_ovl.add_argument("--phase-b", type=int, help="second phase of --phases (default 2)")
+    p_ovl.add_argument("--eps0", type=float)
     p_ovl.add_argument("--n-eps", type=int, default=6)
 
     p_hes = sub.add_parser("hessian", help="density Hessian and convexity verdict")
@@ -135,59 +140,79 @@ def build_parser():
     return parser
 
 
-def _load_config(args):
+# Every config key the CLI reads, by the flag written over it (README,
+# "Config schema"). A material flag is a per-phase comma list written over
+# that key of every params[i]; shorter lists are padded with their last value.
+_SCHEMA = {
+    "mesh": "mesh",
+    "phases": "phase_labels",
+    "out_dir": "output_dir",
+    **{name: f"params[i].{name}" for name in _MATERIAL},
+    "area": "constraints.area",
+    "volume": "constraints.volume",
+    "phase_areas": "constraints.phase_areas",
+    "eps0": "constraints.overlap_eps0",
+    **{name: f"run.{name}" for name in (
+        "max_iterations", "grad_tol", "constraint_tol", "penalty_init", "penalty_growth"
+    )},
+}
+# accepted from older configs and never read
+_IGNORED = ("constraints.tol", "run.seed")
+
+
+def _resolve(args):
+    """The run configuration as {schema key: value}: the --config file, with
+    every given flag written over its key. A file key outside the schema raises."""
+    loaded = serialize.load_json(args.config) if args.config else {}
+    if not isinstance(loaded, dict):
+        raise HelfrichError(f"{args.config}: a config file holds one JSON object")
     cfg = {}
-    if getattr(args, "config", None):
-        cfg = serialize.load_json(args.config)
+    for key, value in loaded.items():
+        if key == "params":  # one column per key; an entry without gamma, h0 or sigma has 0
+            for name in {*_MATERIAL, *(name for entry in value for name in entry)}:
+                cfg[f"params[i].{name}"] = [e.get(name, None if name == "beta" else 0.0) for e in value]
+        elif key in ("constraints", "run"):
+            cfg.update({f"{key}.{name}": v for name, v in dict(value).items()})
+        else:
+            cfg[key] = value
+    known = {*_SCHEMA.values(), *_IGNORED, *(f"run.{f.name}" for f in fields(RunConfig))}
+    for key in cfg:
+        if key not in known:
+            raise HelfrichError(f"unknown config key {key}")
+    for flag, key in _SCHEMA.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            cfg[key] = _float_list(value) if flag in (*_MATERIAL, "phase_areas") else value
     return cfg
 
 
-def _option(args, cfg, name, default=None):
-    val = getattr(args, name.replace("-", "_"), None)
-    if val is not None:
-        return val
-    return cfg.get(name, default)
+def _required(cfg, key):
+    if cfg.get(key) is None:
+        flag = next(f for f, k in _SCHEMA.items() if k == key)
+        raise HelfrichError(f"--{flag.replace('_', '-')} (or config {key}) is required")
+    return cfg[key]
 
 
-def _material_params(args, cfg):
-    entries = cfg.get("params", [])
-    beta = _float_list(args.beta) if getattr(args, "beta", None) else [e["beta"] for e in entries]
-    gamma = _float_list(args.gamma) if getattr(args, "gamma", None) else [
-        e.get("gamma", 0.0) for e in entries
-    ]
-    h0 = _float_list(args.h0) if getattr(args, "h0", None) else [e.get("h0", 0.0) for e in entries]
-    sigma = _float_list(args.sigma) if getattr(args, "sigma", None) else [
-        e.get("sigma", 0.0) for e in entries
-    ]
-    if not beta:
-        raise HelfrichError("material parameters missing (use --beta or config params)")
-    n = max(len(beta), len(gamma), len(h0), len(sigma))
-
-    def pad(xs, fill=0.0):
-        xs = list(xs) + [xs[-1] if xs else fill] * (n - len(xs))
-        return xs
-
-    beta, gamma, h0, sigma = pad(beta), pad(gamma), pad(h0), pad(sigma)
-    return [
-        MaterialParams(beta[i], gamma[i], h0[i], sigma[i], phase_id=i + 1) for i in range(n)
-    ]
+def _material_params(cfg):
+    columns = [cfg.get(f"params[i].{name}", []) for name in _MATERIAL]
+    if not columns[0] or None in columns[0]:
+        raise HelfrichError("material parameters missing (use --beta or config params[i].beta)")
+    n = max(map(len, columns))
+    columns = [col + [col[-1] if col else 0.0] * (n - len(col)) for col in columns]
+    return [MaterialParams(*row, phase_id=i + 1) for i, row in enumerate(zip(*columns))]
 
 
-def _mesh_path(args, cfg):
-    mesh_path = _option(args, cfg, "mesh")
-    if not mesh_path:
-        raise HelfrichError("--mesh (or config mesh) is required")
-    return mesh_path
+def _constraint_set(cfg, **optional):
+    area, volume = (float(_required(cfg, f"constraints.{key}")) for key in ("area", "volume"))
+    return ConstraintSet(area=area, volume=volume, **optional)
 
 
-def _read_inputs(args, cfg):
-    mesh = read_mesh(_mesh_path(args, cfg))
-    phases = None
-    labels_path = _option(args, cfg, "phases") or cfg.get("phase_labels")
-    if labels_path:
-        labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
-        phases = PhaseField(labels)
-        phases.check(mesh)
+def _read_inputs(cfg):
+    mesh = read_mesh(_required(cfg, "mesh"))
+    if not cfg.get("phase_labels"):
+        return mesh, None
+    phases = PhaseField(np.loadtxt(cfg["phase_labels"], dtype=np.int64, ndmin=1))
+    phases.check(mesh)
     return mesh, phases
 
 
@@ -223,61 +248,34 @@ def cmd_hessian(args):
 
 
 def cmd_eval(args):
-    cfg = _load_config(args)
-    mesh, phases = _read_inputs(args, cfg)
-    params = _material_params(args, cfg)
+    cfg = _resolve(args)
+    mesh, phases = _read_inputs(cfg)
+    params = _material_params(cfg)
     curv = curvature_field(mesh)
     if phases is None and len(params) == 1:
         canham_helfrich(mesh, curv, params[0])  # raises if the tensor and scalar paths disagree
     report = multiphase_energy(mesh, curv, phases, params)
     payload = report.to_dict()
-    area = _option(args, cfg, "area")
-    volume = _option(args, cfg, "volume")
-    if area and volume:
-        cs = ConstraintSet(area=float(area), volume=float(volume))
+    if "constraints.area" in cfg or "constraints.volume" in cfg:
+        cs = _constraint_set(cfg)
         payload["constraint_residuals"] = constraint_residuals(mesh, phases, cs).to_dict()
     _emit(args, payload)
     return EXIT_OK
 
 
-def _run_config(args, cfg):
-    run = dict(cfg.get("run", {}))
-    run.pop("seed", None)  # older configs carry it; minimize draws no random numbers
-    for flag, key in (
-        ("max_iterations", "max_iterations"),
-        ("grad_tol", "grad_tol"),
-        ("constraint_tol", "constraint_tol"),
-        ("penalty_init", "penalty_init"),
-        ("penalty_growth", "penalty_growth"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            run[key] = val
-    return RunConfig(**run)
-
-
 def cmd_minimize(args):
-    cfg = _load_config(args)
-    mesh, phases = _read_inputs(args, cfg)
-    params = _material_params(args, cfg)
-    con = dict(cfg.get("constraints", {}))
-    for flag, key in (("area", "area"), ("volume", "volume"), ("eps0", "overlap_eps0")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            con[key] = val
-    if getattr(args, "phase_areas", None):
-        con["phase_areas"] = _float_list(args.phase_areas)
-    if "area" not in con or "volume" not in con:
-        raise HelfrichError("minimize needs --area and --volume (or config constraints)")
-    cs = ConstraintSet(
-        area=float(con["area"]),
-        volume=float(con["volume"]),
-        phase_areas=con.get("phase_areas"),
-        overlap_eps0=float(con.get("overlap_eps0", 0.0)),
+    cfg = _resolve(args)
+    mesh, phases = _read_inputs(cfg)
+    params = _material_params(cfg)
+    cs = _constraint_set(
+        cfg,
+        phase_areas=cfg.get("constraints.phase_areas"),
+        overlap_eps0=float(cfg.get("constraints.overlap_eps0", 0.0)),
     )
-    run_cfg = _run_config(args, cfg)
+    run_cfg = RunConfig(**{key[4:]: value for key, value in cfg.items()
+                           if key.startswith("run.") and key not in _IGNORED})
     state = minimize(mesh, phases, params, cs, run_cfg)
-    out_dir = getattr(args, "out_dir", None) or cfg.get("output_dir")
+    out_dir = cfg.get("output_dir")
     payload = {
         "termination": state.termination,
         "inner_stops": state.inner_stops,
@@ -308,38 +306,38 @@ def cmd_minimize(args):
 def cmd_verify(args):
     from .diagnostics import standard_report
 
-    cfg = _load_config(args)
-    reports = []
     if args.corpus:
-        for name, (mesh, labels) in standard_corpus().items():
-            reports.append(standard_report(mesh, name, n_fields=args.n_fields, seed=args.seed))
+        if args.mesh or args.config:
+            raise HelfrichError("--corpus verifies the shipped corpus; drop --mesh and --config")
+        meshes = [(name, mesh) for name, (mesh, _) in standard_corpus().items()]
     else:
-        mesh_path = _mesh_path(args, cfg)
-        reports.append(
-            standard_report(read_mesh(mesh_path), mesh_path, n_fields=args.n_fields, seed=args.seed)
-        )
+        mesh_path = _required(_resolve(args), "mesh")
+        meshes = [(mesh_path, read_mesh(mesh_path))]
+    reports = [standard_report(m, name, n_fields=args.n_fields, seed=args.seed) for name, m in meshes]
     payload = {"all_pass": all(r.all_pass for r in reports), "reports": [r.to_dict() for r in reports]}
     _emit(args, payload)
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFICATION
 
 
 def cmd_overlap(args):
-    cfg = _load_config(args)
-    eps0 = _option(args, cfg, "eps0")
-    if eps0 is None:
-        raise HelfrichError("--eps0 is required")
-    if getattr(args, "mesh_b", None):
-        mesh_a, _ = _read_inputs(args, cfg)
+    cfg = _resolve(args)
+    eps0 = float(_required(cfg, "constraints.overlap_eps0"))
+    if args.mesh_b:
+        given = [f"--{f.replace('_', '-')}" for f in ("phases", "phase_a", "phase_b")
+                 if getattr(args, f) is not None]
+        if given:  # no phase labels are read, from flags or config
+            raise HelfrichError(f"--mesh-b compares whole meshes; {', '.join(given)} do not apply")
+        mesh_a = read_mesh(_required(cfg, "mesh"))
         mesh_b = read_mesh(args.mesh_b)
         sup_a = phase_support(mesh_a, PhaseField.uniform(mesh_a), 1)
         sup_b = phase_support(mesh_b, PhaseField.uniform(mesh_b), 1)
     else:
-        mesh, phases = _read_inputs(args, cfg)
+        mesh, phases = _read_inputs(cfg)
         if phases is None:
             raise HelfrichError("overlap needs --phases or --mesh-b")
-        sup_a = phase_support(mesh, phases, args.phase_a)
-        sup_b = phase_support(mesh, phases, args.phase_b)
-    verdict = no_overlap_check(sup_a, sup_b, float(eps0), n_eps=args.n_eps)
+        sup_a = phase_support(mesh, phases, 1 if args.phase_a is None else args.phase_a)
+        sup_b = phase_support(mesh, phases, 2 if args.phase_b is None else args.phase_b)
+    verdict = no_overlap_check(sup_a, sup_b, eps0, n_eps=args.n_eps)
     _emit(args, verdict.to_dict())
     return EXIT_OK if verdict.passed else EXIT_VERIFICATION
 

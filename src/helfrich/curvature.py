@@ -299,8 +299,10 @@ def curvature_field(mesh, tensors=True):
     mesh : TriMesh
     tensors : bool
         Also fit principal directions and assemble the shape operator
-        (needed for II, A, and the tensor energy path). The scalars-only
-        variant is what the optimizer iterates on.
+        (needed for II, A, and the tensor energy path). The optimizer
+        iterates on the geometry record (``geometry``); the scalars-only
+        field serves ``minimize``'s final energy report and
+        ``diagnostics.refinement_probe``.
 
     Raises
     ------

@@ -18,27 +18,25 @@ from .mesh import TriMesh
 __all__ = ["read_mesh", "write_mesh", "read_off", "write_off", "read_obj", "write_obj"]
 
 
-def read_mesh(path, allow_boundary=False):
-    """Read a mesh, dispatching on the file extension (.off or .obj)."""
+def _format(path):
+    """The (reader, writer) pair of a mesh file's extension."""
     ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".off":
-        return read_off(path, allow_boundary=allow_boundary)
-    if ext == ".obj":
-        return read_obj(path, allow_boundary=allow_boundary)
-    raise MeshError(f"unsupported mesh format: {path}")
+    if ext not in _FORMATS:
+        raise MeshError(f"unsupported mesh format: {path}")
+    return _FORMATS[ext]
+
+
+def read_mesh(path):
+    """Read a closed mesh, dispatching on the file extension (.off or .obj)."""
+    return _format(path)[0](path)
 
 
 def write_mesh(path, mesh):
     """Write a mesh, dispatching on the file extension (.off or .obj)."""
-    ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".off":
-        return write_off(path, mesh)
-    if ext == ".obj":
-        return write_obj(path, mesh)
-    raise MeshError(f"unsupported mesh format: {path}")
+    return _format(path)[1](path, mesh)
 
 
-def read_off(path, allow_boundary=False):
+def read_off(path):
     """Read an OFF file (header OFF, then counts, vertices, faces; ``#`` starts a comment).
 
     Malformed, non-triangle or truncated input raises MeshError naming the path.
@@ -64,7 +62,7 @@ def read_off(path, allow_boundary=False):
         faces = np.array(tokens[start:end], dtype=np.int64).reshape(nf, 4)[:, 1:]
     except (ValueError, IndexError) as err:
         raise MeshError(f"{path}: malformed OFF counts or numbers") from err
-    return TriMesh(verts, faces, allow_boundary=allow_boundary)
+    return TriMesh(verts, faces)
 
 
 def write_off(path, mesh):
@@ -77,7 +75,7 @@ def write_off(path, mesh):
             fh.write(f"3 {a} {b} {c}\n")
 
 
-def read_obj(path, allow_boundary=False):
+def read_obj(path):
     """Read a Wavefront OBJ file (v and f records only, 1-based indices)."""
     verts = []
     faces = []
@@ -95,7 +93,7 @@ def read_obj(path, allow_boundary=False):
                 faces.append([i - 1 if i > 0 else len(verts) + i for i in idx])
     if not verts or not faces:
         raise MeshError(f"{path}: no geometry found")
-    return TriMesh(np.array(verts), np.array(faces, dtype=np.int64), allow_boundary=allow_boundary)
+    return TriMesh(np.array(verts), np.array(faces, dtype=np.int64))
 
 
 def write_obj(path, mesh):
@@ -104,3 +102,6 @@ def write_obj(path, mesh):
             fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
         for a, b, c in mesh.faces:
             fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+
+
+_FORMATS = {".off": (read_off, write_off), ".obj": (read_obj, write_obj)}

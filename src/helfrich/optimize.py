@@ -20,7 +20,7 @@ change during a run.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -89,6 +89,9 @@ class RunConfig:
         for name in ("grad_tol", "constraint_tol", "penalty_init", "penalty_growth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        for name in ("max_iterations", "inner_iterations", "max_backtracks"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -115,15 +118,11 @@ class TrajectoryPoint:
     clamped: int  # vertices where H was reconciled with K
     obtuse: int  # faces with an obtuse corner
 
-    FIELDS = (
-        "iteration", "outer", "energy", "augmented", "bending", "gauss", "spontaneous",
-        "line_tension", "residual_area", "residual_volume", "residual_phase_max",
-        "penalty", "step", "grad_norm", "min_angle_deg", "max_edge_ratio", "iso_quotient",
-        "trials", "memory", "clamped", "obtuse",
-    )
-
     def row(self):
         return [getattr(self, name) for name in self.FIELDS]
+
+
+TrajectoryPoint.FIELDS = tuple(f.name for f in fields(TrajectoryPoint))  # trajectory.csv columns
 
 
 @dataclass
@@ -146,7 +145,6 @@ class OptimizerState:
     residuals: object
     multipliers: dict
     penalty: float
-    step_size: float
     grad_norm: float
     termination: str
     energy_report: object = None
@@ -430,7 +428,6 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         residuals=res,
         multipliers=mult,
         penalty=rho,
-        step_size=float(step) if step else 0.0,
         grad_norm=grad_norm,
         termination=termination,
         energy_report=report,

@@ -288,3 +288,219 @@ def test_config_with_removed_run_key_exits_1(workdir, capsys, key):
     (workdir / f"removed_{key}.json").write_text(dumps(config))
     assert run(["minimize", "--config", workdir / f"removed_{key}.json"]) == 1
     assert key in capsys.readouterr().err
+
+
+# --- config schema: one table from flag to config key -----------------------
+
+def _flag_args(values):
+    args = []
+    for flag, value in values.items():
+        if isinstance(value, list):
+            value = ",".join(repr(x) for x in value)
+        args.append(f"--{flag.replace('_', '-')}={value}")
+    return args
+
+
+def _config_at(key, value):
+    """A config holding ``value`` at a README schema key."""
+    if key.startswith("params[i]."):
+        return {"params": [{key.removeprefix("params[i]."): x} for x in value]}
+    head, _, tail = key.partition(".")
+    return {head: {tail: value}} if tail else {head: value}
+
+
+SCHEMA_KEYS = {
+    "mesh": "mesh", "phases": "phase_labels", "out_dir": "output_dir",
+    "beta": "params[i].beta", "gamma": "params[i].gamma", "h0": "params[i].h0",
+    "sigma": "params[i].sigma", "area": "constraints.area", "volume": "constraints.volume",
+    "phase_areas": "constraints.phase_areas", "eps0": "constraints.overlap_eps0",
+    "max_iterations": "run.max_iterations", "grad_tol": "run.grad_tol",
+    "constraint_tol": "run.constraint_tol", "penalty_init": "run.penalty_init",
+    "penalty_growth": "run.penalty_growth",
+}
+SCHEMA_READS = {
+    "eval": ["mesh", "phases", "beta", "gamma", "h0", "sigma", "area", "volume"],
+    "minimize": list(SCHEMA_KEYS),
+    "verify": ["mesh"],
+    "overlap": ["mesh", "phases", "eps0"],
+}
+
+
+@pytest.fixture(scope="module")
+def schema_values(workdir):
+    from helfrich.curvature import geometry
+
+    split = read_mesh(workdir / "split.off")
+    labels = np.loadtxt(workdir / "labels.txt", dtype=np.int64)
+    halves = np.bincount(labels - 1, weights=geometry(split).area).tolist()
+    two_phase = {"mesh": str(workdir / "split.off"), "phases": str(workdir / "labels.txt")}
+    material = {"beta": [1.0, 2.0], "gamma": [-0.5, -1.0], "h0": [0.0, 0.2], "sigma": [1.0, 1.0]}
+    return {
+        "eval": {**two_phase, **material, "area": 12.5, "volume": 4.1},
+        "minimize": {**two_phase, **material, "area": sum(halves), "volume": 4.0,
+                     "phase_areas": halves, "eps0": 0.15, "max_iterations": 3,
+                     "grad_tol": 1e-5, "constraint_tol": 1e-6, "penalty_init": 20.0,
+                     "penalty_growth": 5.0},
+        "verify": {"mesh": str(workdir / "sphere.off")},
+        "overlap": {**two_phase, "eps0": 0.15},
+    }
+
+
+def _outputs(workdir, command, values, from_config, tag):
+    """Output bytes of ``command`` with ``values`` as flags, except ``from_config`` given by config."""
+    values = dict(values)
+    if command == "minimize":
+        values["out_dir"] = str(workdir / tag)
+    argv = [command, "--out", workdir / f"{tag}.json"]
+    argv += ["--n-fields", "1"] if command == "verify" else []
+    if from_config:
+        config = _config_at(SCHEMA_KEYS[from_config], values.pop(from_config))
+        (workdir / f"{tag}.cfg.json").write_text(dumps(config))
+        argv += ["--config", workdir / f"{tag}.cfg.json"]
+    assert run(argv + _flag_args(values)) in (0, 4)
+    names = [f"{tag}.json"]
+    if command == "minimize":
+        names += [f"{tag}/{out}" for out in ("trajectory.csv", "state.json", "final.off")]
+    return [(workdir / name).read_bytes() for name in names]
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in SCHEMA_READS.items() for f in flags],
+    ids=lambda x: x,
+)
+def test_config_key_equals_its_flag(workdir, schema_values, command, flag):
+    values = schema_values[command]
+    from_flags = _outputs(workdir, command, values, None, f"schema-{command}-{flag}-flags")
+    from_config = _outputs(workdir, command, values, flag, f"schema-{command}-{flag}-config")
+    assert from_config == from_flags
+
+
+def test_readme_config_schema_matches_cli_table():
+    import argparse
+
+    from helfrich.cli import _SCHEMA, build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| `--([a-z0-9-]+)` \| ([a-z, ]+) \|$", section, re.M)
+    assert {(key, flag.replace("-", "_")) for key, flag, _ in rows} == {
+        (key, flag) for flag, key in _SCHEMA.items()
+    }
+    assert dict(_SCHEMA) == SCHEMA_KEYS
+    # "read by" lists the subcommands taking both --config and the flag
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for key, flag, readers in rows:
+        takes = {name for name, p in commands.items()
+                 if {"--config", f"--{flag}"} <= set(p._option_string_actions)}
+        assert set(readers.split(", ")) == takes, key
+        assert takes == {c for c, flags in SCHEMA_READS.items() if flag.replace("-", "_") in flags}
+
+
+@pytest.mark.parametrize("command", ["eval", "minimize", "verify", "overlap"])
+def test_readme_config_serves_every_subcommand(workdir, command):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    config.update(mesh=str(workdir / "split.off"), phase_labels=str(workdir / "labels.txt"),
+                  output_dir=str(workdir / f"readme_{command}"))
+    (workdir / f"readme_{command}.json").write_text(dumps(config))
+    argv = [command, "--config", workdir / f"readme_{command}.json"]
+    argv += {"minimize": ["--max-iterations", "2"], "verify": ["--n-fields", "1"]}.get(command, [])
+    assert run(argv + ["--out", workdir / f"readme_{command}.out.json"]) == 0
+
+
+def test_eval_reports_residuals_from_config_constraints(workdir):
+    flags = ["--beta", "1", "--out"]
+    assert run(["eval", "--mesh", workdir / "sphere.off", "--area", "12.5", "--volume", "4.1",
+                *flags, workdir / "res_flags.json"]) == 0
+    config = {"mesh": str(workdir / "sphere.off"),
+              "constraints": {"area": 12.5, "volume": 4.1}}
+    (workdir / "res.cfg.json").write_text(dumps(config))
+    assert run(["eval", "--config", workdir / "res.cfg.json", *flags, workdir / "res_cfg.json"]) == 0
+    assert "constraint_residuals" in json.load(open(workdir / "res_cfg.json"))
+    assert (workdir / "res_cfg.json").read_bytes() == (workdir / "res_flags.json").read_bytes()
+
+
+def test_overlap_reads_eps0_from_config_constraints(workdir):
+    inputs = ["--mesh", workdir / "split.off", "--phases", workdir / "labels.txt"]
+    assert run(["overlap", *inputs, "--eps0", "0.15", "--out", workdir / "eps_flags.json"]) == 0
+    (workdir / "eps.cfg.json").write_text(dumps({"constraints": {"overlap_eps0": 0.15}}))
+    assert run(["overlap", *inputs, "--config", workdir / "eps.cfg.json",
+                "--out", workdir / "eps_cfg.json"]) == 0
+    assert (workdir / "eps_cfg.json").read_bytes() == (workdir / "eps_flags.json").read_bytes()
+
+
+@pytest.mark.parametrize("targets, message", [
+    (["--area", "0", "--volume", "4.1"], "need m, e > 0, got (0.0, 4.1)"),
+    (["--area", "12"], "--volume (or config constraints.volume) is required"),
+    (["--volume", "4.1"], "--area (or config constraints.area) is required"),
+], ids=["zero-area", "no-volume", "no-area"])
+def test_eval_targets_need_both_and_positive(workdir, capsys, targets, message):
+    assert run(["eval", "--mesh", workdir / "sphere.off", "--beta", "1", *targets]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--phases", "labels.txt"], ["--phase-a", "2"],
+                                   ["--phase-b", "1"], ["--phases", "labels.txt", "--phase-b", "1"]],
+                         ids=lambda x: "+".join(f for f in x if f.startswith("--")))
+def test_overlap_mesh_b_rejects_phase_flags(workdir, capsys, flags):
+    flags = [workdir / f if f == "labels.txt" else f for f in flags]
+    assert run(["overlap", "--mesh", workdir / "split.off", "--mesh-b", workdir / "split.off",
+                "--eps0", "0.3", *flags]) == 1
+    given = ", ".join(str(f) for f in flags if str(f).startswith("--"))
+    assert f"--mesh-b compares whole meshes; {given} do not apply" in capsys.readouterr().err
+
+
+def test_overlap_mesh_b_reads_no_config_phase_labels(workdir):
+    config = {"phase_labels": str(workdir / "nonexistent_labels.txt")}
+    (workdir / "mesh_b.cfg.json").write_text(dumps(config))
+    assert run(["overlap", "--config", workdir / "mesh_b.cfg.json", "--mesh", workdir / "split.off",
+                "--mesh-b", workdir / "split.off", "--eps0", "0.3",
+                "--out", workdir / "mesh_b.json"]) == 4
+
+
+@pytest.mark.parametrize("extra", [["--mesh", "nonexistent.off"], ["--config", "nonexistent.json"]],
+                         ids=["mesh", "config"])
+def test_verify_corpus_rejects_mesh_and_config(capsys, extra):
+    assert run(["verify", "--corpus", "--n-fields", "1", *extra]) == 1
+    assert "--corpus verifies the shipped corpus; drop --mesh and --config" in capsys.readouterr().err
+
+
+OUTSIDE_SCHEMA = [
+    ({"phases": "labels.txt"}, "phases"),
+    ({"area": 12.5}, "area"),
+    ({"volume": 4.1}, "volume"),
+    ({"eps0": 0.15}, "eps0"),
+    ({"constraints": {"area_tol": 1e-6}}, "constraints.area_tol"),
+    ({"run": {"penalty_max": 1e12}}, "run.penalty_max"),
+    ({"params": [{"beta": 1.0, "kappa": 1.0}]}, "params[i].kappa"),
+]
+
+
+@pytest.mark.parametrize("config, key", OUTSIDE_SCHEMA, ids=[key for _, key in OUTSIDE_SCHEMA])
+def test_config_key_outside_schema_exits_1(workdir, capsys, config, key):
+    config = {"mesh": str(workdir / "sphere.off"), "params": [{"beta": 1.0}], **config}
+    (workdir / "unknown.cfg.json").write_text(dumps(config))
+    assert run(["eval", "--config", workdir / "unknown.cfg.json"]) == 1
+    assert f"unknown config key {key}" in capsys.readouterr().err
+
+
+def test_config_that_is_not_an_object_exits_1(workdir, capsys):
+    (workdir / "list.cfg.json").write_text("[1]")
+    assert run(["eval", "--config", workdir / "list.cfg.json"]) == 1
+    assert "a config file holds one JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["max_iterations", "inner_iterations", "max_backtracks"])
+def test_run_config_rejects_negative_integers(name):
+    from helfrich.optimize import RunConfig
+
+    RunConfig(**{name: 0})
+    with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+        RunConfig(**{name: -1})
+
+
+def test_minimize_negative_max_iterations_exits_1(workdir, capsys):
+    assert run(["minimize", "--mesh", workdir / "sphere.off", "--beta", "1", "--area", "12.5",
+                "--volume", "4.1", "--max-iterations", "-5"]) == 1
+    assert "max_iterations must be >= 0" in capsys.readouterr().err
