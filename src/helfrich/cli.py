@@ -335,8 +335,12 @@ def cmd_overlap(args):
         mesh, phases = _read_inputs(cfg)
         if phases is None:
             raise HelfrichError("overlap needs --phases or --mesh-b")
-        sup_a = phase_support(mesh, phases, 1 if args.phase_a is None else args.phase_a)
-        sup_b = phase_support(mesh, phases, 2 if args.phase_b is None else args.phase_b)
+        phase_a = 1 if args.phase_a is None else args.phase_a
+        phase_b = 2 if args.phase_b is None else args.phase_b
+        if phase_a == phase_b:
+            raise HelfrichError(f"--phase-a and --phase-b both name phase {phase_a}")
+        sup_a = phase_support(mesh, phases, phase_a)
+        sup_b = phase_support(mesh, phases, phase_b)
     verdict = no_overlap_check(sup_a, sup_b, eps0, n_eps=args.n_eps)
     _emit(args, verdict.to_dict())
     return EXIT_OK if verdict.passed else EXIT_VERIFICATION

@@ -23,7 +23,7 @@ import numpy as np
 from .curvature import _cotan_corners, geometry
 from .energy import vertex_phase_weights
 from .errors import InsufficientSamples, NonPositiveTarget, PhaseCountMismatch, UnknownPhase
-from .mesh import _cross, _scatter
+from .mesh import _columns, _cross, _scatter
 
 __all__ = [
     "ConstraintSet",
@@ -334,24 +334,25 @@ class _Constraints:
         -x_v x sum_f (x_j - x_k) / 6.
         """
         geo = geometry(mesh)
-        v, f, V = mesh.vertices, mesh.faces, mesh.n_vertices
+        V = mesh.n_vertices
         if self.per_phase:
             P = len(self.cs.phase_areas)
             # phase p's faces scatter into bins p * V .. p * V + V - 1
-            bins = f + V * (self.phases.labels - 1)[:, None]
+            bins = mesh._face_rows + V * (self.phases.labels - 1)
             L = _scatter(bins, _cotan_corners(geo.cot, geo.e), P * V)
-            grads = [L[i * V : (i + 1) * V] / (2.0 * t) for i, t in enumerate(self.cs.phase_areas)]
+            grads = [(L[:, i * V : (i + 1) * V], 2.0 * t) for i, t in enumerate(self.cs.phase_areas)]
         else:
-            grads = [geo.L / (2.0 * self.cs.area)]
-        dvol = geo.nu * geo.Nv_norm[:, None]
+            grads = [(geo.L, 2.0 * self.cs.area)]
+        dvol = geo.nu * geo.Nv_norm
         if len(mesh.boundary_vertices):
+            v = mesh.vertices.T
             rim = mesh.half_edge_twin < 0
             o, d = mesh.half_edge_origin[rim], mesh.half_edge_dest[rim]
             # sum_f (x_j - x_k) telescopes to the two rim neighbours
-            ends = _scatter(np.column_stack([o, d]), (v[d], -v[o]), V)
+            ends = _scatter((o, d), (v[:, d], -v[:, o]), V)
             dvol = dvol - 0.5 * _cross(v, ends)
-        grads.append(dvol / (3.0 * self.cs.volume))
-        return grads
+        grads.append((dvol, 3.0 * self.cs.volume))
+        return [_columns(g / scale) for g, scale in grads]
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,15 @@ three distinct entries, so they are summed as per-vertex scalars and
 solved in closed form; only the directions are used, the magnitudes still
 come from (H, K).
 
-Per-vertex sums gather face-corner contributions with ``np.bincount``
-(``mesh._scatter``): corner column by corner column, faces in index order
-within a column, so repeated runs are bitwise deterministic.
+Vector data in the record is component-major: face blocks are (3, F)
+rows (edges ``e`` (3, 3, F)) and vertex vectors (3, V) rows, so every
+stage works on contiguous rows. The row helpers of ``mesh`` keep the bits
+the (F, 3) layout had: a 3-dot is (x0 y0 + x2 y2) + x1 y1 (einsum's
+order), a norm sqrt((x0² + x1²) + x2²), and argmins over corners are
+taken in face-major order. Per-vertex sums gather face-corner
+contributions with ``np.bincount`` (``mesh._scatter``): corner row by
+corner row, faces in index order within a row, so repeated runs are
+bitwise deterministic. ``CurvatureField`` keeps (V, 3) arrays.
 """
 
 from __future__ import annotations
@@ -38,9 +44,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateOneRing
-from .mesh import _cross, _face_vectors, _scatter
+from .mesh import _columns, _cross, _dot, _face_vectors, _norm, _scatter
 
 __all__ = ["CurvatureField", "curvature_field"]
+
+# Corner permutations of a (3, ...) face block: ``block[_PREV][c]`` is
+# ``block[c - 1]`` and ``block[_NEXT][c]`` is ``block[c + 1]``.
+_PREV, _NEXT = [2, 0, 1], [1, 2, 0]
 
 # Below (_K_FLOOR_FACTOR / mean edge)^2 the defect is rounding noise and no
 # umbilic reconciliation is attempted.
@@ -72,8 +82,9 @@ class CurvatureField:
 
     Boundary vertices of open test meshes carry NaN in all curvature
     fields; only ``mixed_area`` and ``normal`` are populated there.
-    ``mixed_area``, ``normal`` and ``clamped`` are the read-only arrays of
-    the mesh's geometry record.
+    ``mixed_area`` and ``clamped`` are the read-only arrays of the mesh's
+    geometry record, and ``normal`` a read-only (V, 3) copy of its (3, V)
+    ``nu``.
     """
 
     def __init__(self, mesh, mixed_area, normal, H, K, kappa1, kappa2, clamped,
@@ -127,34 +138,40 @@ class CurvatureField:
 class _Geometry:
     """Forward geometry of one mesh position; see :func:`geometry`.
 
-    Per face: the edge vectors ``e`` (3, F, 3), ``e[c]`` running from
-    corner c to corner c + 1, their squared lengths ``l2`` (3, F), corner
-    cotangents ``cot`` (F, 3), the ``obtuse`` corner mask and ``area``;
-    the gradients and ``energy.interface_kink`` read these and gather no
-    face corners. Per vertex: mixed areas ``a``, angle defects ``defect``,
-    the cotangent vector ``L``, the unit normal ``nu`` with ``Nv_norm`` the
-    length of the area-vector sum it normalizes, the unclamped ``H_raw``,
-    the reconciled ``H``, ``K``, the ``clamped`` mask, and ``k_floor``.
-    Scalars: the signed enclosed ``volume`` (divergence theorem,
-    sum_f x_i . N_f / 3 with N_f the face area vector; exact for
+    Vector data is component-major: row k of a block holds component k
+    of every face's or vertex's vector. Per face: the edge vectors ``e``
+    (3, 3, F), ``e[c]`` running from corner c to corner c + 1, their
+    squared lengths ``l2`` (3, F), corner cotangents ``cot`` (3, F), the
+    ``obtuse`` corner mask (3, F) and ``area`` (F,); the gradients and
+    ``energy.interface_kink`` read these and gather no face corners. Per
+    vertex: mixed areas ``a``, angle defects ``defect``, the cotangent
+    vector ``L`` (3, V), the unit normal ``nu`` (3, V) with ``Nv_norm``
+    the length of the area-vector sum it normalizes, the unclamped
+    ``H_raw``, the reconciled ``H``, ``K``, the ``clamped`` mask, and
+    ``k_floor``. Scalars: the signed enclosed ``volume`` (divergence
+    theorem, sum_f x_i . N_f / 3 with N_f the face area vector; exact for
     polyhedra), ``mean_edge`` (mean length over ``mesh.edges``),
     ``edge_ratio`` (longest over shortest edge) with ``short_edge_face``
     a face holding the shortest edge, and ``min_angle`` (the smallest
-    corner angle, radians) with ``min_angle_face`` its face.
+    corner angle, radians) with ``min_angle_face`` its face; both faces
+    are the first in face-major order among ties.
     Corner angles and face area vectors are not kept: the record lives as
     long as its mesh. ``splits`` maps each ``energy.PhaseField`` to its
     phase split (``energy._split``). Every array is read-only.
     """
 
     def __init__(self, mesh):
-        f, V = mesh.faces, mesh.n_vertices
+        f, V = mesh._face_rows, mesh.n_vertices
         x0, e, N = _face_vectors(mesh.vertices, f)
-        l2 = np.stack([np.einsum("ij,ij->i", ec, ec) for ec in e])
+        # ec[k, c] is component k of edge c
+        ec = e.transpose(1, 0, 2)
+        l2 = _dot(ec, ec)
         self.e, self.l2 = e, l2
-        self.area = np.linalg.norm(N, axis=1)
-        self.volume = float(np.einsum("ij,ij->", x0, N) / 3.0)
+        self.area = _norm(N)
+        # one einsum over the face-major values keeps its summation order
+        self.volume = float(np.einsum("i,i->", _columns(x0).ravel(), _columns(N).ravel()) / 3.0)
         # half-edge 3 f + c is e[c] of face f; twins have bitwise equal lengths
-        lengths = np.sqrt(l2.T).ravel()
+        lengths = _columns(np.sqrt(l2)).ravel()
         edge_lengths = np.empty(mesh.n_edges)
         edge_lengths[mesh._edge_of_halfedge] = lengths
         self.mean_edge = float(edge_lengths.mean())
@@ -162,29 +179,27 @@ class _Geometry:
         self.short_edge_face = short // 3
         self.edge_ratio = float(lengths.max() / max(lengths[short], 1e-300))
         # at corner c the edges are e[c] and -e[c - 1]; |e[c] x e[c - 1]| = 2 area
-        dots = np.stack([-np.einsum("ij,ij->i", e[c], e[c - 1]) for c in range(3)], axis=1)
-        twice = 2.0 * self.area[:, None]
+        dots = -_dot(ec, ec[:, _PREV])
+        twice = 2.0 * self.area
         theta = np.arctan2(twice, dots)
-        sharp = int(np.argmin(theta))
+        sharp = int(np.argmin(_columns(theta)))
         self.min_angle_face = sharp // 3
-        self.min_angle = float(theta.flat[sharp])
-        self.cot = dots / np.where(twice == 0, 1.0, twice)
-        corner_a = np.empty_like(theta)
-        for c in range(3):
-            # Voronoi share of corner c: its two edges times the opposite cotangents
-            corner_a[:, c] = (l2[c] * self.cot[:, c - 1] + l2[c - 1] * self.cot[:, (c + 1) % 3]) / 8.0
+        self.min_angle = float(theta[sharp % 3, sharp // 3])
+        cot = self.cot = dots / np.where(twice == 0, 1.0, twice)
+        # Voronoi share of corner c: its two edges times the opposite cotangents
+        corner_a = (l2 * cot[_PREV] + l2[_PREV] * cot[_NEXT]) / 8.0
         self.obtuse = theta > np.pi / 2.0
-        any_obtuse = self.obtuse.any(axis=1)
-        corner_a[any_obtuse] = np.where(self.obtuse[any_obtuse], 0.5, 0.25) * self.area[any_obtuse, None]
-        self.a = _scatter(f, corner_a.T, V)
+        any_obtuse = self.obtuse.any(axis=0)
+        corner_a[:, any_obtuse] = np.where(self.obtuse[:, any_obtuse], 0.5, 0.25) * self.area[any_obtuse]
+        self.a = _scatter(f, corner_a, V)
         defect = np.full(V, 2.0 * np.pi)
         defect[mesh.boundary_vertices] = np.pi
-        self.defect = defect - _scatter(f, theta.T, V)
-        self.L = _scatter(f, _cotan_corners(self.cot, e), V)
+        self.defect = defect - _scatter(f, theta, V)
+        self.L = _scatter(f, _cotan_corners(cot, e), V)
         Nv = _scatter(f, (N, N, N), V)
-        self.Nv_norm = np.linalg.norm(Nv, axis=1)
-        self.nu = Nv / np.where(self.Nv_norm == 0, 1.0, self.Nv_norm)[:, None]
-        self.H_raw = np.einsum("vi,vi->v", self.L, self.nu) / (2.0 * self.a)
+        self.Nv_norm = _norm(Nv)
+        self.nu = Nv / np.where(self.Nv_norm == 0, 1.0, self.Nv_norm)
+        self.H_raw = _dot(self.L, self.nu) / (2.0 * self.a)
         self.K = self.defect / self.a
         self.k_floor = (_K_FLOOR_FACTOR / self.mean_edge) ** 2
         sign = np.where(self.H_raw < 0, -1.0, 1.0)
@@ -197,14 +212,14 @@ class _Geometry:
 
 
 def _cotan_corners(cot, e):
-    """Per-corner terms of the cotangent vector L of faces with edges ``e``.
+    """Per-corner terms (3, 3, F) of the cotangent vector L of faces with edges ``e``.
 
     L_v = sum over edges (cot a + cot b)(x_v - x_w), a and b the corners
     facing the edge; edge c runs from corner c to c + 1 and faces corner
     c + 2. Scattered onto the face corners, the terms give L.
     """
-    w = [cot[:, (c + 2) % 3, None] * e[c] for c in range(3)]
-    return [w[2] - w[0], w[0] - w[1], w[1] - w[2]]
+    w = cot[_PREV, None] * e
+    return w[_PREV] - w
 
 
 def geometry(mesh):
@@ -226,13 +241,14 @@ def _principal_curvatures(H, K):
 
 
 def _tangent_bases(nu):
+    """Unit tangents (V, 3) t1 = nu x e / |nu x e|, e the axis nu leans least on, and t2 = nu x t1."""
     smallest = np.argmin(np.abs(nu), axis=1)
-    helper = np.zeros_like(nu)
-    helper[np.arange(len(nu)), smallest] = 1.0
-    t1 = _cross(nu, helper)
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = _cross(nu, t1)
-    return t1, t2
+    helper = np.zeros((3, len(nu)))
+    helper[smallest, np.arange(len(nu))] = 1.0
+    t1 = _cross(nu.T, helper)
+    t1 /= _norm(t1)
+    t2 = _cross(nu.T, t1)
+    return _columns(t1), _columns(t2)
 
 
 def _principal_directions(mesh, nu, interior):
@@ -319,7 +335,8 @@ def curvature_field(mesh, tensors=True):
     H = np.where(interior, geo.H, np.nan)
     K = np.where(interior, geo.K, np.nan)
     kappa1, kappa2 = _principal_curvatures(H, K)
-    a, nu, clamped = geo.a, geo.nu, geo.clamped
+    nu = _columns(geo.nu)
+    nu.setflags(write=False)
     d1 = d2 = S = None
     if tensors:
         d1, d2 = _principal_directions(mesh, nu, interior)
@@ -327,6 +344,6 @@ def curvature_field(mesh, tensors=True):
             :, None, None
         ] * np.einsum("vi,vj->vij", d2, d2)
     return CurvatureField(
-        mesh, a, nu, H, K, kappa1, kappa2, clamped,
+        mesh, geo.a, nu, H, K, kappa1, kappa2, geo.clamped,
         direction1=d1, direction2=d2, shape_operator=S,
     )

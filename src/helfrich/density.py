@@ -13,6 +13,7 @@ window -6/5 beta < gamma < 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class MaterialParams:
     h0 : spontaneous curvature (1/length)
     sigma : line tension (energy/length); used only by multiphase energies
     phase_id : small integer label
+
+    A non-finite constant raises ValueError.
     """
 
     beta: float
@@ -50,6 +53,9 @@ class MaterialParams:
     phase_id: int = 1
 
     def __post_init__(self):
+        for name in ("beta", "gamma", "h0", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # beta = 0 is admitted so the pure Gauss term can be evaluated; the
         # convexity window then rejects it where convexity matters
         if self.beta < 0:

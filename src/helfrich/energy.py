@@ -17,7 +17,7 @@ import numpy as np
 from .curvature import geometry
 from .density import f_ch
 from .errors import PhaseCountMismatch, UnknownPhase
-from .mesh import _cross, _scatter
+from .mesh import _cross, _dot, _scatter
 
 __all__ = [
     "PhaseField",
@@ -217,7 +217,7 @@ def _split(mesh, phases):
     if phases not in geo.splits:
         phases.check(mesh)
         n = phases.n_phases
-        bins = mesh.faces * n + (phases.labels - 1)[:, None]
+        bins = mesh._face_rows * n + (phases.labels - 1)
         w = _scatter(bins, (geo.area,) * 3, mesh.n_vertices * n).reshape(mesh.n_vertices, n)
         total = w.sum(axis=1, keepdims=True)
         w /= np.where(total == 0, 1.0, total)
@@ -290,6 +290,6 @@ def interface_kink(mesh, phases):
     if len(iface) == 0:
         return 0.0
     geo = geometry(mesh)
-    n0, n1 = (0.5 * _cross(geo.e[0, f], -geo.e[2, f]) / geo.area[f, None] for f in mesh.edge_faces[iface].T)
-    cosang = np.clip(np.einsum("ij,ij->i", n0, n1), -1.0, 1.0)
+    n0, n1 = (0.5 * _cross(geo.e[0][:, f], -geo.e[2][:, f]) / geo.area[f] for f in mesh.edge_faces[iface].T)
+    cosang = np.clip(_dot(n0, n1), -1.0, 1.0)
     return float(np.arccos(cosang).max())

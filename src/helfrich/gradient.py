@@ -15,10 +15,11 @@ across branch boundaries.
 The forward quantities, face edges and phase split included, are read
 from the mesh's stored geometry record (``curvature.geometry``), so an
 energy evaluation followed by a gradient at the same positions computes
-them once. Assembly is face-elemental:
-each face's three corner blocks are summed into the vertex gradient with
+them once. Assembly is face-elemental on (3, F) component rows: each
+face's three corner blocks are summed into (3, V) vertex rows with
 ``np.bincount`` (``mesh._scatter``), corner by corner and faces in index
-order, so results are bitwise deterministic.
+order, so results are bitwise deterministic. The gradient is returned as
+a C-contiguous (V, 3) array.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .curvature import geometry
 from .energy import _phase_split
 from .errors import DegenerateConfiguration
-from .mesh import _cross, _scatter
+from .mesh import _columns, _cross, _dot, _scatter
 
 __all__ = ["energy_and_gradient", "total_energy"]
 
@@ -84,7 +85,7 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
         On zero-area faces or vanishing vertex normals.
     """
     geo = _checked_geometry(mesh)
-    f = mesh.faces
+    f, V = mesh._face_rows, mesh.n_vertices
     a, H, K, clamped, cot, nu, e, l2 = geo.a, geo.H, geo.K, geo.clamped, geo.cot, geo.nu, geo.e, geo.l2
     G, G_H, G_K, w, gp, line, iface, coeff = _phase_data(mesh, phases, params_list, H, K)
     E = float(a @ G + line)
@@ -100,60 +101,60 @@ def energy_and_gradient(mesh, phases=None, params_list=None):
         G - G_H * H - G_K * K,
     )
 
-    # Face-local derivatives. Edge c runs from corner c to corner c + 1 and
-    # faces corner c + 2. A term that moves corner c by +ev[c] and corner
-    # c + 1 by -ev[c] is an edge term; q[:, c] collects the coefficient of
-    # d theta_c and qA the coefficient of the face area.
-    nhat = 0.5 * _cross(e[0], -e[2]) / geo.area[:, None]
+    # Face-local derivatives, as (3, F) component rows. Edge c runs from
+    # corner c to corner c + 1 and faces corner c + 2. A term that moves
+    # corner c by +ev[c] and corner c + 1 by -ev[c] is an edge term; q[c]
+    # collects the coefficient of d theta_c and qA the coefficient of the
+    # face area.
+    nhat = 0.5 * _cross(e[0], -e[2]) / geo.area
     s_corner = coef_a[f]
     obtuse = geo.obtuse
-    any_obt = obtuse.any(axis=1)
-    h_corner = [
-        np.take(coef_h, f[:, c])[:, None] * np.take(nu, f[:, c], axis=0) for c in range(3)
-    ]
+    any_obt = obtuse.any(axis=0)
+    h_v = coef_h * nu
+    h_corner = [np.take(h_v, fc, axis=1) for fc in f]
     qcot = np.empty_like(cot)
     ev = []
     for c in range(3):
         n, far = (c + 1) % 3, (c + 2) % 3
         # mixed-area term on regular faces: (s_c + s_n) / 8 * |e_c|^2 cot_far
-        t = np.where(any_obt, 0.0, (s_corner[:, c] + s_corner[:, n]) / 8.0)
+        t = np.where(any_obt, 0.0, (s_corner[c] + s_corner[n]) / 8.0)
         # cotangent-vector term <L, nu> through L
         dh = h_corner[c] - h_corner[n]
-        qcot[:, far] = t * l2[c] - np.einsum("ij,ij->i", e[c], dh)
-        ev.append(cot[:, far, None] * dh - (2.0 * t * cot[:, far])[:, None] * e[c])
+        qcot[far] = t * l2[c] - _dot(e[c], dh)
+        ev.append(cot[far] * dh - (2.0 * t * cot[far]) * e[c])
     # defect term and d cot = -(1 + cot^2) d theta
     q = -coef_d[f] - (1.0 + cot**2) * qcot
     # d theta_c / d x_n = -nhat x e_c / |e_c|^2 and d theta_n / d x_c is its
     # negative, so edge c carries (q_c - q_n) nhat x e_c / |e_c|^2
     for c in range(3):
-        g = _cross(nhat, e[c]) / l2[c][:, None]
-        ev[c] += (q[:, c] - q[:, (c + 1) % 3])[:, None] * g
+        g = _cross(nhat, e[c]) / l2[c]
+        ev[c] += (q[c] - q[(c + 1) % 3]) * g
 
     # obtuse faces: area * (sum_c s_c * (1/2 if obtuse at c else 1/4))
-    qA = np.where(any_obt, np.sum(s_corner * np.where(obtuse, 0.5, 0.25), axis=1), 0.0)
+    qA = np.where(any_obt, np.sum(s_corner * np.where(obtuse, 0.5, 0.25), axis=0), 0.0)
     # phase-area fraction term
     if w is not None:
-        star_area = _scatter(f, (geo.area,) * 3, mesh.n_vertices)
+        star_area = _scatter(f, (geo.area,) * 3, V)
         tau = a[:, None] * gp  # (V, P)
         tau_w = np.einsum("vp,vp->v", tau, w)
         lab = phases.labels - 1
-        for c in range(3):
-            vc = f[:, c]
+        for vc in f:
             qA += (tau[vc, lab] - tau_w[vc]) / star_area[vc]
     # <L, nu> through the area-weighted normal: M . N_f with M the face sum
-    P_L = geo.L - nu * np.einsum("vi,vi->v", nu, geo.L)[:, None]
-    m_v = (coef_h / geo.Nv_norm)[:, None] * P_L
-    m_f = [np.take(m_v, f[:, c], axis=0) for c in range(3)]
-    M = qA[:, None] * nhat + m_f[0] + m_f[1] + m_f[2]
+    P_L = geo.L - nu * _dot(nu, geo.L)
+    m_v = (coef_h / geo.Nv_norm) * P_L
+    m_f = [np.take(m_v, fc, axis=1) for fc in f]
+    M = qA * nhat + m_f[0] + m_f[1] + m_f[2]
     # d(M . N_f)/d x_c = M x e_{c+1} / 2
     blocks = [0.5 * _cross(M, e[(c + 1) % 3]) + ev[c] - ev[(c + 2) % 3] for c in range(3)]
-    grad = _scatter(f, blocks, mesh.n_vertices)
+    grad = _scatter(f, blocks, V)
 
     # line tension
     if len(iface.edges):
-        ends = mesh.edges[iface.edges]
-        d = mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]]
-        pull = coeff[:, None] * (d / iface.length[:, None])
-        grad += _scatter(ends, (pull, -pull), mesh.n_vertices)
+        o, d = mesh.edges[iface.edges].T
+        rows = mesh.vertices.T
+        pull = coeff * ((rows[:, o] - rows[:, d]) / iface.length)
+        grad += _scatter((o, d), (pull, -pull), V)
 
+    grad = _columns(grad)
     return E, grad

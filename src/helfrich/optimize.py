@@ -336,7 +336,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 float(cvals[-1]), res_phase, rho, 0.0, grad_norm,
                 float(np.degrees(geo.min_angle)), geo.edge_ratio,
                 36.0 * np.pi * geo.volume**2 / float(geo.area.sum()) ** 3,
-                0, 0, int(geo.clamped.sum()), int(geo.obtuse.any(axis=1).sum()),
+                0, 0, int(geo.clamped.sum()), int(geo.obtuse.any(axis=0).sum()),
             )
             trajectory.append(point)
             if grad_norm < inner_tol:

@@ -145,6 +145,30 @@ def test_overlap_rejects_unknown_phase_ids(workdir, capsys):
         assert "is not in 1..2" in capsys.readouterr().err
 
 
+def test_overlap_rejects_equal_phase_ids(workdir, capsys):
+    # a phase compared with itself once ran the scaling gate and failed it
+    # (slope ~2.1, exit 4); phase_a defaults to 1, so --phase-b 1 alone is equal too
+    config = workdir / "ovl.cfg.json"
+    config.write_text(json.dumps({"mesh": str(workdir / "split.off"),
+                                  "phase_labels": str(workdir / "labels.txt"),
+                                  "constraints": {"overlap_eps0": 0.15}}))
+    inputs = ["--mesh", workdir / "split.off", "--phases", workdir / "labels.txt", "--eps0", "0.15"]
+    for args in (inputs + ["--phase-a", "2", "--phase-b", "2"], inputs + ["--phase-b", "1"],
+                 ["--config", config, "--phase-a", "1", "--phase-b", "1"]):
+        assert run(["overlap", *args]) == 1
+        err = capsys.readouterr().err
+        assert "--phase-a and --phase-b both name phase" in err
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--gamma", "--h0", "--sigma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eval_rejects_non_finite_material_constants(workdir, capsys, flag, value):
+    # NaN passed the beta >= 0 test, so eval once exited 0 with a "nan" total
+    args = ["eval", "--mesh", workdir / "sphere.off", "--beta", "1", "--out", workdir / "nan.json"]
+    assert run(args + [f"{flag}={value}"]) == 1
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
+
 def test_exit_codes(workdir):
     assert run(["hessian", "--beta", "2"]) == 1  # missing --gamma
     assert run(["eval", "--mesh", workdir / "nonexistent.off", "--beta", "1"]) == 1

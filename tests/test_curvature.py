@@ -139,9 +139,10 @@ def oracle_directions(mesh, nu, interior):
     # unknowns (s11, s12, s22): rows [u1,u2,0]->w1 and [0,u1,u2]->w2
     r1 = np.stack([u1, u2, np.zeros_like(u1)], axis=1)
     r2 = np.stack([np.zeros_like(u1), u1, u2], axis=1)
-    rows = src[:, None]
-    M = _scatter(rows, [np.einsum("ei,ej->eij", r1, r1) + np.einsum("ei,ej->eij", r2, r2)], mesh.n_vertices)
-    b = _scatter(rows, [r1 * w1[:, None] + r2 * w2[:, None]], mesh.n_vertices)
+    rows = src[None, :]
+    M = _scatter(rows, [np.einsum("ei,ej->ije", r1, r1) + np.einsum("ei,ej->ije", r2, r2)], mesh.n_vertices)
+    M = np.moveaxis(M, -1, 0)
+    b = _scatter(rows, [(r1 * w1[:, None] + r2 * w2[:, None]).T], mesh.n_vertices).T
     diag = M[:, (0, 1, 2), (0, 1, 2)].sum(axis=1) / 3.0
     det = np.linalg.det(M)
     bad = interior & (np.abs(det) <= 1e-12 * np.maximum(diag, 1e-300) ** 3)
@@ -284,7 +285,7 @@ def test_principal_directions_peak_allocation():
     # assembled normal equations at ~290; one (E, 3, 3) float array is 72
     # more, which this bound does not leave room for.
     mesh = shapes.jittered(shapes.icosphere(5), 1e-3, 0)
-    nu = geometry(mesh).nu
+    nu = geometry(mesh).nu.T
     n_edges = len(mesh.vertex_neighbors()[1])
     interior = interior_mask(mesh)
     tracemalloc.start()

@@ -190,3 +190,11 @@ def test_hessian_matches_finite_differences():
                 f_at(dp + dq) - f_at(dp - dq) - f_at(dq - dp) + f_at(-dp - dq)
             ) / (4 * h * h)
     assert np.abs(num - res.matrix).max() < 1e-6 * max(1.0, np.abs(res.matrix).max())
+
+
+@pytest.mark.parametrize("name", ["beta", "gamma", "h0", "sigma"])
+def test_material_params_reject_non_finite_constants(name):
+    values = {"beta": 1.0, "gamma": -0.5, "h0": 0.3, "sigma": 0.2}
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MaterialParams(**{**values, name: bad})

@@ -18,9 +18,12 @@ from helfrich.errors import (
 from helfrich.gradient import energy_and_gradient
 from helfrich.mesh import (
     TriMesh,
+    _columns,
     _count_components,
     _cross,
+    _dot,
     _max_pair_d2,
+    _norm,
     _scatter,
     build_mesh,
     diameter,
@@ -446,12 +449,12 @@ def test_cross_equals_np_cross_bitwise(data):
     b = data.draw(hnp.arrays(np.float64, (n, 3), elements=value))
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.cross(a, b)
-        got = _cross(a, b)
+        got = _cross(a.T, b.T).T
     assert got.shape == (n, 3)
     assert np.array_equal(got, want, equal_nan=True)
     rng = np.random.default_rng(n)
     a, b = rng.standard_normal((2, 5120, 3))
-    assert np.array_equal(_cross(a, b), np.cross(a, b))
+    assert np.array_equal(_cross(a.T, b.T).T, np.cross(a, b))
 
 
 def test_gauss_bonnet_exact(corpus):
@@ -541,12 +544,53 @@ def test_scatter_matches_add_at(data):
     weight = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
     values = [data.draw(hnp.arrays(np.float64, (rows,) + tail, elements=weight)) for _ in range(cols)]
     n_bins = n + data.draw(st.integers(0, 2), label="extra bins")
-    got = _scatter(index, values, n_bins)
+    blocks = [np.moveaxis(v, 0, -1) for v in values]
+    got = np.moveaxis(_scatter(index.T, blocks, n_bins), -1, 0)
     want = _scatter_oracle(index, values, n_bins)
     assert got.shape == want.shape
     total = sum(float(np.abs(v).sum()) for v in values)
     assert np.abs(got - want).max(initial=0.0) <= 1e-15 * total
-    assert np.array_equal(got, _scatter(index, values, n_bins))
+    assert np.array_equal(got, np.moveaxis(_scatter(index.T, blocks, n_bins), -1, 0))
+
+
+def _bits(a):
+    return a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 40), st.integers(1, 100_001)),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.booleans(),
+)
+def test_row_helpers_keep_numpy_bit_orders(n, seed, zeros):
+    """The row helpers keep the bits of the numpy calls they replace.
+
+    The geometry record and the gradient work on (3, n) component rows and
+    promise the bits the (n, 3) code had; this holds only while numpy sums
+    in the orders the helpers spell out, so a numpy upgrade that moves one
+    fails here first.
+    """
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, n, 3)) * np.exp2(rng.integers(-40, 40, (2, n, 3)))
+    if zeros:  # signed zeros and near cancellations
+        x[rng.random((n, 3)) < 0.3] = -0.0
+        y[rng.random((n, 3)) < 0.3] = 0.0
+        y[::2, 1] = -x[::2, 1] * y[::2, 0] / np.where(x[::2, 0] == 0, 1.0, x[::2, 0])
+    xr, yr = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
+    assert _bits(_dot(xr, yr)) == _bits(np.einsum("ij,ij->i", x, y))
+    assert _bits(_norm(xr)) == _bits(np.linalg.norm(x, axis=1))
+    assert _bits(_cross(xr, yr)) == _bits(np.cross(x, y).T)
+    assert _bits(_columns(xr)) == _bits(x)
+    # the column loop the (n, 3) scatter ran, corner by corner
+    bins = 1 + n // 3
+    index = rng.integers(0, bins, (n, 3))
+    want = np.zeros((bins, 3))
+    for c, vals in enumerate((x, y, -x)):
+        for k in range(3):
+            want[:, k] += np.bincount(index[:, c], weights=vals[:, k], minlength=bins)
+    got = _scatter(np.ascontiguousarray(index.T), (xr, yr, -xr), bins)
+    assert _bits(got) == _bits(want.T)
 
 
 def test_edges_and_adjacency(icosphere4):

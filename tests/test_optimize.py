@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -25,7 +26,7 @@ from helfrich.errors import (
     PhaseCountMismatch,
     QualityCollapse,
 )
-from helfrich.gradient import total_energy
+from helfrich.gradient import energy_and_gradient, total_energy
 from helfrich.mesh import TriMesh, enclosed_volume
 from helfrich.optimize import (
     _MEMORY,
@@ -582,9 +583,20 @@ def test_criterion_8_search_builds_few_trials(monkeypatch):
     # criterion 8's configuration with a 150-iteration budget
     mesh0 = shapes.jittered(shapes.icosphere(4), 0.01, seed=11)
     cs = ConstraintSet(area=4 * np.pi, volume=4 * np.pi / 3)
+    # the single-phase bits, pinned when the geometry record and the
+    # gradient held (F, 3) face blocks; the row layout must not move them
+    E, g = energy_and_gradient(mesh0, None, WILLMORE)
+    assert E.hex() == "0x1.abe3f385535aap+8"
+    assert hashlib.sha256(g.tobytes()).hexdigest() == (
+        "0634fe36a192c930b3378087710890d2f787cc6dcc454d370be1b7d6991f6281"
+    )
     trials = _recording_trials(monkeypatch)
     state = minimize(mesh0, None, WILLMORE, cs, RunConfig(max_iterations=150))
     assert state.iteration == 150
+    assert state.energy == 25.13338138454342
+    assert hashlib.sha256(state.mesh.vertices.tobytes()).hexdigest() == (
+        "85e96136becbd6265bcd752cdce5f262a202456cdb3fdb7f5fb09eca8a99e0e9"
+    )
     assert len(trials) <= 1.3 * state.iteration
     points = state.trajectory
     assert sum(p.trials for p in points) == len(trials)
@@ -598,7 +610,7 @@ def test_criterion_8_search_builds_few_trials(monkeypatch):
     assert sum(p.memory > 0 for p in points) > 0.8 * len(points)
     geo = geometry(mesh0)
     assert points[0].clamped == int(geo.clamped.sum())
-    assert points[0].obtuse == int(geo.obtuse.any(axis=1).sum())
+    assert points[0].obtuse == int(geo.obtuse.any(axis=0).sum())
 
 
 def _dense_bfgs_direction(g, pairs):
