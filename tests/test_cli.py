@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -528,3 +529,51 @@ def test_minimize_negative_max_iterations_exits_1(workdir, capsys):
     assert run(["minimize", "--mesh", workdir / "sphere.off", "--beta", "1", "--area", "12.5",
                 "--volume", "4.1", "--max-iterations", "-5"]) == 1
     assert "max_iterations must be >= 0" in capsys.readouterr().err
+
+
+# sha256 of every output a subcommand writes; a change to the JSON or CSV
+# layout, to the float format or to any value shows here
+PINNED_OUTPUTS = {
+    "verify_corpus": "dec17db20af978172178c57123926b09bab23c6e7c5c4da61ac87c8a8ac669b7",
+    "eval_two_phase": "f64d00cf096bd86effe0b01925ef3a432ac45c78d1b843b3a6492ae71e963b7e",
+    "overlap": "afbbf498ea10b94fe1d0c6da1cf77fc5807023822eb8a334b4d1d2694971c10c",
+    "hessian": "571bcec6935187d1cf7fa8be05c99d045290399ca6cfa38c5035bd9125e74250",
+    "minimize_stdout": "46a55dc3f3a57600ea0b3225ace888d43222f13ed4c23ae2154c334b62957cd1",
+    "minimize_state": "46a55dc3f3a57600ea0b3225ace888d43222f13ed4c23ae2154c334b62957cd1",
+    "minimize_trajectory": "ca3ed1b9d97409689c7427bed28dec76acf026417d874458fa6bd78885a3ab6a",
+}
+
+
+def test_output_bytes_are_pinned(workdir, capsys):
+    split = ["--mesh", workdir / "split.off", "--phases", workdir / "labels.txt"]
+    commands = {
+        "verify_corpus": ["verify", "--corpus", "--seed", "0"],
+        "eval_two_phase": ["eval", *split, "--beta", "1,1.5", "--gamma", "-0.3,-0.5",
+                           "--h0", "0.2,-0.4", "--sigma", "0.7,0.7", "--area", "12.5",
+                           "--volume", "4.1"],
+        "overlap": ["overlap", *split, "--eps0", "0.15"],
+        "hessian": ["hessian", "--beta", "2", "--gamma", "-1"],
+        "minimize_stdout": ["minimize", *split, "--beta", "1,1.5", "--gamma", "-0.3,-0.5",
+                            "--h0", "0.2,-0.4", "--sigma", "0.7,0.7", "--area", "12.55",
+                            "--volume", "4.15", "--phase-areas", "6.2,6.35",
+                            "--max-iterations", "6", "--out-dir", workdir / "pinned"],
+    }
+    digests = {}
+    for name, args in commands.items():
+        capsys.readouterr()
+        assert run(args) == 0, name
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for name, out in (("minimize_state", "state.json"), ("minimize_trajectory", "trajectory.csv")):
+        digests[name] = hashlib.sha256((workdir / "pinned" / out).read_bytes()).hexdigest()
+    assert digests == PINNED_OUTPUTS
+
+
+def test_minimize_without_iterations_writes_the_trajectory_header(workdir):
+    assert run(["minimize", "--mesh", workdir / "sphere.off", "--beta", "1", "--area", "12.5",
+                "--volume", "4.1", "--max-iterations", "0", "--out-dir", workdir / "no_iter",
+                "--out", workdir / "no_iter.json"]) == 0
+    assert (workdir / "no_iter" / "trajectory.csv").read_bytes() == (
+        b"iteration,outer,energy,augmented,bending,gauss,spontaneous,line_tension,"
+        b"residual_area,residual_volume,residual_phase_max,penalty,step,grad_norm,"
+        b"min_angle_deg,max_edge_ratio,iso_quotient,trials,memory,clamped,obtuse\r\n"
+    )
