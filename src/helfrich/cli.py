@@ -13,7 +13,7 @@ is written over its config key (``_SCHEMA``). Besides those keys a config
 may hold the other ``RunConfig`` fields under ``run``, and the keys
 ``run.seed`` and ``constraints.tol`` of older configs, which are ignored;
 any other key is an error. Per-phase lists may start with a minus sign
-(``--gamma -0.3,-1``). Exit codes: 0 success, 1 parse/validation error
+(``--gamma -0.3,-1``, ``--gamma -inf``). Exit codes: 0 success, 1 parse/validation error
 (argparse's message follows the usage line), 2 infeasible constraints,
 3 optimizer failure, 4 verification failure.
 """
@@ -21,7 +21,6 @@ any other key is an error. Per-phase lists may start with a minus sign
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -49,8 +48,8 @@ EXIT_VERIFICATION = 4
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a token such as "-0.3,-1" is a per-phase value list, not an option
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # a token such as "-0.3,-1" or "-inf,1" is a per-phase value list, not an option
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf|infinity|nan)(,|$))", re.I)
 
     def parse_known_args(self, args=None, namespace=None):
         # a subcommand rejects the flags it does not know itself, so the
@@ -230,15 +229,7 @@ def cmd_hessian(args):
     params = MaterialParams(args.beta, args.gamma)
     res = hessian(params)
     verdict = convexity_check(params)
-    payload = {
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "matrix": [list(row) for row in res.matrix],
-        "eigenvalues_closed_form": list(res.eigenvalues_closed_form),
-        "eigenvalues_numeric": list(res.eigenvalues_numeric),
-        "verdict": verdict,
-    }
-    _emit(args, payload)
+    _emit(args, {"beta": args.beta, "gamma": args.gamma, **vars(res), "verdict": verdict})
     lam1 = (6 * args.beta + 5 * args.gamma) / 2
     print(
         f"lambda_1 = {lam1:.17g}, lambda_2..9 = {-args.gamma / 2:.17g} -> {verdict.replace('_', ' ')}",
@@ -255,10 +246,10 @@ def cmd_eval(args):
     if phases is None and len(params) == 1:
         canham_helfrich(mesh, curv, params[0])  # raises if the tensor and scalar paths disagree
     report = multiphase_energy(mesh, curv, phases, params)
-    payload = report.to_dict()
+    payload = dict(vars(report))
     if "constraints.area" in cfg or "constraints.volume" in cfg:
         cs = _constraint_set(cfg)
-        payload["constraint_residuals"] = constraint_residuals(mesh, phases, cs).to_dict()
+        payload["constraint_residuals"] = constraint_residuals(mesh, phases, cs)
     _emit(args, payload)
     return EXIT_OK
 
@@ -285,19 +276,13 @@ def cmd_minimize(args):
         "grad_norm": state.grad_norm,
         "penalty": state.penalty,
         "multipliers": state.multipliers,
-        "residuals": state.residuals.to_dict(),
-        "energy_report": state.energy_report.to_dict(),
+        "residuals": state.residuals,
+        "energy_report": state.energy_report,
     }
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_mesh(os.path.join(out_dir, "final.off"), state.mesh)
-        with open(os.path.join(out_dir, "trajectory.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TrajectoryPoint.FIELDS)
-            for point in state.trajectory:
-                writer.writerow(
-                    [x if isinstance(x, int) else f"{x:.17g}" for x in point.row()]
-                )
+        serialize.dump_csv(TrajectoryPoint, state.trajectory, os.path.join(out_dir, "trajectory.csv"))
         serialize.dump(payload, os.path.join(out_dir, "state.json"))
     _emit(args, payload)
     return EXIT_OK
@@ -342,7 +327,7 @@ def cmd_overlap(args):
         sup_a = phase_support(mesh, phases, phase_a)
         sup_b = phase_support(mesh, phases, phase_b)
     verdict = no_overlap_check(sup_a, sup_b, eps0, n_eps=args.n_eps)
-    _emit(args, verdict.to_dict())
+    _emit(args, verdict)
     return EXIT_OK if verdict.passed else EXIT_VERIFICATION
 
 

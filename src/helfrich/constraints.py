@@ -81,17 +81,17 @@ class ConstraintSet:
         return isoperimetric_check(self.area, self.volume)
 
 
-def isoperimetric_check(m, e, rtol=1e-9):
+def isoperimetric_check(m, e):
     """Admissibility of (area, volume): '(6 sqrt(pi) e)^(1/3) <= sqrt(m)'.
 
-    Returns 'feasible', 'equality' (the round sphere, to ``rtol``), or
-    'infeasible'.
+    Returns 'feasible', 'equality' (the round sphere, to a relative 1e-9),
+    or 'infeasible'.
     """
     if not (m > 0 and e > 0):
         raise NonPositiveTarget(f"need m, e > 0, got ({m}, {e})")
     lhs = (6.0 * np.sqrt(np.pi) * e) ** (1.0 / 3.0)
     rhs = np.sqrt(m)
-    if abs(lhs - rhs) <= rtol * rhs:
+    if abs(lhs - rhs) <= 1e-9 * rhs:
         return "equality"
     return "feasible" if lhs < rhs else "infeasible"
 
@@ -251,27 +251,17 @@ class OverlapVerdict:
 
     passed: bool
     slope: float  # NaN when fewer than two nonzero samples
+    eps0: float
     radii: np.ndarray
     measures: np.ndarray
     bounds: np.ndarray
-    eps0: float
-
-    def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "slope": float(self.slope),
-            "eps0": float(self.eps0),
-            "radii": [float(x) for x in self.radii],
-            "measures": [float(x) for x in self.measures],
-            "bounds": [float(x) for x in self.bounds],
-        }
 
 
-def no_overlap_check(support_a, support_b, eps0, n_eps=6, eps_min=None):
+def no_overlap_check(support_a, support_b, eps0, n_eps=6):
     """Gate m(eps) <= eps^3 / eps0 on sampled radii, plus a slope fit.
 
-    Radii are log-spaced in (eps_min, eps0); the floor defaults to the
-    supports' sampling resolution, below which the discrete measure is
+    Radii are log-spaced in (eps_min, eps0), where eps_min is 1.5 times the
+    coarser support's sampling resolution: below it the discrete measure is
     atomic and the scaling law is meaningless.
 
     Returns an :class:`OverlapVerdict`; the fitted exponent is the
@@ -280,8 +270,7 @@ def no_overlap_check(support_a, support_b, eps0, n_eps=6, eps_min=None):
     """
     if n_eps < 4:
         raise InsufficientSamples(f"need at least 4 radii, got {n_eps}")
-    if eps_min is None:
-        eps_min = 1.5 * max(support_a.resolution, support_b.resolution)
+    eps_min = 1.5 * max(support_a.resolution, support_b.resolution)
     if not 0 < eps_min < eps0:
         raise InsufficientSamples(
             f"empty radius range ({eps_min:g}, {eps0:g}); refine the supports or raise eps0"
@@ -295,7 +284,7 @@ def no_overlap_check(support_a, support_b, eps0, n_eps=6, eps_min=None):
         slope = float(np.polyfit(np.log(radii[nz]), np.log(measures[nz]), 1)[0])
     else:
         slope = float("nan")
-    return OverlapVerdict(passed, slope, radii, measures, bounds, float(eps0))
+    return OverlapVerdict(passed, slope, float(eps0), radii, measures, bounds)
 
 
 class _Constraints:
@@ -369,14 +358,6 @@ class ConstraintResiduals:
         vals = [abs(self.area), abs(self.volume), abs(self.boundary_mass)]
         vals.extend(abs(x) for x in self.phase_areas)
         return max(vals)
-
-    def to_dict(self):
-        return {
-            "area": self.area,
-            "volume": self.volume,
-            "phase_areas": list(self.phase_areas),
-            "boundary_mass": self.boundary_mass,
-        }
 
 
 def constraint_residuals(mesh, phases, cs):

@@ -44,16 +44,6 @@ class CheckRecord:
     passed: bool
     statement: str
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "passed": bool(self.passed),
-            "statement": self.statement,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -72,6 +62,7 @@ class VerificationReport:
         return all(r.passed for r in self.records)
 
     def to_dict(self):
+        """JSON layout, not the fields: a mesh block, the checks by name, and all_pass."""
         return {
             "mesh": {
                 "name": self.mesh_name,
@@ -84,7 +75,7 @@ class VerificationReport:
                 "mean_edge_length": self.mean_edge_length,
             },
             "all_pass": bool(self.all_pass),
-            "checks": [r.to_dict() for r in sorted(self.records, key=lambda r: r.name)],
+            "checks": sorted(self.records, key=lambda r: r.name),
         }
 
     @classmethod
@@ -156,8 +147,11 @@ def verify_pointwise(curv):
     return records
 
 
-def random_trig_fields(n_fields, length_scale, seed=0, n_waves=3):
-    """Smooth vector fields built from random plane waves.
+_N_WAVES = 3  # plane waves per component of a random field
+
+
+def random_trig_fields(n_fields, length_scale, seed=0):
+    """Smooth vector fields, each component a sum of ``_N_WAVES`` random plane waves.
 
     Returns a list of callables ``X(points) -> (values (N,3), jacobians
     (N,3,3))``; scale to sup-norm 1 at the evaluation points is the
@@ -168,9 +162,9 @@ def random_trig_fields(n_fields, length_scale, seed=0, n_waves=3):
     rng = np.random.default_rng(seed)
     fields = []
     for _ in range(n_fields):
-        wave = rng.normal(0.0, 1.5 / length_scale, size=(3, n_waves, 3))
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, n_waves))
-        amp = rng.normal(0.0, 1.0, size=(3, n_waves))
+        wave = rng.normal(0.0, 1.5 / length_scale, size=(3, _N_WAVES, 3))
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, _N_WAVES))
+        amp = rng.normal(0.0, 1.0, size=(3, _N_WAVES))
 
         def X(points, wave=wave, phase=phase, amp=amp):
             arg = np.einsum("itj,nj->nit", wave, points) + phase[None]
@@ -179,7 +173,7 @@ def random_trig_fields(n_fields, length_scale, seed=0, n_waves=3):
             # third of its cost: one contiguous (N, 3, 3) multiply-add per wave
             u = np.moveaxis(amp * np.sin(arg), 2, 0)
             jac = u[0][..., None] * wave[:, 0]
-            for t in range(1, n_waves):
+            for t in range(1, _N_WAVES):
                 jac += u[t][..., None] * wave[:, t]
             np.negative(jac, out=jac)
             return vals, jac
@@ -311,14 +305,6 @@ class RefinementProbe:
     @property
     def passed(self):
         return self.monotone and self.order >= 1.0
-
-    def to_dict(self):
-        return {
-            "rows": [list(map(float, r)) for r in self.rows],
-            "order": float(self.order),
-            "monotone": bool(self.monotone),
-            "passed": bool(self.passed),
-        }
 
 
 def refinement_probe(shape_generator, levels, exact, quantity):

@@ -134,9 +134,6 @@ class PhaseReport:
     spontaneous: float
     boundary_length: float
 
-    def to_dict(self):
-        return dict(self.__dict__)
-
 
 @dataclass
 class EnergyReport:
@@ -147,15 +144,6 @@ class EnergyReport:
     willmore_quarter: float
     willmore_varifold: float
     phases: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "total": self.total,
-            "line_tension": self.line_tension,
-            "willmore_quarter": self.willmore_quarter,
-            "willmore_varifold": self.willmore_varifold,
-            "phases": [p.to_dict() for p in self.phases],
-        }
 
     def parts_sum(self):
         return self.line_tension + sum(p.bending + p.gauss + p.spontaneous for p in self.phases)

@@ -25,9 +25,6 @@ from .errors import (
 
 __all__ = ["TriMesh", "build_mesh", "enclosed_volume", "diameter"]
 
-# Face area below AREA_EPS_FACTOR * bbox_diag^2 counts as degenerate.
-AREA_EPS_FACTOR = 1e-12
-
 # Attributes that depend on the faces only; with_vertices shares them.
 _CONNECTIVITY = (
     "faces", "allow_boundary", "half_edge_origin", "half_edge_dest", "half_edge_twin",
@@ -286,11 +283,10 @@ class TriMesh:
         self.boundary_vertices = np.unique(origin[twin < 0])
 
     def _validate_face_areas(self):
-        eps = AREA_EPS_FACTOR * self.bbox_diagonal**2
         area = _norm(_face_vectors(self.vertices, self._face_rows)[2])
         bad = int(np.argmin(area))
-        if area[bad] <= eps:
-            raise DegenerateFace(f"face {bad} has area {area[bad]:.3g} <= {eps:.3g}")
+        if area[bad] <= self.area_floor:
+            raise DegenerateFace(f"face {bad} has area {area[bad]:.3g} <= {self.area_floor:.3g}")
 
     # -- basic queries -----------------------------------------------------
 
@@ -329,6 +325,11 @@ class TriMesh:
     @property
     def bbox_diagonal(self):
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
+
+    @property
+    def area_floor(self):
+        """Face area at or below which a face is degenerate: 1e-12 * bbox_diagonal^2."""
+        return 1e-12 * self.bbox_diagonal**2
 
     def total_area(self):
         from .curvature import geometry

@@ -20,7 +20,7 @@ change during a run.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .errors import (
     QualityCollapse,
 )
 from .gradient import energy_and_gradient, total_energy
-from .mesh import AREA_EPS_FACTOR
 
 __all__ = [
     "RunConfig",
@@ -96,6 +95,8 @@ class RunConfig:
 
 @dataclass
 class TrajectoryPoint:
+    """One inner iteration; its fields, in order, are the columns of trajectory.csv."""
+
     iteration: int
     outer: int
     energy: float
@@ -117,12 +118,6 @@ class TrajectoryPoint:
     memory: int  # L-BFGS pairs behind the searched direction; 0 for steepest descent
     clamped: int  # vertices where H was reconciled with K
     obtuse: int  # faces with an obtuse corner
-
-    def row(self):
-        return [getattr(self, name) for name in self.FIELDS]
-
-
-TrajectoryPoint.FIELDS = tuple(f.name for f in fields(TrajectoryPoint))  # trajectory.csv columns
 
 
 @dataclass
@@ -277,6 +272,9 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
     termination = "max_iterations"
     prev_cnorm = np.inf
 
+    def augmented_lagrangian(E, c):  # at the current multipliers and penalty
+        return E + lam @ c + 0.5 * rho * (c @ c)
+
     def try_step(x):
         """(trial mesh, phi, None) at positions x; (None, None, guard fault or None) if rejected."""
         try:
@@ -285,8 +283,8 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             return None, None, None
         with np.errstate(divide="ignore", invalid="ignore"):
             geo = geometry(trial)
-        if geo.area.min() <= AREA_EPS_FACTOR * trial.bbox_diagonal**2:
-            return None, None, None  # TriMesh's degenerate-face threshold
+        if geo.area.min() <= trial.area_floor:
+            return None, None, None  # a degenerate face
         fault = _quality_fault(geo, cfg)
         if fault:
             return None, None, fault
@@ -294,8 +292,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             E_m = total_energy(trial, phases, params_list)
         except DegenerateConfiguration:  # a vertex normal vanished
             return None, None, None
-        c = con.values(trial)
-        phi_m = E_m + lam @ c + 0.5 * rho * (c @ c)
+        phi_m = augmented_lagrangian(E_m, con.values(trial))
         return (trial, phi_m, None) if np.isfinite(phi_m) else (None, None, None)
 
     for outer in range(_OUTER_ITERATIONS):
@@ -314,7 +311,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             g = gE.copy()
             for lam_i, rho_c, gc in zip(lam, rho * cvals, con.gradients(mesh)):
                 g += (lam_i + rho_c) * gc
-            phi = E + lam @ cvals + 0.5 * rho * (cvals @ cvals)
+            phi = augmented_lagrangian(E, cvals)
             if not (np.isfinite(phi) and np.isfinite(g).all()):
                 raise _diverged(it, phi, g)
             g -= g.mean(axis=0)  # translations are a null space
@@ -424,7 +421,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         mesh=mesh,
         iteration=it,
         energy=E,
-        augmented=float(E + lam @ cvals + 0.5 * rho * (cvals @ cvals)),
+        augmented=float(augmented_lagrangian(E, cvals)),
         residuals=res,
         multipliers=mult,
         penalty=rho,

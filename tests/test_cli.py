@@ -170,6 +170,14 @@ def test_eval_rejects_non_finite_material_constants(workdir, capsys, flag, value
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN,1", "-inf,-0.5"])
+def test_negative_non_finite_value_after_a_space_is_a_value(workdir, capsys, value):
+    # "-inf" and "-nan" once read as unknown options ("expected one argument")
+    args = ["eval", "--mesh", workdir / "sphere.off", "--beta", "1", "--out", workdir / "nan.json"]
+    assert run(args + ["--gamma", value]) == 1
+    assert capsys.readouterr().err.startswith("error: gamma must be finite, got ")
+
+
 def test_exit_codes(workdir):
     assert run(["hessian", "--beta", "2"]) == 1  # missing --gamma
     assert run(["eval", "--mesh", workdir / "nonexistent.off", "--beta", "1"]) == 1
