@@ -1,9 +1,13 @@
 """The multi-radius overlap kernel against the brute-force double loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+
+from helfrich import shapes
 
 from helfrich.constraints import (
     PhaseSupport,
@@ -48,6 +52,19 @@ _FAR = PhaseSupport(_CLOUD.points + 50.0, _CLOUD.weights, 0.1)
 _LATTICE = PhaseSupport(np.indices((3, 3, 3)).reshape(3, -1).T / 4, np.linspace(0.1, 1, 27), 0.1)
 # 1e-6 lies below every distance between distinct points of the cloud
 _EDGE_RADII = [0.3, 1e-6, 0.05, 0.3, 1.5]
+# 300 points of A in one cell of size 0.5, and B around and inside it
+_DENSE = PhaseSupport(_RNG.uniform(0, 0.1, (300, 3)), _RNG.uniform(0.1, 1, 300), 0.1)
+_DENSE_B = PhaseSupport(_RNG.uniform(-0.4, 0.5, (200, 3)), _RNG.uniform(0.1, 1, 200), 0.1)
+# with cell size 1 the far point of A puts the origin at z = -4, so A's
+# column holds B in the cells z-1, z, z+1, and z+2 out of reach
+_COLUMN_A = PhaseSupport(
+    [[0.0, 0.0, 0.5], [0.0, 0.0, 0.55], [0.3, 0.2, 0.5], [5.0, 5.0, -3.0]], [0.5, 0.25, 1.0, 0.125], 0.1
+)
+_COLUMN_B = PhaseSupport(
+    [[0.0, 0.0, z] for z in (-0.4, 0.2, 0.9, 1.4, 2.2)] + [[0.9, 0.1, 0.3]],
+    [0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+    0.1,
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -63,10 +80,18 @@ _EDGE_RADII = [0.3, 1e-6, 0.05, 0.3, 1.5]
 @example(supports=(_CLOUD, _FAR), radii=_EDGE_RADII)
 @example(supports=(_CLOUD, _CLOUD), radii=_EDGE_RADII)
 @example(supports=(_LATTICE, _LATTICE), radii=[0.25, 0.5, 0.25])
+@example(supports=(_DENSE, _DENSE_B), radii=[0.5, 0.05, 0.2, 0.1])
+@example(supports=(_COLUMN_A, _COLUMN_B), radii=[1.0, 0.6, 0.95, 0.3])
 def test_multi_radius_kernel_equals_brute_force(supports, radii):
     a, b = supports
     brute = np.array([overlap_measure(a, b, e, "brute") for e in radii])
     assert _overlap_measures(a, b, radii).tobytes() == brute.tobytes()
+
+
+def test_radius_below_the_grid_resolution_is_rejected():
+    # cell size 1e-7 over a unit cloud needs cell indices past 2^20
+    with pytest.raises(ValueError, match="radius too small for the grid extent"):
+        _overlap_measures(_CLOUD, _CLOUD, [1e-7])
 
 
 def test_gate_measures_equal_per_radius_calls(split_sphere5):
@@ -85,3 +110,24 @@ def test_phase_support_rejects_unknown_ids(split_sphere):
     for phase_id in (0, -1, phases.n_phases + 1):
         with pytest.raises(UnknownPhase):
             phase_support(mesh, phases, phase_id)
+
+
+def test_gate_on_the_large_split_input_is_pinned():
+    """The gate at V=40962, where the brute-force oracle is too slow to run.
+
+    The input is the ``large_split_eval`` benchmark's: icosphere(6) with
+    equator labels, jittered by 1e-3 with seed 0, and eps0 = 0.15. The
+    hash was taken from the per-point spatial-hash kernel, whose measures
+    equal the brute force's bit for bit on every smaller input tested.
+    """
+    mesh = shapes.icosphere(6)
+    labels = shapes.equator_phase_labels(mesh)
+    mesh = shapes.jittered(mesh, 1e-3, 0)
+    phases = PhaseField(labels)
+    a, b = phase_support(mesh, phases, 1), phase_support(mesh, phases, 2)
+    verdict = no_overlap_check(a, b, 0.15)
+    assert hashlib.sha256(verdict.measures.tobytes()).hexdigest() == (
+        "a632ad6ed25fedbe8b9000ce9f1f402fd141183d36c5238aa8e26d4bf2e96f5d"
+    )
+    assert verdict.slope == pytest.approx(2.9309327266064997, rel=1e-12, abs=0)
+    assert verdict.passed
