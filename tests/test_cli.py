@@ -32,7 +32,7 @@ def run(args):
 def test_hessian_command(workdir, capsys):
     rc = run(["hessian", "--beta", "2", "--gamma", "-1", "--out", workdir / "h.json"])
     assert rc == 0
-    data = json.load(open(workdir / "h.json"))
+    data = json.loads((workdir / "h.json").read_text())
     assert data["verdict"] == "strictly_convex"
     eigs = sorted(set(round(x, 10) for x in data["eigenvalues_closed_form"]))
     assert eigs == [0.5, 3.5]
@@ -45,7 +45,7 @@ def test_eval_command_sphere(workdir):
          "--h0", "0", "--out", workdir / "eval.json"]
     )
     assert rc == 0
-    data = json.load(open(workdir / "eval.json"))
+    data = json.loads((workdir / "eval.json").read_text())
     assert abs(data["total"] - 8 * np.pi) < 0.02 * 8 * np.pi
     assert abs(data["willmore_quarter"] - 4 * np.pi) < 0.02 * 4 * np.pi
     assert abs(data["willmore_varifold"] - 4 * data["willmore_quarter"]) < 1e-9
@@ -82,7 +82,7 @@ def test_eval_multiphase(workdir):
          "--out", workdir / "mp.json"]
     )
     assert rc == 0
-    data = json.load(open(workdir / "mp.json"))
+    data = json.loads((workdir / "mp.json").read_text())
     assert abs(data["line_tension"] - 4 * np.pi) < 0.02 * 4 * np.pi
     assert len(data["phases"]) == 2
 
@@ -102,14 +102,14 @@ def test_minimize_command_outputs(workdir):
     assert len(lines) > 2
     final = read_mesh(workdir / "run" / "final.off")
     assert final.n_vertices == sphere.n_vertices
-    state = json.load(open(workdir / "min.json"))
+    state = json.loads((workdir / "min.json").read_text())
     assert state["termination"] in ("converged", "max_iterations")
 
 
 def test_verify_command(workdir):
     rc = run(["verify", "--mesh", workdir / "sphere.off", "--out", workdir / "ver.json"])
     assert rc == 0
-    data = json.load(open(workdir / "ver.json"))
+    data = json.loads((workdir / "ver.json").read_text())
     assert data["all_pass"] is True
     checks = data["reports"][0]["checks"]
     names = [c["name"] for c in checks]
@@ -123,7 +123,7 @@ def test_overlap_command_pass_and_fail(workdir):
          "--eps0", "0.15", "--n-eps", "6", "--out", workdir / "ovl.json"]
     )
     assert rc == 0
-    data = json.load(open(workdir / "ovl.json"))
+    data = json.loads((workdir / "ovl.json").read_text())
     assert data["passed"] and 2.7 <= data["slope"] <= 3.3
     # identical supports overlap on a surface: gate fails, exit 4
     rc = run(
@@ -131,7 +131,7 @@ def test_overlap_command_pass_and_fail(workdir):
          "--eps0", "0.3", "--n-eps", "6", "--out", workdir / "ovl2.json"]
     )
     assert rc == 4
-    assert json.load(open(workdir / "ovl2.json"))["passed"] is False
+    assert json.loads((workdir / "ovl2.json").read_text())["passed"] is False
 
 
 def test_overlap_rejects_unknown_phase_ids(workdir, capsys):
@@ -279,7 +279,7 @@ def test_negative_per_phase_lists(workdir, capsys):
     assert run(common + ["--gamma", "-0.3,-1", "--out", workdir / "neg1.json"]) == 0
     assert run(common + ["--gamma=-0.3,-1", "--out", workdir / "neg2.json"]) == 0
     assert (workdir / "neg1.json").read_bytes() == (workdir / "neg2.json").read_bytes()
-    gauss = [p["gauss"] for p in json.load(open(workdir / "neg1.json"))["phases"]]
+    gauss = [p["gauss"] for p in json.loads((workdir / "neg1.json").read_text())["phases"]]
     assert gauss[1] < 0 and abs(gauss[0] / gauss[1] - 0.3) < 1e-9  # mirror-symmetric halves
     assert capsys.readouterr().err == ""
 
@@ -295,7 +295,7 @@ def test_readme_config_with_ignored_keys_runs(workdir):
     rc = run(["minimize", "--config", workdir / "readme.json", "--max-iterations", "2",
               "--out", workdir / "readme_state.json"])
     assert rc == 0
-    assert json.load(open(workdir / "readme_state.json"))["iterations"] == 2
+    assert json.loads((workdir / "readme_state.json").read_text())["iterations"] == 2
 
 
 def test_minimize_phase_count_errors_exit_1(workdir, capsys):
@@ -450,7 +450,7 @@ def test_eval_reports_residuals_from_config_constraints(workdir):
               "constraints": {"area": 12.5, "volume": 4.1}}
     (workdir / "res.cfg.json").write_text(dumps(config))
     assert run(["eval", "--config", workdir / "res.cfg.json", *flags, workdir / "res_cfg.json"]) == 0
-    assert "constraint_residuals" in json.load(open(workdir / "res_cfg.json"))
+    assert "constraint_residuals" in json.loads((workdir / "res_cfg.json").read_text())
     assert (workdir / "res_cfg.json").read_bytes() == (workdir / "res_flags.json").read_bytes()
 
 
