@@ -8,7 +8,11 @@ than epsilon,
 
 accelerated by a uniform spatial hash. One hash of cell size max(eps)
 collects the cross pairs closer than the largest radius once, and every
-smaller radius of the gate masks the same pairs. The admissible scaling
+smaller radius of the gate masks the same pairs. Both phases are sorted
+by cell: each occupied cell of A queries its neighbour cells once, the
+candidates are read component-major from contiguous ranges of B, and
+the survivors are put in (a, b) order by one integer key. Every measure
+is bitwise equal to the brute-force double loop. The admissible scaling
 is m(eps) <= eps^3 / eps0 on (0, eps0): surface-to-surface contact scales
 like eps^2 and fails, curve or point contact scales like eps^3 and passes.
 """
@@ -163,13 +167,19 @@ def _per_point_overlap_brute(pa, pb, wb, eps):
 def _overlap_measures(support_a, support_b, radii):
     """m(eps) for every eps in ``radii``, from one spatial hash.
 
-    B is hashed once with cell size max(radii). Candidate pairs come from
-    the 27 cells around each point of A, read as 9 key ranges of 3 cells
-    stacked in z, and are kept only when closer than the largest radius;
-    the survivors are sorted by (a, b) once, and each radius sums its own
-    hits per a with ``np.add.reduceat``. The pairs, their d^2, the
-    summation order and the final sum are those of the brute-force
-    kernel, so every measure is bitwise equal to it.
+    Both supports are hashed with cell size max(radii) and sorted by cell
+    key. Each occupied cell of A looks up its 27 neighbour cells in B once,
+    as 9 key ranges of 3 cells stacked in z, and every point of the cell
+    takes the same ranges as its candidates. B is held as (3, N_B) rows in
+    cell order, so a range is a contiguous slice, and d^2 is formed
+    component-major as (dx^2 + dy^2) + dz^2, the order in which
+    ``np.sum(axis=1)`` adds the (n, 3) differences of the brute force.
+    Pairs closer than the largest radius survive; they are sorted once by
+    the single key a * N_B + b, which is unique since each (a, b) pair lies
+    in exactly one column, and each radius sums its own hits per a with
+    ``np.add.reduceat``. The pairs, their d^2, the summation order and the
+    final sum are those of the brute-force kernel, so every measure is
+    bitwise equal to it.
     """
     radii = np.asarray(radii, dtype=np.float64)
     pa, wa = support_a.points, support_a.weights
@@ -182,28 +192,40 @@ def _overlap_measures(support_a, support_b, radii):
     keys_b, _ = _cell_keys(pb, eps, origin)
     order_b = np.argsort(keys_b, kind="stable")
     keys_b_sorted = keys_b[order_b]
-    _, cells_a = _cell_keys(pa, eps, origin)
+    rows_b = np.ascontiguousarray(pb[order_b].T)
+    keys_a, cells_a = _cell_keys(pa, eps, origin)
+    order_a = np.argsort(keys_a, kind="stable")
+    keys_a_sorted = keys_a[order_a]
+    rows_a = np.ascontiguousarray(pa[order_a].T)
+    # first point of each occupied A cell, in cell order
+    first = np.flatnonzero(np.r_[True, keys_a_sorted[1:] != keys_a_sorted[:-1]])
+    members = np.diff(np.r_[first, len(pa)])
+    cells = cells_a[order_a[first]]
     pairs_a, pairs_b, pairs_d2 = [], [], []
     for dx, dy in itertools.product((-1, 0, 1), repeat=2):
         # z is the low field of the key and every cell index lies in
         # [1, 2^20), so the cells z-1, z, z+1 of one column are one key range
-        key = ((cells_a[:, 0] + dx) << 42) | ((cells_a[:, 1] + dy) << 21) | cells_a[:, 2]
+        key = ((cells[:, 0] + dx) << 42) | ((cells[:, 1] + dy) << 21) | cells[:, 2]
         lo = np.searchsorted(keys_b_sorted, key - 1, side="left")
         hi = np.searchsorted(keys_b_sorted, key + 1, side="right")
-        count = hi - lo
+        # every point of a cell, in cell order, takes its cell's range of B
+        lo, count = np.repeat(lo, members), np.repeat(hi - lo, members)
         has = count > 0
         if not has.any():
             continue
         sizes = count[has]
-        ai = np.repeat(np.flatnonzero(has), sizes)
-        ramp = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        bi = order_b[np.repeat(lo[has], sizes) + ramp]
-        d2 = np.sum((np.take(pa, ai, axis=0) - np.take(pb, bi, axis=0)) ** 2, axis=1)
+        start = np.cumsum(sizes) - sizes
+        bpos = np.arange(start[-1] + sizes[-1]) + np.repeat(lo[has] - start, sizes)
+        sq = np.repeat(rows_a[:, has], sizes, axis=1) - np.take(rows_b, bpos, axis=1)
+        sq *= sq
+        # (dx^2 + dy^2) + dz^2 is the order np.sum(axis=1) adds an (n, 3) row
+        d2 = sq[0] + sq[1]
+        d2 += sq[2]
         # filtering each column's candidates keeps the pair list at the
         # size of the hits, not of the 27-cell neighbourhoods
-        near = d2 < eps * eps
-        pairs_a.append(ai[near])
-        pairs_b.append(bi[near])
+        near = np.flatnonzero(d2 < eps * eps)
+        pairs_a.append(np.repeat(order_a[has], sizes)[near])
+        pairs_b.append(order_b[bpos[near]])
         pairs_d2.append(d2[near])
     if not pairs_a:
         return measures
@@ -211,7 +233,7 @@ def _overlap_measures(support_a, support_b, radii):
     bi = np.concatenate(pairs_b)
     # ascending (a, b) order makes the segment sums bitwise equal to the
     # brute-force masked sums
-    order = np.lexsort((bi, ai))
+    order = np.argsort(ai * len(pb) + bi)
     ai = ai[order]
     wb_pair = wb[bi[order]]
     d2 = np.concatenate(pairs_d2)[order]
