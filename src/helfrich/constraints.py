@@ -215,8 +215,10 @@ def _overlap_measures(support_a, support_b, radii):
             continue
         sizes = count[has]
         start = np.cumsum(sizes) - sizes
-        bpos = np.arange(start[-1] + sizes[-1]) + np.repeat(lo[has] - start, sizes)
-        sq = np.repeat(rows_a[:, has], sizes, axis=1) - np.take(rows_b, bpos, axis=1)
+        bpos = np.repeat(lo[has] - start, sizes)
+        bpos += np.arange(len(bpos))
+        sq = np.repeat(rows_a[:, has], sizes, axis=1)
+        sq -= np.take(rows_b, bpos, axis=1)
         sq *= sq
         # (dx^2 + dy^2) + dz^2 is the order np.sum(axis=1) adds an (n, 3) row
         d2 = sq[0] + sq[1]
