@@ -215,12 +215,14 @@ def _overlap_measures(support_a, support_b, radii):
             continue
         sizes = count[has]
         start = np.cumsum(sizes) - sizes
+        # each candidate's index in cell-sorted B: its range's start plus
+        # its offset in the range
         bpos = np.repeat(lo[has] - start, sizes)
         bpos += np.arange(len(bpos))
         sq = np.repeat(rows_a[:, has], sizes, axis=1)
         sq -= np.take(rows_b, bpos, axis=1)
         sq *= sq
-        # (dx^2 + dy^2) + dz^2 is the order np.sum(axis=1) adds an (n, 3) row
+        # x plus y, then z: the order in which np.sum(axis=1) adds an (n, 3) row
         d2 = sq[0] + sq[1]
         d2 += sq[2]
         # filtering each column's candidates keeps the pair list at the
