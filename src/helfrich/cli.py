@@ -168,7 +168,13 @@ def _resolve(args):
     cfg = {}
     for key, value in loaded.items():
         if key == "params":  # one column per key; an entry without gamma, h0 or sigma has 0
-            for name in {*_MATERIAL, *(name for entry in value for name in entry)}:
+            if not isinstance(value, list):
+                raise HelfrichError("config params must be a list of objects")
+            for i, entry in enumerate(value):
+                if not isinstance(entry, dict):
+                    raise HelfrichError(f"config params[{i}] is not an object")
+            # in first-seen order, so the first unknown key reported is fixed
+            for name in dict.fromkeys([*_MATERIAL, *(name for entry in value for name in entry)]):
                 cfg[f"params[i].{name}"] = [e.get(name, None if name == "beta" else 0.0) for e in value]
         elif key in ("constraints", "run"):
             cfg.update({f"{key}.{name}": v for name, v in dict(value).items()})

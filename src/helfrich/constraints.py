@@ -27,7 +27,7 @@ import numpy as np
 from .curvature import _cotan_corners, geometry
 from .energy import vertex_phase_weights
 from .errors import InsufficientSamples, NonPositiveTarget, PhaseCountMismatch, UnknownPhase
-from .mesh import _columns, _cross, _scatter
+from .mesh import _columns, _scatter
 
 __all__ = [
     "ConstraintSet",
@@ -339,34 +339,22 @@ class _Constraints:
 
         Area: grad A = L / 2, L the record's cotangent vector (Meyer,
         Desbrun, Schroeder & Barr 2003). The identity holds face by face,
-        so it is exact on open meshes too, and a phase's area gradient is
-        L / 2 summed over that phase's faces only.
+        so a phase's area gradient is L / 2 summed over that phase's faces
+        only.
 
         Volume: grad vol = Nv / 3, Nv the sum of the area vectors of the
-        faces around a vertex. This holds where the vertex star is closed;
-        at a rim vertex v the faces' edges x_j - x_k (j, k the other two
-        corners in order) no longer cancel, and the exact gradient adds
-        -x_v x sum_f (x_j - x_k) / 6.
+        faces around a vertex; exact because every vertex star is closed.
         """
         geo = geometry(mesh)
-        V = mesh.n_vertices
         if self.per_phase:
-            P = len(self.cs.phase_areas)
+            V, P = mesh.n_vertices, len(self.cs.phase_areas)
             # phase p's faces scatter into bins p * V .. p * V + V - 1
             bins = mesh._face_rows + V * (self.phases.labels - 1)
             L = _scatter(bins, _cotan_corners(geo.cot, geo.e), P * V)
             grads = [(L[:, i * V : (i + 1) * V], 2.0 * t) for i, t in enumerate(self.cs.phase_areas)]
         else:
             grads = [(geo.L, 2.0 * self.cs.area)]
-        dvol = geo.nu * geo.Nv_norm
-        if len(mesh.boundary_vertices):
-            v = mesh.vertices.T
-            rim = mesh.half_edge_twin < 0
-            o, d = mesh.half_edge_origin[rim], mesh.half_edge_dest[rim]
-            # sum_f (x_j - x_k) telescopes to the two rim neighbours
-            ends = _scatter((o, d), (v[:, d], -v[:, o]), V)
-            dvol = dvol - 0.5 * _cross(v, ends)
-        grads.append((dvol, 3.0 * self.cs.volume))
+        grads.append((geo.nu * geo.Nv_norm, 3.0 * self.cs.volume))
         return [_columns(g / scale) for g, scale in grads]
 
 
@@ -377,37 +365,28 @@ class ConstraintResiduals:
     area: float
     volume: float
     phase_areas: tuple
-    boundary_mass: float  # open-rim length, see constraint_residuals
+    boundary_mass: float  # always 0.0; kept so the report layout stays
 
     @property
     def max_abs(self):
-        vals = [abs(self.area), abs(self.volume), abs(self.boundary_mass)]
+        vals = [abs(self.area), abs(self.volume)]
         vals.extend(abs(x) for x in self.phase_areas)
         return max(vals)
 
 
 def constraint_residuals(mesh, phases, cs):
-    """Relative area/volume residuals and the open-rim length of the mesh.
+    """Relative area/volume residuals of the mesh against ``cs``.
 
     The per-phase area and volume residuals are the optimizer's own
-    :meth:`_Constraints.values`. ``boundary_mass`` is the total length of
-    the mesh's boundary edges (edges with one incident face), so it is 0
-    on every closed mesh; it is not the length of a phase's boundary
-    curve, which is :func:`helfrich.energy.boundary_mass`.
+    :meth:`_Constraints.values`. ``boundary_mass`` is 0.0: a mesh has no
+    boundary edges. A phase's boundary length is
+    :func:`helfrich.energy.boundary_mass`.
     """
     cs.check_phases(mesh, phases)
     *per_phase, volume = _Constraints(phases, cs).values(mesh).tolist()
-    boundary_he = mesh.half_edge_twin < 0
-    blen = float(
-        np.linalg.norm(
-            mesh.vertices[mesh.half_edge_origin[boundary_he]]
-            - mesh.vertices[mesh.half_edge_dest[boundary_he]],
-            axis=1,
-        ).sum()
-    )
     return ConstraintResiduals(
         area=(float(geometry(mesh).area.sum()) - cs.area) / cs.area,
         volume=volume,
         phase_areas=tuple(per_phase) if cs.phase_areas is not None else (),
-        boundary_mass=blen,
+        boundary_mass=0.0,
     )

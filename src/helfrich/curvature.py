@@ -80,11 +80,9 @@ class CurvatureField:
     clamped : (V,) bool ndarray
         Vertices where H was reconciled with K (negative discriminant).
 
-    Boundary vertices of open test meshes carry NaN in all curvature
-    fields; only ``mixed_area`` and ``normal`` are populated there.
-    ``mixed_area`` and ``clamped`` are the read-only arrays of the mesh's
-    geometry record, and ``normal`` a read-only (V, 3) copy of its (3, V)
-    ``nu``.
+    ``mixed_area``, ``H``, ``K`` and ``clamped`` are the read-only arrays
+    of the mesh's geometry record, and ``normal`` a read-only (V, 3) copy
+    of its (3, V) ``nu``.
     """
 
     def __init__(self, mesh, mixed_area, normal, H, K, kappa1, kappa2, clamped,
@@ -192,9 +190,7 @@ class _Geometry:
         any_obtuse = self.obtuse.any(axis=0)
         corner_a[:, any_obtuse] = np.where(self.obtuse[:, any_obtuse], 0.5, 0.25) * self.area[any_obtuse]
         self.a = _scatter(f, corner_a, V)
-        defect = np.full(V, 2.0 * np.pi)
-        defect[mesh.boundary_vertices] = np.pi
-        self.defect = defect - _scatter(f, theta, V)
+        self.defect = 2.0 * np.pi - _scatter(f, theta, V)
         self.L = _scatter(f, _cotan_corners(cot, e), V)
         Nv = _scatter(f, (N, N, N), V)
         self.Nv_norm = _norm(Nv)
@@ -251,7 +247,7 @@ def _tangent_bases(nu):
     return _columns(t1), _columns(t2)
 
 
-def _principal_directions(mesh, nu, interior):
+def _principal_directions(mesh, nu):
     """One-ring least-squares fit of normal variation; returns unit d1, d2.
 
     The fit of Rusinkiewicz, "Estimating Curvatures and Their Derivatives
@@ -262,9 +258,8 @@ def _principal_directions(mesh, nu, interior):
     sense. Its normal equations M s = b have three distinct entries,
     M = [[A, B, 0], [B, A + C, B], [0, B, C]] with A, B, C the one-ring
     sums of u1^2, u1 u2, u2^2, so six per-vertex sums and Cramer's rule
-    solve them, with det M = (A + C)(AC - B^2). Off the interior M is
-    taken as I. Only the fitted directions are used downstream; the
-    curvature magnitudes come from (H, K).
+    solve them, with det M = (A + C)(AC - B^2). Only the fitted directions
+    are used downstream; the curvature magnitudes come from (H, K).
     """
     t1, t2 = _tangent_bases(nu)
     offsets, nbrs = mesh.vertex_neighbors()
@@ -288,16 +283,15 @@ def _principal_directions(mesh, nu, interior):
     AC, BB, ApC = A * C, B * B, A + C
     det = ApC * (AC - BB)
     diag = 2.0 * ApC / 3.0  # mean of M's diagonal
-    bad = interior & (np.abs(det) <= 1e-12 * np.maximum(diag, 1e-300) ** 3)
+    bad = np.abs(det) <= 1e-12 * np.maximum(diag, 1e-300) ** 3
     if bad.any():
         raise DegenerateOneRing(int(np.flatnonzero(bad)[0]))
-    det = np.where(interior, det, 1.0)
-    s11 = np.where(interior, ((ApC * C - BB) * b1 - B * C * b2 + BB * b3) / det, b1)
-    s12 = np.where(interior, (AC * b2 - B * (C * b1 + A * b3)) / det, b2)
-    s22 = np.where(interior, (BB * b1 - A * B * b2 + (A * ApC - BB) * b3) / det, b3)
+    s11 = ((ApC * C - BB) * b1 - B * C * b2 + BB * b3) / det
+    s12 = (AC * b2 - B * (C * b1 + A * b3)) / det
+    s22 = (BB * b1 - A * B * b2 + (A * ApC - BB) * b3) / det
     finite = np.isfinite(s11) & np.isfinite(s12) & np.isfinite(s22)
-    if not finite[interior].all():
-        raise DegenerateOneRing(int(np.flatnonzero(interior & ~finite)[0]))
+    if not finite.all():
+        raise DegenerateOneRing(int(np.flatnonzero(~finite)[0]))
     # closed-form 2x2 symmetric eigenvectors; (cos, sin) belongs to the
     # larger eigenvalue
     angle = 0.5 * np.arctan2(2.0 * s12, s11 - s22)
@@ -323,23 +317,20 @@ def curvature_field(mesh, tensors=True):
     Raises
     ------
     DegenerateOneRing
-        If the one-ring fit is singular or produces non-finite values at
-        an interior vertex (the vertex index is attached).
+        If H or K is not finite, or the one-ring fit is singular or produces
+        non-finite values, at some vertex (the first such index is attached).
     """
     geo = geometry(mesh)
-    interior = np.ones(mesh.n_vertices, dtype=bool)
-    interior[mesh.boundary_vertices] = False
-    finite = np.isfinite(geo.H) & np.isfinite(geo.K)
-    if not finite[interior].all():
-        raise DegenerateOneRing(int(np.flatnonzero(interior & ~finite)[0]))
-    H = np.where(interior, geo.H, np.nan)
-    K = np.where(interior, geo.K, np.nan)
+    H, K = geo.H, geo.K
+    finite = np.isfinite(H) & np.isfinite(K)
+    if not finite.all():
+        raise DegenerateOneRing(int(np.flatnonzero(~finite)[0]))
     kappa1, kappa2 = _principal_curvatures(H, K)
     nu = _columns(geo.nu)
     nu.setflags(write=False)
     d1 = d2 = S = None
     if tensors:
-        d1, d2 = _principal_directions(mesh, nu, interior)
+        d1, d2 = _principal_directions(mesh, nu)
         S = kappa1[:, None, None] * np.einsum("vi,vj->vij", d1, d1) + kappa2[
             :, None, None
         ] * np.einsum("vi,vj->vij", d2, d2)

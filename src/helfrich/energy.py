@@ -70,13 +70,10 @@ class PhaseField:
         """Indices into ``mesh.edges`` where the two incident faces differ."""
         self.check(mesh)
         ef = mesh.edge_faces
-        both = ef[:, 1] >= 0
-        diff = np.zeros(len(ef), dtype=bool)
-        diff[both] = self.labels[ef[both, 0]] != self.labels[ef[both, 1]]
-        return np.flatnonzero(diff)
+        return np.flatnonzero(self.labels[ef[:, 0]] != self.labels[ef[:, 1]])
 
     def interface_vertex_degrees(self, mesh):
-        """Interface-edge degree per vertex; even everywhere on closed meshes."""
+        """Interface-edge degree per vertex; even everywhere."""
         e = mesh.edges[self.interface_edges(mesh)]
         return np.bincount(e.ravel(), minlength=mesh.n_vertices)
 
@@ -256,11 +253,9 @@ def _phase_terms(mesh, a, H, K, phases, params_list):
 
 
 def boundary_mass(mesh, phases, phase_id):
-    """Length of the boundary curve of one phase (0 for a whole closed mesh).
+    """Length of the boundary curve of one phase (0 for a phase covering the mesh).
 
     This is the phase's interface length, the one line tension charges.
-    The ``boundary_mass`` of :func:`helfrich.constraints.constraint_residuals`
-    is another length: the open rim of the whole mesh.
     """
     iface = _split(mesh, phases)[1]
     if not (phases.labels == phase_id).any():

@@ -27,9 +27,9 @@ __all__ = ["TriMesh", "build_mesh", "enclosed_volume", "diameter"]
 
 # Attributes that depend on the faces only; with_vertices shares them.
 _CONNECTIVITY = (
-    "faces", "allow_boundary", "half_edge_origin", "half_edge_dest", "half_edge_twin",
-    "half_edge_face", "half_edge_next", "edges", "edge_faces", "_edge_of_halfedge",
-    "boundary_vertices", "_n_components", "_nbr_csr", "_face_rows",
+    "faces", "half_edge_origin", "half_edge_dest", "half_edge_twin", "half_edge_face",
+    "half_edge_next", "edges", "edge_faces", "_edge_of_halfedge", "_n_components",
+    "_nbr_csr", "_face_rows",
 )
 
 
@@ -155,16 +155,16 @@ class TriMesh:
         Vertex positions.
     faces : (F, 3) array_like
         Vertex index triples, counterclockwise seen from outside.
-    allow_boundary : bool
-        Accept boundary edges (exactly one incident face). Off by default;
-        open patches are only meant for tests.
 
     Raises
     ------
-    NonManifold, InconsistentOrientation, DegenerateFace, IndexOutOfRange
+    NonManifold
+        An edge with one or more than two incident faces, a duplicated
+        face, or a pinched vertex.
+    InconsistentOrientation, DegenerateFace, IndexOutOfRange
     """
 
-    def __init__(self, vertices, faces, allow_boundary=False):
+    def __init__(self, vertices, faces):
         v = np.ascontiguousarray(vertices, dtype=np.float64)
         f = np.ascontiguousarray(faces, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
@@ -175,7 +175,6 @@ class TriMesh:
             raise DegenerateFace("non-finite vertex coordinates")
         self.vertices = v
         self.faces = f
-        self.allow_boundary = bool(allow_boundary)
         self._validate_indices()
         # component-major copy of the faces: the gathers and scatters of
         # the geometry record and the gradient read its contiguous rows
@@ -213,28 +212,24 @@ class TriMesh:
         nh = 3 * nf
         origin = f[:, [0, 1, 2]].ravel()
         dest = f[:, [1, 2, 0]].ravel()
-        # directed edge must be unique, undirected edge must appear 1 or 2 times
+        # every undirected edge must appear exactly twice, once each way
         lo = np.minimum(origin, dest)
         hi = np.maximum(origin, dest)
         und = lo.astype(np.int64) * len(self.vertices) + hi
         order = np.argsort(und, kind="stable")
-        und_s = und[order]
-        grp = np.flatnonzero(np.diff(und_s) != 0)
-        starts = np.concatenate([[0], grp + 1])
-        ends = np.concatenate([grp + 1, [len(und_s)]])
-        sizes = ends - starts
+        grp = np.flatnonzero(np.diff(und[order]) != 0)
+        sizes = np.diff(np.concatenate([[0], grp + 1, [nh]]))
         if (sizes > 2).any():
             raise NonManifold("edge with more than two incident faces")
-        twin = np.full(nh, -1, dtype=np.int64)
-        pair = starts[sizes == 2]
-        h1 = order[pair]
-        h2 = order[pair + 1]
+        if (sizes < 2).any():
+            raise NonManifold("boundary edge in closed mesh")
+        # the two half-edges of edge k sit at 2 k and 2 k + 1 of the sort
+        h1, h2 = order[0::2], order[1::2]
         if (origin[h1] == origin[h2]).any():
             raise InconsistentOrientation("shared edge traversed twice in the same direction")
+        twin = np.empty(nh, dtype=np.int64)
         twin[h1] = h2
         twin[h2] = h1
-        if not self.allow_boundary and (twin < 0).any():
-            raise NonManifold("boundary edge in closed mesh")
         self.half_edge_origin = origin
         self.half_edge_dest = dest
         self.half_edge_twin = twin
@@ -242,45 +237,32 @@ class TriMesh:
         nxt = np.arange(nh, dtype=np.int64).reshape(nf, 3)[:, [1, 2, 0]].ravel()
         self.half_edge_next = nxt
         # unique undirected edges, and the faces on each side
-        rep = order[starts]
-        self.edges = np.column_stack([lo[rep], hi[rep]])
-        ef = np.full((len(rep), 2), -1, dtype=np.int64)
-        ef[:, 0] = self.half_edge_face[rep]
-        second = np.full(len(rep), -1, dtype=np.int64)
-        second[sizes == 2] = order[starts[sizes == 2] + 1]
-        ef[sizes == 2, 1] = self.half_edge_face[second[sizes == 2]]
-        self.edge_faces = ef
+        self.edges = np.column_stack([lo[h1], hi[h1]])
+        self.edge_faces = np.column_stack([self.half_edge_face[h1], self.half_edge_face[h2]])
         self._edge_of_halfedge = np.empty(nh, dtype=np.int64)
-        eid = np.repeat(np.arange(len(rep), dtype=np.int64), sizes)
-        self._edge_of_halfedge[order] = eid
+        self._edge_of_halfedge[order] = np.repeat(np.arange(len(h1), dtype=np.int64), 2)
 
     def _validate_vertex_links(self):
         """Each vertex star must be a single half-edge fan (no pinch points).
 
-        The fans of a vertex are the components of h -> twin[next[next[h]]]
-        on its outgoing half-edges: a cycle for a closed star, a path for an
-        open one. Each component is labelled with its smallest half-edge by
-        min-propagation along the map and its inverse with pointer doubling
-        (Wyllie 1979), one round per bit of the largest valence.
+        The fans of a vertex are the cycles of the permutation
+        h -> twin[next[next[h]]] on its outgoing half-edges. Each cycle is
+        labelled with its smallest half-edge by min-propagation along the
+        map with pointer doubling (Wyllie 1979), one round per bit of the
+        largest valence: after r rounds a label is the minimum over 2**r
+        consecutive half-edges of its cycle, starting at its own.
         """
         origin, twin, nxt = self.half_edge_origin, self.half_edge_twin, self.half_edge_next
         nh, nv = len(origin), len(self.vertices)
-        # index nh is a sink that stands for "off the boundary"; its label nh
-        # exceeds every half-edge's
-        label = np.arange(nh + 1)
-        rotated = twin[nxt[nxt]]
-        forward = np.append(np.where(rotated < 0, nh, rotated), nh)
-        backward = np.append(np.where(twin < 0, nh, nxt[twin]), nh)
-        rounds = int(np.bincount(origin).max() - 1).bit_length()
-        for ptr in (forward, backward):
-            for _ in range(rounds):
-                label = np.minimum(label, label[ptr])
-                ptr = ptr[ptr]
-        fans = np.bincount(origin[label[:nh] == np.arange(nh)], minlength=nv)
+        label = np.arange(nh)
+        ptr = twin[nxt[nxt]]
+        for _ in range(int(np.bincount(origin).max() - 1).bit_length()):
+            label = np.minimum(label, label[ptr])
+            ptr = ptr[ptr]
+        fans = np.bincount(origin[label == np.arange(nh)], minlength=nv)
         pinched = np.flatnonzero(fans > 1)
         if len(pinched):
             raise NonManifold(f"pinched vertex {pinched[0]}: star is not a single fan")
-        self.boundary_vertices = np.unique(origin[twin < 0])
 
     def _validate_face_areas(self):
         area = _norm(_face_vectors(self.vertices, self._face_rows)[2])
@@ -301,10 +283,6 @@ class TriMesh:
     @property
     def n_edges(self):
         return len(self.edges)
-
-    @property
-    def is_closed(self):
-        return len(self.boundary_vertices) == 0
 
     @property
     def euler_characteristic(self):
@@ -378,10 +356,10 @@ class TriMesh:
 
     def flipped(self):
         """Mesh with all face windings (and hence normals) reversed."""
-        return TriMesh(self.vertices, self.faces[:, ::-1], allow_boundary=self.allow_boundary)
+        return TriMesh(self.vertices, self.faces[:, ::-1])
 
     def angle_defects(self):
-        """2*pi minus the incident corner angles, per vertex (open meshes: pi on the rim).
+        """2*pi minus the incident corner angles, per vertex.
 
         The array is the mesh's stored geometry record's, and read-only.
         """
@@ -390,9 +368,9 @@ class TriMesh:
         return geometry(self).defect
 
 
-def build_mesh(vertices, faces, allow_boundary=False):
+def build_mesh(vertices, faces):
     """Validate raw vertex/face arrays into a :class:`TriMesh`."""
-    return TriMesh(vertices, faces, allow_boundary=allow_boundary)
+    return TriMesh(vertices, faces)
 
 
 def enclosed_volume(mesh):

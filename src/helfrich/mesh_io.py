@@ -39,12 +39,15 @@ def write_mesh(path, mesh):
 def read_off(path):
     """Read an OFF file (header OFF, then counts, vertices, faces; ``#`` starts a comment).
 
-    Malformed, non-triangle or truncated input raises MeshError naming the path.
+    Malformed, non-triangle or truncated input raises MeshError naming the
+    path, and so does any other header: COFF and NOFF files carry colours
+    or normals after each vertex, which this reader does not parse.
     """
     with open(path) as fh:
         tokens = re.sub(r"#[^\n]*", "", fh.read()).split()
-    if not tokens or tokens[0].upper() not in ("OFF", "COFF", "NOFF"):
-        raise MeshError(f"{path}: missing OFF header")
+    header = tokens[0] if tokens else ""
+    if header.upper() != "OFF":
+        raise MeshError(f"{path}: header {header!r} is not OFF; only plain OFF files are read")
     try:
         nv, nf = int(tokens[1]), int(tokens[2])  # then the edge count
         if nv < 0 or nf < 0:
@@ -76,21 +79,30 @@ def write_off(path, mesh):
 
 
 def read_obj(path):
-    """Read a Wavefront OBJ file (v and f records only, 1-based indices)."""
+    """Read a Wavefront OBJ file (v and f records only, 1-based indices).
+
+    A vertex record with fewer than three coordinates, a non-triangle face
+    or a number that does not parse raises MeshError naming the path.
+    """
     verts = []
     faces = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             parts = line.split("#", 1)[0].split()
             if not parts:
                 continue
-            if parts[0] == "v":
-                verts.append([float(p) for p in parts[1:4]])
-            elif parts[0] == "f":
-                if len(parts) != 4:
-                    raise MeshError(f"{path}: non-triangle face record")
-                idx = [int(p.split("/", 1)[0]) for p in parts[1:4]]
-                faces.append([i - 1 if i > 0 else len(verts) + i for i in idx])
+            try:
+                if parts[0] == "v":
+                    if len(parts) < 4:
+                        raise MeshError(f"{path}: line {number}: vertex record with fewer than 3 coordinates")
+                    verts.append([float(p) for p in parts[1:4]])
+                elif parts[0] == "f":
+                    if len(parts) != 4:
+                        raise MeshError(f"{path}: line {number}: non-triangle face record")
+                    idx = [int(p.split("/", 1)[0]) for p in parts[1:4]]
+                    faces.append([i - 1 if i > 0 else len(verts) + i for i in idx])
+            except ValueError as err:
+                raise MeshError(f"{path}: line {number}: {err}") from err
     if not verts or not faces:
         raise MeshError(f"{path}: no geometry found")
     return TriMesh(np.array(verts), np.array(faces, dtype=np.int64))

@@ -39,7 +39,6 @@ from .errors import (
     Diverged,
     Infeasible,
     InsufficientSamples,
-    NonManifold,
     NonPositiveTarget,
     QualityCollapse,
 )
@@ -231,8 +230,6 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
 
     Raises
     ------
-    NonManifold
-        The start mesh is open.
     PhaseCountMismatch
         Phase labels, parameter sets and phase area targets disagree.
     Infeasible
@@ -248,8 +245,6 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         raise Infeasible(
             f"targets (m, e) = ({cs.area}, {cs.volume}) violate the isoperimetric inequality"
         )
-    if len(mesh0.boundary_vertices):
-        raise NonManifold(f"start mesh is open: {len(mesh0.boundary_vertices)} boundary vertices")
     cs.check_phases(mesh0, phases)
     con = _Constraints(phases, cs)
     if con.per_phase:

@@ -21,7 +21,6 @@ __all__ = [
     "octahedron",
     "torus",
     "capsule",
-    "flat_patch",
     "jittered",
     "equator_phase_labels",
     "two_spheres_touching",
@@ -165,32 +164,6 @@ def capsule(radius=0.5, cylinder_length=9.0, n_around=32, n_cap=8, n_length=48):
     base = 1 + (len(rows) - 1) * n_around
     north = np.column_stack([np.full_like(k, top), base + k, base + k1])
     return TriMesh(verts, np.vstack([south, wall, north]))
-
-
-def flat_patch(n=8, spacing=0.25):
-    """Open square patch (equilateral-triangle rows); tests only.
-
-    Interior vertices have perfectly symmetric one-rings, so flat-geometry
-    identities hold to rounding.
-    """
-    dy = spacing * np.sqrt(3.0) / 2.0
-    verts = []
-    index = {}
-    for j in range(n + 1):
-        for i in range(n + 1):
-            x = (i + (0.5 if j % 2 else 0.0)) * spacing
-            index[(i, j)] = len(verts)
-            verts.append((x, j * dy, 0.0))
-    faces = []
-    for j in range(n):
-        for i in range(n):
-            a, b = index[(i, j)], index[(i + 1, j)]
-            c, d = index[(i, j + 1)], index[(i + 1, j + 1)]
-            if j % 2 == 0:
-                faces.extend([(a, b, c), (b, d, c)])
-            else:
-                faces.extend([(a, b, d), (a, d, c)])
-    return TriMesh(np.array(verts), np.array(faces, dtype=np.int64), allow_boundary=True)
 
 
 def jittered(mesh, amplitude, seed=0):

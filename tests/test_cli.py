@@ -524,6 +524,31 @@ def test_config_that_is_not_an_object_exits_1(workdir, capsys):
     assert "a config file holds one JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["beta"], "config params[0] is not an object"),
+        ([{"beta": 1.0}, 2.0], "config params[1] is not an object"),
+        ({"beta": 1.0}, "config params must be a list of objects"),
+    ],
+    ids=["string_entry", "number_entry", "object"],
+)
+def test_config_params_that_are_not_objects_exit_1(workdir, capsys, params, message):
+    config = {"mesh": str(workdir / "sphere.off"), "params": params}
+    (workdir / "params.cfg.json").write_text(dumps(config))
+    assert run(["eval", "--config", workdir / "params.cfg.json"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("first, second", [("zeta", "alpha"), ("alpha", "zeta")])
+def test_first_unknown_params_key_is_reported(workdir, capsys, first, second):
+    # the params columns keep first-seen key order, not a set's hash order
+    config = {"mesh": str(workdir / "sphere.off"), "params": [{"beta": 1.0, first: 1.0}, {"beta": 2.0, second: 1.0}]}
+    (workdir / "params.cfg.json").write_text(dumps(config))
+    assert run(["eval", "--config", workdir / "params.cfg.json"]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key params[i].{first}\n"
+
+
 @pytest.mark.parametrize("name", ["max_iterations", "inner_iterations", "max_backtracks"])
 def test_run_config_rejects_negative_integers(name):
     from helfrich.optimize import RunConfig

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from helfrich import shapes
 from helfrich.constraints import (
     ConstraintSet,
     PhaseSupport,
@@ -14,16 +13,27 @@ from helfrich.constraints import (
 )
 from helfrich.energy import PhaseField
 from helfrich.errors import InsufficientSamples, NonPositiveTarget
-from helfrich.mesh import TriMesh, enclosed_volume
+from helfrich.mesh import enclosed_volume
 
 
 def unit_square_support(n=40, spacing=0.025, rotate=False):
-    patch = shapes.flat_patch(n=n, spacing=spacing)
-    verts = patch.vertices
-    if rotate:
-        verts = np.column_stack([verts[:, 0], np.zeros(len(verts)), verts[:, 1]])
-        patch = TriMesh(verts, patch.faces, allow_boundary=True)
-    return phase_support(patch, PhaseField.uniform(patch), 1)
+    """Area measure of a flat n x n-cell patch of equilateral triangles, about a unit square.
+
+    Row j of n + 1 points lies at y = j dy, dy = spacing √3/2, odd rows
+    shifted by half a spacing. The weights are the trapezoid rule's: the
+    cell area dy·spacing, halved on the first and last row and column.
+    ``rotate`` stands the patch up in the plane y = 0, hinged on the x axis.
+    """
+    dy = spacing * np.sqrt(3.0) / 2.0
+    j, i = np.mgrid[0 : n + 1, 0 : n + 1]
+    x = ((i + 0.5 * (j % 2)) * spacing).ravel()
+    y = (j * dy).ravel()
+    zero = np.zeros_like(x)
+    points = np.column_stack([x, zero, y] if rotate else [x, y, zero])
+    weights = np.full((n + 1, n + 1), dy * spacing)
+    weights[[0, -1]] /= 2.0
+    weights[:, [0, -1]] /= 2.0
+    return PhaseSupport(points, weights.ravel(), spacing)
 
 
 def test_isoperimetric_examples():

@@ -11,11 +11,7 @@ from helfrich.curvature import _principal_directions, _tangent_bases, curvature_
 from helfrich.errors import DegenerateOneRing
 from helfrich.mesh import _scatter
 
-
-def interior_mask(mesh):
-    mask = np.ones(mesh.n_vertices, dtype=bool)
-    mask[mesh.boundary_vertices] = False
-    return mask
+from conftest import flat_cube_faces
 
 
 def test_sphere_curvatures_r1(icosphere4, icosphere4_curv):
@@ -42,9 +38,10 @@ def test_sphere_curvature_errors_shrink_under_refinement():
 
 
 def test_flat_patch_interior_exact_zero():
-    patch = shapes.flat_patch(n=8, spacing=0.25)
-    curv = curvature_field(patch)
-    inside = interior_mask(patch)
+    # the faces of a subdivided cube are flat patches
+    mesh, inside = flat_cube_faces()
+    assert np.count_nonzero(inside) == 294
+    curv = curvature_field(mesh)
     assert np.abs(curv.H[inside]).max() < 1e-12
     assert np.abs(curv.K[inside]).max() < 1e-12
 
@@ -116,11 +113,11 @@ def test_degenerate_one_ring_raises():
     )
     nu = np.tile(np.array([0.0, 0, 1.0]), (3, 1))
     with pytest.raises(DegenerateOneRing) as err:
-        _principal_directions(stub, nu, np.array([True, False, False]))
+        _principal_directions(stub, nu)
     assert err.value.vertex == 0
 
 
-def oracle_directions(mesh, nu, interior):
+def oracle_directions(mesh, nu):
     """The one-ring fit with the 3x3 normal equations assembled per vertex.
 
     Returns (d1, d2, s) with s the fitted (s11, s12, s22); raises
@@ -145,13 +142,12 @@ def oracle_directions(mesh, nu, interior):
     b = _scatter(rows, [(r1 * w1[:, None] + r2 * w2[:, None]).T], mesh.n_vertices).T
     diag = M[:, (0, 1, 2), (0, 1, 2)].sum(axis=1) / 3.0
     det = np.linalg.det(M)
-    bad = interior & (np.abs(det) <= 1e-12 * np.maximum(diag, 1e-300) ** 3)
+    bad = np.abs(det) <= 1e-12 * np.maximum(diag, 1e-300) ** 3
     if bad.any():
         raise DegenerateOneRing(int(np.flatnonzero(bad)[0]))
-    M[~interior] = np.eye(3)
     s = np.linalg.solve(M, b[:, :, None])[:, :, 0]
-    if not np.isfinite(s[interior]).all():
-        raise DegenerateOneRing(int(np.flatnonzero(interior & ~np.isfinite(s).all(axis=1))[0]))
+    if not np.isfinite(s).all():
+        raise DegenerateOneRing(int(np.flatnonzero(~np.isfinite(s).all(axis=1))[0]))
     s11, s12, s22 = s[:, 0], s[:, 1], s[:, 2]
     angle = 0.5 * np.arctan2(2.0 * s12, s11 - s22)
     c, sn = np.cos(angle)[:, None], np.sin(angle)[:, None]
@@ -168,22 +164,34 @@ def fit_base(kind):
     }[kind]()
 
 
+# three far vertices in the plane z = 0, in general position seen from
+# each other and from any point within a few units of the origin
+STUB_HELPERS = np.array([[10.0, 0.0, 0.0], [-5.0, 9.0, 0.0], [-5.0, -9.0, 0.0]])
+
+
 def star_stub(offsets):
-    """Vertex 0 joined to neighbours at ``offsets``; only vertex 0 is interior."""
+    """Vertex 0 joined to neighbours at ``offsets``.
+
+    Each neighbour is joined to the three ``STUB_HELPERS``, and each helper
+    to the other two, so vertex 0 is the only one whose fit can be
+    degenerate.
+    """
     k = len(offsets)
+    helpers = k + 1 + np.arange(3)
+    nbrs = [np.arange(1, k + 1), np.tile(helpers, k)] + [np.delete(helpers, j) for j in range(3)]
     return SimpleNamespace(
-        vertices=np.vstack([np.zeros(3), offsets]),
-        n_vertices=k + 1,
+        vertices=np.vstack([np.zeros(3), offsets, STUB_HELPERS]),
+        n_vertices=k + 4,
         vertex_neighbors=lambda: (
-            np.concatenate([[0], np.arange(k, 2 * k + 1)]),
-            np.concatenate([np.arange(1, k + 1), np.zeros(k, dtype=np.int64)]),
+            np.concatenate([[0, k], k + 3 * np.arange(1, k + 1), 4 * k + 2 * np.arange(1, 4)]),
+            np.concatenate(nbrs),
         ),
     )
 
 
-def fit_outcome(fit, mesh, nu, interior):
+def fit_outcome(fit, mesh, nu):
     try:
-        return fit(mesh, nu, interior)
+        return fit(mesh, nu)
     except DegenerateOneRing as err:
         return err.vertex
 
@@ -197,7 +205,7 @@ def fit_outcome(fit, mesh, nu, interior):
 def test_principal_directions_match_assembled_oracle(kind, amplitude, seed):
     mesh = shapes.jittered(fit_base(kind), amplitude, seed)
     curv = curvature_field(mesh)
-    d1, d2, s = oracle_directions(mesh, curv.normal, interior_mask(mesh))
+    d1, d2, s = oracle_directions(mesh, curv.normal)
     S = curv.shape_operator
     S_oracle = curv.kappa1[:, None, None] * np.einsum("vi,vj->vij", d1, d1) + curv.kappa2[
         :, None, None
@@ -234,10 +242,9 @@ def test_degenerate_one_ring_matches_oracle(angles, lengths, collinear):
     assume(collinear or spread > 1e-2)
     r = np.asarray(lengths[:k]) * np.where(np.arange(k) % 2, -1.0, 1.0)
     stub = star_stub(np.column_stack([r * np.cos(theta), r * np.sin(theta), np.zeros(k)]))
-    nu = np.tile(np.array([0.0, 0, 1.0]), (k + 1, 1))
-    interior = np.arange(k + 1) == 0
-    new = fit_outcome(_principal_directions, stub, nu, interior)
-    old = fit_outcome(oracle_directions, stub, nu, interior)
+    nu = np.tile(np.array([0.0, 0, 1.0]), (stub.n_vertices, 1))
+    new = fit_outcome(_principal_directions, stub, nu)
+    old = fit_outcome(oracle_directions, stub, nu)
     assert isinstance(new, int) == isinstance(old, int)
     if isinstance(old, int):
         assert new == old == 0
@@ -256,10 +263,9 @@ FIXED_STUBS = {
 def test_fixed_stubs_raise_like_oracle(name):
     offsets = FIXED_STUBS[name]
     stub = star_stub(offsets)
-    nu = np.tile(np.array([0.0, 0, 1.0]), (len(offsets) + 1, 1))
-    interior = np.arange(len(offsets) + 1) == 0
-    new = fit_outcome(_principal_directions, stub, nu, interior)
-    old = fit_outcome(oracle_directions, stub, nu, interior)
+    nu = np.tile(np.array([0.0, 0, 1.0]), (stub.n_vertices, 1))
+    new = fit_outcome(_principal_directions, stub, nu)
+    old = fit_outcome(oracle_directions, stub, nu)
     if name == "collinear":
         assert new == old == 0
     else:
@@ -269,17 +275,6 @@ def test_fixed_stubs_raise_like_oracle(name):
             assert np.abs(d[:, 2]).max() < 1e-12
 
 
-def test_open_mesh_rim_directions_are_unit_tangent():
-    patch = shapes.jittered(shapes.flat_patch(n=6, spacing=0.3), 0.02, seed=4)
-    curv = curvature_field(patch)
-    rim = patch.boundary_vertices
-    for d in (curv.direction1, curv.direction2):
-        assert np.abs(np.linalg.norm(d[rim], axis=1) - 1.0).max() < 1e-12
-        assert np.abs(np.einsum("vi,vi->v", d[rim], curv.normal[rim])).max() < 1e-12
-    assert np.abs(np.einsum("vi,vi->v", curv.direction1[rim], curv.direction2[rim])).max() < 1e-12
-    assert np.isnan(curv.kappa1[rim]).all() and np.isnan(curv.kappa2[rim]).all()
-
-
 def test_principal_directions_peak_allocation():
     # The component-wise fit peaks at ~113 bytes per directed edge and the
     # assembled normal equations at ~290; one (E, 3, 3) float array is 72
@@ -287,10 +282,9 @@ def test_principal_directions_peak_allocation():
     mesh = shapes.jittered(shapes.icosphere(5), 1e-3, 0)
     nu = geometry(mesh).nu.T
     n_edges = len(mesh.vertex_neighbors()[1])
-    interior = interior_mask(mesh)
     tracemalloc.start()
     try:
-        _principal_directions(mesh, nu, interior)
+        _principal_directions(mesh, nu)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -302,11 +296,3 @@ def test_clamp_reconciles_discriminant(icosphere4_curv):
     # defect-K on a discrete sphere exceeds (H/2)^2, so H snaps to 2 sqrt(K)
     assert c.clamped.all()
     assert np.abs(c.H - 2 * np.sqrt(c.K)).max() < 1e-12 * 2
-
-
-def test_open_mesh_boundary_is_nan():
-    patch = shapes.flat_patch(n=6, spacing=0.3)
-    curv = curvature_field(patch)
-    boundary = patch.boundary_vertices
-    assert np.isnan(curv.H[boundary]).all()
-    assert np.isfinite(curv.H[interior_mask(patch)]).all()

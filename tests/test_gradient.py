@@ -13,7 +13,7 @@ from helfrich.errors import DegenerateConfiguration, PhaseCountMismatch
 from helfrich.gradient import energy_and_gradient, total_energy
 from helfrich.optimize import _Constraints
 
-from conftest import rotation_matrix
+from conftest import flat_cube_faces, rotation_matrix
 
 
 def eligible_vertices(mesh, hstep):
@@ -80,15 +80,13 @@ def test_gradient_matches_fd_multiphase():
 
 
 def test_flat_patch_interior_gradient_vanishes():
-    patch = shapes.flat_patch(n=8, spacing=0.25)
-    _, grad = energy_and_gradient(patch, None, [MaterialParams(1.0, 0.0, 0.0)])
-    rim = set(patch.boundary_vertices.tolist())
-    offsets, nbrs = patch.vertex_neighbors()
-    deep = [
-        v
-        for v in range(patch.n_vertices)
-        if v not in rim and rim.isdisjoint(nbrs[offsets[v] : offsets[v + 1]].tolist())
-    ]
+    # the faces of a subdivided cube are flat patches; their deep vertices
+    # have flat one-rings
+    mesh, flat = flat_cube_faces()
+    _, grad = energy_and_gradient(mesh, None, [MaterialParams(1.0, 0.0, 0.0)])
+    offsets, nbrs = mesh.vertex_neighbors()
+    deep = [v for v in np.flatnonzero(flat) if flat[nbrs[offsets[v] : offsets[v + 1]]].all()]
+    assert len(deep) == 150
     assert np.abs(grad[deep]).max() < 1e-10
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -39,7 +39,6 @@ def test_octahedron_valid():
     assert (m.n_vertices, m.n_faces) == (6, 8)
     assert m.euler_characteristic == 2
     assert m.genus == 0
-    assert m.is_closed
 
 
 def test_back_to_back_triangles_rejected():
@@ -93,45 +92,23 @@ def _subdivide_oracle(verts, faces, levels):
 
 
 def _fan_walk_oracle(mesh):
-    """Boundary vertices by walking every vertex star one half-edge at a time.
+    """Walk every vertex star one half-edge at a time, counterclockwise.
 
-    Raises NonManifold at the first vertex whose star is not a single fan.
+    Raises NonManifold at the first vertex whose star is not a single fan:
+    the cycle from its first outgoing half-edge misses some of the others.
     """
     nv = mesh.n_vertices
     valence = np.bincount(mesh.half_edge_origin, minlength=nv)
     out_he = np.full(nv, -1, dtype=np.int64)
     out_he[mesh.half_edge_origin[::-1]] = np.arange(len(mesh.half_edge_origin) - 1, -1, -1)
     twin, nxt = mesh.half_edge_twin, mesh.half_edge_next
-    boundary_vertices = []
     for v in range(nv):
-        h0 = out_he[v]
+        h0 = h = out_he[v]
         seen = 1
-        h = h0
-        hit_boundary = False
-        for _ in range(valence[v]):
-            t = twin[nxt[nxt[h]]]  # next outgoing half-edge, counterclockwise
-            if t < 0:
-                hit_boundary = True
-                break
-            if t == h0:
-                break
-            h = t
+        while (h := twin[nxt[nxt[h]]]) != h0:  # next outgoing half-edge
             seen += 1
-        if hit_boundary:
-            # walk the other way to cover the full open fan
-            h = h0
-            while True:
-                t = twin[h]
-                if t < 0:
-                    break
-                h = nxt[t]
-                if h == h0:
-                    break
-                seen += 1
-            boundary_vertices.append(v)
         if seen != valence[v]:
             raise NonManifold(f"pinched vertex {v}: star is not a single fan")
-    return np.array(sorted(boundary_vertices), dtype=np.int64)
 
 
 def _half_edges_only(vertices, faces):
@@ -139,31 +116,27 @@ def _half_edges_only(vertices, faces):
     m = object.__new__(TriMesh)
     m.vertices = np.asarray(vertices, dtype=np.float64)
     m.faces = np.asarray(faces, dtype=np.int64)
-    m.allow_boundary = True
     m._validate_indices()
     m._build_half_edges()
     return m
 
 
-def _same_link_verdict(vertices, faces):
-    """The fan check and the walk oracle raise alike or agree on the rim."""
-    m = _half_edges_only(vertices, faces)
+def _same_link_verdict(m):
+    """The fan check and the walk oracle raise alike on ``m``; True when neither does."""
     try:
-        want = _fan_walk_oracle(m)
+        _fan_walk_oracle(m)
     except NonManifold as exc:
         with pytest.raises(NonManifold) as got:
             m._validate_vertex_links()
         assert str(got.value) == str(exc)
         return False
     m._validate_vertex_links()
-    assert m.boundary_vertices.dtype == want.dtype
-    assert np.array_equal(m.boundary_vertices, want)
     return True
 
 
 _MESH_ARRAYS = (
     "vertices", "faces", "half_edge_origin", "half_edge_dest", "half_edge_twin",
-    "half_edge_face", "half_edge_next", "edges", "edge_faces", "boundary_vertices",
+    "half_edge_face", "half_edge_next", "edges", "edge_faces",
 )
 
 
@@ -180,16 +153,46 @@ def test_subdivision_matches_dict_oracle():
             for name in _MESH_ARRAYS:
                 got, ref = getattr(mesh, name), getattr(want, name)
                 assert got.dtype == ref.dtype and np.array_equal(got, ref), (generator, level, name)
-            assert np.array_equal(mesh.boundary_vertices, _fan_walk_oracle(mesh))
+            _fan_walk_oracle(mesh)
 
 
-@settings(max_examples=25, deadline=None)
-@given(dropped=st.sets(st.integers(0, 31), max_size=31))
-def test_fan_check_matches_walk_on_patch_subsets(dropped):
-    patch = shapes.flat_patch(4)
-    faces = np.delete(patch.faces, sorted(dropped), axis=0)
+_GLUE_SHAPES = {
+    "tetrahedron": shapes.tetrahedron,
+    "octahedron": shapes.octahedron,
+    "cube": shapes.cube,
+    "icosphere1": lambda: shapes.icosphere(1),
+    "torus": lambda: shapes.torus(2.0, 1.0, 6, 4),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    names=st.tuples(st.sampled_from(sorted(_GLUE_SHAPES)), st.sampled_from(sorted(_GLUE_SHAPES))),
+    data=st.data(),
+)
+def test_fan_check_matches_walk_on_glued_closed_shapes(names, data):
+    # two closed shapes side by side, with up to three vertex pairs glued
+    # across them (each glued vertex is pinched), under a random numbering
+    a, b = (_GLUE_SHAPES[name]() for name in names)
+    n = a.n_vertices + b.n_vertices
+    k = data.draw(st.integers(0, 3), label="glued pairs")
+    ia = data.draw(st.lists(st.integers(0, a.n_vertices - 1), min_size=k, max_size=k, unique=True), label="a")
+    ib = data.draw(st.lists(st.integers(0, b.n_vertices - 1), min_size=k, max_size=k, unique=True), label="b")
+    merged = np.arange(n)
+    merged[a.n_vertices + np.array(ib, dtype=np.int64)] = ia
+    faces = merged[np.vstack([a.faces, b.faces + a.n_vertices])]
+    verts = np.vstack([a.vertices, b.vertices + np.array([5.0, 0.0, 0.0])])
     used, compact = np.unique(faces, return_inverse=True)
-    _same_link_verdict(patch.vertices[used], compact.reshape(faces.shape))
+    perm = np.array(data.draw(st.permutations(range(len(used))), label="numbering"), dtype=np.int64)
+    renamed = np.empty_like(verts[used])
+    renamed[perm] = verts[used]
+    faces = perm[compact.reshape(faces.shape)]
+    try:
+        m = _half_edges_only(renamed, faces)
+    except (NonManifold, InconsistentOrientation):
+        # glued pairs on an edge of each shape merge two edges into one
+        assume(False)
+    assert _same_link_verdict(m) == (k == 0)
 
 
 def test_duplicated_face_rejected():
@@ -214,13 +217,13 @@ def test_degenerate_face_rejected():
         build_mesh(verts, [(0, 2, 3), (0, 3, 1), (1, 3, 2), (0, 1, 2)])
 
 
-def test_open_mesh_needs_flag():
+def test_open_mesh_rejected():
     verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-    with pytest.raises(NonManifold):
+    with pytest.raises(NonManifold, match="boundary edge"):
         build_mesh(verts, [(0, 1, 2)])
-    m = build_mesh(verts, [(0, 1, 2)], allow_boundary=True)
-    assert not m.is_closed
-    assert set(m.boundary_vertices) == {0, 1, 2}
+    tet = shapes.tetrahedron()
+    with pytest.raises(NonManifold, match="boundary edge"):
+        build_mesh(tet.vertices, tet.faces[1:])
 
 
 def test_pinched_vertex_rejected():
@@ -234,12 +237,7 @@ def test_pinched_vertex_rejected():
     fb[fb > 0] += 3
     with pytest.raises(NonManifold):
         build_mesh(verts, np.vstack([a.faces, fb]))
-    assert not _same_link_verdict(verts, np.vstack([a.faces, fb]))
-    # two open fans glued at vertex 0
-    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
-    with pytest.raises(NonManifold, match="pinched vertex 0"):
-        build_mesh(verts, [(0, 1, 2), (0, 3, 4)], allow_boundary=True)
-    assert not _same_link_verdict(verts, [(0, 1, 2), (0, 3, 4)])
+    assert not _same_link_verdict(_half_edges_only(verts, np.vstack([a.faces, fb])))
 
 
 def _scipy_components(edges, n):
@@ -314,7 +312,7 @@ def test_enclosed_volume_orientation_antisymmetry(icosphere4):
     assert abs(enclosed_volume(icosphere4.flipped()) + vol) < 1e-12 * abs(vol)
 
 
-@pytest.mark.parametrize("kind", ["sphere", "patch"])
+@pytest.mark.parametrize("kind", ["sphere", "box"])
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
@@ -329,8 +327,8 @@ def test_record_volume_and_mean_edge_match_oracles(kind, seed, shift, amplitude)
     det = np.einsum("ij,ij->i", xi, np.cross(xj, xk))
     e = mesh.edges
     mean_edge = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1).mean()
-    # the floor keeps a subnormal volume (e.g. shift z = 5e-324 on the flat
-    # patch) from demanding an exact match where 1e-12 relative rounds to 0
+    # the floor keeps a subnormal volume from demanding an exact match where
+    # 1e-12 relative rounds to 0
     tol = max(1e-12 * np.abs(det).sum() / 6.0, 4 * np.finfo(float).smallest_subnormal)
     assert abs(enclosed_volume(mesh) - det.sum() / 6.0) <= tol
     assert abs(mesh.mean_edge_length - mean_edge) <= 1e-14 * mean_edge

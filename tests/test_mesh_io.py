@@ -95,3 +95,38 @@ def test_off_truncated_file_names_the_path(tmp_path, keep, section):
     path.write_text("\n".join(_tet_off_lines()[:keep]) + "\n")
     with pytest.raises(MeshError, match=rf"cut\.off: truncated {section} section"):
         read_off(path)
+
+
+@pytest.mark.parametrize("header, per_vertex", [("COFF", "255 0 0 255"), ("NOFF", "0 0 1")], ids=["COFF", "NOFF"])
+def test_off_variant_headers_are_rejected_by_name(tmp_path, header, per_vertex):
+    # a valid COFF or NOFF tetrahedron: colour or normal values after each vertex
+    lines = _tet_off_lines()
+    lines[0] = header
+    lines[2:6] = [f"{line} {per_vertex}" for line in lines[2:6]]
+    path = tmp_path / "variant.off"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=rf"variant\.off: header '{header}' is not OFF"):
+        read_off(path)
+
+
+def _tet_obj_lines():
+    tet = shapes.tetrahedron()
+    return [f"v {x} {y} {z}" for x, y, z in tet.vertices] + [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in tet.faces]
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        ("v 0 1 x", "could not convert string to float: 'x'"),
+        ("f 1 2 q", "invalid literal for int"),
+        ("v 0 1", "vertex record with fewer than 3 coordinates"),
+    ],
+    ids=["bad_float", "bad_index", "short_vertex"],
+)
+def test_obj_bad_record_names_the_path_and_line(tmp_path, record, reason):
+    lines = _tet_obj_lines()
+    lines.insert(4, record)
+    path = tmp_path / "bad.obj"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=rf"bad\.obj: line 5: {reason}"):
+        read_obj(path)
