@@ -177,7 +177,9 @@ def _resolve(args):
             for name in dict.fromkeys([*_MATERIAL, *(name for entry in value for name in entry)]):
                 cfg[f"params[i].{name}"] = [e.get(name, None if name == "beta" else 0.0) for e in value]
         elif key in ("constraints", "run"):
-            cfg.update({f"{key}.{name}": v for name, v in dict(value).items()})
+            if not isinstance(value, dict):
+                raise HelfrichError(f"config {key} must be an object")
+            cfg.update({f"{key}.{name}": v for name, v in value.items()})
         else:
             cfg[key] = value
     known = {*_SCHEMA.values(), *_IGNORED, *(f"run.{f.name}" for f in fields(RunConfig))}

@@ -264,6 +264,8 @@ def overlap_measure(support_a, support_b, eps, method="grid"):
         raise ValueError("eps must be > 0")
     if method == "grid":
         return float(_overlap_measures(support_a, support_b, [eps])[0])
+    if method != "brute":
+        raise ValueError(f"unknown method {method!r}")
     pa, wa = support_a.points, support_a.weights
     pb, wb = support_b.points, support_b.weights
     if len(pa) == 0 or len(pb) == 0:

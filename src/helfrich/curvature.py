@@ -41,6 +41,8 @@ bitwise deterministic. ``CurvatureField`` keeps (V, 3) arrays.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DegenerateOneRing
@@ -75,58 +77,66 @@ class CurvatureField:
         Principal curvatures, ``kappa1 >= kappa2``.
     direction1, direction2 : (V, 3) ndarray
         Principal directions (unit, tangent, orthogonal).
-    shape_operator : (V, 3, 3) ndarray or None
-        ``kappa1 d1 d1^T + kappa2 d2 d2^T``; None in scalars-only fields.
+    shape_operator : (V, 3, 3) ndarray
+        ``kappa1 d1 d1^T + kappa2 d2 d2^T``.
     clamped : (V,) bool ndarray
         Vertices where H was reconciled with K (negative discriminant).
 
     ``mixed_area``, ``H``, ``K`` and ``clamped`` are the read-only arrays
     of the mesh's geometry record, and ``normal`` a read-only (V, 3) copy
-    of its (3, V) ``nu``.
+    of its (3, V) ``nu``. The directions and the tensors are computed on
+    first read and kept, so the one-ring fit runs at most once per field
+    and only if something reads them; a singular fit raises
+    ``DegenerateOneRing`` at that first read.
     """
 
-    def __init__(self, mesh, mixed_area, normal, H, K, kappa1, kappa2, clamped,
-                 direction1=None, direction2=None, shape_operator=None):
+    def __init__(self, mesh):
+        geo = geometry(mesh)
+        H, K = geo.H, geo.K
+        finite = np.isfinite(H) & np.isfinite(K)
+        if not finite.all():
+            raise DegenerateOneRing(int(np.flatnonzero(~finite)[0]))
         self.mesh = mesh
-        self.mixed_area = mixed_area
-        self.normal = normal
-        self.H = H
-        self.K = K
-        self.Hbar = H[:, None] * normal
-        self.kappa1 = kappa1
-        self.kappa2 = kappa2
-        self.clamped = clamped
-        self.direction1 = direction1
-        self.direction2 = direction2
-        self.shape_operator = shape_operator
-        self._II = None
-        self._A = None
+        self.mixed_area, self.H, self.K, self.clamped = geo.a, H, K, geo.clamped
+        self.normal = _columns(geo.nu)
+        self.normal.setflags(write=False)
+        self.Hbar = H[:, None] * self.normal
+        self.kappa1, self.kappa2 = _principal_curvatures(H, K)
+
+    @cached_property
+    def _directions(self):
+        return _principal_directions(self.mesh, self.normal)
 
     @property
-    def has_tensors(self):
-        return self.shape_operator is not None
+    def direction1(self):
+        return self._directions[0]
+
+    @property
+    def direction2(self):
+        return self._directions[1]
+
+    @cached_property
+    def shape_operator(self):
+        d1, d2 = self._directions
+        return self.kappa1[:, None, None] * np.einsum("vi,vj->vij", d1, d1) + self.kappa2[
+            :, None, None
+        ] * np.einsum("vi,vj->vij", d2, d2)
 
     def projection(self):
         """Tangential projections P = I - normal normal^T, shape (V, 3, 3)."""
         nu = self.normal
         return np.eye(3)[None] - nu[:, :, None] * nu[:, None, :]
 
-    @property
+    @cached_property
     def second_fundamental_form(self):
         """II[v, i, j, k] = S[v, i, j] * normal[v, k]."""
-        if self._II is None:
-            if not self.has_tensors:
-                raise ValueError("field was built with tensors=False")
-            self._II = np.einsum("vij,vk->vijk", self.shape_operator, self.normal)
-        return self._II
+        return np.einsum("vij,vk->vijk", self.shape_operator, self.normal)
 
-    @property
+    @cached_property
     def curvature_tensor(self):
         """A[v, i, j, k] = II[v, i, k, j] + II[v, i, j, k]; trace_j A[j,i,j] = Hbar_i."""
-        if self._A is None:
-            II = self.second_fundamental_form
-            self._A = II.transpose(0, 1, 3, 2) + II
-        return self._A
+        II = self.second_fundamental_form
+        return II.transpose(0, 1, 3, 2) + II
 
     def norm_A_squared(self):
         """Pointwise |A|^2 = 2 (kappa1^2 + kappa2^2), shape (V,)."""
@@ -301,40 +311,18 @@ def _principal_directions(mesh, nu):
     return d1, d2
 
 
-def curvature_field(mesh, tensors=True):
-    """Compute all per-vertex curvature quantities of a mesh.
+def curvature_field(mesh, tensors=None):
+    """The :class:`CurvatureField` of a mesh.
 
-    Parameters
-    ----------
-    mesh : TriMesh
-    tensors : bool
-        Also fit principal directions and assemble the shape operator
-        (needed for II, A, and the tensor energy path). The optimizer
-        iterates on the geometry record (``geometry``); the scalars-only
-        field serves ``minimize``'s final energy report and
-        ``diagnostics.refinement_probe``.
+    The scalars come from the geometry record (``geometry``); the
+    principal directions and the tensors II and A are computed on first
+    read. ``tensors`` is ignored: it is kept for callers that still pass it.
 
     Raises
     ------
     DegenerateOneRing
-        If H or K is not finite, or the one-ring fit is singular or produces
-        non-finite values, at some vertex (the first such index is attached).
+        If H or K is not finite at some vertex (the first such index is
+        attached). Reading the directions or the tensors raises it too if
+        the one-ring fit is singular or produces non-finite values.
     """
-    geo = geometry(mesh)
-    H, K = geo.H, geo.K
-    finite = np.isfinite(H) & np.isfinite(K)
-    if not finite.all():
-        raise DegenerateOneRing(int(np.flatnonzero(~finite)[0]))
-    kappa1, kappa2 = _principal_curvatures(H, K)
-    nu = _columns(geo.nu)
-    nu.setflags(write=False)
-    d1 = d2 = S = None
-    if tensors:
-        d1, d2 = _principal_directions(mesh, nu)
-        S = kappa1[:, None, None] * np.einsum("vi,vj->vij", d1, d1) + kappa2[
-            :, None, None
-        ] * np.einsum("vi,vj->vij", d2, d2)
-    return CurvatureField(
-        mesh, geo.a, nu, H, K, kappa1, kappa2, geo.clamped,
-        direction1=d1, direction2=d2, shape_operator=S,
-    )
+    return CurvatureField(mesh)

@@ -114,34 +114,33 @@ def verify_pointwise(curv):
             "K = |Hbar|^2 / 2 - |A|^2 / 4 at every vertex",
         )
     )
-    if curv.has_tensors:
-        A = curv.curvature_tensor
-        II = curv.second_fundamental_form
-        trace = np.einsum("vjij->vi", A)
-        terr = np.abs(trace - curv.Hbar).max(axis=1)
-        tscale = 1e-10 * (np.abs(curv.H) + 1.0 / curv.mesh.mean_edge_length)
-        worst = int(np.argmax(terr - tscale))
-        records.append(
-            _record(
-                "pointwise/trace_identity", terr[worst], tscale[worst], 0.0,
-                "sum_j A_jij = Hbar_i at every vertex",
-            )
+    A = curv.curvature_tensor
+    II = curv.second_fundamental_form
+    trace = np.einsum("vjij->vi", A)
+    terr = np.abs(trace - curv.Hbar).max(axis=1)
+    tscale = 1e-10 * (np.abs(curv.H) + 1.0 / curv.mesh.mean_edge_length)
+    worst = int(np.argmax(terr - tscale))
+    records.append(
+        _record(
+            "pointwise/trace_identity", terr[worst], tscale[worst], 0.0,
+            "sum_j A_jij = Hbar_i at every vertex",
         )
-        frob_err = np.abs(np.einsum("vijk,vijk->v", A, A) - 2.0 * np.einsum("vijk,vijk->v", II, II))
-        worst = int(np.argmax(frob_err - 1e-10 * (A2 + k_floor)))
-        records.append(
-            _record(
-                "pointwise/frobenius_identity", frob_err[worst], 1e-10 * (A2[worst] + k_floor), 0.0,
-                "|A|^2 = 2 |II|^2 at every vertex",
-            )
+    )
+    frob_err = np.abs(np.einsum("vijk,vijk->v", A, A) - 2.0 * np.einsum("vijk,vijk->v", II, II))
+    worst = int(np.argmax(frob_err - 1e-10 * (A2 + k_floor)))
+    records.append(
+        _record(
+            "pointwise/frobenius_identity", frob_err[worst], 1e-10 * (A2[worst] + k_floor), 0.0,
+            "|A|^2 = 2 |II|^2 at every vertex",
         )
-        sym_err = np.abs(A - (II.transpose(0, 1, 3, 2) + II)).max()
-        records.append(
-            _record(
-                "pointwise/symmetrization", sym_err, 0.0, 1e-14 * max(1.0, A2.max()),
-                "A_ijk = II^j_ik + II^k_ij componentwise",
-            )
+    )
+    sym_err = np.abs(A - (II.transpose(0, 1, 3, 2) + II)).max()
+    records.append(
+        _record(
+            "pointwise/symmetrization", sym_err, 0.0, 1e-14 * max(1.0, A2.max()),
+            "A_ijk = II^j_ik + II^k_ij componentwise",
         )
+    )
     unit_err = np.abs(np.linalg.norm(curv.normal, axis=1) - 1.0).max()
     records.append(_record("pointwise/unit_normal", unit_err, 0.0, 1e-12, "|nu| = 1 at every vertex"))
     return records
@@ -327,7 +326,7 @@ def refinement_probe(shape_generator, levels, exact, quantity):
     rows = []
     for level in levels:
         mesh = shape_generator(level)
-        curv = curvature_field(mesh, tensors=False)
+        curv = curvature_field(mesh)
         val = float(quantity(mesh, curv))
         rows.append((mesh.mean_edge_length, val, abs(val - exact)))
     errs = np.array([r[2] for r in rows])

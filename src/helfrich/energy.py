@@ -90,16 +90,15 @@ def vertex_phase_weights(mesh, phases):
 def canham_helfrich(mesh, curv, params, check_paths=True, rtol=1e-9):
     """Single-phase bending energy sum_v [beta/2 (H - H0)^2 + gamma K] a.
 
-    When the curvature field carries tensors the same value is also
-    evaluated through the pointwise density ``f_ch(nu, A)`` and the two
-    routes are required to agree to ``rtol`` (they are the same quantity
-    written two ways).
+    With ``check_paths`` the same value is also evaluated through the
+    pointwise density ``f_ch(nu, A)`` and the two routes are required to
+    agree to ``rtol`` (they are the same quantity written two ways).
     """
     a = curv.mixed_area
     scalar = float(
         np.sum((0.5 * params.beta * (curv.H - params.h0) ** 2 + params.gamma * curv.K) * a)
     )
-    if check_paths and curv.has_tensors:
+    if check_paths:
         tensor = float(np.sum(f_ch(curv.normal, curv.curvature_tensor, params) * a))
         denom = max(abs(scalar), abs(tensor), 1e-300)
         if abs(scalar - tensor) > rtol * denom:

@@ -66,14 +66,14 @@ def _phase_data(mesh, phases, params_list, H, K):
     return G, G_H, G_K, w, gp, float(coeff @ iface.length), iface, coeff
 
 
-def total_energy(mesh, phases=None, params_list=None):
+def total_energy(mesh, phases, params_list):
     """Discrete total energy at the mesh's current positions (fast path)."""
     geo = _checked_geometry(mesh)
     G, *_, line, _, _ = _phase_data(mesh, phases, params_list, geo.H, geo.K)
     return float(geo.a @ G + line)
 
 
-def energy_and_gradient(mesh, phases=None, params_list=None):
+def energy_and_gradient(mesh, phases, params_list):
     """Total energy and its analytic gradient w.r.t. vertex positions.
 
     Returns ``(E, grad)`` with ``grad`` of shape (V, 3). ``phases=None``

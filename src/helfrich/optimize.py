@@ -411,7 +411,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         mult["phase_areas"] = [float(x) for x in lam[:-1]]
     else:
         mult["area"] = float(lam[0])
-    report = multiphase_energy(mesh, curvature_field(mesh, tensors=False), phases, params_list)
+    report = multiphase_energy(mesh, curvature_field(mesh), phases, params_list)
     return OptimizerState(
         mesh=mesh,
         iteration=it,

@@ -59,7 +59,7 @@ def test_criterion_2_gauss_bonnet(corpus):
     t0 = time.time()
     ok = True
     for name, (mesh, _) in corpus.items():
-        curv = curvature_field(mesh, tensors=False)
+        curv = curvature_field(mesh)
         total = float(curv.K @ curv.mixed_area)
         if name == "torus":
             ok &= abs(total) <= 1e-9
@@ -183,7 +183,7 @@ def test_criterion_8_minimization_benchmark():
     cfg = RunConfig(max_iterations=2000, grad_tol=1e-4, constraint_tol=1e-5)
     state = minimize(mesh0, None, [MaterialParams(1.0, 0.0, 0.0)], cs, cfg)
     elapsed = time.time() - t0
-    curv = curvature_field(state.mesh, tensors=False)
+    curv = curvature_field(state.mesh)
     wq = willmore(state.mesh, curv, "quarter")
     res_area = abs(state.residuals.area)
     res_vol = abs(state.residuals.volume)
@@ -210,7 +210,7 @@ def test_criterion_8_minimization_benchmark():
 def test_criterion_9_multiphase_line_tension(split_sphere5):
     t0 = time.time()
     mesh, labels = split_sphere5
-    curv = curvature_field(mesh, tensors=False)
+    curv = curvature_field(mesh)
     params = [
         MaterialParams(1.0, 0.0, 0.0, sigma=1.0, phase_id=1),
         MaterialParams(1.0, 0.0, 0.0, sigma=1.0, phase_id=2),

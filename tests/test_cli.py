@@ -540,6 +540,14 @@ def test_config_params_that_are_not_objects_exit_1(workdir, capsys, params, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key, value", [("run", ["x"]), ("constraints", 5)], ids=["run_list", "constraints_number"])
+def test_config_sections_that_are_not_objects_exit_1(workdir, capsys, key, value):
+    config = {"mesh": str(workdir / "sphere.off"), "params": [{"beta": 1.0}], key: value}
+    (workdir / "section.cfg.json").write_text(dumps(config))
+    assert run(["eval", "--config", workdir / "section.cfg.json"]) == 1
+    assert capsys.readouterr().err == f"error: config {key} must be an object\n"
+
+
 @pytest.mark.parametrize("first, second", [("zeta", "alpha"), ("alpha", "zeta")])
 def test_first_unknown_params_key_is_reported(workdir, capsys, first, second):
     # the params columns keep first-seen key order, not a set's hash order

@@ -72,6 +72,12 @@ def test_grid_equals_brute_force_exactly():
             assert overlap_measure(a, b, eps, "grid") == overlap_measure(a, b, eps, "brute")
 
 
+def test_overlap_measure_rejects_unknown_method():
+    sup = unit_square_support()
+    with pytest.raises(ValueError, match="unknown method 'gird'"):
+        overlap_measure(sup, sup, 0.1, "gird")
+
+
 def test_overlap_symmetry_and_monotonicity():
     rng = np.random.default_rng(5)
     a = PhaseSupport(rng.uniform(0, 1, (300, 3)), rng.uniform(0.5, 1, 300), 0.05)

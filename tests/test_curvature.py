@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helfrich import shapes
+from helfrich import curvature, shapes
 from helfrich.curvature import _principal_directions, _tangent_bases, curvature_field, geometry
+from helfrich.density import MaterialParams
+from helfrich.energy import PhaseField, multiphase_energy, willmore
 from helfrich.errors import DegenerateOneRing
 from helfrich.mesh import _scatter
 
@@ -22,7 +24,7 @@ def test_sphere_curvatures_r1(icosphere4, icosphere4_curv):
 
 def test_sphere_curvatures_r2():
     m = shapes.icosphere(4, radius=2.0)
-    curv = curvature_field(m, tensors=False)
+    curv = curvature_field(m)
     assert np.abs(curv.H - 1.0).max() < 0.02
     assert np.abs(curv.K - 0.25).max() < 0.02 * 0.25
 
@@ -30,7 +32,7 @@ def test_sphere_curvatures_r2():
 def test_sphere_curvature_errors_shrink_under_refinement():
     h_errs, k_errs = [], []
     for level in (2, 3, 4):
-        curv = curvature_field(shapes.icosphere(level), tensors=False)
+        curv = curvature_field(shapes.icosphere(level))
         h_errs.append(np.abs(curv.H - 2.0).max())
         k_errs.append(np.abs(curv.K - 1.0).max())
     assert h_errs[0] > h_errs[1] > h_errs[2]
@@ -55,7 +57,7 @@ def test_normals_unit_and_outward(icosphere4_curv, icosphere4):
 
 def test_mixed_area_partitions_surface(corpus):
     for name, (mesh, _) in corpus.items():
-        curv = curvature_field(mesh, tensors=False)
+        curv = curvature_field(mesh)
         assert abs(curv.mixed_area.sum() - mesh.total_area()) < 1e-9 * mesh.total_area(), name
 
 
@@ -83,7 +85,7 @@ def test_tensor_identities(corpus, name):
 
 def test_gauss_curvature_is_exact_angle_defect(corpus):
     for name, (mesh, _) in corpus.items():
-        curv = curvature_field(mesh, tensors=False)
+        curv = curvature_field(mesh)
         total = curv.K @ curv.mixed_area
         assert abs(total - 2 * np.pi * mesh.euler_characteristic) < 1e-9, name
 
@@ -115,6 +117,62 @@ def test_degenerate_one_ring_raises():
     with pytest.raises(DegenerateOneRing) as err:
         _principal_directions(stub, nu)
     assert err.value.vertex == 0
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The list of calls to the one-ring fit made while the test runs."""
+    calls = []
+    fit = curvature._principal_directions
+
+    def counted(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(curvature, "_principal_directions", counted)
+    return calls
+
+
+def test_scalar_readers_run_no_fit(fit_calls, split_sphere):
+    mesh, labels = split_sphere
+    curv = curvature_field(mesh)
+    params = [MaterialParams(1.0, -1.0, 0.0, 0.2), MaterialParams(1.0, -0.5, 0.5, 0.2)]
+    multiphase_energy(mesh, curv, PhaseField(labels), params)
+    willmore(mesh, curv, "quarter")
+    willmore(mesh, curv, "varifold")
+    assert fit_calls == []
+
+
+def test_tensors_run_the_fit_once(fit_calls):
+    curv = curvature_field(shapes.icosphere(3))
+    A = curv.curvature_tensor
+    assert len(fit_calls) == 1
+    assert curv.curvature_tensor is A
+    for name in ("direction1", "direction2", "shape_operator", "second_fundamental_form"):
+        getattr(curv, name)
+    assert len(fit_calls) == 1
+
+
+def test_singular_fit_raises_at_first_tensor_read(monkeypatch):
+    def singular(mesh, nu):
+        raise DegenerateOneRing(7)
+
+    monkeypatch.setattr(curvature, "_principal_directions", singular)
+    mesh = shapes.icosphere(2)
+    curv = curvature_field(mesh)
+    assert willmore(mesh, curv) > 0.0
+    with pytest.raises(DegenerateOneRing) as err:
+        curv.curvature_tensor
+    assert err.value.vertex == 7
+
+
+def test_ignored_tensors_keyword_keeps_the_bits():
+    # the sphere_minimize workload of bench/workloads.py still passes tensors=False
+    mesh = shapes.jittered(shapes.icosphere(3), 0.01, 0)
+    old, new = curvature_field(mesh, tensors=False), curvature_field(mesh)
+    for name in ("direction1", "direction2", "shape_operator", "second_fundamental_form", "curvature_tensor"):
+        a, b = getattr(old, name), getattr(new, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def oracle_directions(mesh, nu):

@@ -119,7 +119,7 @@ def test_energy_bounds_requires_convexity(icosphere4, icosphere4_curv):
 def test_energy_bounds_nonzero_h0_on_corpus(corpus):
     params = MaterialParams(1.0, -1.0, 0.7)
     for name, (mesh, _) in corpus.items():
-        curv = curvature_field(mesh, tensors=False)
+        curv = curvature_field(mesh)
         records = verify_energy_bounds(mesh, curv, params)
         assert all(r.passed for r in records), name
 
@@ -138,7 +138,7 @@ def test_diameter_bounds_sphere(icosphere4, icosphere4_curv):
 
 def test_diameter_bounds_capsule(corpus):
     mesh, _ = corpus["capsule"]
-    curv = curvature_field(mesh, tensors=False)
+    curv = curvature_field(mesh)
     assert all(r.passed for r in verify_diameter(mesh, curv))
 
 
@@ -150,7 +150,7 @@ def test_li_yau_sphere_equality(icosphere4, icosphere4_curv):
 
 def test_li_yau_two_touching_spheres():
     mesh = shapes.two_spheres_touching(level=3)
-    curv = curvature_field(mesh, tensors=False)
+    curv = curvature_field(mesh)
     (rec,) = verify_li_yau(mesh, curv, multiplicity_hint=2)
     assert rec.passed
     wq = willmore(mesh, curv, "quarter")
@@ -159,7 +159,7 @@ def test_li_yau_two_touching_spheres():
 
 def test_li_yau_torus(corpus):
     mesh, _ = corpus["torus"]
-    curv = curvature_field(mesh, tensors=False)
+    curv = curvature_field(mesh)
     (rec,) = verify_li_yau(mesh, curv, multiplicity_hint=1)
     assert rec.passed
     assert willmore(mesh, curv, "quarter") >= FOUR_PI

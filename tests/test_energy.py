@@ -48,8 +48,8 @@ def test_willmore_normalizations(icosphere4, icosphere4_curv):
 
 def test_willmore_scale_invariance(icosphere4):
     scaled = icosphere4.with_vertices(3.7 * icosphere4.vertices)
-    c1 = curvature_field(icosphere4, tensors=False)
-    c2 = curvature_field(scaled, tensors=False)
+    c1 = curvature_field(icosphere4)
+    c2 = curvature_field(scaled)
     for norm in ("quarter", "varifold"):
         a, b = willmore(icosphere4, c1, norm), willmore(scaled, c2, norm)
         assert abs(a - b) < 1e-9 * a
@@ -66,8 +66,8 @@ def test_two_path_agreement_on_corpus(corpus):
 def test_orientation_flip_negates_h0(corpus):
     mesh, _ = corpus["perturbed_sphere"]
     flipped = mesh.flipped()
-    c1 = curvature_field(mesh, tensors=False)
-    c2 = curvature_field(flipped, tensors=False)
+    c1 = curvature_field(mesh)
+    c2 = curvature_field(flipped)
     e_flip = canham_helfrich(flipped, c2, MaterialParams(1.0, -0.5, 0.8))
     e_neg = canham_helfrich(mesh, c1, MaterialParams(1.0, -0.5, -0.8))
     assert abs(e_flip - e_neg) < 1e-10 * max(1.0, abs(e_neg))
@@ -77,7 +77,7 @@ def test_gauss_term_topology(corpus):
     # pure Gauss rigidity: the energy is a topological invariant
     params = MaterialParams(0.0, 1.0, 0.0)
     for name, (mesh, _) in corpus.items():
-        curv = curvature_field(mesh, tensors=False)
+        curv = curvature_field(mesh)
         val = canham_helfrich(mesh, curv, params, check_paths=False)
         assert abs(val - 2 * np.pi * mesh.euler_characteristic) < 1e-9, name
 
@@ -108,7 +108,7 @@ def test_equator_split_line_tension(split_sphere):
 
 def test_identical_phases_match_single_phase(split_sphere):
     mesh, labels = split_sphere
-    curv = curvature_field(mesh, tensors=False)
+    curv = curvature_field(mesh)
     params = MaterialParams(1.4, -0.9, 0.2)
     rep = multiphase_energy(
         mesh, curv, PhaseField(labels),
@@ -120,7 +120,7 @@ def test_identical_phases_match_single_phase(split_sphere):
 
 def test_phase_count_mismatch(split_sphere):
     mesh, labels = split_sphere
-    curv = curvature_field(mesh, tensors=False)
+    curv = curvature_field(mesh)
     with pytest.raises(PhaseCountMismatch):
         multiphase_energy(mesh, curv, PhaseField(labels), [MaterialParams(1.0, 0.0)])
 
@@ -195,7 +195,7 @@ def test_energy_routes_share_one_phase_split(name, n_phases, data):
         for p, s in enumerate(sigma)
     ]
     phases = PhaseField(labels, n_phases=n_phases)
-    rep = multiphase_energy(mesh, curvature_field(mesh, tensors=False), phases, params)
+    rep = multiphase_energy(mesh, curvature_field(mesh), phases, params)
     scale = abs(rep.line_tension) + sum(
         abs(p.bending) + abs(p.gauss) + abs(p.spontaneous) for p in rep.phases
     )

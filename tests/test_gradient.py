@@ -102,14 +102,14 @@ def test_energy_consistency_with_energy_module(corpus):
     mesh, labels = corpus["split_sphere"]
     phases = PhaseField(labels)
     params = [MaterialParams(1.0, -0.5, 0.4, 1.0, 1), MaterialParams(1.5, -0.2, 0.0, 0.5, 2)]
-    curv = curvature_field(mesh, tensors=False)
+    curv = curvature_field(mesh)
     report = multiphase_energy(mesh, curv, phases, params)
     E = total_energy(mesh, phases, params)
     assert abs(E - report.total) < 1e-12 * max(1.0, abs(E))
     single = corpus["icosphere3"][0]
     p = MaterialParams(1.1, -0.6, 0.2)
     e_grad = total_energy(single, None, [p])
-    e_mod = canham_helfrich(single, curvature_field(single, tensors=False), p)
+    e_mod = canham_helfrich(single, curvature_field(single), p)
     assert abs(e_grad - e_mod) < 1e-12 * abs(e_mod)
 
 

@@ -465,8 +465,8 @@ def test_rigid_motion_invariance():
     m = shapes.jittered(shapes.icosphere(2), 0.02, seed=4)
     R = rotation_matrix(1)
     m2 = m.with_vertices(m.vertices @ R.T + np.array([0.3, -1.2, 2.5]))
-    c1 = curvature_field(m, tensors=False)
-    c2 = curvature_field(m2, tensors=False)
+    c1 = curvature_field(m)
+    c2 = curvature_field(m2)
     for f1, f2 in ((c1.H, c2.H), (c1.K, c2.K), (c1.mixed_area, c2.mixed_area)):
         assert np.abs(f1 - f2).max() < 1e-9 * max(1.0, np.abs(f1).max())
     assert abs(enclosed_volume(m2) - enclosed_volume(m)) < 1e-9 * abs(enclosed_volume(m))
@@ -476,8 +476,8 @@ def test_scaling_covariance():
     m = shapes.jittered(shapes.icosphere(2), 0.02, seed=4)
     s = 2.3
     m2 = m.with_vertices(s * m.vertices)
-    c1 = curvature_field(m, tensors=False)
-    c2 = curvature_field(m2, tensors=False)
+    c1 = curvature_field(m)
+    c2 = curvature_field(m2)
     assert np.abs(c2.H - c1.H / s).max() < 1e-9 * np.abs(c1.H).max()
     assert np.abs(c2.K - c1.K / s**2).max() < 1e-9 * np.abs(c1.K).max()
     assert abs(m2.total_area() - s**2 * m.total_area()) < 1e-9 * m.total_area()

@@ -89,7 +89,7 @@ def test_perturbed_sphere_short_run_progress():
     assert state.termination in ("converged", "max_iterations")
     assert abs(state.residuals.area) < 5e-3
     assert abs(state.residuals.volume) < 5e-3
-    curv = curvature_field(state.mesh, tensors=False)
+    curv = curvature_field(state.mesh)
     assert willmore(state.mesh, curv, "quarter") < 4 * np.pi * 1.05
 
 
@@ -285,7 +285,7 @@ def test_trajectory_energy_terms_match_energy_report(monkeypatch, two_phase):
     assert len(trajectory) == len(meshes) == 6
     report_phases = phases if phases is not None else PhaseField.uniform(mesh)
     for point, at in zip(trajectory, meshes):
-        report = multiphase_energy(at, curvature_field(at, tensors=False), report_phases, params)
+        report = multiphase_energy(at, curvature_field(at), report_phases, params)
         want = (
             sum(p.bending for p in report.phases),
             sum(p.gauss for p in report.phases),
