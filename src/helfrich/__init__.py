@@ -31,7 +31,7 @@ from .energy import (
     multiphase_energy,
     willmore,
 )
-from .mesh import TriMesh, build_mesh, diameter, enclosed_volume
+from .mesh import TriMesh, diameter, enclosed_volume
 from .mesh_io import read_mesh, write_mesh
 from .optimize import OptimizerState, RunConfig, minimize, reduced_volume
 
@@ -48,7 +48,6 @@ __all__ = [
     "RunConfig",
     "TriMesh",
     "boundary_mass",
-    "build_mesh",
     "canham_helfrich",
     "coercivity_constants",
     "constraint_residuals",

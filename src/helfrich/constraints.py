@@ -49,7 +49,8 @@ class ConstraintSet:
     area : target total area m (> 0)
     volume : target enclosed volume e (> 0)
     phase_areas : per-phase area targets, summing to ``area`` (optional)
-    overlap_eps0 : threshold of the no-overlap condition (length units)
+    overlap_eps0 : threshold of the no-overlap condition (length units,
+        finite and >= 0; 0 disables the gate)
     """
 
     area: float
@@ -60,6 +61,8 @@ class ConstraintSet:
     def __post_init__(self):
         if not (self.area > 0 and self.volume > 0):
             raise NonPositiveTarget(f"need m, e > 0, got ({self.area}, {self.volume})")
+        if not (np.isfinite(self.overlap_eps0) and self.overlap_eps0 >= 0):
+            raise ValueError(f"overlap_eps0 must be finite and >= 0, got {self.overlap_eps0}")
         if self.phase_areas is not None:
             pa = tuple(float(x) for x in self.phase_areas)
             object.__setattr__(self, "phase_areas", pa)
@@ -79,10 +82,6 @@ class ConstraintSet:
         phases.check(mesh)
         if len(self.phase_areas) != phases.n_phases:
             raise PhaseCountMismatch(f"{len(self.phase_areas)} phase targets for {phases.n_phases} phases")
-
-    @property
-    def isoperimetric_verdict(self):
-        return isoperimetric_check(self.area, self.volume)
 
 
 def isoperimetric_check(m, e):
@@ -298,6 +297,8 @@ def no_overlap_check(support_a, support_b, eps0, n_eps=6):
     """
     if n_eps < 4:
         raise InsufficientSamples(f"need at least 4 radii, got {n_eps}")
+    if not np.isfinite(eps0):
+        raise ValueError(f"eps0 must be finite, got {eps0}")
     eps_min = 1.5 * max(support_a.resolution, support_b.resolution)
     if not 0 < eps_min < eps0:
         raise InsufficientSamples(
@@ -368,12 +369,6 @@ class ConstraintResiduals:
     volume: float
     phase_areas: tuple
     boundary_mass: float  # always 0.0; kept so the report layout stays
-
-    @property
-    def max_abs(self):
-        vals = [abs(self.area), abs(self.volume)]
-        vals.extend(abs(x) for x in self.phase_areas)
-        return max(vals)
 
 
 def constraint_residuals(mesh, phases, cs):

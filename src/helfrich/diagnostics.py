@@ -3,8 +3,9 @@
 Every check evaluates both sides of one inequality on a mesh and records
 name, values, margin, and pass/fail. Reports are reproducible bit-for-bit
 for a fixed mesh and seed. The lower-semicontinuity statement has no
-pointwise discrete counterpart; its weak shadow is the refinement probe,
-which only demonstrates convergence of the energy under mesh refinement.
+pointwise discrete counterpart, so no check here covers it; the tests
+check it only by refinement, as convergence of the energy on refined
+analytic shapes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import curvature_field, geometry
-from .density import coercivity_constants
+from .density import MaterialParams, coercivity_constants
 from .energy import canham_helfrich, willmore
 from .errors import NotConvex
 from .mesh import diameter as mesh_diameter
@@ -27,8 +28,6 @@ __all__ = [
     "verify_energy_bounds",
     "verify_diameter",
     "verify_li_yau",
-    "refinement_probe",
-    "RefinementProbe",
     "standard_report",
 ]
 
@@ -186,12 +185,6 @@ def _divergence_integral(P, jac, mixed_area):
     return float(np.einsum("vij,vij->v", P, jac) @ mixed_area)
 
 
-def first_variation(mesh, curv, X):
-    """delta V(X) = sum_v div^P X(x_v) a_v for a field with known Jacobian."""
-    vals, jac = X(mesh.vertices)
-    return _divergence_integral(curv.projection(), jac, curv.mixed_area), vals
-
-
 def verify_first_variation(mesh, curv, n_fields=20, seed=0):
     """|delta V(X)| <= sqrt(2 mu) ||A||_L2 for random unit-sup-norm fields.
 
@@ -240,7 +233,7 @@ def verify_energy_bounds(mesh, curv, params):
     """
     if not params.strictly_convex:
         raise NotConvex("energy bounds need strictly convex parameters")
-    c1, c2 = coercivity_constants(params, check_samples=0)
+    c1, c2 = coercivity_constants(params)
     mu = float(curv.mixed_area.sum())
     normA2 = float(curv.norm_A_squared() @ curv.mixed_area)
     F = canham_helfrich(mesh, curv, params, check_paths=False)
@@ -293,69 +286,20 @@ def verify_li_yau(mesh, curv, multiplicity_hint=1):
     ]
 
 
-@dataclass
-class RefinementProbe:
-    """Refinement table for one analytic shape; the weak convergence shadow."""
-
-    rows: list  # (h, value, abs error)
-    order: float
-    monotone: bool
-
-    @property
-    def passed(self):
-        return self.monotone and self.order >= 1.0
+# the two strictly convex parameter sets of the energy-bound checks
+_REPORT_PARAMS = (MaterialParams(1.0, -1.0, 0.0), MaterialParams(1.0, -0.5, 0.5))
 
 
-def refinement_probe(shape_generator, levels, exact, quantity):
-    """Convergence of ``quantity(mesh, curv)`` toward a closed-form value.
-
-    Parameters
-    ----------
-    shape_generator : callable level -> TriMesh
-    levels : iterable of int
-    exact : float
-        Independent closed-form or high-resolution quadrature value.
-    quantity : callable (mesh, curv) -> float
-
-    Returns
-    -------
-    RefinementProbe
-        ``passed`` iff errors decrease monotonically with an empirical
-        order >= 1.
-    """
-    rows = []
-    for level in levels:
-        mesh = shape_generator(level)
-        curv = curvature_field(mesh)
-        val = float(quantity(mesh, curv))
-        rows.append((mesh.mean_edge_length, val, abs(val - exact)))
-    errs = np.array([r[2] for r in rows])
-    hs = np.array([r[0] for r in rows])
-    floor = 1e-12 * max(1.0, abs(exact))  # converged to rounding
-    monotone = bool((np.diff(np.maximum(errs, floor)) <= 0).all())
-    live = errs > floor
-    if live.sum() >= 2:
-        order = float(np.polyfit(np.log(hs[live]), np.log(errs[live]), 1)[0])
-    else:
-        order = float("inf")
-    return RefinementProbe(rows, order, monotone)
-
-
-def standard_report(mesh, name="mesh", params_list=None, n_fields=20, seed=0,
-                    multiplicity_hint=1):
+def standard_report(mesh, name="mesh", n_fields=20, seed=0):
     """Full inequality suite on one mesh; returns a VerificationReport."""
-    from .density import MaterialParams
-
-    if params_list is None:
-        params_list = [MaterialParams(1.0, -1.0, 0.0), MaterialParams(1.0, -0.5, 0.5)]
     curv = curvature_field(mesh)
     report = VerificationReport.for_mesh(mesh, name)
     report.records.extend(verify_pointwise(curv))
     report.records.extend(verify_first_variation(mesh, curv, n_fields=n_fields, seed=seed))
-    for params in params_list:
+    for params in _REPORT_PARAMS:
         report.records.extend(verify_energy_bounds(mesh, curv, params))
     report.records.extend(verify_diameter(mesh, curv))
-    report.records.extend(verify_li_yau(mesh, curv, multiplicity_hint))
+    report.records.extend(verify_li_yau(mesh, curv))
     gauss_sum = float(curv.K @ curv.mixed_area)
     target = 2.0 * np.pi * mesh.euler_characteristic
     report.records.append(

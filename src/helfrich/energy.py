@@ -57,8 +57,8 @@ class PhaseField:
             raise PhaseCountMismatch("label exceeds declared phase count")
 
     @classmethod
-    def uniform(cls, mesh, phase=1):
-        return cls(np.full(mesh.n_faces, phase, dtype=np.int64), n_phases=phase)
+    def uniform(cls, mesh):
+        return cls(np.ones(mesh.n_faces, dtype=np.int64), n_phases=1)
 
     def check(self, mesh):
         if len(self.labels) != mesh.n_faces:
@@ -72,11 +72,6 @@ class PhaseField:
         ef = mesh.edge_faces
         return np.flatnonzero(self.labels[ef[:, 0]] != self.labels[ef[:, 1]])
 
-    def interface_vertex_degrees(self, mesh):
-        """Interface-edge degree per vertex; even everywhere."""
-        e = mesh.edges[self.interface_edges(mesh)]
-        return np.bincount(e.ravel(), minlength=mesh.n_vertices)
-
 
 def vertex_phase_weights(mesh, phases):
     """(V, N) fractions splitting each vertex's mixed area between phases.
@@ -87,12 +82,12 @@ def vertex_phase_weights(mesh, phases):
     return _split(mesh, phases)[0]
 
 
-def canham_helfrich(mesh, curv, params, check_paths=True, rtol=1e-9):
+def canham_helfrich(mesh, curv, params, check_paths=True):
     """Single-phase bending energy sum_v [beta/2 (H - H0)^2 + gamma K] a.
 
     With ``check_paths`` the same value is also evaluated through the
     pointwise density ``f_ch(nu, A)`` and the two routes are required to
-    agree to ``rtol`` (they are the same quantity written two ways).
+    agree to a relative 1e-9 (they are the same quantity written two ways).
     """
     a = curv.mixed_area
     scalar = float(
@@ -101,7 +96,7 @@ def canham_helfrich(mesh, curv, params, check_paths=True, rtol=1e-9):
     if check_paths:
         tensor = float(np.sum(f_ch(curv.normal, curv.curvature_tensor, params) * a))
         denom = max(abs(scalar), abs(tensor), 1e-300)
-        if abs(scalar - tensor) > rtol * denom:
+        if abs(scalar - tensor) > 1e-9 * denom:
             raise AssertionError(
                 f"tensor and scalar energy paths disagree: {tensor!r} vs {scalar!r}"
             )

@@ -23,7 +23,7 @@ from .errors import (
     NonManifold,
 )
 
-__all__ = ["TriMesh", "build_mesh", "enclosed_volume", "diameter"]
+__all__ = ["TriMesh", "enclosed_volume", "diameter"]
 
 # Attributes that depend on the faces only; with_vertices shares them.
 _CONNECTIVITY = (
@@ -354,10 +354,6 @@ class TriMesh:
         new.vertices.setflags(write=False)
         return new
 
-    def flipped(self):
-        """Mesh with all face windings (and hence normals) reversed."""
-        return TriMesh(self.vertices, self.faces[:, ::-1])
-
     def angle_defects(self):
         """2*pi minus the incident corner angles, per vertex.
 
@@ -366,11 +362,6 @@ class TriMesh:
         from .curvature import geometry
 
         return geometry(self).defect
-
-
-def build_mesh(vertices, faces):
-    """Validate raw vertex/face arrays into a :class:`TriMesh`."""
-    return TriMesh(vertices, faces)
 
 
 def enclosed_volume(mesh):

@@ -81,8 +81,9 @@ def write_off(path, mesh):
 def read_obj(path):
     """Read a Wavefront OBJ file (v and f records only, 1-based indices).
 
-    A vertex record with fewer than three coordinates, a non-triangle face
-    or a number that does not parse raises MeshError naming the path.
+    A vertex record with fewer than three coordinates, a non-triangle face,
+    a face index 0, a relative (negative) index before the first vertex or
+    a number that does not parse raises MeshError naming the path and line.
     """
     verts = []
     faces = []
@@ -100,6 +101,10 @@ def read_obj(path):
                     if len(parts) != 4:
                         raise MeshError(f"{path}: line {number}: non-triangle face record")
                     idx = [int(p.split("/", 1)[0]) for p in parts[1:4]]
+                    if 0 in idx:
+                        raise MeshError(f"{path}: line {number}: face index 0; OBJ indices are 1-based")
+                    if min(idx) < -len(verts):
+                        raise MeshError(f"{path}: line {number}: face index {min(idx)} is before the first vertex")
                     faces.append([i - 1 if i > 0 else len(verts) + i for i in idx])
             except ValueError as err:
                 raise MeshError(f"{path}: line {number}: {err}") from err

@@ -18,7 +18,6 @@ __all__ = [
     "octasphere",
     "cube",
     "tetrahedron",
-    "octahedron",
     "torus",
     "capsule",
     "jittered",
@@ -81,10 +80,6 @@ def octasphere(level=3, radius=1.0):
     )
     faces = [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4), (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)]
     return _subdivide_on_sphere(verts, faces, level, radius)
-
-
-def octahedron(radius=1.0):
-    return octasphere(level=0, radius=radius)
 
 
 def cube(edge=1.0):

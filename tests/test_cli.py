@@ -313,6 +313,12 @@ def test_minimize_phase_count_errors_exit_1(workdir, capsys):
     assert "3 phase targets for 2 phases" in capsys.readouterr().err
 
 
+def test_minimize_rejects_an_infinite_eps0(workdir, capsys):
+    assert run(["minimize", "--mesh", workdir / "sphere.off", "--beta", "1", "--area", "12.566",
+                "--volume", "4.0", "--eps0", "inf", "--max-iterations", "2"]) == 1
+    assert "overlap_eps0 must be finite and >= 0, got inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["penalty_max", "outer_iterations", "armijo_c", "armijo_shrink",
                                  "step_grow", "overlap_samples"])
 def test_config_with_removed_run_key_exits_1(workdir, capsys, key):

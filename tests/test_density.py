@@ -107,14 +107,32 @@ def test_convexity_agrees_with_numeric_sign_pattern():
                 assert eigs.min() < 1e-10
 
 
+def coercivity_worst(params, c1, c2, n_samples, seed=0):
+    """min of f(nu, A) - (|A|^2 / c1 - c2) over random draws; >= 0 where the bound holds.
+
+    Unit normals, and tensors with iid normal entries at three magnitudes
+    (0.03, 1 and 30) so the linear and the quadratic terms each dominate
+    somewhere.
+    """
+    rng = np.random.default_rng(seed)
+    nu = rng.standard_normal((n_samples, 3))
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    A = rng.standard_normal((n_samples, 3, 3, 3)) * rng.choice([0.03, 1.0, 30.0], size=(n_samples, 1, 1, 1))
+    bound = np.einsum("vijk,vijk->v", A, A) / c1 - c2
+    return float((f_ch(nu, A, params) - bound).min())
+
+
 def test_coercivity_example_constants():
-    c1, c2 = coercivity_constants(MaterialParams(1.0, -1.0, 1.0))
+    params = MaterialParams(1.0, -1.0, 1.0)
+    c1, c2 = coercivity_constants(params)
     assert (c1, c2) == (8.0, 12.5)
+    assert coercivity_worst(params, c1, c2, 100_000) >= -1e-9
 
 
 def test_coercivity_h0_zero():
     c1, c2 = coercivity_constants(MaterialParams(1.0, -1.0, 0.0))
     assert c2 == 0.0
+    assert coercivity_worst(MaterialParams(1.0, -1.0, 0.0), c1, c2, 100_000) >= -1e-9
     # sampled minimum of f / |A|^2 must dominate 1/c1 = lambda_min / 4
     rng = np.random.default_rng(2)
     nu = rng.standard_normal((20000, 3))
@@ -131,7 +149,8 @@ def test_coercivity_requires_convexity():
 
 def test_coercivity_zero_tensor_trivial():
     params = MaterialParams(1.0, -1.0, 2.0)
-    c1, c2 = coercivity_constants(params, check_samples=1000)
+    c1, c2 = coercivity_constants(params)
+    assert coercivity_worst(params, c1, c2, 1000) >= -1e-9
     assert f_ch(np.array([0.0, 0, 1.0]), np.zeros((3, 3, 3)), params) >= -c2
 
 

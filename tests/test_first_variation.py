@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from helfrich.curvature import curvature_field
-from helfrich.diagnostics import (
-    _record,
-    first_variation,
-    random_trig_fields,
-    verify_first_variation,
-)
+from helfrich.diagnostics import _record, random_trig_fields, verify_first_variation
+
+
+def first_variation(mesh, curv, X):
+    """delta V(X) = sum_v div^P X(x_v) a_v for a field with known Jacobian.
+
+    The projections are rebuilt on every call; the sum is the same
+    einsum-then-dot as the one ``verify_first_variation`` makes.
+    """
+    vals, jac = X(mesh.vertices)
+    return float(np.einsum("vij,vij->v", curv.projection(), jac) @ curv.mixed_area), vals
 
 
 def _two_evaluation_records(mesh, curv, n_fields, seed):

@@ -25,7 +25,6 @@ from helfrich.mesh import (
     _max_pair_d2,
     _norm,
     _scatter,
-    build_mesh,
     diameter,
     enclosed_volume,
 )
@@ -35,7 +34,7 @@ from conftest import face_corners, rotation_matrix, sample_mesh
 
 
 def test_octahedron_valid():
-    m = shapes.octahedron()
+    m = shapes.octasphere(0)
     assert (m.n_vertices, m.n_faces) == (6, 8)
     assert m.euler_characteristic == 2
     assert m.genus == 0
@@ -44,12 +43,12 @@ def test_octahedron_valid():
 def test_back_to_back_triangles_rejected():
     verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     with pytest.raises((NonManifold, InconsistentOrientation)):
-        build_mesh(verts, [(0, 1, 2), (0, 2, 1)])
+        TriMesh(verts, [(0, 1, 2), (0, 2, 1)])
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    shape=st.sampled_from([shapes.tetrahedron, shapes.octahedron, lambda: shapes.icosphere(1)]),
+    shape=st.sampled_from([shapes.tetrahedron, lambda: shapes.octasphere(0), lambda: shapes.icosphere(1)]),
     data=st.data(),
 )
 def test_inconsistent_orientation_rejected(shape, data):
@@ -58,7 +57,7 @@ def test_inconsistent_orientation_rejected(shape, data):
     i = data.draw(st.integers(0, len(faces) - 1), label="flipped face")
     faces[i] = faces[i, ::-1]  # one face flipped: shared edges traversed twice same way
     with pytest.raises(InconsistentOrientation):
-        build_mesh(mesh.vertices, faces)
+        TriMesh(mesh.vertices, faces)
 
 
 def test_subdivision_oracle_euler():
@@ -141,7 +140,7 @@ _MESH_ARRAYS = (
 
 
 def test_subdivision_matches_dict_oracle():
-    octa = shapes.octahedron()
+    octa = shapes.octasphere(0)
     for generator, verts, faces in (
         (shapes.icosphere, _ICO_VERTS, _ICO_FACES),
         (shapes.octasphere, octa.vertices, octa.faces),
@@ -158,7 +157,7 @@ def test_subdivision_matches_dict_oracle():
 
 _GLUE_SHAPES = {
     "tetrahedron": shapes.tetrahedron,
-    "octahedron": shapes.octahedron,
+    "octahedron": lambda: shapes.octasphere(0),
     "cube": shapes.cube,
     "icosphere1": lambda: shapes.icosphere(1),
     "torus": lambda: shapes.torus(2.0, 1.0, 6, 4),
@@ -199,31 +198,31 @@ def test_duplicated_face_rejected():
     tet = shapes.tetrahedron()
     faces = np.vstack([tet.faces, tet.faces[2, [1, 2, 0]]])
     with pytest.raises(NonManifold, match="duplicated face"):
-        build_mesh(tet.vertices, faces)
+        TriMesh(tet.vertices, faces)
 
 
 def test_index_and_reference_validation():
     with pytest.raises(IndexOutOfRange):
-        build_mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 5)])
+        TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 5)])
     with pytest.raises(IndexOutOfRange):
         # vertex 3 unreferenced
-        build_mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 5, 5)], [(0, 1, 2)])
+        TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 5, 5)], [(0, 1, 2)])
 
 
 def test_degenerate_face_rejected():
     verts = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]
     # face 3 is flat; the threshold is 1e-12 * bbox_diagonal^2 = 5e-12
     with pytest.raises(DegenerateFace, match=r"^face 3 has area 0 <= 5e-12$"):
-        build_mesh(verts, [(0, 2, 3), (0, 3, 1), (1, 3, 2), (0, 1, 2)])
+        TriMesh(verts, [(0, 2, 3), (0, 3, 1), (1, 3, 2), (0, 1, 2)])
 
 
 def test_open_mesh_rejected():
     verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     with pytest.raises(NonManifold, match="boundary edge"):
-        build_mesh(verts, [(0, 1, 2)])
+        TriMesh(verts, [(0, 1, 2)])
     tet = shapes.tetrahedron()
     with pytest.raises(NonManifold, match="boundary edge"):
-        build_mesh(tet.vertices, tet.faces[1:])
+        TriMesh(tet.vertices, tet.faces[1:])
 
 
 def test_pinched_vertex_rejected():
@@ -236,7 +235,7 @@ def test_pinched_vertex_rejected():
     fb[fb == 0] = 0
     fb[fb > 0] += 3
     with pytest.raises(NonManifold):
-        build_mesh(verts, np.vstack([a.faces, fb]))
+        TriMesh(verts, np.vstack([a.faces, fb]))
     assert not _same_link_verdict(_half_edges_only(verts, np.vstack([a.faces, fb])))
 
 
@@ -276,7 +275,7 @@ def _component_cases():
     """name -> (mesh, known component count)."""
     cases = {name: (mesh, 1) for name, (mesh, _) in shapes.standard_corpus().items()}
     cases["two_spheres_touching"] = (shapes.two_spheres_touching(), 2)
-    spheres = [shapes.icosphere(1), shapes.octasphere(2), shapes.icosphere(2), shapes.octahedron()]
+    spheres = [shapes.icosphere(1), shapes.octasphere(2), shapes.icosphere(2), shapes.octasphere(0)]
     for k in range(1, 5):
         cases[f"union{k}"] = (_disjoint_union(spheres[:k]), k)
     return cases
@@ -309,7 +308,7 @@ def test_enclosed_volume_sphere(icosphere4):
 
 def test_enclosed_volume_orientation_antisymmetry(icosphere4):
     vol = enclosed_volume(icosphere4)
-    assert abs(enclosed_volume(icosphere4.flipped()) + vol) < 1e-12 * abs(vol)
+    assert abs(enclosed_volume(TriMesh(icosphere4.vertices, icosphere4.faces[:, ::-1])) + vol) < 1e-12 * abs(vol)
 
 
 @pytest.mark.parametrize("kind", ["sphere", "box"])

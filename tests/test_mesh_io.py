@@ -115,18 +115,22 @@ def _tet_obj_lines():
 
 
 @pytest.mark.parametrize(
-    "record, reason",
+    "record, line, reason",
     [
-        ("v 0 1 x", "could not convert string to float: 'x'"),
-        ("f 1 2 q", "invalid literal for int"),
-        ("v 0 1", "vertex record with fewer than 3 coordinates"),
+        ("v 0 1 x", 5, "could not convert string to float: 'x'"),
+        ("f 1 2 q", 5, "invalid literal for int"),
+        ("v 0 1", 5, "vertex record with fewer than 3 coordinates"),
+        ("f 1 2 0", 5, "face index 0; OBJ indices are 1-based"),
+        ("f -9 1 2", 5, "face index -9 is before the first vertex"),
+        # before the 4th vertex, so 0 read as len(verts) would name a vertex that exists
+        ("f 1 2 0", 4, "face index 0; OBJ indices are 1-based"),
     ],
-    ids=["bad_float", "bad_index", "short_vertex"],
+    ids=["bad_float", "bad_index", "short_vertex", "zero_index", "relative_before_first", "zero_before_vertex"],
 )
-def test_obj_bad_record_names_the_path_and_line(tmp_path, record, reason):
+def test_obj_bad_record_names_the_path_and_line(tmp_path, record, line, reason):
     lines = _tet_obj_lines()
-    lines.insert(4, record)
+    lines.insert(line - 1, record)
     path = tmp_path / "bad.obj"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MeshError, match=rf"bad\.obj: line 5: {reason}"):
+    with pytest.raises(MeshError, match=rf"bad\.obj: line {line}: {reason}"):
         read_obj(path)
