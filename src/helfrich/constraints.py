@@ -46,9 +46,10 @@ __all__ = [
 class ConstraintSet:
     """Targets for the constrained minimization.
 
-    area : target total area m (> 0)
-    volume : target enclosed volume e (> 0)
-    phase_areas : per-phase area targets, summing to ``area`` (optional)
+    area : target total area m (finite, > 0)
+    volume : target enclosed volume e (finite, > 0)
+    phase_areas : per-phase area targets, each finite and > 0, summing to
+        ``area`` (optional)
     overlap_eps0 : threshold of the no-overlap condition (length units,
         finite and >= 0; 0 disables the gate)
     """
@@ -61,13 +62,15 @@ class ConstraintSet:
     def __post_init__(self):
         if not (self.area > 0 and self.volume > 0):
             raise NonPositiveTarget(f"need m, e > 0, got ({self.area}, {self.volume})")
+        if np.isinf(self.area) or np.isinf(self.volume):
+            raise NonPositiveTarget(f"need finite m, e, got ({self.area}, {self.volume})")
         if not (np.isfinite(self.overlap_eps0) and self.overlap_eps0 >= 0):
             raise ValueError(f"overlap_eps0 must be finite and >= 0, got {self.overlap_eps0}")
         if self.phase_areas is not None:
             pa = tuple(float(x) for x in self.phase_areas)
             object.__setattr__(self, "phase_areas", pa)
-            if any(x <= 0 for x in pa):
-                raise NonPositiveTarget("phase areas must be > 0")
+            if not all(0 < x < np.inf for x in pa):
+                raise NonPositiveTarget(f"phase areas must be finite and > 0, got {pa}")
             if abs(sum(pa) - self.area) > 1e-9 * self.area:
                 raise PhaseCountMismatch(
                     f"phase areas sum to {sum(pa)}, target total is {self.area}"

@@ -18,6 +18,7 @@ from .curvature import curvature_field, geometry
 from .density import MaterialParams, coercivity_constants
 from .energy import canham_helfrich, willmore
 from .errors import NotConvex
+from .mesh import _columns, _dot, _norm
 from .mesh import diameter as mesh_diameter
 
 __all__ = [
@@ -148,33 +149,69 @@ def verify_pointwise(curv):
 _N_WAVES = 3  # plane waves per component of a random field
 
 
-def random_trig_fields(n_fields, length_scale, seed=0):
-    """Smooth vector fields, each component a sum of ``_N_WAVES`` random plane waves.
+def _plane_waves(n_fields, length_scale, seed):
+    """(wave (3, T, 3), phase (3, T), amp (3, T)) of each field, T = ``_N_WAVES``.
 
-    Returns a list of callables ``X(points) -> (values (N,3), jacobians
-    (N,3,3))``; scale to sup-norm 1 at the evaluation points is the
-    caller's job. The Jacobian's summation order is fixed: each term is
-    (amp * sin) * wave and the waves are summed in index order, so the
-    fields, and the records built from them, are bitwise reproducible.
+    Each field draws its wave, phase and amp in that order from one
+    generator, so field k is the same whatever ``n_fields`` is.
     """
     rng = np.random.default_rng(seed)
-    fields = []
     for _ in range(n_fields):
         wave = rng.normal(0.0, 1.5 / length_scale, size=(3, _N_WAVES, 3))
         phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, _N_WAVES))
         amp = rng.normal(0.0, 1.0, size=(3, _N_WAVES))
+        yield wave, phase, amp
+
+
+def _plane_wave_rows(rows, wave, phase, amp, work):
+    """One plane-wave field at (3, N) point rows: values (3, N) and S (3, 3, N).
+
+    ``X_i = sum_t amp[i,t] cos(wave[i,t] . x + phase[i,t])`` and its Jacobian
+    is ``-S`` with ``S[i, j] = sum_t (amp[i,t] sin(...)) wave[i,t,j]``, the
+    terms summed in t order. ``work`` is a (3, 3, 3, N) array, overwritten:
+    its blocks hold the argument (then the cosines), the scaled sines and S,
+    so a caller evaluating many fields allocates them once. Every operand
+    is a contiguous row, and the bits equal the (N, ...) einsum forms: the
+    argument is ``_dot`` over j (``einsum("itj,nj->nit")``), the values
+    ``_dot`` over t (``einsum("it,nit->ni")``), and ``-S`` is
+    ``-einsum("it,nit,itj->nij")``.
+    """
+    arg, trig, S = work
+    w = wave.transpose(2, 0, 1)[..., None]
+    np.multiply(w[0], rows[0], out=arg)
+    arg += w[2] * rows[2]
+    arg += w[1] * rows[1]
+    arg += phase[..., None]
+    np.sin(arg, out=trig)
+    np.cos(arg, out=arg)
+    vals = _dot(amp.T[..., None], arg.transpose(1, 0, 2))
+    trig *= amp[..., None]
+    np.multiply(trig[:, 0, None], wave[:, 0, :, None], out=S)
+    for t in range(1, _N_WAVES):
+        S += trig[:, t, None] * wave[:, t, :, None]
+    return vals, S
+
+
+def random_trig_fields(n_fields, length_scale, seed=0):
+    """Smooth vector fields, each component a sum of ``_N_WAVES`` random plane waves.
+
+    Returns a list of callables ``X(points) -> (values (N,3), jacobians
+    (N,3,3))``, both C-contiguous; scale to sup-norm 1 at the evaluation
+    points is the caller's job. Each call evaluates ``_plane_wave_rows`` on
+    the (3, N) rows of ``points`` and copies the result into (N, ...)
+    layout. The Jacobian's summation order is fixed: each term is
+    (amp * sin) * wave and the waves are summed in index order, so the
+    fields, and the records built from them, are bitwise reproducible.
+    """
+    fields = []
+    for wave, phase, amp in _plane_waves(n_fields, length_scale, seed):
 
         def X(points, wave=wave, phase=phase, amp=amp):
-            arg = np.einsum("itj,nj->nit", wave, points) + phase[None]
-            vals = np.einsum("it,nit->ni", amp, np.cos(arg))
-            # bit for bit -einsum("it,nit,itj->nij", amp, sin(arg), wave) at a
-            # third of its cost: one contiguous (N, 3, 3) multiply-add per wave
-            u = np.moveaxis(amp * np.sin(arg), 2, 0)
-            jac = u[0][..., None] * wave[:, 0]
-            for t in range(1, _N_WAVES):
-                jac += u[t][..., None] * wave[:, t]
-            np.negative(jac, out=jac)
-            return vals, jac
+            work = np.empty((3, 3, 3, len(points)))
+            vals, S = _plane_wave_rows(np.ascontiguousarray(points.T), wave, phase, amp, work)
+            jac = np.empty((len(points), 3, 3))
+            np.negative(S.transpose(2, 0, 1), out=jac)
+            return _columns(vals), jac
 
         fields.append(X)
     return fields
@@ -190,8 +227,13 @@ def verify_first_variation(mesh, curv, n_fields=20, seed=0):
 
     A 5% tolerance on the right-hand side absorbs the vertex quadrature;
     the constant field and the identity field are included as anchors.
-    The projections are built once, and each random field is evaluated
-    once and scaled to sup-norm 1 at the vertices.
+    The projections are built once. Each random field is evaluated once,
+    by ``_plane_wave_rows`` on the (3, V) vertex rows into work arrays
+    shared by all fields, and scaled to sup-norm 1 at the vertices.
+    The scaled Jacobian is written into a C-contiguous (V, 3, 3) array
+    before the divergence einsum: numpy reduces contiguous operands in
+    FMA vector lanes, so that einsum's bits depend on the operand layout,
+    and no row form reproduces them.
     """
     a = curv.mixed_area
     mu = float(a.sum())
@@ -203,8 +245,9 @@ def verify_first_variation(mesh, curv, n_fields=20, seed=0):
     def check(name, delta, statement):
         records.append(_record(name, abs(delta), rhs, 0.05 * rhs, statement))
 
-    # a constant field has zero Jacobian
-    const = _divergence_integral(P, np.zeros((mesh.n_vertices, 3, 3)), a)
+    # a constant field has zero Jacobian; the random fields' scaled Jacobians reuse the array
+    jac = np.zeros((mesh.n_vertices, 3, 3))
+    const = _divergence_integral(P, jac, a)
     records.append(
         _record(
             "first_variation/constant_field", abs(const), 0.0, 1e-12 * mu,
@@ -216,11 +259,14 @@ def verify_first_variation(mesh, curv, n_fields=20, seed=0):
         "first_variation/identity_field", identity_delta,
         "delta V(x) = 2 mu <= sqrt(2 mu) ||A||_L2",
     )
-    for i, X in enumerate(random_trig_fields(n_fields, length_scale=mesh.bbox_diagonal / 2, seed=seed)):
-        vals, jac = X(mesh.vertices)
-        sup = np.linalg.norm(vals, axis=1).max()
+    rows = np.ascontiguousarray(mesh.vertices.T)
+    work = np.empty((3, 3, 3, mesh.n_vertices))
+    for i, (wave, phase, amp) in enumerate(_plane_waves(n_fields, mesh.bbox_diagonal / 2, seed)):
+        vals, S = _plane_wave_rows(rows, wave, phase, amp, work)
+        # (-S) / sup == S / (-sup) exactly: one pass divides, negates and transposes
+        np.divide(S.transpose(2, 0, 1), -_norm(vals).max(), out=jac)
         check(
-            f"first_variation/random_{i:02d}", _divergence_integral(P, jac / sup, a),
+            f"first_variation/random_{i:02d}", _divergence_integral(P, jac, a),
             "|delta V(X)| <= sqrt(2 mu) ||A||_L2 for |X| <= 1",
         )
     return records

@@ -50,7 +50,7 @@ class UnknownPhase(HelfrichError):
 
 
 class NonPositiveTarget(HelfrichError):
-    """A target area or volume is not strictly positive."""
+    """A target area or volume is not strictly positive and finite."""
 
 
 class InsufficientSamples(HelfrichError):

@@ -83,10 +83,13 @@ def read_obj(path):
 
     A vertex record with fewer than three coordinates, a non-triangle face,
     a face index 0, a relative (negative) index before the first vertex or
-    a number that does not parse raises MeshError naming the path and line.
+    a number that does not parse raises MeshError naming the path and line,
+    and so does a face index past the last vertex of the file, checked once
+    every vertex is read (a face may name a vertex that comes after it).
     """
     verts = []
     faces = []
+    face_lines = []
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
             parts = line.split("#", 1)[0].split()
@@ -106,11 +109,20 @@ def read_obj(path):
                     if min(idx) < -len(verts):
                         raise MeshError(f"{path}: line {number}: face index {min(idx)} is before the first vertex")
                     faces.append([i - 1 if i > 0 else len(verts) + i for i in idx])
+                    face_lines.append(number)
             except ValueError as err:
                 raise MeshError(f"{path}: line {number}: {err}") from err
     if not verts or not faces:
         raise MeshError(f"{path}: no geometry found")
-    return TriMesh(np.array(verts), np.array(faces, dtype=np.int64))
+    faces = np.array(faces, dtype=np.int64)
+    past = faces >= len(verts)
+    if past.any():
+        k = int(np.argmax(past.any(axis=1)))
+        raise MeshError(
+            f"{path}: line {face_lines[k]}: face index {faces[k][past[k]][0] + 1} "
+            f"is past the last vertex ({len(verts)} vertices)"
+        )
+    return TriMesh(np.array(verts), faces)
 
 
 def write_obj(path, mesh):

@@ -479,6 +479,29 @@ def test_eval_targets_need_both_and_positive(workdir, capsys, targets, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "minimize"])
+@pytest.mark.parametrize("targets, message", [
+    (["--area", "inf", "--volume", "0.1"], "need finite m, e, got (inf, 0.1)"),
+    (["--area", "12.566", "--volume", "inf"], "need finite m, e, got (12.566, inf)"),
+    (["--area", "12.566", "--volume", "nan"], "need m, e > 0, got (12.566, nan)"),
+], ids=["inf-area", "inf-volume", "nan-volume"])
+def test_non_finite_targets_exit_1(workdir, capsys, command, targets, message):
+    # an infinite area once reached minimize and exited 3 (augmented Lagrangian nan)
+    args = [command, "--mesh", workdir / "sphere.off", "--beta", "1", *targets]
+    if command == "minimize":
+        args += ["--max-iterations", "2", "--out-dir", workdir / "non_finite"]
+    assert run(args) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("phase_areas", ["inf,6.283", "nan,6.283"])
+def test_minimize_rejects_non_finite_phase_areas(workdir, capsys, phase_areas):
+    assert run(["minimize", "--mesh", workdir / "split.off", "--phases", workdir / "labels.txt",
+                "--beta", "1", "--area", "12.566", "--volume", "4.0", "--phase-areas", phase_areas,
+                "--max-iterations", "2", "--out-dir", workdir / "non_finite_phase"]) == 1
+    assert "phase areas must be finite and > 0, got (" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--phases", "labels.txt"], ["--phase-a", "2"],
                                    ["--phase-b", "1"], ["--phases", "labels.txt", "--phase-b", "1"]],
                          ids=lambda x: "+".join(f for f in x if f.startswith("--")))

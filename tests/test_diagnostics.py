@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from helfrich import serialize, shapes
@@ -264,6 +265,33 @@ def test_trig_fields_bitwise_equal_the_einsum_oracle(corpus, name, seed):
     for X, Y in zip(got, want):
         (vals, jac), (vals_o, jac_o) = X(mesh.vertices), Y(mesh.vertices)
         assert jac.shape == jac_o.shape == (mesh.n_vertices, 3, 3)
+        assert vals.tobytes() == vals_o.tobytes()
+        assert jac.tobytes() == jac_o.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=1, log_scale=0.0, shift=0.0, log_length=0.0, zeros=1.0, seed=0)
+@example(n=7, log_scale=-6.0, shift=1e6, log_length=-6.0, zeros=0.1, seed=1)
+@example(n=3001, log_scale=6.0, shift=-1e6, log_length=6.0, zeros=0.1, seed=2)
+@given(
+    n=st.one_of(st.integers(1, 17), st.integers(1, 3001)),
+    log_scale=st.floats(-6.0, 6.0),
+    shift=st.floats(-1e6, 1e6),
+    log_length=st.floats(-6.0, 6.0),
+    zeros=st.sampled_from([0.0, 0.1, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trig_fields_bitwise_equal_the_einsum_oracle_on_drawn_points(n, log_scale, shift, log_length, zeros, seed):
+    # point counts below and between multiples of the SIMD width, scales and
+    # offsets far from the corpus's, and -0.0 coordinates
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, 3)) * 10.0**log_scale + shift
+    points[rng.random((n, 3)) < zeros] = -0.0
+    length = 10.0**log_length
+    for X, Y in zip(random_trig_fields(3, length, seed=seed), _einsum_trig_fields(3, length, seed=seed)):
+        (vals, jac), (vals_o, jac_o) = X(points), Y(points)
+        assert vals.shape == (n, 3) and jac.shape == (n, 3, 3)
+        assert vals.flags.c_contiguous and jac.flags.c_contiguous
         assert vals.tobytes() == vals_o.tobytes()
         assert jac.tobytes() == jac_o.tobytes()
 

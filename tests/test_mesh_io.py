@@ -124,8 +124,11 @@ def _tet_obj_lines():
         ("f -9 1 2", 5, "face index -9 is before the first vertex"),
         # before the 4th vertex, so 0 read as len(verts) would name a vertex that exists
         ("f 1 2 0", 4, "face index 0; OBJ indices are 1-based"),
+        # checked once every vertex is read, so named by the face's own line
+        ("f 1 4 9", 9, "face index 9 is past the last vertex"),
     ],
-    ids=["bad_float", "bad_index", "short_vertex", "zero_index", "relative_before_first", "zero_before_vertex"],
+    ids=["bad_float", "bad_index", "short_vertex", "zero_index", "relative_before_first", "zero_before_vertex",
+         "index_past_last_vertex"],
 )
 def test_obj_bad_record_names_the_path_and_line(tmp_path, record, line, reason):
     lines = _tet_obj_lines()
@@ -134,3 +137,11 @@ def test_obj_bad_record_names_the_path_and_line(tmp_path, record, line, reason):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MeshError, match=rf"bad\.obj: line {line}: {reason}"):
         read_obj(path)
+
+
+def test_obj_face_may_name_a_later_vertex(tmp_path):
+    lines = _tet_obj_lines()
+    path = tmp_path / "faces_first.obj"
+    path.write_text("\n".join(lines[4:] + lines[:4]) + "\n")
+    mesh, tet = read_obj(path), shapes.tetrahedron()
+    assert np.array_equal(mesh.vertices, tet.vertices) and np.array_equal(mesh.faces, tet.faces)
