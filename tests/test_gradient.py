@@ -15,6 +15,26 @@ from helfrich.optimize import _Constraints
 
 from conftest import flat_cube_faces, rotation_matrix
 
+# criterion 7's split-sphere material sets
+SPLIT_PARAMS = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
+
+
+def sha(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def jittered_split(level, amplitude, seed):
+    """Equator-split icosphere, labelled before its vertices are jittered."""
+    base = shapes.icosphere(level)
+    phases = PhaseField(shapes.equator_phase_labels(base))
+    return shapes.jittered(base, amplitude, seed), phases
+
+
+@pytest.fixture(scope="module")
+def large_split():
+    """The ``large_split_eval`` benchmark input (V=40962, F=81920)."""
+    return jittered_split(6, 1e-3, 0)
+
 
 def eligible_vertices(mesh, hstep):
     """Vertices whose star stays inside one smoothness branch across an FD step.
@@ -153,14 +173,8 @@ def test_two_phase_outputs_pinned():
     reads the geometry record's edges and the stored phase split, and the
     bits must not move.
     """
-    base = shapes.icosphere(3)
-    phases = PhaseField(shapes.equator_phase_labels(base))
-    mesh = shapes.jittered(base, 0.01, seed=5)
-    params = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
-
-    def sha(a):
-        return hashlib.sha256(a.tobytes()).hexdigest()
-
+    mesh, phases = jittered_split(3, 0.01, 5)
+    params = SPLIT_PARAMS
     E, grad = energy_and_gradient(mesh, phases, params)
     assert E.hex() == "0x1.22ea11cfa6848p+6"
     assert sha(grad) == "6f5462dc4e23f7408a67c27c74bfd6f44099adb3582e2a320cd2db3adec7518a"
@@ -193,3 +207,26 @@ def test_single_phase_none_equals_uniform_bitwise():
         multiphase_energy(mesh, curv, None, params).total.hex()
         == multiphase_energy(mesh, curv, uniform, params).total.hex()
     )
+
+
+def test_large_split_outputs_pinned(large_split):
+    """Bitwise energy and gradient on the ``large_split_eval`` input (F=81920)."""
+    mesh, phases = large_split
+    E, grad = energy_and_gradient(mesh, phases, SPLIT_PARAMS)
+    assert E.hex() == "0x1.75390c06e1d2bp+10"
+    assert sha(grad) == "a216e824595c82f39f5a4346dcedecb8ce78690bca3625240c2f80b65e8d643c"
+
+
+def test_two_phase_icosphere5_outputs_pinned():
+    """Bitwise energy and gradient on a jittered two-phase icosphere(5) (F=20480).
+
+    The jitter is about 7% of the mean edge, as in the icosphere(3) pin,
+    so both branches of the gradient are taken: 53 vertices are clamped
+    and 72 faces are obtuse.
+    """
+    mesh, phases = jittered_split(5, 0.0025, 5)
+    geo = geometry(mesh)
+    assert (int(geo.clamped.sum()), int(geo.obtuse.any(axis=0).sum())) == (53, 72)
+    E, grad = energy_and_gradient(mesh, phases, SPLIT_PARAMS)
+    assert E.hex() == "0x1.2bf691316199ap+9"
+    assert sha(grad) == "c1dd21990cb8132a845b0fcdc416884ef71e7eb581a88d10477b1ff1979b645a"
