@@ -18,7 +18,7 @@ from .curvature import curvature_field, geometry
 from .density import MaterialParams, coercivity_constants
 from .energy import canham_helfrich, willmore
 from .errors import NotConvex
-from .mesh import _columns, _dot, _norm
+from .mesh import _dot, _norm
 from .mesh import diameter as mesh_diameter
 
 __all__ = [
@@ -190,31 +190,6 @@ def _plane_wave_rows(rows, wave, phase, amp, work):
     for t in range(1, _N_WAVES):
         S += trig[:, t, None] * wave[:, t, :, None]
     return vals, S
-
-
-def random_trig_fields(n_fields, length_scale, seed=0):
-    """Smooth vector fields, each component a sum of ``_N_WAVES`` random plane waves.
-
-    Returns a list of callables ``X(points) -> (values (N,3), jacobians
-    (N,3,3))``, both C-contiguous; scale to sup-norm 1 at the evaluation
-    points is the caller's job. Each call evaluates ``_plane_wave_rows`` on
-    the (3, N) rows of ``points`` and copies the result into (N, ...)
-    layout. The Jacobian's summation order is fixed: each term is
-    (amp * sin) * wave and the waves are summed in index order, so the
-    fields, and the records built from them, are bitwise reproducible.
-    """
-    fields = []
-    for wave, phase, amp in _plane_waves(n_fields, length_scale, seed):
-
-        def X(points, wave=wave, phase=phase, amp=amp):
-            work = np.empty((3, 3, 3, len(points)))
-            vals, S = _plane_wave_rows(np.ascontiguousarray(points.T), wave, phase, amp, work)
-            jac = np.empty((len(points), 3, 3))
-            np.negative(S.transpose(2, 0, 1), out=jac)
-            return _columns(vals), jac
-
-        fields.append(X)
-    return fields
 
 
 def _divergence_integral(P, jac, mixed_area):

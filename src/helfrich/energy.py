@@ -38,16 +38,24 @@ class PhaseField:
     Parameters
     ----------
     labels : (F,) array_like of int
-        One label per face, 1-based.
+        One label per face, 1-based. Floats are accepted only where they
+        are exact integers.
     n_phases : int, optional
         Number of phases; defaults to ``max(labels)``; ``labels`` keeps a
         read-only copy, so the splits stored under the field stay valid.
     """
 
     def __init__(self, labels, n_phases=None):
-        labels = np.array(labels, dtype=np.int64)
+        given = np.asarray(labels)
+        with np.errstate(invalid="ignore"):  # NaN and inf are reported below
+            labels = given.astype(np.int64)
         if labels.ndim != 1:
             raise PhaseCountMismatch("labels must be one integer per face")
+        if given.dtype.kind == "f":
+            inexact = np.flatnonzero(labels != given)
+            if inexact.size:
+                i = int(inexact[0])
+                raise PhaseCountMismatch(f"face {i} has phase label {float(given[i])}, not an integer")
         if labels.size and labels.min() < 1:
             raise PhaseCountMismatch("phase labels are 1-based")
         labels.setflags(write=False)

@@ -8,8 +8,10 @@ from helfrich.curvature import curvature_field
 from helfrich.density import MaterialParams
 from helfrich.energy import willmore
 from helfrich.errors import NotConvex
+from helfrich.mesh import _columns
 from helfrich.diagnostics import (
-    random_trig_fields,
+    _plane_wave_rows,
+    _plane_waves,
     standard_report,
     verify_diameter,
     verify_energy_bounds,
@@ -234,6 +236,32 @@ def test_verify_functions_do_not_mutate(icosphere4, icosphere4_curv):
     standard_report(icosphere4, "probe")
     assert np.array_equal(icosphere4.vertices, before)
     assert np.array_equal(icosphere4_curv.H, h_before)
+
+
+def random_trig_fields(n_fields, length_scale, seed=0):
+    """The random fields of ``verify_first_variation`` as callables on (N, 3) points.
+
+    Each component is a sum of plane waves drawn by ``_plane_waves``.
+    Returns a list of callables ``X(points) -> (values (N,3), jacobians
+    (N,3,3))``, both C-contiguous; scale to sup-norm 1 at the evaluation
+    points is the caller's job. Each call evaluates ``_plane_wave_rows`` on
+    the (3, N) rows of ``points`` and copies the result into (N, ...)
+    layout. The Jacobian's summation order is fixed: each term is
+    (amp * sin) * wave and the waves are summed in index order, so the
+    fields, and the records built from them, are bitwise reproducible.
+    """
+    fields = []
+    for wave, phase, amp in _plane_waves(n_fields, length_scale, seed):
+
+        def X(points, wave=wave, phase=phase, amp=amp):
+            work = np.empty((3, 3, 3, len(points)))
+            vals, S = _plane_wave_rows(np.ascontiguousarray(points.T), wave, phase, amp, work)
+            jac = np.empty((len(points), 3, 3))
+            np.negative(S.transpose(2, 0, 1), out=jac)
+            return _columns(vals), jac
+
+        fields.append(X)
+    return fields
 
 
 def _einsum_trig_fields(n_fields, length_scale, seed=0, n_waves=3):

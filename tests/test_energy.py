@@ -126,6 +126,28 @@ def test_phase_count_mismatch(split_sphere):
         multiphase_energy(mesh, curv, PhaseField(labels), [MaterialParams(1.0, 0.0)])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "labels, face, shown",
+    [
+        ([1.5, 2.0], 0, "1.5"),
+        ([1.0, 2.0, np.nan], 2, "nan"),
+        ([1.0, np.inf, 2.0], 1, "inf"),
+        ([1.0, -np.inf], 1, "-inf"),
+    ],
+)
+def test_non_integer_labels_raise(labels, face, shown):
+    with pytest.raises(PhaseCountMismatch, match=rf"^face {face} has phase label {shown}, not an integer$"):
+        PhaseField(np.array(labels))
+
+
+def test_integral_float_labels_are_kept():
+    phases = PhaseField([1.0, 2.0, 2.0])
+    assert phases.labels.dtype == np.int64
+    assert phases.labels.tolist() == [1, 2, 2]
+    assert phases.n_phases == 2
+
+
 def test_boundary_mass(split_sphere, icosphere4):
     mesh, labels = split_sphere
     phases = PhaseField(labels)

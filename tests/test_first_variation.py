@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helfrich.curvature import curvature_field
-from helfrich.diagnostics import _record, random_trig_fields, verify_first_variation
+from helfrich.diagnostics import _record, verify_first_variation
 
 
 def first_variation(mesh, curv, X):
@@ -20,6 +20,9 @@ def first_variation(mesh, curv, X):
 def _two_evaluation_records(mesh, curv, n_fields, seed):
     """Each random field evaluated once for its sup-norm and again, scaled,
     inside ``first_variation``, which rebuilds the projections per call."""
+    # imported here, not at the top: test_diagnostics imports this module
+    from test_diagnostics import random_trig_fields
+
     mu = float(curv.mixed_area.sum())
     normA_L2 = float(np.sqrt(curv.norm_A_squared() @ curv.mixed_area))
     rhs = np.sqrt(2.0 * mu) * normA_L2

@@ -1,9 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helfrich import shapes
+from helfrich import gradient, shapes
 from helfrich.curvature import geometry
 from helfrich.density import MaterialParams
 from helfrich.constraints import ConstraintSet
@@ -166,15 +167,25 @@ def test_parameter_count_mismatch_is_named(route):
         route(mesh, phases, [one, two, two])
 
 
-def test_two_phase_outputs_pinned():
+@pytest.mark.parametrize("block", [None, 7, 1000, 1279])
+def test_two_phase_outputs_pinned(monkeypatch, block):
     """Bitwise values of the two-phase routes on a jittered icosphere(3).
 
     Pinned when each route gathered its own face corners; every route now
     reads the geometry record's edges and the stored phase split, and the
-    bits must not move.
+    bits must not move. They hold for any face slice of the gradient
+    (``block``; None keeps the default, a single slice of the 1280 faces).
     """
-    mesh, phases = jittered_split(3, 0.01, 5)
-    params = SPLIT_PARAMS
+    if block is not None:
+        monkeypatch.setattr(gradient, "_FACE_BLOCK", block)
+    base = shapes.icosphere(3)
+    phases = PhaseField(shapes.equator_phase_labels(base))
+    mesh = shapes.jittered(base, 0.01, seed=5)
+    params = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
+
+    def sha(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
     E, grad = energy_and_gradient(mesh, phases, params)
     assert E.hex() == "0x1.22ea11cfa6848p+6"
     assert sha(grad) == "6f5462dc4e23f7408a67c27c74bfd6f44099adb3582e2a320cd2db3adec7518a"
@@ -230,3 +241,21 @@ def test_two_phase_icosphere5_outputs_pinned():
     E, grad = energy_and_gradient(mesh, phases, SPLIT_PARAMS)
     assert E.hex() == "0x1.2bf691316199ap+9"
     assert sha(grad) == "c1dd21990cb8132a845b0fcdc416884ef71e7eb581a88d10477b1ff1979b645a"
+
+
+def test_gradient_transient_memory_is_bounded(large_split):
+    """One gradient call on the large-split input allocates at most 30 MiB at peak.
+
+    The record and the phase split are built first. The face-local stage
+    runs one face slice at a time, so its temporaries do not grow with F;
+    with whole-mesh (3, F) temporaries the peak was 46.7 MiB.
+    """
+    mesh, phases = large_split
+    total_energy(mesh, phases, SPLIT_PARAMS)
+    tracemalloc.start()
+    try:
+        energy_and_gradient(mesh, phases, SPLIT_PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MiB"
