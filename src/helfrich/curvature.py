@@ -180,9 +180,7 @@ class _Geometry:
         self.volume = float(np.einsum("i,i->", _columns(x0).ravel(), _columns(N).ravel()) / 3.0)
         # half-edge 3 f + c is e[c] of face f; twins have bitwise equal lengths
         lengths = _columns(np.sqrt(l2)).ravel()
-        edge_lengths = np.empty(mesh.n_edges)
-        edge_lengths[mesh._edge_of_halfedge] = lengths
-        self.mean_edge = float(edge_lengths.mean())
+        self.mean_edge = float(lengths[mesh._edge_half].mean())
         short = int(np.argmin(lengths))
         self.short_edge_face = short // 3
         self.edge_ratio = float(lengths.max() / max(lengths[short], 1e-300))

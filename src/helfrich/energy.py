@@ -9,6 +9,7 @@ boundary curve).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,8 +42,8 @@ class PhaseField:
         One label per face, 1-based. Floats are accepted only where they
         are exact integers.
     n_phases : int, optional
-        Number of phases; defaults to ``max(labels)``; ``labels`` keeps a
-        read-only copy, so the splits stored under the field stay valid.
+        Number of phases, a whole number; defaults to ``max(labels)``;
+        ``labels`` keeps a read-only copy, so stored splits stay valid.
     """
 
     def __init__(self, labels, n_phases=None):
@@ -60,7 +61,11 @@ class PhaseField:
             raise PhaseCountMismatch("phase labels are 1-based")
         labels.setflags(write=False)
         self.labels = labels
-        self.n_phases = int(n_phases if n_phases is not None else labels.max(initial=1))
+        if n_phases is None:
+            n_phases = labels.max(initial=1)
+        elif not (math.isfinite(n_phases) and n_phases == math.floor(n_phases)):
+            raise PhaseCountMismatch(f"phase count {n_phases} is not an integer")
+        self.n_phases = int(n_phases)
         if labels.max(initial=1) > self.n_phases:
             raise PhaseCountMismatch("label exceeds declared phase count")
 

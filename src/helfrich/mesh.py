@@ -25,12 +25,9 @@ from .errors import (
 
 __all__ = ["TriMesh", "enclosed_volume", "diameter"]
 
-# Attributes that depend on the faces only; with_vertices shares them.
-_CONNECTIVITY = (
-    "faces", "half_edge_origin", "half_edge_dest", "half_edge_twin", "half_edge_face",
-    "half_edge_next", "edges", "edge_faces", "_edge_of_halfedge", "_n_components",
-    "_nbr_csr", "_face_rows",
-)
+# Attributes that depend on the faces only, each fact stored once; with_vertices
+# shares them. Half-edge h = 3 f + c runs from faces[f, c] to faces[f, c + 1].
+_CONNECTIVITY = ("faces", "_face_rows", "edges", "edge_faces", "_edge_half", "_n_components")
 
 
 def _scatter(index, values, n):
@@ -147,7 +144,7 @@ def _count_components(edges, n):
 
 
 class TriMesh:
-    """Validated triangle mesh with half-edge adjacency.
+    """Validated closed triangle mesh; half-edge h = 3*face + corner is implicit in ``faces``.
 
     Parameters
     ----------
@@ -179,8 +176,7 @@ class TriMesh:
         # component-major copy of the faces: the gathers and scatters of
         # the geometry record and the gradient read its contiguous rows
         self._face_rows = np.ascontiguousarray(f.T)
-        self._build_half_edges()
-        self._validate_vertex_links()
+        self._validate_vertex_links(*self._build_half_edges())
         self._validate_face_areas()
         for arr in (self.vertices, self.faces, self._face_rows):
             arr.setflags(write=False)
@@ -206,11 +202,10 @@ class TriMesh:
             raise NonManifold("duplicated face (same vertex triple)")
 
     def _build_half_edges(self):
-        """Half-edge h = 3*face + corner; origin faces[f, c], dest faces[f, (c+1)%3]."""
+        """Pair h (faces[f, c] to faces[f, (c+1)%3]) with its twin; returns (origin, twin)."""
         f = self.faces
-        nf = len(f)
-        nh = 3 * nf
-        origin = f[:, [0, 1, 2]].ravel()
+        nh = 3 * len(f)
+        origin = f.ravel()
         dest = f[:, [1, 2, 0]].ravel()
         # every undirected edge must appear exactly twice, once each way
         lo = np.minimum(origin, dest)
@@ -230,32 +225,26 @@ class TriMesh:
         twin = np.empty(nh, dtype=np.int64)
         twin[h1] = h2
         twin[h2] = h1
-        self.half_edge_origin = origin
-        self.half_edge_dest = dest
-        self.half_edge_twin = twin
-        self.half_edge_face = np.repeat(np.arange(nf, dtype=np.int64), 3)
-        nxt = np.arange(nh, dtype=np.int64).reshape(nf, 3)[:, [1, 2, 0]].ravel()
-        self.half_edge_next = nxt
         # unique undirected edges, and the faces on each side
         self.edges = np.column_stack([lo[h1], hi[h1]])
-        self.edge_faces = np.column_stack([self.half_edge_face[h1], self.half_edge_face[h2]])
-        self._edge_of_halfedge = np.empty(nh, dtype=np.int64)
-        self._edge_of_halfedge[order] = np.repeat(np.arange(len(h1), dtype=np.int64), 2)
+        self.edge_faces = np.column_stack([h1 // 3, h2 // 3])
+        self._edge_half = np.ascontiguousarray(h1)
+        return origin, twin
 
-    def _validate_vertex_links(self):
+    def _validate_vertex_links(self, origin, twin):
         """Each vertex star must be a single half-edge fan (no pinch points).
 
         The fans of a vertex are the cycles of the permutation
-        h -> twin[next[next[h]]] on its outgoing half-edges. Each cycle is
+        h -> twin[next[next[h]]] on its outgoing half-edges (next[next[h]]
+        is the half-edge before h in its face). Each cycle is
         labelled with its smallest half-edge by min-propagation along the
         map with pointer doubling (Wyllie 1979), one round per bit of the
         largest valence: after r rounds a label is the minimum over 2**r
         consecutive half-edges of its cycle, starting at its own.
         """
-        origin, twin, nxt = self.half_edge_origin, self.half_edge_twin, self.half_edge_next
         nh, nv = len(origin), len(self.vertices)
         label = np.arange(nh)
-        ptr = twin[nxt[nxt]]
+        ptr = twin.reshape(-1, 3)[:, [2, 0, 1]].ravel()
         for _ in range(int(np.bincount(origin).max() - 1).bit_length()):
             label = np.minimum(label, label[ptr])
             ptr = ptr[ptr]
@@ -322,13 +311,11 @@ class TriMesh:
         return geometry(self).mean_edge
 
     def vertex_neighbors(self):
-        """One-ring neighbor lists in CSR form: (offsets, neighbor indices)."""
-        if not hasattr(self, "_nbr_csr"):
-            order = np.argsort(self.half_edge_origin, kind="stable")
-            counts = np.bincount(self.half_edge_origin, minlength=self.n_vertices)
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            self._nbr_csr = (offsets, self.half_edge_dest[order])
-        return self._nbr_csr
+        """One-ring neighbor lists in CSR form: (offsets, neighbor indices), built on each call."""
+        origin = self.faces.ravel()
+        order = np.argsort(origin, kind="stable")
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(origin, minlength=self.n_vertices))])
+        return offsets, self.faces[:, [1, 2, 0]].ravel()[order]
 
     def with_vertices(self, vertices):
         """New mesh with the same connectivity and new positions.
@@ -337,9 +324,9 @@ class TriMesh:
         shape and finiteness checks still run. Callers that need the
         face-area check run ``_validate_face_areas`` (as ``shapes.jittered``
         does) or read ``area`` from the geometry record (as the optimizer's
-        line search does). Only the connectivity attributes carry over, so
-        nothing computed from the old positions reaches the new mesh: its
-        geometry record, face edges and phase splits included, is its own.
+        line search does). Only the ``_CONNECTIVITY`` arrays carry over,
+        shared, not copied, so nothing computed from the old positions
+        reaches the new mesh: its geometry record and phase splits are its own.
         """
         new = object.__new__(TriMesh)
         v = np.ascontiguousarray(vertices, dtype=np.float64)

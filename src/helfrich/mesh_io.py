@@ -41,7 +41,9 @@ def read_off(path):
 
     Malformed, non-triangle or truncated input raises MeshError naming the
     path, and so does any other header: COFF and NOFF files carry colours
-    or normals after each vertex, which this reader does not parse.
+    or normals after each vertex, which this reader does not parse. A file
+    with no faces, or a face index below 0 or past the last vertex, raises
+    MeshError naming the path (and the first such face, 0-based).
     """
     with open(path) as fh:
         tokens = re.sub(r"#[^\n]*", "", fh.read()).split()
@@ -65,6 +67,12 @@ def read_off(path):
         faces = np.array(tokens[start:end], dtype=np.int64).reshape(nf, 4)[:, 1:]
     except (ValueError, IndexError) as err:
         raise MeshError(f"{path}: malformed OFF counts or numbers") from err
+    if nf == 0:
+        raise MeshError(f"{path}: no faces declared")
+    bad = (faces < 0) | (faces >= nv)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        raise MeshError(f"{path}: face {k}: vertex index {faces[k][bad[k]][0]} is out of range for {nv} vertices")
     return TriMesh(verts, faces)
 
 

@@ -141,11 +141,19 @@ def test_non_integer_labels_raise(labels, face, shown):
         PhaseField(np.array(labels))
 
 
+@pytest.mark.parametrize("n_phases, shown", [(2.7, "2.7"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+def test_non_integer_phase_count_raises(n_phases, shown):
+    with pytest.raises(PhaseCountMismatch, match=rf"^phase count {shown} is not an integer$"):
+        PhaseField([1, 2], n_phases=n_phases)
+
+
 def test_integral_float_labels_are_kept():
     phases = PhaseField([1.0, 2.0, 2.0])
     assert phases.labels.dtype == np.int64
     assert phases.labels.tolist() == [1, 2, 2]
     assert phases.n_phases == 2
+    declared = PhaseField([1, 2], n_phases=3.0).n_phases
+    assert type(declared) is int and declared == 3
 
 
 def test_boundary_mass(split_sphere, icosphere4):

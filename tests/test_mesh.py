@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -93,14 +95,21 @@ def _subdivide_oracle(verts, faces, levels):
 def _fan_walk_oracle(mesh):
     """Walk every vertex star one half-edge at a time, counterclockwise.
 
-    Raises NonManifold at the first vertex whose star is not a single fan:
-    the cycle from its first outgoing half-edge misses some of the others.
+    Half-edge h = 3 f + c runs from faces[f, c] to faces[f, c + 1]; its
+    twin comes from a dict of (origin, dest) pairs, so the walk does not
+    lean on the mesh's own half-edge pairing. Raises NonManifold at the
+    first vertex whose star is not a single fan: the cycle from its first
+    outgoing half-edge misses some of the others.
     """
     nv = mesh.n_vertices
-    valence = np.bincount(mesh.half_edge_origin, minlength=nv)
+    origin = mesh.faces.ravel()
+    dest = mesh.faces[:, [1, 2, 0]].ravel()
+    nxt = [h - h % 3 + (h + 1) % 3 for h in range(len(origin))]
+    half_edge = {(int(o), int(d)): h for h, (o, d) in enumerate(zip(origin, dest))}
+    twin = [half_edge[int(d), int(o)] for o, d in zip(origin, dest)]
+    valence = np.bincount(origin, minlength=nv)
     out_he = np.full(nv, -1, dtype=np.int64)
-    out_he[mesh.half_edge_origin[::-1]] = np.arange(len(mesh.half_edge_origin) - 1, -1, -1)
-    twin, nxt = mesh.half_edge_twin, mesh.half_edge_next
+    out_he[origin[::-1]] = np.arange(len(origin) - 1, -1, -1)
     for v in range(nv):
         h0 = h = out_he[v]
         seen = 1
@@ -111,32 +120,28 @@ def _fan_walk_oracle(mesh):
 
 
 def _half_edges_only(vertices, faces):
-    """A TriMesh built up to, not including, the vertex-link check."""
+    """A TriMesh built up to, not including, the vertex-link check, and the builder's half-edge arrays."""
     m = object.__new__(TriMesh)
     m.vertices = np.asarray(vertices, dtype=np.float64)
     m.faces = np.asarray(faces, dtype=np.int64)
     m._validate_indices()
-    m._build_half_edges()
-    return m
+    return m, m._build_half_edges()
 
 
-def _same_link_verdict(m):
+def _same_link_verdict(m, half_edges):
     """The fan check and the walk oracle raise alike on ``m``; True when neither does."""
     try:
         _fan_walk_oracle(m)
     except NonManifold as exc:
         with pytest.raises(NonManifold) as got:
-            m._validate_vertex_links()
+            m._validate_vertex_links(*half_edges)
         assert str(got.value) == str(exc)
         return False
-    m._validate_vertex_links()
+    m._validate_vertex_links(*half_edges)
     return True
 
 
-_MESH_ARRAYS = (
-    "vertices", "faces", "half_edge_origin", "half_edge_dest", "half_edge_twin",
-    "half_edge_face", "half_edge_next", "edges", "edge_faces",
-)
+_MESH_ARRAYS = ("vertices", "faces", "edges", "edge_faces")
 
 
 def test_subdivision_matches_dict_oracle():
@@ -187,11 +192,11 @@ def test_fan_check_matches_walk_on_glued_closed_shapes(names, data):
     renamed[perm] = verts[used]
     faces = perm[compact.reshape(faces.shape)]
     try:
-        m = _half_edges_only(renamed, faces)
+        m, half_edges = _half_edges_only(renamed, faces)
     except (NonManifold, InconsistentOrientation):
         # glued pairs on an edge of each shape merge two edges into one
         assume(False)
-    assert _same_link_verdict(m) == (k == 0)
+    assert _same_link_verdict(m, half_edges) == (k == 0)
 
 
 def test_duplicated_face_rejected():
@@ -236,7 +241,7 @@ def test_pinched_vertex_rejected():
     fb[fb > 0] += 3
     with pytest.raises(NonManifold):
         TriMesh(verts, np.vstack([a.faces, fb]))
-    assert not _same_link_verdict(_half_edges_only(verts, np.vstack([a.faces, fb])))
+    assert not _same_link_verdict(*_half_edges_only(verts, np.vstack([a.faces, fb])))
 
 
 def _scipy_components(edges, n):
@@ -512,14 +517,33 @@ def test_with_vertices_evaluates_like_a_fresh_mesh():
     phases = PhaseField(shapes.equator_phase_labels(mesh))
     params = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
     energy_and_gradient(mesh, phases, params)  # geometry of the old positions is now stored
-    mesh.vertex_neighbors()
     v2 = shapes.jittered(mesh, 0.02, seed=4).vertices
     moved = mesh.with_vertices(v2)
-    assert moved.vertex_neighbors() is mesh.vertex_neighbors()
     e1, g1 = energy_and_gradient(moved, phases, params)
     e2, g2 = energy_and_gradient(TriMesh(v2, mesh.faces), phases, params)
     assert e1 == e2
     assert np.array_equal(g1, g2)
+
+
+def test_mesh_keeps_each_connectivity_fact_once():
+    # the half-edge arrays are validation locals and nothing else is cached,
+    # so a build keeps (3, F) face rows, two (E, 2) edge arrays and one
+    # half-edge per edge: 84 bytes per face
+    m = shapes.icosphere(5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mesh = TriMesh(m.vertices, m.faces)
+        per_face = (tracemalloc.get_traced_memory()[0] - before) / mesh.n_faces
+    finally:
+        tracemalloc.stop()
+    kept = {"vertices", "faces", "_face_rows", "edges", "edge_faces", "_edge_half"}
+    moved = mesh.with_vertices(1.5 * mesh.vertices)
+    for built in (mesh, moved):
+        assert {name for name, value in vars(built).items() if isinstance(value, np.ndarray)} == kept
+    for name in kept - {"vertices"}:
+        assert getattr(moved, name) is getattr(mesh, name), name
+    assert per_face < 100, per_face
 
 
 def _scatter_oracle(index, values, n):
@@ -597,6 +621,5 @@ def test_edges_and_adjacency(icosphere4):
     offsets, nbrs = m.vertex_neighbors()
     assert offsets[-1] == 2 * m.n_edges
     # neighbor relation is symmetric
-    assert set(map(tuple, m.edges)) == {
-        (min(a, b), max(a, b)) for a, b in zip(m.half_edge_origin, m.half_edge_dest)
-    }
+    half_edges = zip(m.faces.ravel(), m.faces[:, [1, 2, 0]].ravel())
+    assert set(map(tuple, m.edges)) == {(min(a, b), max(a, b)) for a, b in half_edges}

@@ -97,6 +97,25 @@ def test_off_truncated_file_names_the_path(tmp_path, keep, section):
         read_off(path)
 
 
+@pytest.mark.parametrize("record, index", [("3 0 1 4", 4), ("3 0 -1 2", -1)], ids=["past_last_vertex", "negative"])
+def test_off_bad_face_index_names_the_path_and_face(tmp_path, record, index):
+    lines = _tet_off_lines()
+    lines[7] = record  # face 1
+    path = tmp_path / "bad.off"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=rf"bad\.off: face 1: vertex index {index} is out of range for 4 vertices$"):
+        read_off(path)
+
+
+def test_off_without_faces_names_the_path(tmp_path):
+    lines = _tet_off_lines()[:6]
+    lines[1] = "4 0 0"
+    path = tmp_path / "empty.off"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=r"empty\.off: no faces declared$"):
+        read_off(path)
+
+
 @pytest.mark.parametrize("header, per_vertex", [("COFF", "255 0 0 255"), ("NOFF", "0 0 1")], ids=["COFF", "NOFF"])
 def test_off_variant_headers_are_rejected_by_name(tmp_path, header, per_vertex):
     # a valid COFF or NOFF tetrahedron: colour or normal values after each vertex
