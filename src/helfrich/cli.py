@@ -9,10 +9,8 @@ overlap   no-overlap scaling check between two phase supports
 hessian   9x9 density Hessian, eigenvalues, and convexity verdict
 
 ``--config file.json`` supplies a JSON run configuration; each flag given
-is written over its config key (``_SCHEMA``). Besides those keys a config
-may hold the other ``RunConfig`` fields under ``run``, and the keys
-``run.seed`` and ``constraints.tol`` of older configs, which are ignored;
-any other key is an error. Per-phase lists may start with a minus sign
+is written over its config key (``_SCHEMA``), and any key outside that
+table is an error. Per-phase lists may start with a minus sign
 (``--gamma -0.3,-1``, ``--gamma -inf``). Exit codes: 0 success, 1 parse/validation error
 (argparse's message follows the usage line), 2 infeasible constraints,
 3 optimizer failure, 4 verification failure.
@@ -24,7 +22,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -155,8 +152,6 @@ _SCHEMA = {
         "max_iterations", "grad_tol", "constraint_tol", "penalty_init", "penalty_growth"
     )},
 }
-# accepted from older configs and never read
-_IGNORED = ("constraints.tol", "run.seed")
 
 
 def _resolve(args):
@@ -182,7 +177,7 @@ def _resolve(args):
             cfg.update({f"{key}.{name}": v for name, v in value.items()})
         else:
             cfg[key] = value
-    known = {*_SCHEMA.values(), *_IGNORED, *(f"run.{f.name}" for f in fields(RunConfig))}
+    known = set(_SCHEMA.values())
     for key in cfg:
         if key not in known:
             raise HelfrichError(f"unknown config key {key}")
@@ -271,8 +266,7 @@ def cmd_minimize(args):
         phase_areas=cfg.get("constraints.phase_areas"),
         overlap_eps0=float(cfg.get("constraints.overlap_eps0", 0.0)),
     )
-    run_cfg = RunConfig(**{key[4:]: value for key, value in cfg.items()
-                           if key.startswith("run.") and key not in _IGNORED})
+    run_cfg = RunConfig(**{key[4:]: value for key, value in cfg.items() if key.startswith("run.")})
     state = minimize(mesh, phases, params, cs, run_cfg)
     out_dir = cfg.get("output_dir")
     payload = {
@@ -307,7 +301,7 @@ def cmd_verify(args):
         mesh_path = _required(_resolve(args), "mesh")
         meshes = [(mesh_path, read_mesh(mesh_path))]
     reports = [standard_report(m, name, n_fields=args.n_fields, seed=args.seed) for name, m in meshes]
-    payload = {"all_pass": all(r.all_pass for r in reports), "reports": [r.to_dict() for r in reports]}
+    payload = {"all_pass": all(r.all_pass for r in reports), "reports": reports}
     _emit(args, payload)
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFICATION
 

@@ -229,9 +229,9 @@ def _cotan_corners(cot, e):
 def geometry(mesh):
     """The :class:`_Geometry` record of ``mesh``, built on first use.
 
-    It is stored on the mesh instance; ``TriMesh.vertices`` is read-only
-    and :meth:`TriMesh.with_vertices` does not copy it, so a stored record
-    always matches its mesh's positions.
+    It is stored on the mesh instance; ``TriMesh.vertices`` is the mesh's
+    own read-only copy and :meth:`TriMesh.with_vertices` does not carry the
+    record over, so a stored record always matches its mesh's positions.
     """
     geo = mesh.__dict__.get("_geometry")
     if geo is None:

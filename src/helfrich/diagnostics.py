@@ -10,7 +10,7 @@ analytic shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .mesh import diameter as mesh_diameter
 
 __all__ = [
     "CheckRecord",
+    "MeshSummary",
     "VerificationReport",
     "verify_pointwise",
     "verify_first_variation",
@@ -46,45 +47,26 @@ class CheckRecord:
 
 
 @dataclass
-class VerificationReport:
-    mesh_name: str
-    n_vertices: int
-    n_edges: int
-    n_faces: int
+class MeshSummary:
+    """The verified mesh: its name, counts, topology and mean edge length."""
+
+    name: str
+    vertices: int
+    edges: int
+    faces: int
     euler_characteristic: int
     genus: int
     components: int
     mean_edge_length: float
-    records: list = field(default_factory=list)
 
-    @property
-    def all_pass(self):
-        return all(r.passed for r in self.records)
 
-    def to_dict(self):
-        """JSON layout, not the fields: a mesh block, the checks by name, and all_pass."""
-        return {
-            "mesh": {
-                "name": self.mesh_name,
-                "vertices": self.n_vertices,
-                "edges": self.n_edges,
-                "faces": self.n_faces,
-                "euler_characteristic": self.euler_characteristic,
-                "genus": self.genus,
-                "components": self.components,
-                "mean_edge_length": self.mean_edge_length,
-            },
-            "all_pass": bool(self.all_pass),
-            "checks": sorted(self.records, key=lambda r: r.name),
-        }
+@dataclass
+class VerificationReport:
+    """Every check on one mesh, sorted by name; all_pass iff each passed."""
 
-    @classmethod
-    def for_mesh(cls, mesh, name="mesh"):
-        return cls(
-            name, mesh.n_vertices, mesh.n_edges, mesh.n_faces,
-            mesh.euler_characteristic, mesh.genus, mesh.n_components,
-            mesh.mean_edge_length,
-        )
+    mesh: MeshSummary
+    all_pass: bool
+    checks: list
 
 
 def _record(name, lhs, rhs, tol, statement):
@@ -314,19 +296,24 @@ _REPORT_PARAMS = (MaterialParams(1.0, -1.0, 0.0), MaterialParams(1.0, -0.5, 0.5)
 def standard_report(mesh, name="mesh", n_fields=20, seed=0):
     """Full inequality suite on one mesh; returns a VerificationReport."""
     curv = curvature_field(mesh)
-    report = VerificationReport.for_mesh(mesh, name)
-    report.records.extend(verify_pointwise(curv))
-    report.records.extend(verify_first_variation(mesh, curv, n_fields=n_fields, seed=seed))
+    summary = MeshSummary(
+        name, mesh.n_vertices, mesh.n_edges, mesh.n_faces,
+        mesh.euler_characteristic, mesh.genus, mesh.n_components,
+        mesh.mean_edge_length,
+    )
+    checks = verify_pointwise(curv)
+    checks += verify_first_variation(mesh, curv, n_fields=n_fields, seed=seed)
     for params in _REPORT_PARAMS:
-        report.records.extend(verify_energy_bounds(mesh, curv, params))
-    report.records.extend(verify_diameter(mesh, curv))
-    report.records.extend(verify_li_yau(mesh, curv))
+        checks += verify_energy_bounds(mesh, curv, params)
+    checks += verify_diameter(mesh, curv)
+    checks += verify_li_yau(mesh, curv)
     gauss_sum = float(curv.K @ curv.mixed_area)
     target = 2.0 * np.pi * mesh.euler_characteristic
-    report.records.append(
+    checks.append(
         _record(
             "gauss_bonnet/total", abs(gauss_sum - target), 0.0, 1e-9,
             "sum K a = 2 pi chi exactly",
         )
     )
-    return report
+    checks.sort(key=lambda r: r.name)
+    return VerificationReport(summary, all(r.passed for r in checks), checks)

@@ -162,8 +162,10 @@ class TriMesh:
     """
 
     def __init__(self, vertices, faces):
-        v = np.ascontiguousarray(vertices, dtype=np.float64)
-        f = np.ascontiguousarray(faces, dtype=np.int64)
+        # copies: freezing a caller's array, or a view of one, would leave
+        # the caller holding a writable alias under the geometry record
+        v = np.array(vertices, dtype=np.float64, order="C")
+        f = np.array(faces, dtype=np.int64, order="C")
         if v.ndim != 2 or v.shape[1] != 3:
             raise IndexOutOfRange(f"vertices must be (V, 3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
@@ -196,10 +198,6 @@ class TriMesh:
             raise IndexOutOfRange(f"unreferenced vertices: {missing.tolist()}")
         if (f[:, 0] == f[:, 1]).any() or (f[:, 1] == f[:, 2]).any() or (f[:, 2] == f[:, 0]).any():
             raise DegenerateFace("face with repeated vertex")
-        key = np.sort(f, axis=1)
-        key = key[np.lexsort(key.T)]
-        if (key[1:] == key[:-1]).all(axis=1).any():
-            raise NonManifold("duplicated face (same vertex triple)")
 
     def _build_half_edges(self):
         """Pair h (faces[f, c] to faces[f, (c+1)%3]) with its twin; returns (origin, twin)."""
@@ -225,6 +223,12 @@ class TriMesh:
         twin = np.empty(nh, dtype=np.int64)
         twin[h1] = h2
         twin[h2] = h1
+        # a copied face puts an edge in more than two faces or traverses it
+        # twice one way, both caught above, unless the copy is reversed and
+        # the pair stands alone: then each face's three twins lie in the other
+        twin_face = (twin // 3).reshape(-1, 3)
+        if ((twin_face[:, 0] == twin_face[:, 1]) & (twin_face[:, 1] == twin_face[:, 2])).any():
+            raise NonManifold("duplicated face (same vertex triple)")
         # unique undirected edges, and the faces on each side
         self.edges = np.column_stack([lo[h1], hi[h1]])
         self.edge_faces = np.column_stack([h1 // 3, h2 // 3])
@@ -324,12 +328,13 @@ class TriMesh:
         shape and finiteness checks still run. Callers that need the
         face-area check run ``_validate_face_areas`` (as ``shapes.jittered``
         does) or read ``area`` from the geometry record (as the optimizer's
-        line search does). Only the ``_CONNECTIVITY`` arrays carry over,
-        shared, not copied, so nothing computed from the old positions
-        reaches the new mesh: its geometry record and phase splits are its own.
+        line search does). The positions are copied, as in the constructor.
+        Only the ``_CONNECTIVITY`` arrays carry over, shared, not copied, so
+        nothing computed from the old positions reaches the new mesh: its
+        geometry record and phase splits are its own.
         """
         new = object.__new__(TriMesh)
-        v = np.ascontiguousarray(vertices, dtype=np.float64)
+        v = np.array(vertices, dtype=np.float64, order="C")
         if v.shape != self.vertices.shape:
             raise IndexOutOfRange("vertex array shape changed")
         if not np.isfinite(v).all():

@@ -62,11 +62,15 @@ _LBFGS_TRIALS = 3
 # A pair enters the memory only when s.y > _PAIR_COSINE * |s| |y|.
 _PAIR_COSINE = 1e-10
 _OUTER_ITERATIONS = 60  # multiplier updates
+_INNER_ITERATIONS = 60  # inner iterations per outer round
+_SEARCH_TRIALS = 40  # trial meshes per line search
 _PENALTY_MAX = 1e12  # cap on the penalty rho
 _ARMIJO_C = 1e-4  # sufficient-decrease constant
 _ARMIJO_SHRINK = 0.5  # backtracking factor
 _STEP_GROW = 2.0  # steepest step growth after a steepest accept
 _OVERLAP_SAMPLES = 6  # radii of each no-overlap gate
+_MIN_ANGLE_DEG = 3.0  # quality guard: smallest corner angle
+_MAX_EDGE_RATIO = 50.0  # quality guard: longest over shortest edge
 
 
 @dataclass(frozen=True)
@@ -78,18 +82,13 @@ class RunConfig:
     constraint_tol: float = 1e-5        # relative residual target
     penalty_init: float = 10.0
     penalty_growth: float = 10.0
-    inner_iterations: int = 60          # cap per outer round
-    max_backtracks: int = 40
-    min_angle_deg: float = 3.0
-    max_edge_ratio: float = 50.0
 
     def __post_init__(self):
         for name in ("grad_tol", "constraint_tol", "penalty_init", "penalty_growth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("max_iterations", "inner_iterations", "max_backtracks"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
 
 
 @dataclass
@@ -160,20 +159,20 @@ def reduced_volume(m, e):
     return float(v), isoperimetric_check(m, e)
 
 
-def _quality_fault(geo, cfg):
+def _quality_fault(geo):
     """What a geometry record breaks of the mesh-quality guard, or None."""
-    if geo.edge_ratio > cfg.max_edge_ratio:
-        return (f"edge ratio {geo.edge_ratio:.3g} > {cfg.max_edge_ratio} "
+    if geo.edge_ratio > _MAX_EDGE_RATIO:
+        return (f"edge ratio {geo.edge_ratio:.3g} > {_MAX_EDGE_RATIO} "
                 f"(shortest edge in face {geo.short_edge_face})")
     min_deg = np.degrees(geo.min_angle)
-    if min_deg < cfg.min_angle_deg:
-        return f"min angle {min_deg:.3g} deg < {cfg.min_angle_deg} in face {geo.min_angle_face}"
+    if min_deg < _MIN_ANGLE_DEG:
+        return f"min angle {min_deg:.3g} deg < {_MIN_ANGLE_DEG} in face {geo.min_angle_face}"
     return None
 
 
-def _check_quality(mesh, cfg):
+def _check_quality(mesh):
     """Raise QualityCollapse when a start mesh breaks the guard."""
-    fault = _quality_fault(geometry(mesh), cfg)
+    fault = _quality_fault(geometry(mesh))
     if fault:
         raise QualityCollapse(f"{fault} at iteration 0")
 
@@ -253,7 +252,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 raise Infeasible(
                     f"initial phase area off target by {100 * abs(c0):.0f}% (> 20%)"
                 )
-    _check_quality(mesh0, cfg)
+    _check_quality(mesh0)
     mesh = mesh0
     lam = np.zeros(len(con.values(mesh)))
     rho = cfg.penalty_init
@@ -280,7 +279,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             geo = geometry(trial)
         if geo.area.min() <= trial.area_floor:
             return None, None, None  # a degenerate face
-        fault = _quality_fault(geo, cfg)
+        fault = _quality_fault(geo)
         if fault:
             return None, None, fault
         try:
@@ -297,7 +296,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         pairs.clear()  # the multipliers or rho changed since these pairs
         last = None  # positions and gradient before the last accepted step
         stop = "inner_cap"
-        for _ in range(cfg.inner_iterations):
+        for _ in range(_INNER_ITERATIONS):
             if it >= cfg.max_iterations:
                 stop = "budget"
                 break
@@ -347,7 +346,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             accepted = False
             guard = None  # the last guard fault among this search's trials
             trials = 0
-            while trials < cfg.max_backtracks:
+            while trials < _SEARCH_TRIALS:
                 trials += 1
                 trial, phi_trial, fault = try_step(mesh.vertices + s * d)
                 guard = fault or guard

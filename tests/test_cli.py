@@ -284,11 +284,9 @@ def test_negative_per_phase_lists(workdir, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_readme_config_with_ignored_keys_runs(workdir):
+def test_readme_config_with_ignored_keys_runs(workdir, capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-    config["constraints"]["tol"] = 1e-6  # accepted from older configs and ignored
-    config["run"]["seed"] = 0
     config.update(mesh=str(workdir / "split.off"), phase_labels=str(workdir / "labels.txt"),
                   output_dir=str(workdir / "readme_run"))
     (workdir / "readme.json").write_text(dumps(config))
@@ -296,6 +294,14 @@ def test_readme_config_with_ignored_keys_runs(workdir):
               "--out", workdir / "readme_state.json"])
     assert rc == 0
     assert json.loads((workdir / "readme_state.json").read_text())["iterations"] == 2
+    # the keys older configs carried are read by nothing, so they are unknown keys
+    for section, name in (("constraints", "tol"), ("run", "seed")):
+        old = json.loads(dumps(config))
+        old[section][name] = 0
+        (workdir / "old.json").write_text(dumps(old))
+        capsys.readouterr()
+        assert run(["minimize", "--config", workdir / "old.json", "--max-iterations", "2"]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key {section}.{name}\n"
 
 
 def test_minimize_phase_count_errors_exit_1(workdir, capsys):
@@ -535,6 +541,9 @@ OUTSIDE_SCHEMA = [
     ({"eps0": 0.15}, "eps0"),
     ({"constraints": {"area_tol": 1e-6}}, "constraints.area_tol"),
     ({"run": {"penalty_max": 1e12}}, "run.penalty_max"),
+    # loop caps and guard bounds are constants of helfrich.optimize
+    *(({"run": {name: 1}}, f"run.{name}")
+      for name in ("inner_iterations", "max_backtracks", "min_angle_deg", "max_edge_ratio")),
     ({"params": [{"beta": 1.0, "kappa": 1.0}]}, "params[i].kappa"),
 ]
 
@@ -586,7 +595,7 @@ def test_first_unknown_params_key_is_reported(workdir, capsys, first, second):
     assert capsys.readouterr().err == f"error: unknown config key params[i].{first}\n"
 
 
-@pytest.mark.parametrize("name", ["max_iterations", "inner_iterations", "max_backtracks"])
+@pytest.mark.parametrize("name", ["max_iterations"])
 def test_run_config_rejects_negative_integers(name):
     from helfrich.optimize import RunConfig
 

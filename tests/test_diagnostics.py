@@ -56,7 +56,7 @@ def spheroid_willmore_quarter(a=1.0, c=0.5):
 def test_standard_report_passes_on_corpus(corpus, name):
     mesh, _ = corpus[name]
     report = standard_report(mesh, name)
-    failed = [r.name for r in report.records if not r.passed]
+    failed = [r.name for r in report.checks if not r.passed]
     assert report.all_pass, failed
 
 
@@ -224,8 +224,8 @@ def test_refinement_probe_ellipsoid_willmore():
 
 def test_report_serialization_deterministic(corpus):
     mesh, _ = corpus["icosphere2"]
-    a = serialize.dumps(standard_report(mesh, "icosphere2").to_dict())
-    b = serialize.dumps(standard_report(mesh, "icosphere2").to_dict())
+    a = serialize.dumps(standard_report(mesh, "icosphere2"))
+    b = serialize.dumps(standard_report(mesh, "icosphere2"))
     assert a == b
     assert '"all_pass": true' in a
 

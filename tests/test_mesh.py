@@ -8,7 +8,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from helfrich import shapes
-from helfrich.curvature import curvature_field
+from helfrich.curvature import curvature_field, geometry
 from helfrich.density import MaterialParams
 from helfrich.energy import PhaseField
 from helfrich.errors import (
@@ -200,10 +200,14 @@ def test_fan_check_matches_walk_on_glued_closed_shapes(names, data):
 
 
 def test_duplicated_face_rejected():
+    # a copy beside other faces puts its edges in three faces
     tet = shapes.tetrahedron()
     faces = np.vstack([tet.faces, tet.faces[2, [1, 2, 0]]])
-    with pytest.raises(NonManifold, match="duplicated face"):
+    with pytest.raises(NonManifold, match="more than two incident faces"):
         TriMesh(tet.vertices, faces)
+    # a reversed copy standing alone pairs every edge once each way
+    with pytest.raises(NonManifold, match="duplicated face"):
+        TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 1)])
 
 
 def test_index_and_reference_validation():
@@ -494,6 +498,29 @@ def test_vertices_immutable(icosphere4):
         icosphere4.vertices[0, 0] = 7.0
 
 
+def test_mesh_owns_its_arrays():
+    octa = shapes.octasphere(0)
+    big = np.vstack([octa.vertices, np.ones((2, 3))])
+    v, f = big[:6], octa.faces.copy()
+    m = TriMesh(v, f)
+    record = geometry(m)
+    volume, area = record.volume, record.area.copy()
+    w = 1.5 * octa.vertices
+    moved = m.with_vertices(w)
+    moved_area = geometry(moved).area.copy()
+    for arr in (big, v, f, w):
+        assert arr.flags.writeable
+    big[0, 0] = 7.0
+    f[0] = f[1]
+    w[1] = 0.0
+    assert np.array_equal(m.vertices, octa.vertices) and np.array_equal(m.faces, octa.faces)
+    assert np.array_equal(moved.vertices, 1.5 * octa.vertices)
+    assert geometry(m) is record and record.volume == volume
+    assert np.array_equal(record.area, area)
+    assert np.array_equal(geometry(moved).area, moved_area)
+    assert np.array_equal(geometry(m.with_vertices(m.vertices)).area, area)
+
+
 def test_with_vertices_guards(icosphere4):
     with pytest.raises(IndexOutOfRange):
         icosphere4.with_vertices(icosphere4.vertices[:-1])
@@ -527,14 +554,15 @@ def test_with_vertices_evaluates_like_a_fresh_mesh():
 
 def test_mesh_keeps_each_connectivity_fact_once():
     # the half-edge arrays are validation locals and nothing else is cached,
-    # so a build keeps (3, F) face rows, two (E, 2) edge arrays and one
-    # half-edge per edge: 84 bytes per face
+    # so besides its own copies of the inputs a build keeps (3, F) face
+    # rows, two (E, 2) edge arrays and one half-edge per edge: 84 bytes per face
     m = shapes.icosphere(5)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         mesh = TriMesh(m.vertices, m.faces)
-        per_face = (tracemalloc.get_traced_memory()[0] - before) / mesh.n_faces
+        grown = tracemalloc.get_traced_memory()[0] - before
+        per_face = (grown - mesh.vertices.nbytes - mesh.faces.nbytes) / mesh.n_faces
     finally:
         tracemalloc.stop()
     kept = {"vertices", "faces", "_face_rows", "edges", "edge_faces", "_edge_half"}

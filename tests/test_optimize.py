@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,11 +96,12 @@ def test_perturbed_sphere_short_run_progress():
 
 
 @pytest.mark.parametrize("budget, termination", [(1000, "outer_limit"), (120, "max_iterations")])
-def test_termination_names_the_outer_limit(budget, termination):
+def test_termination_names_the_outer_limit(monkeypatch, budget, termination):
     # 60 outer rounds of 2 inner iterations each spend 120 iterations
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=2)
     cs = ConstraintSet(area=4 * np.pi, volume=4 * np.pi / 3 * 0.995)
-    state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=budget, inner_iterations=2))
+    monkeypatch.setattr(optimize, "_INNER_ITERATIONS", 2)
+    state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=budget))
     assert state.iteration == 120
     assert state.inner_stops == ["inner_cap"] * optimize._OUTER_ITERATIONS
     assert state.termination == termination
@@ -117,11 +119,12 @@ def test_frame_indifference():
         assert abs(a.energy - b.energy) < 1e-8 * max(1.0, abs(a.energy))
 
 
-def test_quality_guard_trips():
+def test_quality_guard_trips(monkeypatch):
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=4)
     cs = ConstraintSet(area=4 * np.pi, volume=4.0)
+    monkeypatch.setattr(optimize, "_MAX_EDGE_RATIO", 1.05)
     with pytest.raises(QualityCollapse):
-        minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=50, max_edge_ratio=1.05))
+        minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=50))
 
 
 def test_multiphase_run_with_phase_targets(split_sphere):
@@ -237,11 +240,17 @@ def test_quality_guard_matches_arcsin_oracle(kind, seed, amplitude):
     assert abs(geo.edge_ratio - ratio) <= 1e-14 * ratio
     assert abs(np.degrees(geo.min_angle) - min_deg) <= 1e-10 * min_deg
     loose = 1.0 + 1e-8
-    _check_quality(mesh, RunConfig(max_edge_ratio=ratio * loose, min_angle_deg=min_deg / loose))
-    with pytest.raises(QualityCollapse, match="edge ratio"):
-        _check_quality(mesh, RunConfig(max_edge_ratio=ratio / loose, min_angle_deg=min_deg / loose))
-    with pytest.raises(QualityCollapse, match="min angle"):
-        _check_quality(mesh, RunConfig(max_edge_ratio=ratio * loose, min_angle_deg=min_deg * loose))
+
+    def guard(max_edge_ratio, min_angle_deg):
+        # a function-scoped monkeypatch would trip Hypothesis's health check
+        return mock.patch.multiple(optimize, _MAX_EDGE_RATIO=max_edge_ratio, _MIN_ANGLE_DEG=min_angle_deg)
+
+    with guard(ratio * loose, min_deg / loose):
+        _check_quality(mesh)
+    with guard(ratio / loose, min_deg / loose), pytest.raises(QualityCollapse, match="edge ratio"):
+        _check_quality(mesh)
+    with guard(ratio * loose, min_deg * loose), pytest.raises(QualityCollapse, match="min angle"):
+        _check_quality(mesh)
 
 
 def test_volume_gradient_matches_fd_on_shifted_box():
@@ -350,7 +359,7 @@ def test_prolate_ellipsoid_feasible_targets_converge():
             assert b.augmented <= a.augmented + 1e-10 * max(1.0, abs(a.augmented))
 
 
-def test_overlap_gate_paths(split_sphere):
+def test_overlap_gate_paths(monkeypatch, split_sphere):
     mesh, labels = split_sphere
     phases = PhaseField(labels)
     area = mesh.total_area()
@@ -360,7 +369,8 @@ def test_overlap_gate_paths(split_sphere):
         phase_areas=(area / 2, area / 2), overlap_eps0=0.5,
     )
     # hemispheres exceed eps^3/eps0 at eps0 = 0.5: the gate stops the run
-    state = minimize(mesh, phases, params, cs_fail, RunConfig(max_iterations=10, inner_iterations=5))
+    monkeypatch.setattr(optimize, "_INNER_ITERATIONS", 5)
+    state = minimize(mesh, phases, params, cs_fail, RunConfig(max_iterations=10))
     assert state.termination == "no_overlap_violation"
     assert state.overlap_verdicts and not state.overlap_verdicts[-1][0].passed
     # eps0 below mesh resolution: gate is indeterminate, run continues
@@ -368,7 +378,8 @@ def test_overlap_gate_paths(split_sphere):
         area=area, volume=enclosed_volume(mesh),
         phase_areas=(area / 2, area / 2), overlap_eps0=0.05,
     )
-    state = minimize(mesh, phases, params, cs_small, RunConfig(max_iterations=6, inner_iterations=3))
+    monkeypatch.setattr(optimize, "_INNER_ITERATIONS", 3)
+    state = minimize(mesh, phases, params, cs_small, RunConfig(max_iterations=6))
     assert state.termination != "no_overlap_violation"
     assert state.overlap_verdicts and state.overlap_verdicts[0][0] is None
 
@@ -393,7 +404,8 @@ def test_overlap_gate_builds_each_support_once_per_round(monkeypatch):
         return phase_support(m, ph, phase_id)
 
     monkeypatch.setattr(optimize, "phase_support", counting_support)
-    state = minimize(mesh, phases, params, cs, RunConfig(max_iterations=4, inner_iterations=2))
+    monkeypatch.setattr(optimize, "_INNER_ITERATIONS", 2)
+    state = minimize(mesh, phases, params, cs, RunConfig(max_iterations=4))
     assert state.overlap_verdicts
     assert built == [1, 2, 3] * len(state.overlap_verdicts)
     # the gates pair the supports (1, 2), (1, 3), (2, 3) of the last round
@@ -471,13 +483,12 @@ def _recording_trials(monkeypatch):
 
 def test_run_survives_a_first_step_that_collapses_faces(monkeypatch):
     mesh, cs = _spiked_sphere()
-    cfg = RunConfig(max_iterations=20)
     trials = _recording_trials(monkeypatch)
-    state = minimize(mesh, None, WILLMORE, cs, cfg)
+    state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=20))
     assert state.iteration == 20 and state.termination == "max_iterations"
     # the first trial breaks the 3 degree guard; it is rejected, the step shrinks
-    assert _quality_fault(geometry(trials[0]), cfg) is not None
-    rejected = sum(_quality_fault(geometry(t), cfg) is not None for t in trials)
+    assert _quality_fault(geometry(trials[0])) is not None
+    rejected = sum(_quality_fault(geometry(t)) is not None for t in trials)
     assert rejected >= 1
     assert state.trajectory[0].trials > 1 and state.trajectory[0].step < 1.0 / state.trajectory[0].grad_norm
     assert sum(p.trials for p in state.trajectory) == len(trials)
@@ -485,10 +496,10 @@ def test_run_survives_a_first_step_that_collapses_faces(monkeypatch):
 
 def test_guard_rejections_that_exhaust_the_search_raise(monkeypatch):
     mesh, cs = _spiked_sphere()
-    cfg = RunConfig(max_iterations=20, max_backtracks=1)
+    monkeypatch.setattr(optimize, "_SEARCH_TRIALS", 1)
     trials = _recording_trials(monkeypatch)
     with pytest.raises(QualityCollapse) as err:
-        minimize(mesh, None, WILLMORE, cs, cfg)
+        minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=20))
     geo = geometry(trials[0])
     deg = np.degrees(geo.min_angle)
     assert re.fullmatch(
@@ -557,22 +568,24 @@ def test_diverged_names_iteration_vertex_and_value(monkeypatch):
         minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=10))
 
 
-def test_start_mesh_guard_names_face_and_value():
+def test_start_mesh_guard_names_face_and_value(monkeypatch):
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=4)
     geo = geometry(mesh)
     cs = ConstraintSet(area=4 * np.pi, volume=4.0)
+    monkeypatch.setattr(optimize, "_MAX_EDGE_RATIO", 1.05)
     with pytest.raises(QualityCollapse) as err:
-        minimize(mesh, None, WILLMORE, cs, RunConfig(max_edge_ratio=1.05))
+        minimize(mesh, None, WILLMORE, cs)
     assert str(err.value) == (
         f"edge ratio {geo.edge_ratio:.3g} > 1.05 (shortest edge in face {geo.short_edge_face}) "
         "at iteration 0"
     )
 
 
-def test_stall_ends_the_inner_round():
+def test_stall_ends_the_inner_round(monkeypatch):
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
     cs = ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh) * 0.999)
-    state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=3, max_backtracks=0))
+    monkeypatch.setattr(optimize, "_SEARCH_TRIALS", 0)
+    state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=3))
     assert state.inner_stops == ["stalled"] * 3
     assert [p.trials for p in state.trajectory] == [0, 0, 0]
     assert [p.step for p in state.trajectory] == [0.0, 0.0, 0.0]

@@ -29,7 +29,7 @@ def _close(a, b, scale=None):
 
 def _invariants(mesh, labels):
     curv = curvature_field(mesh)
-    records = sorted(standard_report(mesh).records, key=lambda r: r.name)
+    records = sorted(standard_report(mesh).checks, key=lambda r: r.name)
     return total_energy(mesh, PhaseField(labels), PARAMS), willmore(mesh, curv), records
 
 
