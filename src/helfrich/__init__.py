@@ -25,15 +25,13 @@ from .density import (
 from .energy import (
     EnergyReport,
     PhaseField,
-    boundary_mass,
     canham_helfrich,
-    interface_kink,
     multiphase_energy,
     willmore,
 )
 from .mesh import TriMesh, diameter, enclosed_volume
 from .mesh_io import read_mesh, write_mesh
-from .optimize import OptimizerState, RunConfig, minimize, reduced_volume
+from .optimize import OptimizerState, RunConfig, minimize
 
 __version__ = "0.1.0"
 
@@ -47,7 +45,6 @@ __all__ = [
     "PhaseSupport",
     "RunConfig",
     "TriMesh",
-    "boundary_mass",
     "canham_helfrich",
     "coercivity_constants",
     "constraint_residuals",
@@ -57,7 +54,6 @@ __all__ = [
     "enclosed_volume",
     "f_ch",
     "hessian",
-    "interface_kink",
     "isoperimetric_check",
     "minimize",
     "multiphase_energy",
@@ -65,7 +61,6 @@ __all__ = [
     "overlap_measure",
     "phase_support",
     "read_mesh",
-    "reduced_volume",
     "willmore",
     "write_mesh",
 ]

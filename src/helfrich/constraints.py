@@ -152,20 +152,6 @@ def _cell_keys(points, eps, origin):
     return ((cells[:, 0] << 42) | (cells[:, 1] << 21) | cells[:, 2], cells)
 
 
-def _per_point_overlap_brute(pa, pb, wb, eps):
-    s = np.zeros(len(pa))
-    eps2 = eps * eps
-    for i in range(len(pa)):
-        d2 = np.sum((pb - pa[i]) ** 2, axis=1)
-        sel = wb[d2 < eps2]
-        if len(sel):
-            # reduceat, not sum: the grid kernel accumulates segments with
-            # reduceat and bitwise equality between the two is part of the
-            # contract
-            s[i] = np.add.reduceat(sel, [0])[0]
-    return s
-
-
 def _overlap_measures(support_a, support_b, radii):
     """m(eps) for every eps in ``radii``, from one spatial hash.
 
@@ -255,24 +241,15 @@ def _overlap_measures(support_a, support_b, radii):
     return measures
 
 
-def overlap_measure(support_a, support_b, eps, method="grid"):
+def overlap_measure(support_a, support_b, eps):
     """Product-measure mass of the eps-neighborhood of the diagonal.
 
-    ``method='brute'`` runs the O(N*M) double loop; the default spatial
-    grid (the one-radius case of the kernel ``no_overlap_check`` uses)
-    gives identical results (same summation order) in O(N + M + matches).
+    The one-radius case of the spatial-hash kernel ``no_overlap_check``
+    uses, in O(N + M + matches); bitwise equal to the O(N*M) double loop.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    if method == "grid":
-        return float(_overlap_measures(support_a, support_b, [eps])[0])
-    if method != "brute":
-        raise ValueError(f"unknown method {method!r}")
-    pa, wa = support_a.points, support_a.weights
-    pb, wb = support_b.points, support_b.weights
-    if len(pa) == 0 or len(pb) == 0:
-        return 0.0
-    return float(np.sum(wa * _per_point_overlap_brute(pa, pb, wb, eps)))
+    return float(_overlap_measures(support_a, support_b, [eps])[0])
 
 
 @dataclass(frozen=True)
@@ -379,8 +356,7 @@ def constraint_residuals(mesh, phases, cs):
 
     The per-phase area and volume residuals are the optimizer's own
     :meth:`_Constraints.values`. ``boundary_mass`` is 0.0: a mesh has no
-    boundary edges. A phase's boundary length is
-    :func:`helfrich.energy.boundary_mass`.
+    boundary edges.
     """
     cs.check_phases(mesh, phases)
     *per_phase, volume = _Constraints(phases, cs).values(mesh).tolist()

@@ -3,12 +3,12 @@
 Every quantity comes from one forward geometry record per mesh position
 (:func:`geometry`), which implements the mixed-Voronoi operators of Meyer,
 Desbrun, Schroeder & Barr (2003), "Discrete Differential-Geometry
-Operators for Triangulated 2-Manifolds". The energy, its gradient, the
-curvature fields and ``TriMesh.angle_defects`` all read the same record;
-it is built on first use and stored on the mesh instance, whose vertices
-are read-only. The construction keeps the classical discrete estimators as
-primaries and derives everything else from them so that the pointwise
-tensor identities hold to rounding, not just to discretization error:
+Operators for Triangulated 2-Manifolds". The energy, its gradient and the
+curvature fields all read the same record; it is built on first use and
+stored on the mesh instance, whose vertices are read-only. The
+construction keeps the classical discrete estimators as primaries and
+derives everything else from them so that the pointwise tensor identities
+hold to rounding, not just to discretization error:
 
 * mixed Voronoi area ``a`` (Meyer style, obtuse fallback),
 * Gauss curvature ``K`` = angle defect / mixed area, so the global sum is
@@ -150,8 +150,8 @@ class _Geometry:
     of every face's or vertex's vector. Per face: the edge vectors ``e``
     (3, 3, F), ``e[c]`` running from corner c to corner c + 1, their
     squared lengths ``l2`` (3, F), corner cotangents ``cot`` (3, F), the
-    ``obtuse`` corner mask (3, F) and ``area`` (F,); the gradients and
-    ``energy.interface_kink`` read these and gather no face corners. Per
+    ``obtuse`` corner mask (3, F) and ``area`` (F,); the gradients read
+    these and gather no face corners. Per
     vertex: mixed areas ``a``, angle defects ``defect``, the cotangent
     vector ``L`` (3, V), the unit normal ``nu`` (3, V) with ``Nv_norm``
     the length of the area-vector sum it normalizes, the unclamped

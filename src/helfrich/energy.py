@@ -17,8 +17,8 @@ import numpy as np
 
 from .curvature import geometry
 from .density import f_ch
-from .errors import PhaseCountMismatch, UnknownPhase
-from .mesh import _cross, _dot, _scatter
+from .errors import PhaseCountMismatch
+from .mesh import _scatter
 
 __all__ = [
     "PhaseField",
@@ -27,8 +27,6 @@ __all__ = [
     "canham_helfrich",
     "willmore",
     "multiphase_energy",
-    "boundary_mass",
-    "interface_kink",
     "vertex_phase_weights",
 ]
 
@@ -257,29 +255,3 @@ def _phase_terms(mesh, a, H, K, phases, params_list):
         line += params.sigma * blen
         reports.append(PhaseReport(p, float(ap.sum()), bending, gauss, spont, blen))
     return reports, line
-
-
-def boundary_mass(mesh, phases, phase_id):
-    """Length of the boundary curve of one phase (0 for a phase covering the mesh).
-
-    This is the phase's interface length, the one line tension charges.
-    """
-    iface = _split(mesh, phases)[1]
-    if not (phases.labels == phase_id).any():
-        raise UnknownPhase(f"phase {phase_id} does not occur")
-    return iface.boundary_length(phase_id)
-
-
-def interface_kink(mesh, phases):
-    """Max angle (radians) between face normals across interface edges.
-
-    The discrete counterpart of the smooth no-kink condition at phase
-    boundaries: refining a phase split of a smooth shape drives it to 0.
-    """
-    iface = _split(mesh, phases)[1].edges
-    if len(iface) == 0:
-        return 0.0
-    geo = geometry(mesh)
-    n0, n1 = (0.5 * _cross(geo.e[0][:, f], -geo.e[2][:, f]) / geo.area[f] for f in mesh.edge_faces[iface].T)
-    cosang = np.clip(_dot(n0, n1), -1.0, 1.0)
-    return float(np.arccos(cosang).max())

@@ -346,15 +346,6 @@ class TriMesh:
         new.vertices.setflags(write=False)
         return new
 
-    def angle_defects(self):
-        """2*pi minus the incident corner angles, per vertex.
-
-        The array is the mesh's stored geometry record's, and read-only.
-        """
-        from .curvature import geometry
-
-        return geometry(self).defect
-
 
 def enclosed_volume(mesh):
     """Signed volume enclosed by a closed oriented mesh.

@@ -6,15 +6,17 @@ multiplier updates and penalty growth around an inner L-BFGS descent on
 the augmented Lagrangian (Nocedal & Wright, *Numerical Optimization*,
 ch. 7 and 17). The inner direction comes from the two-loop recursion over
 the last ``_MEMORY`` pairs of position and gradient changes, a memory that
-is cleared at every multiplier update. Each direction is searched by
-Armijo backtracking from the unit step. Steepest descent, from the last
-steepest step grown by ``_STEP_GROW``, takes over when the memory is empty,
-when the L-BFGS direction is not a descent direction, and when it fails
-``_LBFGS_TRIALS`` trials (the memory is then cleared). A trial that is
-degenerate, not finite or breaks the mesh-quality guard is rejected like
-one that fails the Armijo test. Rigid translations are projected out of
-every descent direction; rotations are left free. Phase labels never
-change during a run.
+is cleared at every multiplier update. The run moves between evaluated
+points: ``_trial`` builds a trial mesh, rejects it when it is degenerate
+or breaks the mesh-quality guard, and evaluates its energy and constraint
+values once; an accepted point's values feed the next gradient, the
+multiplier update and the final augmented Lagrangian. ``_line_search``
+backtracks (Armijo) along the L-BFGS direction from the unit step and,
+when the memory is empty, the direction is not a descent direction or it
+fails ``_LBFGS_TRIALS`` trials (the memory is then cleared), along
+steepest descent from the last steepest step grown by ``_STEP_GROW``.
+Rigid translations are projected out of every descent direction;
+rotations are left free. Phase labels never change during a run.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .errors import (
     Diverged,
     Infeasible,
     InsufficientSamples,
-    NonPositiveTarget,
     QualityCollapse,
 )
 from .gradient import energy_and_gradient, total_energy
@@ -49,7 +50,6 @@ __all__ = [
     "OptimizerState",
     "TrajectoryPoint",
     "minimize",
-    "reduced_volume",
 ]
 
 # (s, y) pairs kept by the L-BFGS memory.
@@ -146,19 +146,6 @@ class OptimizerState:
     inner_stops: list = field(default_factory=list)
 
 
-def reduced_volume(m, e):
-    """Normalized volume v = 6 sqrt(pi) e / m^(3/2) and its feasibility verdict.
-
-    v is in (0, 1] exactly when (m, e) is isoperimetrically admissible and
-    1 exactly for the round sphere; infeasible pairs return v > 1 together
-    with the 'infeasible' verdict.
-    """
-    if not (m > 0 and e > 0):
-        raise NonPositiveTarget(f"need m, e > 0, got ({m}, {e})")
-    v = 6.0 * np.sqrt(np.pi) * e / m**1.5
-    return float(v), isoperimetric_check(m, e)
-
-
 def _quality_fault(geo):
     """What a geometry record breaks of the mesh-quality guard, or None."""
     if geo.edge_ratio > _MAX_EDGE_RATIO:
@@ -185,6 +172,56 @@ def _diverged(iteration, phi, grad):
         f"augmented Lagrangian {phi:.6g} at iteration {iteration}; "
         f"vertex {v} has gradient norm {norms[v]:.6g}"
     )
+
+
+def _augmented(E, c, lam, rho):
+    """Augmented Lagrangian of energy E and constraint values c."""
+    return E + lam @ c + 0.5 * rho * (c @ c)
+
+
+def _trial(mesh, x, phases, params_list, con):
+    """((trial mesh, E, c), None) at positions x, or (None, guard fault or None) if rejected."""
+    try:
+        trial = mesh.with_vertices(x)
+    except DegenerateFace:  # non-finite positions
+        return None, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        geo = geometry(trial)
+    if geo.area.min() <= trial.area_floor:
+        return None, None  # a degenerate face
+    fault = _quality_fault(geo)
+    if fault:
+        return None, fault
+    try:
+        E = total_energy(trial, phases, params_list)
+    except DegenerateConfiguration:  # a vertex normal vanished
+        return None, None
+    return (trial, E, con.values(trial)), None
+
+
+def _line_search(mesh, phi, searches, lam, rho, phases, params_list, con):
+    """Armijo backtracking from ``mesh``, whose augmented Lagrangian is phi.
+
+    ``searches`` holds (direction, slope, first step, memory) tuples: the
+    L-BFGS search, when there is one, and then steepest descent, which
+    takes over after ``_LBFGS_TRIALS`` failed L-BFGS trials. Returns the
+    accepted point (or None), its step, the trial count, the memory of the
+    last search and the last guard fault among the trials.
+    """
+    (d, slope, s, memory), trials, guard = searches[0], 0, None
+    while trials < _SEARCH_TRIALS:
+        trials += 1
+        point, fault = _trial(mesh, mesh.vertices + s * d, phases, params_list, con)
+        guard = fault or guard
+        if point is not None:
+            phi_trial = _augmented(point[1], point[2], lam, rho)
+            if np.isfinite(phi_trial) and phi_trial <= phi + _ARMIJO_C * s * slope:
+                return point, s, trials, memory, guard
+        if memory and trials == _LBFGS_TRIALS:
+            d, slope, s, memory = searches[-1]
+        else:
+            s *= _ARMIJO_SHRINK
+    return None, s, trials, memory, guard
 
 
 def _two_loop(g, pairs):
@@ -239,22 +276,21 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         The augmented Lagrangian or its gradient is not finite at an
         accepted mesh.
     """
-    verdict = isoperimetric_check(cs.area, cs.volume)
-    if verdict == "infeasible":
+    if isoperimetric_check(cs.area, cs.volume) == "infeasible":
         raise Infeasible(
             f"targets (m, e) = ({cs.area}, {cs.volume}) violate the isoperimetric inequality"
         )
     cs.check_phases(mesh0, phases)
     con = _Constraints(phases, cs)
+    mesh, cvals = mesh0, con.values(mesh0)  # the current point's mesh and constraint values
     if con.per_phase:
-        for c0, target in zip(con.values(mesh0)[:-1], cs.phase_areas):
+        for c0 in cvals[:-1]:
             if abs(c0) > 0.2:
                 raise Infeasible(
                     f"initial phase area off target by {100 * abs(c0):.0f}% (> 20%)"
                 )
     _check_quality(mesh0)
-    mesh = mesh0
-    lam = np.zeros(len(con.values(mesh)))
+    lam = np.zeros(len(cvals))
     rho = cfg.penalty_init
     step = None  # steepest-descent step length, grown after each steepest accept
     pairs = deque(maxlen=_MEMORY)
@@ -265,29 +301,6 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
     grad_norm = np.inf
     termination = "max_iterations"
     prev_cnorm = np.inf
-
-    def augmented_lagrangian(E, c):  # at the current multipliers and penalty
-        return E + lam @ c + 0.5 * rho * (c @ c)
-
-    def try_step(x):
-        """(trial mesh, phi, None) at positions x; (None, None, guard fault or None) if rejected."""
-        try:
-            trial = mesh.with_vertices(x)
-        except DegenerateFace:  # non-finite positions
-            return None, None, None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            geo = geometry(trial)
-        if geo.area.min() <= trial.area_floor:
-            return None, None, None  # a degenerate face
-        fault = _quality_fault(geo)
-        if fault:
-            return None, None, fault
-        try:
-            E_m = total_energy(trial, phases, params_list)
-        except DegenerateConfiguration:  # a vertex normal vanished
-            return None, None, None
-        phi_m = augmented_lagrangian(E_m, con.values(trial))
-        return (trial, phi_m, None) if np.isfinite(phi_m) else (None, None, None)
 
     for outer in range(_OUTER_ITERATIONS):
         if it >= cfg.max_iterations:
@@ -301,11 +314,10 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 stop = "budget"
                 break
             E, gE = energy_and_gradient(mesh, phases, params_list)
-            cvals = con.values(mesh)
             g = gE.copy()
             for lam_i, rho_c, gc in zip(lam, rho * cvals, con.gradients(mesh)):
                 g += (lam_i + rho_c) * gc
-            phi = augmented_lagrangian(E, cvals)
+            phi = _augmented(E, cvals, lam, rho)
             if not (np.isfinite(phi) and np.isfinite(g).all()):
                 raise _diverged(it, phi, g)
             g -= g.mean(axis=0)  # translations are a null space
@@ -336,43 +348,32 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             if step is None:
                 step = 1.0 / max(grad_norm, 1e-30)
             gg = float(np.sum(g * g))
-            d, slope, s, memory = -g, -gg, step, 0
+            searches = [(-g, -gg, step, 0)]
             if pairs:
                 d_qn = _two_loop(g, pairs)
                 d_qn -= d_qn.mean(axis=0)
                 slope_qn = float(np.sum(g * d_qn))
                 if slope_qn < 0:
-                    d, slope, s, memory = d_qn, slope_qn, 1.0, len(pairs)
-            accepted = False
-            guard = None  # the last guard fault among this search's trials
-            trials = 0
-            while trials < _SEARCH_TRIALS:
-                trials += 1
-                trial, phi_trial, fault = try_step(mesh.vertices + s * d)
-                guard = fault or guard
-                if trial is not None and phi_trial <= phi + _ARMIJO_C * s * slope:
-                    accepted = True
-                    break
-                if memory and trials == _LBFGS_TRIALS:
-                    pairs.clear()
-                    d, slope, s, memory = -g, -gg, step, 0
-                else:
-                    s *= _ARMIJO_SHRINK
+                    searches.insert(0, (d_qn, slope_qn, 1.0, len(pairs)))
+            accepted, s, trials, memory, guard = _line_search(
+                mesh, phi, searches, lam, rho, phases, params_list, con
+            )
             point.trials, point.memory = trials, memory
-            if not accepted and guard:
+            if accepted is None and guard:
                 raise QualityCollapse(f"{guard} at iteration {it}: no acceptable step in {trials} trials")
+            if len(searches) > 1 and not memory:
+                pairs.clear()  # the L-BFGS search fell back
             it += 1
-            if not accepted:
+            if accepted is None:
                 stop = "stalled"
                 break
             point.step = s
             if not memory:
                 step = s * _STEP_GROW
             last = (mesh.vertices, g)
-            mesh = trial
+            mesh, _, cvals = accepted
         inner_stops.append(stop)
         # multiplier update and penalty management
-        cvals = con.values(mesh)
         cnorm = float(np.abs(cvals).max())
         lam = lam + rho * cvals
         if cnorm > 0.25 * prev_cnorm and rho < _PENALTY_MAX:
@@ -403,7 +404,6 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             termination = "outer_limit"
 
     E = total_energy(mesh, phases, params_list)
-    cvals = con.values(mesh)
     res = constraint_residuals(mesh, phases, cs)
     mult = {"volume": float(lam[-1])}
     if con.per_phase:
@@ -415,7 +415,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         mesh=mesh,
         iteration=it,
         energy=E,
-        augmented=float(augmented_lagrangian(E, cvals)),
+        augmented=float(_augmented(E, cvals, lam, rho)),
         residuals=res,
         multipliers=mult,
         penalty=rho,

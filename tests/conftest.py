@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from helfrich import shapes
-from helfrich.curvature import curvature_field
-from helfrich.mesh import TriMesh
+from helfrich.curvature import curvature_field, geometry
+from helfrich.energy import _split
+from helfrich.mesh import TriMesh, _cross, _dot
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +54,39 @@ def face_corners(mesh):
     The oracles gather them here, apart from the geometry record.
     """
     return tuple(mesh.vertices[mesh.faces[:, c]] for c in range(3))
+
+
+def overlap_brute(support_a, support_b, eps):
+    """m(eps) by the O(N*M) double loop: the oracle of the spatial-hash kernel.
+
+    Each point of A sums the weights of B closer than eps with
+    ``np.add.reduceat``, as the kernel's segment sums do, so the kernel's
+    measures must equal it bitwise.
+    """
+    pa, wa = support_a.points, support_a.weights
+    pb, wb = support_b.points, support_b.weights
+    if len(pa) == 0 or len(pb) == 0:
+        return 0.0
+    s = np.zeros(len(pa))
+    for i in range(len(pa)):
+        sel = wb[np.sum((pb - pa[i]) ** 2, axis=1) < eps * eps]
+        if len(sel):
+            s[i] = np.add.reduceat(sel, [0])[0]
+    return float(np.sum(wa * s))
+
+
+def interface_kink(mesh, phases):
+    """Max angle (radians) between face normals across interface edges.
+
+    The discrete counterpart of the smooth no-kink condition at phase
+    boundaries: refining a phase split of a smooth shape drives it to 0.
+    """
+    iface = _split(mesh, phases)[1].edges
+    if len(iface) == 0:
+        return 0.0
+    geo = geometry(mesh)
+    n0, n1 = (0.5 * _cross(geo.e[0][:, f], -geo.e[2][:, f]) / geo.area[f] for f in mesh.edge_faces[iface].T)
+    return float(np.arccos(np.clip(_dot(n0, n1), -1.0, 1.0)).max())
 
 
 def midpoint_subdivision(mesh, levels):

@@ -15,6 +15,8 @@ from helfrich.energy import PhaseField
 from helfrich.errors import InsufficientSamples, NonPositiveTarget
 from helfrich.mesh import enclosed_volume
 
+from conftest import overlap_brute
+
 
 def unit_square_support(n=40, spacing=0.025, rotate=False):
     """Area measure of a flat n x n-cell patch of equilateral triangles, about a unit square.
@@ -69,13 +71,7 @@ def test_grid_equals_brute_force_exactly():
         a = PhaseSupport(rng.uniform(-1, 1, (400, 3)), rng.uniform(0.1, 1, 400), 0.05)
         b = PhaseSupport(rng.uniform(-1, 1, (500, 3)), rng.uniform(0.1, 1, 500), 0.05)
         for eps in (0.07, 0.31, 1.3):
-            assert overlap_measure(a, b, eps, "grid") == overlap_measure(a, b, eps, "brute")
-
-
-def test_overlap_measure_rejects_unknown_method():
-    sup = unit_square_support()
-    with pytest.raises(ValueError, match="unknown method 'gird'"):
-        overlap_measure(sup, sup, 0.1, "gird")
+            assert overlap_measure(a, b, eps) == overlap_brute(a, b, eps)
 
 
 def test_overlap_symmetry_and_monotonicity():

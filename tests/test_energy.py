@@ -8,16 +8,17 @@ from helfrich.curvature import curvature_field
 from helfrich.density import MaterialParams
 from helfrich.energy import (
     PhaseField,
-    boundary_mass,
+    _split,
     canham_helfrich,
-    interface_kink,
     multiphase_energy,
     vertex_phase_weights,
     willmore,
 )
-from helfrich.errors import PhaseCountMismatch, UnknownPhase
+from helfrich.errors import PhaseCountMismatch
 from helfrich.gradient import total_energy
 from helfrich.mesh import TriMesh
+
+from conftest import interface_kink
 
 FOUR_PI = 4 * np.pi
 
@@ -159,16 +160,14 @@ def test_integral_float_labels_are_kept():
 def test_boundary_mass(split_sphere, icosphere4):
     mesh, labels = split_sphere
     phases = PhaseField(labels)
-    assert abs(boundary_mass(mesh, phases, 1) - 2 * np.pi) < 0.02 * 2 * np.pi
-    assert boundary_mass(icosphere4, PhaseField.uniform(icosphere4), 1) == 0.0
-    with pytest.raises(UnknownPhase):
-        boundary_mass(mesh, phases, 5)
+    assert abs(_split(mesh, phases)[1].boundary_length(1) - 2 * np.pi) < 0.02 * 2 * np.pi
+    assert _split(icosphere4, PhaseField.uniform(icosphere4))[1].boundary_length(1) == 0.0
 
 
 def test_single_face_phase_boundary():
     tet = shapes.tetrahedron(edge=1.0)
     labels = np.array([1, 2, 2, 2])
-    assert abs(boundary_mass(tet, PhaseField(labels), 1) - 3.0) < 1e-12
+    assert abs(_split(tet, PhaseField(labels))[1].boundary_length(1) - 3.0) < 1e-12
 
 
 def test_interface_edges_form_closed_curves(split_sphere):
@@ -233,7 +232,8 @@ def test_energy_routes_share_one_phase_split(name, n_phases, data):
     assert abs(total_energy(mesh, phases, params) - rep.total) <= 1e-12 * scale
 
     present = np.unique(labels)
-    line = sum(params[p - 1].sigma * boundary_mass(mesh, phases, p) for p in present)
+    iface = _split(mesh, phases)[1]
+    line = sum(params[p - 1].sigma * iface.boundary_length(p) for p in present)
     assert abs(rep.line_tension - line) <= 1e-12 * max(abs(line), 1e-300)
 
     # every interface edge bounds exactly two phases

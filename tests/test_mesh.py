@@ -465,7 +465,7 @@ def test_cross_equals_np_cross_bitwise(data):
 
 def test_gauss_bonnet_exact(corpus):
     for name, (mesh, _) in corpus.items():
-        defect_sum = mesh.angle_defects().sum()
+        defect_sum = geometry(mesh).defect.sum()
         assert abs(defect_sum - 2 * np.pi * mesh.euler_characteristic) < 1e-9, name
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helfrich import optimize, shapes
-from helfrich.constraints import ConstraintSet
+from helfrich.constraints import ConstraintSet, isoperimetric_check
 from helfrich.curvature import curvature_field, geometry
 from helfrich.density import MaterialParams
 from helfrich.energy import PhaseField, multiphase_energy, willmore
@@ -29,14 +29,18 @@ from helfrich.errors import (
 from helfrich.gradient import energy_and_gradient, total_energy
 from helfrich.mesh import TriMesh, enclosed_volume
 from helfrich.optimize import (
+    _ARMIJO_C,
+    _LBFGS_TRIALS,
     _MEMORY,
     RunConfig,
+    _augmented,
     _check_quality,
     _Constraints,
+    _line_search,
     _quality_fault,
+    _trial,
     _two_loop,
     minimize,
-    reduced_volume,
 )
 
 from conftest import face_corners, rotation_matrix, sample_mesh
@@ -45,14 +49,17 @@ WILLMORE = [MaterialParams(1.0, 0.0, 0.0)]
 
 
 def test_reduced_volume():
-    v, verdict = reduced_volume(4 * np.pi, 4 * np.pi / 3)
-    assert abs(v - 1.0) < 1e-12 and verdict == "equality"
-    v, verdict = reduced_volume(4 * np.pi, 2 * np.pi / 3)
-    assert abs(v - 0.5) < 1e-12 and verdict == "feasible"
-    v, verdict = reduced_volume(4 * np.pi, 10.0)
-    assert v > 1.0 and verdict == "infeasible"
+    # the targets minimize admits are those of reduced volume at most 1
+    def reduced_volume(m, e):
+        return 6.0 * np.sqrt(np.pi) * e / m**1.5
+
+    for e, v, verdict in [(4 * np.pi / 3, 1.0, "equality"), (2 * np.pi / 3, 0.5, "feasible")]:
+        assert abs(reduced_volume(4 * np.pi, e) - v) < 1e-12
+        assert isoperimetric_check(4 * np.pi, e) == verdict
+    assert reduced_volume(4 * np.pi, 10.0) > 1.0
+    assert isoperimetric_check(4 * np.pi, 10.0) == "infeasible"
     with pytest.raises(NonPositiveTarget):
-        reduced_volume(0.0, 1.0)
+        isoperimetric_check(0.0, 1.0)
 
 
 def test_zero_iteration_run_echoes_input():
@@ -623,6 +630,99 @@ def test_criterion_8_search_builds_few_trials(monkeypatch):
     geo = geometry(mesh0)
     assert points[0].clamped == int(geo.clamped.sum())
     assert points[0].obtuse == int(geo.obtuse.any(axis=0).sum())
+
+
+def test_criterion_8_run_evaluates_each_position_once(monkeypatch):
+    # the start mesh and every trial that reaches the energy get their
+    # constraint values once; the residual report adds the end mesh's
+    meshes = []
+    values = _Constraints.values
+
+    def recording(self, mesh):
+        meshes.append(mesh)
+        return values(self, mesh)
+
+    monkeypatch.setattr(_Constraints, "values", recording)
+    mesh0 = shapes.jittered(shapes.icosphere(4), 0.01, seed=11)
+    cs = ConstraintSet(area=4 * np.pi, volume=4 * np.pi / 3)
+    state = minimize(mesh0, None, WILLMORE, cs, RunConfig(max_iterations=150))
+    assert len(meshes) <= sum(p.trials for p in state.trajectory) + 2
+    assert meshes[0] is mesh0 and meshes[-1] is state.mesh
+    assert len({id(m) for m in meshes[:-1]}) == len(meshes) - 1
+
+
+def _search_start():
+    """A small mesh, its constraints, lam = 0, rho = 10, and phi and the projected gradient there."""
+    mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
+    con = _Constraints(None, ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh) * 0.999))
+    lam, rho = np.zeros(2), 10.0
+    E, g = energy_and_gradient(mesh, None, WILLMORE)
+    c = con.values(mesh)
+    for lam_i, rho_c, gc in zip(lam, rho * c, con.gradients(mesh)):
+        g = g + (lam_i + rho_c) * gc
+    g -= g.mean(axis=0)
+    return mesh, con, lam, rho, _augmented(E, c, lam, rho), g
+
+
+def _search(mesh, con, lam, rho, phi, searches):
+    return _line_search(mesh, phi, searches, lam, rho, None, WILLMORE, con)
+
+
+def test_line_search_accepts_the_first_trial_that_passes_armijo():
+    mesh, con, lam, rho, phi, g = _search_start()
+    gg = float(np.sum(g * g))
+    s0 = 64.0 / np.sqrt(gg)  # far past the minimum along -g
+    point, s, trials, memory, guard = _search(mesh, con, lam, rho, phi, [(-g, -gg, s0, 0)])
+    assert trials > 1 and memory == 0 and s == s0 * 0.5 ** (trials - 1)
+    for k in range(trials):
+        step = s0 * 0.5**k
+        at, _ = _trial(mesh, mesh.vertices + step * -g, None, WILLMORE, con)
+        passes = at is not None and _augmented(at[1], at[2], lam, rho) <= phi + _ARMIJO_C * step * -gg
+        assert passes == (k == trials - 1)
+    trial, E, c = point
+    assert np.array_equal(trial.vertices, mesh.vertices + s * -g)
+    assert E == total_energy(trial, None, WILLMORE) and np.array_equal(c, con.values(trial))
+
+
+def test_line_search_falls_back_to_steepest_descent(monkeypatch):
+    mesh, con, lam, rho, phi, g = _search_start()
+    gg = float(np.sum(g * g))
+    positions = []
+    with_vertices = TriMesh.with_vertices
+
+    def recording(self, vertices):
+        positions.append(vertices)
+        return with_vertices(self, vertices)
+
+    monkeypatch.setattr(TriMesh, "with_vertices", recording)
+    step = 0.1 / np.sqrt(gg)
+    d = -0.5 * step * g
+    # a claimed slope that no trial can meet keeps the L-BFGS search failing
+    searches = [(d, -1e300, 1.0, 4), (-g, -gg, step, 0)]
+    point, s, trials, memory, guard = _search(mesh, con, lam, rho, phi, searches)
+    assert point is not None and guard is None
+    assert (trials, memory, s) == (_LBFGS_TRIALS + 1, 0, step)
+    want = [mesh.vertices + 0.5**k * d for k in range(_LBFGS_TRIALS)] + [mesh.vertices + step * -g]
+    assert len(positions) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(positions, want))
+
+
+def test_line_search_returns_the_last_guard_fault(monkeypatch):
+    mesh, con, lam, rho, phi, g = _search_start()
+    faults = []
+
+    def faulting(geo):
+        faults.append(f"fault {len(faults)}" if len(faults) < 2 else None)
+        return faults[-1]
+
+    monkeypatch.setattr(optimize, "_quality_fault", faulting)
+    monkeypatch.setattr(optimize, "_SEARCH_TRIALS", 4)
+    step = 0.1 / np.sqrt(float(np.sum(g * g)))
+    # no trial meets this slope, so the guard-free trials fail too
+    point, _, trials, _, guard = _search(mesh, con, lam, rho, phi, [(-g, -1e300, step, 0)])
+    assert point is None and trials == 4
+    assert faults == ["fault 0", "fault 1", None, None]
+    assert guard == "fault 1"
 
 
 def _dense_bfgs_direction(g, pairs):

@@ -18,6 +18,8 @@ from helfrich.constraints import (
 from helfrich.energy import PhaseField
 from helfrich.errors import UnknownPhase
 
+from conftest import overlap_brute
+
 # Quarter-lattice clouds give exact distance ties with quarter radii, so a
 # mask that admits d == eps shows; arbitrary floats cover the generic case.
 _QUARTERS = st.integers(-2, 2).map(lambda k: k / 4)
@@ -89,7 +91,7 @@ _TIE_RADII = [0.9999996011304204, 0.9999999636704994]
 @example(supports=(_ORIGIN, _TIES), radii=_TIE_RADII)
 def test_multi_radius_kernel_equals_brute_force(supports, radii):
     a, b = supports
-    brute = np.array([overlap_measure(a, b, e, "brute") for e in radii])
+    brute = np.array([overlap_brute(a, b, e) for e in radii])
     assert _overlap_measures(a, b, radii).tobytes() == brute.tobytes()
 
 
@@ -104,8 +106,8 @@ def test_gate_measures_equal_per_radius_calls(split_sphere5):
     phases = PhaseField(labels)
     a, b = phase_support(mesh, phases, 1), phase_support(mesh, phases, 2)
     verdict = no_overlap_check(a, b, 0.15, n_eps=6)
-    for method in ("grid", "brute"):
-        per_radius = np.array([overlap_measure(a, b, e, method) for e in verdict.radii])
+    for measure in (overlap_measure, overlap_brute):
+        per_radius = np.array([measure(a, b, e) for e in verdict.radii])
         assert verdict.measures.tobytes() == per_radius.tobytes()
 
 
