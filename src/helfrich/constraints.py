@@ -348,15 +348,13 @@ class ConstraintResiduals:
     area: float
     volume: float
     phase_areas: tuple
-    boundary_mass: float  # always 0.0; kept so the report layout stays
 
 
 def constraint_residuals(mesh, phases, cs):
     """Relative area/volume residuals of the mesh against ``cs``.
 
     The per-phase area and volume residuals are the optimizer's own
-    :meth:`_Constraints.values`. ``boundary_mass`` is 0.0: a mesh has no
-    boundary edges.
+    :meth:`_Constraints.values`.
     """
     cs.check_phases(mesh, phases)
     *per_phase, volume = _Constraints(phases, cs).values(mesh).tolist()
@@ -364,5 +362,4 @@ def constraint_residuals(mesh, phases, cs):
         area=(float(geometry(mesh).area.sum()) - cs.area) / cs.area,
         volume=volume,
         phase_areas=tuple(per_phase) if cs.phase_areas is not None else (),
-        boundary_mass=0.0,
     )

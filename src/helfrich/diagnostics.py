@@ -183,7 +183,9 @@ def verify_first_variation(mesh, curv, n_fields=20, seed=0):
     """|delta V(X)| <= sqrt(2 mu) ||A||_L2 for random unit-sup-norm fields.
 
     A 5% tolerance on the right-hand side absorbs the vertex quadrature;
-    the constant field and the identity field are included as anchors.
+    the constant field and the identity field, centred and scaled to
+    sup-norm 1 so the check does not depend on the unit of length, are
+    included as anchors.
     The projections are built once. Each random field is evaluated once,
     by ``_plane_wave_rows`` on the (3, V) vertex rows into work arrays
     shared by all fields, and scaled to sup-norm 1 at the vertices.
@@ -211,10 +213,14 @@ def verify_first_variation(mesh, curv, n_fields=20, seed=0):
             "delta V vanishes on constant fields (closed surface)",
         )
     )
-    identity_delta = float(np.einsum("vii->v", P) @ a)
+    # delta V of a constant is 0, so X = (x - c) / reach has delta V(x) / reach and |X| <= 1
+    x = mesh.vertices
+    reach = float(np.linalg.norm(x - (x.max(axis=0) + x.min(axis=0)) / 2, axis=1).max())
+    identity_delta = float(np.einsum("vii->v", P) @ a) / reach
     check(
         "first_variation/identity_field", identity_delta,
-        "delta V(x) = 2 mu <= sqrt(2 mu) ||A||_L2",
+        "delta V((x - c) / reach) = 2 mu / reach <= sqrt(2 mu) ||A||_L2, "
+        "c the bounding-box centre, reach = max |x - c|",
     )
     rows = np.ascontiguousarray(mesh.vertices.T)
     work = np.empty((3, 3, 3, mesh.n_vertices))

@@ -16,7 +16,9 @@ when the memory is empty, the direction is not a descent direction or it
 fails ``_LBFGS_TRIALS`` trials (the memory is then cleared), along
 steepest descent from the last steepest step grown by ``_STEP_GROW``.
 Rigid translations are projected out of every descent direction;
-rotations are left free. Phase labels never change during a run.
+rotations are left free. Phase labels never change during a run. The
+gradient tolerances and the first steepest step are in units of
+R = sqrt(target area / 4 pi), so a change of length unit changes nothing.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class RunConfig:
     """Tunables of the augmented-Lagrangian run."""
 
     max_iterations: int = 2000          # total inner-iteration budget
-    grad_tol: float = 1e-4              # rms gradient target (energy/length)
+    grad_tol: float = 1e-4              # rms gradient target, times R = sqrt(area / 4 pi)
     constraint_tol: float = 1e-5        # relative residual target
     penalty_init: float = 10.0
     penalty_growth: float = 10.0
@@ -290,6 +292,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                     f"initial phase area off target by {100 * abs(c0):.0f}% (> 20%)"
                 )
     _check_quality(mesh0)
+    R = float(np.sqrt(cs.area / (4.0 * np.pi)))  # radius of a sphere of the target area
     lam = np.zeros(len(cvals))
     rho = cfg.penalty_init
     step = None  # steepest-descent step length, grown after each steepest accept
@@ -342,11 +345,11 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                 0, 0, int(geo.clamped.sum()), int(geo.obtuse.any(axis=0).sum()),
             )
             trajectory.append(point)
-            if grad_norm < inner_tol:
+            if grad_norm * R < inner_tol:
                 stop = "grad_tol"
                 break
             if step is None:
-                step = 1.0 / max(grad_norm, 1e-30)
+                step = R / max(grad_norm, 1e-30)
             gg = float(np.sum(g * g))
             searches = [(-g, -gg, step, 0)]
             if pairs:
@@ -396,7 +399,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             if not all(gate is None or gate.passed for gate in gates):
                 termination = "no_overlap_violation"
                 break
-        if grad_norm < cfg.grad_tol and cnorm < cfg.constraint_tol:
+        if grad_norm * R < cfg.grad_tol and cnorm < cfg.constraint_tol:
             termination = "converged"
             break
     else:

@@ -1,15 +1,18 @@
-"""Deterministic JSON and CSV output with fixed float formatting.
+"""Deterministic JSON and CSV output on the standard library.
 
-Reports and configs are reproducibility artifacts: floats are written with
-17 significant digits (full round-trip precision), keys keep insertion
-order, and two runs on the same inputs produce byte-identical files. A
-dataclass is written as its fields in order, so reports need no serializer.
+Reports and configs are reproducibility artifacts: ``json`` and ``csv``
+write each float in Python's shortest round-trip form, so it loads back
+as the float written (``10.0`` stays a float). Keys keep insertion order,
+and two runs on the same inputs give byte-identical files. A dataclass is
+written as its fields in order, so reports need no serializer. NaN and
+infinities are the strings "nan", "inf" and "-inf": the JSON is strict.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -17,44 +20,29 @@ import numpy as np
 __all__ = ["dumps", "dump", "dump_csv", "load_json"]
 
 
-def _format(value, level):
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if v != v:
-            return '"nan"'
-        if v in (float("inf"), float("-inf")):
-            return f'"{v}"'
-        return f"{v:.17g}"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    pad = "  " * level
-    pad_in = pad + "  "
+def _plain(value):
+    """``value`` as JSON-ready Python data: dicts, lists, str, int, float, bool, None."""
+    kind = type(value)  # exact types first: np.float64 is a float subclass
+    if kind is float:
+        return value if math.isfinite(value) else str(value)
+    if kind in (str, int, bool) or value is None:
+        return value
+    if isinstance(value, np.generic):
+        return _plain(value.item())  # never repr() a numpy scalar
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f'{pad_in}"{k}": {_format(v, level + 1)}' for k, v in value.items())
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        items = (pad_in + _format(v, level + 1) for v in value)
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return [_plain(v) for v in value]
     if isinstance(value, np.ndarray):
-        return _format(value.tolist(), level)
+        return _plain(value.tolist())
     if is_dataclass(value) and not isinstance(value, type):
-        return _format({f.name: getattr(value, f.name) for f in fields(value)}, level)
-    return json.dumps(str(value))
+        return _plain(vars(value))  # a dataclass's __dict__ holds its fields in order
+    return value
 
 
 def dumps(obj):
     """Serialize to a deterministic JSON string (trailing newline included)."""
-    return _format(obj, 0) + "\n"
+    return json.dumps(_plain(obj), indent=2, allow_nan=False) + "\n"
 
 
 def dump(obj, path):
@@ -64,14 +52,12 @@ def dump(obj, path):
 
 def dump_csv(row_type, rows, path):
     """CSV of dataclass ``rows`` under a header of ``row_type``'s fields (also with
-    no rows): ints as they are, floats to 17 significant digits, CRLF line ends."""
+    no rows), each plain value as ``csv`` writes it, CRLF line ends."""
     names = [f.name for f in fields(row_type)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for row in rows:
-            values = (getattr(row, name) for name in names)
-            writer.writerow([x if isinstance(x, int) else f"{x:.17g}" for x in values])
+        writer.writerows([_plain(getattr(row, name)) for name in names] for row in rows)
 
 
 def load_json(path):

@@ -117,6 +117,13 @@ def test_verify_command(workdir):
     assert any(n.startswith("diameter/") for n in names)
 
 
+def test_verify_passes_a_round_sphere_of_radius_2(workdir):
+    # the identity-field check divides by max |x - c|, so it holds at radius 2 too
+    write_mesh(workdir / "sphere_r2.off", shapes.icosphere(3, radius=2.0))
+    assert run(["verify", "--mesh", workdir / "sphere_r2.off", "--out", workdir / "ver_r2.json"]) == 0
+    assert json.loads((workdir / "ver_r2.json").read_text())["all_pass"] is True
+
+
 def test_overlap_command_pass_and_fail(workdir):
     rc = run(
         ["overlap", "--mesh", workdir / "split.off", "--phases", workdir / "labels.txt",
@@ -613,13 +620,13 @@ def test_minimize_negative_max_iterations_exits_1(workdir, capsys):
 # sha256 of every output a subcommand writes; a change to the JSON or CSV
 # layout, to the float format or to any value shows here
 PINNED_OUTPUTS = {
-    "verify_corpus": "dec17db20af978172178c57123926b09bab23c6e7c5c4da61ac87c8a8ac669b7",
-    "eval_two_phase": "f64d00cf096bd86effe0b01925ef3a432ac45c78d1b843b3a6492ae71e963b7e",
-    "overlap": "afbbf498ea10b94fe1d0c6da1cf77fc5807023822eb8a334b4d1d2694971c10c",
-    "hessian": "571bcec6935187d1cf7fa8be05c99d045290399ca6cfa38c5035bd9125e74250",
-    "minimize_stdout": "46a55dc3f3a57600ea0b3225ace888d43222f13ed4c23ae2154c334b62957cd1",
-    "minimize_state": "46a55dc3f3a57600ea0b3225ace888d43222f13ed4c23ae2154c334b62957cd1",
-    "minimize_trajectory": "ca3ed1b9d97409689c7427bed28dec76acf026417d874458fa6bd78885a3ab6a",
+    "verify_corpus": "78e5924204805f1323636613a8ef2af0e37cf7b86822878bfe525cc0a5a68862",
+    "eval_two_phase": "e41b9befa3c14e773b36bf8c0b292bbb7adc82bf71a025e5fde1a2a33937a2fb",
+    "overlap": "0068ba1873b56634241f621eb9ddffb661130d9340f11e06785ec19fd353fcc1",
+    "hessian": "943b490f4b81976ff883e186e513abdd2e90d42f5043c9b5cdc92319c08d5614",
+    "minimize_stdout": "345da69b982a3bf986bd1d9be9cd6192b53956697663762b797d478050f53b5d",
+    "minimize_state": "345da69b982a3bf986bd1d9be9cd6192b53956697663762b797d478050f53b5d",
+    "minimize_trajectory": "73c68538e8a0ee42699f0f5b00f1f729b9a71189fc1865c177c1c8deb1edc7ea",
 }
 
 

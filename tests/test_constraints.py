@@ -170,7 +170,6 @@ def test_constraint_residuals_self_consistency(icosphere4):
     )
     res = constraint_residuals(icosphere4, None, cs)
     assert res.area == 0.0 and res.volume == 0.0
-    assert res.boundary_mass == 0.0
 
 
 def test_constraint_residuals_sphere_targets(icosphere4):

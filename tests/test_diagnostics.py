@@ -93,6 +93,22 @@ def test_first_variation_identity_field(icosphere4, icosphere4_curv):
     assert delta <= rhs
 
 
+@pytest.mark.parametrize("radius", [0.125, 0.5, 2.0, 8.0])
+def test_identity_field_record_scales_with_the_radius(radius):
+    # lhs = 2 mu / max |x - c| and rhs = sqrt(2 mu) ||A||_L2 both scale like the
+    # radius, so the verdict does not depend on the unit of length
+    def identity(mesh):
+        records = verify_first_variation(mesh, curvature_field(mesh), n_fields=0)
+        return next(r for r in records if r.name.endswith("identity_field"))
+
+    unit = identity(shapes.icosphere(3))
+    scaled = identity(shapes.icosphere(3, radius=radius))
+    assert scaled.passed and unit.passed
+    assert scaled.lhs.hex() == (radius * unit.lhs).hex()
+    assert scaled.rhs.hex() == (radius * unit.rhs).hex()
+    assert 0.70 < scaled.lhs / scaled.rhs < 0.71
+
+
 def test_first_variation_records(icosphere4, icosphere4_curv):
     records = verify_first_variation(icosphere4, icosphere4_curv, n_fields=20, seed=0)
     assert len(records) == 22  # constant + identity + 20 random

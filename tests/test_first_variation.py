@@ -43,10 +43,13 @@ def _two_evaluation_records(mesh, curv, n_fields, seed):
             "delta V vanishes on constant fields (closed surface)",
         )
     )
-    identity_delta = float(np.einsum("vii->v", curv.projection()) @ curv.mixed_area)
+    x = mesh.vertices
+    reach = float(np.linalg.norm(x - (x.max(axis=0) + x.min(axis=0)) / 2, axis=1).max())
+    identity_delta = float(np.einsum("vii->v", curv.projection()) @ curv.mixed_area) / reach
     check(
         "first_variation/identity_field", identity_delta,
-        "delta V(x) = 2 mu <= sqrt(2 mu) ||A||_L2",
+        "delta V((x - c) / reach) = 2 mu / reach <= sqrt(2 mu) ||A||_L2, "
+        "c the bounding-box centre, reach = max |x - c|",
     )
     for i, X in enumerate(random_trig_fields(n_fields, length_scale=mesh.bbox_diagonal / 2, seed=seed)):
         vals, _ = X(mesh.vertices)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helfrich import optimize, shapes
@@ -786,3 +786,29 @@ def test_phase_targets_are_checked_up_front(monkeypatch):
     thirds = ConstraintSet(area=4 * np.pi, volume=4.0, phase_areas=(4 * np.pi / 3,) * 3)
     with pytest.raises(PhaseCountMismatch, match="3 phase targets for 2 phases"):
         minimize(mesh, phases, two, thirds, RunConfig(max_iterations=3))
+
+
+@settings(max_examples=12, deadline=None)
+@example(k=-40)
+@example(k=40)
+@given(k=st.integers(-40, 40))
+def test_run_does_not_depend_on_the_unit_of_length(k):
+    # minimize(2^k mesh, 4^k A, 8^k V) is 2^k minimize(mesh, A, V) bit for bit:
+    # the tolerances and the first steepest step are in units of sqrt(A / 4 pi)
+    mesh = shapes.jittered(shapes.icosphere(2), 0.02, seed=5)
+    area, volume = 12.0, 0.9 * 12.0**1.5 / (6.0 * np.sqrt(np.pi))
+    lam = 2.0**k
+    cfg = RunConfig(max_iterations=30)
+    base = minimize(mesh, None, WILLMORE, ConstraintSet(area=area, volume=volume), cfg)
+    run = minimize(mesh.with_vertices(lam * mesh.vertices), None, WILLMORE,
+                   ConstraintSet(area=lam**2 * area, volume=lam**3 * volume), cfg)
+    assert run.mesh.vertices.tobytes() == (lam * base.mesh.vertices).tobytes()
+    for name in ("energy", "augmented", "penalty", "multipliers", "residuals", "termination",
+                 "inner_stops", "iteration"):
+        assert getattr(run, name) == getattr(base, name), name
+    assert len(run.trajectory) == len(base.trajectory) > 0
+    for got, want in zip(run.trajectory, base.trajectory):
+        scale = {"grad_norm": 1.0 / lam, "step": lam**2 if want.memory == 0 else 1.0}
+        for name, value in vars(want).items():
+            expected = value * scale[name] if name in scale else value
+            assert np.array(getattr(got, name)).tobytes() == np.array(expected).tobytes(), name
