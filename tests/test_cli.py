@@ -622,6 +622,7 @@ def test_minimize_negative_max_iterations_exits_1(workdir, capsys):
 PINNED_OUTPUTS = {
     "verify_corpus": "78e5924204805f1323636613a8ef2af0e37cf7b86822878bfe525cc0a5a68862",
     "eval_two_phase": "e41b9befa3c14e773b36bf8c0b292bbb7adc82bf71a025e5fde1a2a33937a2fb",
+    "eval_single_phase": "9c8488e02c8f73f0c86c04ed7c74f0212b434975b83da08a287505dae7a780fe",
     "overlap": "0068ba1873b56634241f621eb9ddffb661130d9340f11e06785ec19fd353fcc1",
     "hessian": "943b490f4b81976ff883e186e513abdd2e90d42f5043c9b5cdc92319c08d5614",
     "minimize_stdout": "345da69b982a3bf986bd1d9be9cd6192b53956697663762b797d478050f53b5d",
@@ -637,6 +638,8 @@ def test_output_bytes_are_pinned(workdir, capsys):
         "eval_two_phase": ["eval", *split, "--beta", "1,1.5", "--gamma", "-0.3,-0.5",
                            "--h0", "0.2,-0.4", "--sigma", "0.7,0.7", "--area", "12.5",
                            "--volume", "4.1"],
+        "eval_single_phase": ["eval", "--mesh", workdir / "sphere.off", "--beta", "1",
+                              "--gamma", "-0.5", "--h0", "0.3"],
         "overlap": ["overlap", *split, "--eps0", "0.15"],
         "hessian": ["hessian", "--beta", "2", "--gamma", "-1"],
         "minimize_stdout": ["minimize", *split, "--beta", "1,1.5", "--gamma", "-0.3,-0.5",
