@@ -29,7 +29,7 @@ from . import serialize
 from .constraints import ConstraintSet, constraint_residuals, no_overlap_check, phase_support
 from .curvature import curvature_field
 from .density import MaterialParams, convexity_check, hessian
-from .energy import PhaseField, canham_helfrich, multiphase_energy
+from .energy import PhaseField, multiphase_energy
 from .errors import Diverged, HelfrichError, Infeasible, QualityCollapse
 from .mesh_io import read_mesh, write_mesh
 from .optimize import RunConfig, TrajectoryPoint, minimize
@@ -245,10 +245,7 @@ def cmd_eval(args):
     cfg = _resolve(args)
     mesh, phases = _read_inputs(cfg)
     params = _material_params(cfg)
-    curv = curvature_field(mesh)
-    if phases is None and len(params) == 1:
-        canham_helfrich(mesh, curv, params[0])  # raises if the tensor and scalar paths disagree
-    report = multiphase_energy(mesh, curv, phases, params)
+    report = multiphase_energy(mesh, curvature_field(mesh), phases, params)
     payload = dict(vars(report))
     if "constraints.area" in cfg or "constraints.volume" in cfg:
         cs = _constraint_set(cfg)

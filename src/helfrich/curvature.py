@@ -268,8 +268,13 @@ def _principal_directions(mesh, nu):
     sums of u1^2, u1 u2, u2^2, so six per-vertex sums and Cramer's rule
     solve them, with det M = (A + C)(AC - B^2). Only the fitted directions
     are used downstream; the curvature magnitudes come from (H, K).
+
+    det M is a sixth power of length, so the offsets are taken in units of
+    2^e, e the binary exponent of max|x|: the singular-fit test then holds
+    at every scale a mesh can be built at, and the directions keep their bits.
     """
     t1, t2 = _tangent_bases(nu)
+    x = np.ldexp(mesh.vertices, -np.frexp(np.abs(mesh.vertices).max())[1])
     offsets, nbrs = mesh.vertex_neighbors()
     counts = np.diff(offsets)
     V = len(counts)
@@ -278,8 +283,8 @@ def _principal_directions(mesh, nu):
     # component by component, so no (E, 3) array is built
     for k in range(3):
         f1, f2 = np.repeat(t1[:, k], counts), np.repeat(t2[:, k], counts)
-        for x, p1, p2 in ((mesh.vertices[:, k], u1, u2), (nu[:, k], w1, w2)):
-            d = np.take(x, nbrs) - np.repeat(x, counts)
+        for xk, p1, p2 in ((x[:, k], u1, u2), (nu[:, k], w1, w2)):
+            d = np.take(xk, nbrs) - np.repeat(xk, counts)
             p1 += d * f1
             p2 += d * f2
 

@@ -245,7 +245,7 @@ def verify_energy_bounds(mesh, curv, params):
     c1, c2 = coercivity_constants(params)
     mu = float(curv.mixed_area.sum())
     normA2 = float(curv.norm_A_squared() @ curv.mixed_area)
-    F = canham_helfrich(mesh, curv, params, check_paths=False)
+    F = canham_helfrich(mesh, curv, params)
     rhs = c1 * (F + c2 * mu)
     w_var = willmore(mesh, curv, "varifold")
     tag = f"beta={params.beta:g},gamma={params.gamma:g},H0={params.h0:g}"

@@ -118,6 +118,21 @@ def _face_vectors(vertices, face_rows):
     return x[0], e, 0.5 * _cross(e[0], -e[2])
 
 
+def _check_face_areas(mesh, area):
+    """Raise DegenerateFace at the first face whose area is not finite and above ``mesh.area_floor``.
+
+    Coordinates whose products overflow give inf or NaN areas, or an inf
+    floor; those faces are degenerate too, and no RuntimeWarning is raised.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = mesh.area_floor
+    bad = np.flatnonzero(~(np.isfinite(area) & (area > floor)))
+    if len(bad):
+        i = int(bad[0])
+        reason = f" <= {floor:.3g}" if np.isfinite(area[i]) else ", not finite"
+        raise DegenerateFace(f"face {i} has area {area[i]:.3g}{reason}")
+
+
 def _count_components(edges, n):
     """Number of connected components of the graph on ``n`` nodes with ``edges`` (E, 2).
 
@@ -258,10 +273,9 @@ class TriMesh:
             raise NonManifold(f"pinched vertex {pinched[0]}: star is not a single fan")
 
     def _validate_face_areas(self):
-        area = _norm(_face_vectors(self.vertices, self._face_rows)[2])
-        bad = int(np.argmin(area))
-        if area[bad] <= self.area_floor:
-            raise DegenerateFace(f"face {bad} has area {area[bad]:.3g} <= {self.area_floor:.3g}")
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf or NaN areas
+            area = _norm(_face_vectors(self.vertices, self._face_rows)[2])
+        _check_face_areas(self, area)
 
     # -- basic queries -----------------------------------------------------
 
@@ -302,11 +316,6 @@ class TriMesh:
         """Face area at or below which a face is degenerate: 1e-12 * bbox_diagonal^2."""
         return 1e-12 * self.bbox_diagonal**2
 
-    def total_area(self):
-        from .curvature import geometry
-
-        return float(geometry(self).area.sum())
-
     @property
     def mean_edge_length(self):
         """Mean length over :attr:`edges`, from the stored geometry record."""
@@ -326,12 +335,12 @@ class TriMesh:
 
         Skips the combinatorial validation and the face-area check; the
         shape and finiteness checks still run. Callers that need the
-        face-area check run ``_validate_face_areas`` (as ``shapes.jittered``
-        does) or read ``area`` from the geometry record (as the optimizer's
-        line search does). The positions are copied, as in the constructor.
-        Only the ``_CONNECTIVITY`` arrays carry over, shared, not copied, so
-        nothing computed from the old positions reaches the new mesh: its
-        geometry record and phase splits are its own.
+        face-area check run ``_validate_face_areas`` (``shapes.jittered``)
+        or ``_check_face_areas`` on the geometry record's ``area`` (the
+        optimizer's line search). The positions are copied, as in the
+        constructor. Only the ``_CONNECTIVITY`` arrays carry over, shared,
+        not copied, so nothing computed from the old positions reaches the
+        new mesh: its geometry record and phase splits are its own.
         """
         new = object.__new__(TriMesh)
         v = np.array(vertices, dtype=np.float64, order="C")

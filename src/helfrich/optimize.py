@@ -46,6 +46,7 @@ from .errors import (
     QualityCollapse,
 )
 from .gradient import energy_and_gradient, total_energy
+from .mesh import _check_face_areas
 
 __all__ = [
     "RunConfig",
@@ -185,12 +186,11 @@ def _trial(mesh, x, phases, params_list, con):
     """((trial mesh, E, c), None) at positions x, or (None, guard fault or None) if rejected."""
     try:
         trial = mesh.with_vertices(x)
-    except DegenerateFace:  # non-finite positions
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            geo = geometry(trial)
+        _check_face_areas(trial, geo.area)
+    except DegenerateFace:  # non-finite positions or a degenerate face
         return None, None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        geo = geometry(trial)
-    if geo.area.min() <= trial.area_floor:
-        return None, None  # a degenerate face
     fault = _quality_fault(geo)
     if fault:
         return None, fault

@@ -34,6 +34,11 @@ def split_sphere5():
     return mesh, shapes.equator_phase_labels(mesh)
 
 
+def total_area(mesh):
+    """Total face area, from the mesh's geometry record."""
+    return float(geometry(mesh).area.sum())
+
+
 def rotation_matrix(seed=0):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(4)

@@ -23,7 +23,7 @@ from helfrich.gradient import energy_and_gradient, total_energy
 from helfrich.mesh import enclosed_volume
 from helfrich.optimize import RunConfig, minimize
 
-from conftest import overlap_brute
+from conftest import overlap_brute, total_area
 from test_constraints import unit_square_support
 from test_gradient import fd_worst_error
 
@@ -78,7 +78,7 @@ def test_criterion_3_sphere_energies(icosphere4, icosphere4_curv):
     wv = willmore(mesh, curv, "varifold")
     ech = canham_helfrich(mesh, curv, MaterialParams(1.0, -1.0, 0.0))
     vol = enclosed_volume(mesh)
-    area = mesh.total_area()
+    area = total_area(mesh)
     ok = abs(wq - FOUR_PI) <= 0.02 * FOUR_PI
     ok &= abs(wv - 16 * np.pi) <= 0.02 * 16 * np.pi
     ok &= abs(ech - FOUR_PI) <= 0.02 * FOUR_PI
@@ -97,7 +97,7 @@ def test_criterion_4_two_path_agreement(corpus):
     params = MaterialParams(1.0, -1.0, 0.5)
     for name, (mesh, _) in corpus.items():
         curv = curvature_field(mesh)
-        scalar = canham_helfrich(mesh, curv, params, check_paths=False)
+        scalar = canham_helfrich(mesh, curv, params)
         tensor = float(np.sum(f_ch(curv.normal, curv.curvature_tensor, params) * curv.mixed_area))
         ok &= abs(scalar - tensor) <= 1e-9 * max(abs(scalar), abs(tensor))
     assert report(4, "tensor and scalar energy paths agree to 1e-9", ok)

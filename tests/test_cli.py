@@ -12,6 +12,8 @@ from helfrich.cli import main
 from helfrich.mesh_io import read_mesh, write_mesh
 from helfrich.serialize import dumps
 
+from conftest import total_area
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -91,7 +93,7 @@ def test_minimize_command_outputs(workdir):
     sphere = read_mesh(workdir / "sphere.off")
     rc = run(
         ["minimize", "--mesh", workdir / "sphere.off", "--beta", "1", "--gamma", "0",
-         "--h0", "0", "--area", sphere.total_area(), "--volume", "4.1",
+         "--h0", "0", "--area", total_area(sphere), "--volume", "4.1",
          "--max-iterations", "40", "--out-dir", workdir / "run",
          "--out", workdir / "min.json"]
     )

@@ -15,7 +15,7 @@ from helfrich.energy import PhaseField
 from helfrich.errors import InsufficientSamples, NonPositiveTarget
 from helfrich.mesh import enclosed_volume
 
-from conftest import overlap_brute
+from conftest import overlap_brute, total_area
 
 
 def unit_square_support(n=40, spacing=0.025, rotate=False):
@@ -166,7 +166,7 @@ def test_insufficient_samples():
 
 def test_constraint_residuals_self_consistency(icosphere4):
     cs = ConstraintSet(
-        area=icosphere4.total_area(), volume=enclosed_volume(icosphere4)
+        area=total_area(icosphere4), volume=enclosed_volume(icosphere4)
     )
     res = constraint_residuals(icosphere4, None, cs)
     assert res.area == 0.0 and res.volume == 0.0
@@ -182,7 +182,7 @@ def test_constraint_residuals_sphere_targets(icosphere4):
 
 def test_constraint_residuals_per_phase(split_sphere):
     mesh, labels = split_sphere
-    area = mesh.total_area()
+    area = total_area(mesh)
     cs = ConstraintSet(
         area=area, volume=enclosed_volume(mesh), phase_areas=(area / 2, area / 2)
     )

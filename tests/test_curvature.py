@@ -7,13 +7,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helfrich import curvature, shapes
+from helfrich.cli import main
 from helfrich.curvature import _principal_directions, _tangent_bases, curvature_field, geometry
 from helfrich.density import MaterialParams
 from helfrich.energy import PhaseField, multiphase_energy, willmore
 from helfrich.errors import DegenerateOneRing
 from helfrich.mesh import _scatter
+from helfrich.mesh_io import write_mesh
 
-from conftest import flat_cube_faces
+from conftest import flat_cube_faces, total_area
 
 
 def test_sphere_curvatures_r1(icosphere4, icosphere4_curv):
@@ -58,7 +60,7 @@ def test_normals_unit_and_outward(icosphere4_curv, icosphere4):
 def test_mixed_area_partitions_surface(corpus):
     for name, (mesh, _) in corpus.items():
         curv = curvature_field(mesh)
-        assert abs(curv.mixed_area.sum() - mesh.total_area()) < 1e-9 * mesh.total_area(), name
+        assert abs(curv.mixed_area.sum() - total_area(mesh)) < 1e-9 * total_area(mesh), name
 
 
 @pytest.mark.parametrize("name", ["icosphere3", "torus", "capsule", "perturbed_sphere", "split_sphere"])
@@ -133,13 +135,16 @@ def fit_calls(monkeypatch):
     return calls
 
 
-def test_scalar_readers_run_no_fit(fit_calls, split_sphere):
+def test_scalar_readers_run_no_fit(fit_calls, split_sphere, tmp_path):
     mesh, labels = split_sphere
     curv = curvature_field(mesh)
     params = [MaterialParams(1.0, -1.0, 0.0, 0.2), MaterialParams(1.0, -0.5, 0.5, 0.2)]
     multiphase_energy(mesh, curv, PhaseField(labels), params)
     willmore(mesh, curv, "quarter")
     willmore(mesh, curv, "varifold")
+    write_mesh(tmp_path / "m.off", mesh)
+    args = ["eval", "--mesh", tmp_path / "m.off", "--beta", "1", "--gamma", "-0.5", "--h0", "0.3"]
+    assert main([str(a) for a in [*args, "--out", tmp_path / "e.json"]]) == 0
     assert fit_calls == []
 
 

@@ -5,7 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from helfrich import shapes
 from helfrich.curvature import curvature_field
-from helfrich.density import MaterialParams
+from helfrich.density import MaterialParams, f_ch
 from helfrich.energy import (
     PhaseField,
     _split,
@@ -38,12 +38,17 @@ def test_sphere_with_gauss_term(icosphere4, icosphere4_curv):
     assert abs(val - FOUR_PI) < 0.02 * FOUR_PI
 
 
-def test_willmore_normalizations(icosphere4, icosphere4_curv):
+def test_willmore_normalizations(icosphere4, icosphere4_curv, corpus):
     quarter = willmore(icosphere4, icosphere4_curv, "quarter")
     varifold = willmore(icosphere4, icosphere4_curv, "varifold")
     assert abs(quarter - FOUR_PI) < 0.01 * FOUR_PI
     assert abs(varifold - 16 * np.pi) < 0.01 * 16 * np.pi
     assert abs(varifold - 4 * quarter) < 1e-12 * varifold
+    # |Hbar|^2 = H^2 pointwise, so the two sums agree to rounding
+    for name, (mesh, _) in corpus.items():
+        curv = curvature_field(mesh)
+        q, v = willmore(mesh, curv, "quarter"), willmore(mesh, curv, "varifold")
+        assert abs(v - 4 * q) <= 1e-12 * max(v, 1.0), name
     with pytest.raises(ValueError):
         willmore(icosphere4, icosphere4_curv, "half")
 
@@ -61,8 +66,10 @@ def test_two_path_agreement_on_corpus(corpus):
     params = MaterialParams(1.3, -1.1, 0.7)
     for name, (mesh, _) in corpus.items():
         curv = curvature_field(mesh)
-        # canham_helfrich raises if the tensor and scalar routes disagree
-        canham_helfrich(mesh, curv, params, check_paths=True)
+        # the same energy through the paper's density f(nu, A)
+        scalar = canham_helfrich(mesh, curv, params)
+        tensor = float(np.sum(f_ch(curv.normal, curv.curvature_tensor, params) * curv.mixed_area))
+        assert abs(scalar - tensor) <= 1e-9 * max(abs(scalar), abs(tensor), 1e-300), name
 
 
 def test_orientation_flip_negates_h0(corpus):
@@ -80,7 +87,7 @@ def test_gauss_term_topology(corpus):
     params = MaterialParams(0.0, 1.0, 0.0)
     for name, (mesh, _) in corpus.items():
         curv = curvature_field(mesh)
-        val = canham_helfrich(mesh, curv, params, check_paths=False)
+        val = canham_helfrich(mesh, curv, params)
         assert abs(val - 2 * np.pi * mesh.euler_characteristic) < 1e-9, name
 
 

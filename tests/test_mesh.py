@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from helfrich.mesh import (
 )
 from helfrich.shapes import _ICO_FACES, _ICO_VERTS
 
-from conftest import face_corners, rotation_matrix, sample_mesh
+from conftest import face_corners, rotation_matrix, sample_mesh, total_area
 
 
 def test_octahedron_valid():
@@ -223,6 +224,16 @@ def test_degenerate_face_rejected():
     # face 3 is flat; the threshold is 1e-12 * bbox_diagonal^2 = 5e-12
     with pytest.raises(DegenerateFace, match=r"^face 3 has area 0 <= 5e-12$"):
         TriMesh(verts, [(0, 2, 3), (0, 3, 1), (1, 3, 2), (0, 1, 2)])
+
+
+@pytest.mark.parametrize("scale", [2.0**260, 1e155, 1e308])
+def test_overflowing_face_areas_are_degenerate(scale):
+    # inf areas at 2^260; inf and NaN areas and an inf floor at 1e155 and 1e308
+    m = shapes.icosphere(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFace, match=r"^face 0 has area (inf|nan)"):
+            TriMesh(scale * m.vertices, m.faces)
 
 
 def test_open_mesh_rejected():
@@ -488,7 +499,7 @@ def test_scaling_covariance():
     c2 = curvature_field(m2)
     assert np.abs(c2.H - c1.H / s).max() < 1e-9 * np.abs(c1.H).max()
     assert np.abs(c2.K - c1.K / s**2).max() < 1e-9 * np.abs(c1.K).max()
-    assert abs(m2.total_area() - s**2 * m.total_area()) < 1e-9 * m.total_area()
+    assert abs(total_area(m2) - s**2 * total_area(m)) < 1e-9 * total_area(m)
     assert abs(enclosed_volume(m2) - s**3 * enclosed_volume(m)) < 1e-9 * enclosed_volume(m2)
     assert np.abs(c2.Hbar - c1.Hbar / s).max() < 1e-9 * np.abs(c1.Hbar).max()
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -43,7 +44,7 @@ from helfrich.optimize import (
     minimize,
 )
 
-from conftest import face_corners, rotation_matrix, sample_mesh
+from conftest import face_corners, rotation_matrix, sample_mesh, total_area
 
 WILLMORE = [MaterialParams(1.0, 0.0, 0.0)]
 
@@ -64,7 +65,7 @@ def test_reduced_volume():
 
 def test_zero_iteration_run_echoes_input():
     mesh = shapes.icosphere(2)
-    cs = ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh))
+    cs = ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh))
     state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=0))
     assert state.iteration == 0
     assert state.mesh is mesh
@@ -80,7 +81,7 @@ def test_infeasible_targets_rejected():
 
 def test_descent_is_monotone_within_outer_rounds():
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
-    cs = ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh) * 0.999)
+    cs = ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh) * 0.999)
     state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=120))
     assert len(state.trajectory) > 5
     for a, b in zip(state.trajectory, state.trajectory[1:]):
@@ -137,7 +138,7 @@ def test_quality_guard_trips(monkeypatch):
 def test_multiphase_run_with_phase_targets(split_sphere):
     mesh, labels = split_sphere
     phases = PhaseField(labels)
-    area = mesh.total_area()
+    area = total_area(mesh)
     params = [
         MaterialParams(1.0, -0.5, 0.0, 0.2, 1),
         MaterialParams(1.0, -0.5, 0.0, 0.2, 2),
@@ -357,7 +358,7 @@ def test_prolate_ellipsoid_feasible_targets_converge():
     # actually reach them; monotone descent plus tight residuals
     mesh = shapes.icosphere(3)
     mesh = mesh.with_vertices(mesh.vertices * np.array([1.0, 1.0, 1.95]))
-    cs = ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh))
+    cs = ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh))
     state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=1200))
     assert abs(state.residuals.area) < 1e-5
     assert abs(state.residuals.volume) < 1e-5
@@ -369,7 +370,7 @@ def test_prolate_ellipsoid_feasible_targets_converge():
 def test_overlap_gate_paths(monkeypatch, split_sphere):
     mesh, labels = split_sphere
     phases = PhaseField(labels)
-    area = mesh.total_area()
+    area = total_area(mesh)
     params = [MaterialParams(1.0, 0.0, 0.0, 0.1, 1), MaterialParams(1.0, 0.0, 0.0, 0.1, 2)]
     cs_fail = ConstraintSet(
         area=area, volume=enclosed_volume(mesh),
@@ -425,7 +426,7 @@ def test_overlap_gate_builds_each_support_once_per_round(monkeypatch):
 def test_multiphase_initial_phase_areas_sanity(split_sphere):
     mesh, labels = split_sphere
     phases = PhaseField(labels)
-    area = mesh.total_area()
+    area = total_area(mesh)
     cs = ConstraintSet(
         area=area,
         volume=enclosed_volume(mesh),
@@ -473,7 +474,7 @@ def _spiked_sphere():
     v = base.vertices.copy()
     v[0] *= 1.3
     mesh = TriMesh(v, base.faces)
-    return mesh, ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh))
+    return mesh, ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh))
 
 
 def _recording_trials(monkeypatch):
@@ -521,7 +522,7 @@ def test_bad_trials_are_rejected_not_fatal(monkeypatch, fault):
     import helfrich.optimize as optimize
 
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
-    cs = ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh) * 0.999)
+    cs = ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh) * 0.999)
     calls = []
     if fault == "degenerate_face":
         with_vertices = TriMesh.with_vertices
@@ -570,7 +571,7 @@ def test_diverged_names_iteration_vertex_and_value(monkeypatch):
 
     monkeypatch.setattr(optimize, "energy_and_gradient", poisoned)
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
-    cs = ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh))
+    cs = ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh))
     with pytest.raises(Diverged, match=r"at iteration 2; vertex 17 has gradient norm inf$"):
         minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=10))
 
@@ -590,7 +591,7 @@ def test_start_mesh_guard_names_face_and_value(monkeypatch):
 
 def test_stall_ends_the_inner_round(monkeypatch):
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
-    cs = ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh) * 0.999)
+    cs = ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh) * 0.999)
     monkeypatch.setattr(optimize, "_SEARCH_TRIALS", 0)
     state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=3))
     assert state.inner_stops == ["stalled"] * 3
@@ -654,7 +655,7 @@ def test_criterion_8_run_evaluates_each_position_once(monkeypatch):
 def _search_start():
     """A small mesh, its constraints, lam = 0, rho = 10, and phi and the projected gradient there."""
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
-    con = _Constraints(None, ConstraintSet(area=mesh.total_area(), volume=enclosed_volume(mesh) * 0.999))
+    con = _Constraints(None, ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh) * 0.999))
     lam, rho = np.zeros(2), 10.0
     E, g = energy_and_gradient(mesh, None, WILLMORE)
     c = con.values(mesh)
@@ -682,6 +683,14 @@ def test_line_search_accepts_the_first_trial_that_passes_armijo():
     trial, E, c = point
     assert np.array_equal(trial.vertices, mesh.vertices + s * -g)
     assert E == total_energy(trial, None, WILLMORE) and np.array_equal(c, con.values(trial))
+
+
+@pytest.mark.parametrize("scale", [2.0**260, 1e155, 1e308])
+def test_trial_rejects_overflowing_face_areas(scale):
+    mesh, con = _search_start()[:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _trial(mesh, scale * mesh.vertices, None, WILLMORE, con) == (None, None)
 
 
 def test_line_search_falls_back_to_steepest_descent(monkeypatch):

@@ -1,10 +1,10 @@
-"""Hypothesis properties: relabelling, rigid motions and file round trips."""
+"""Hypothesis properties: relabelling, rigid motions, file round trips and the unit of length."""
 
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helfrich import shapes
@@ -94,3 +94,36 @@ def test_file_round_trip_is_bitwise(suffix, scale, noise):
     assert back.vertices.dtype == mesh.vertices.dtype and back.faces.dtype == mesh.faces.dtype
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.faces, mesh.faces)
+
+
+def _length_power(name):
+    """The power of length that a standard_report record's lhs and rhs carry."""
+    if name.startswith(("diameter/", "first_variation/")):
+        return 1
+    if name == "pointwise/trace_identity":
+        return -1  # a curvature
+    if name in ("pointwise/frobenius_identity", "pointwise/gauss_identity", "pointwise/mean_curvature_vs_A"):
+        return -2  # a squared curvature
+    return 0  # energies, Gauss-Bonnet, Li-Yau, the unit normal; zeros fit any power
+
+
+@settings(max_examples=15, deadline=None)
+@example(k=-250)
+@example(k=-200)
+@example(k=200)
+@example(k=250)
+@given(k=st.integers(-40, 40))
+def test_standard_report_does_not_depend_on_the_unit_of_length(k):
+    # scaling by 2^k is exact, so every record scales by 2^(p k) bit for bit
+    base = standard_report(_BASE, n_fields=5)
+    scaled = standard_report(TriMesh(2.0**k * _BASE.vertices, _BASE.faces), n_fields=5)
+    assert [r.name for r in scaled.checks] == [r.name for r in base.checks]
+    for got, want in zip(scaled.checks, base.checks):
+        assert got.passed == want.passed, want.name
+        scale = 2.0 ** (_length_power(want.name) * k)
+        assert got.lhs == want.lhs * scale, want.name
+        # H0 carries a unit of length: with H0 = 0.5 the energy F, and so
+        # the rhs c1 (F + c2 mu), does not scale by a power of two
+        if "H0=0.5]" not in want.name:
+            assert got.rhs == want.rhs * scale, want.name
+    assert scaled.all_pass == base.all_pass
