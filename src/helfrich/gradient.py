@@ -13,18 +13,19 @@ differentiates each branch analytically; the energy itself is continuous
 across branch boundaries.
 
 The forward quantities, face edges and phase split included, are read
-from the mesh's stored geometry record (``curvature.geometry``), so an
-energy evaluation followed by a gradient at the same positions computes
-them once. Assembly is face-elemental on component rows. The per-vertex
-chain-rule coefficients are built once for the whole mesh; the face-local
-stage then runs over consecutive slices of ``_FACE_BLOCK`` faces, each
-writing its faces' three corner blocks into one (3, 3, F) array, so its
+from the mesh's stored geometry record (``curvature.geometry``); E is
+computed in one place, ``_energy_pass``, with the terms ``_gradient``
+continues from, so each position's energy terms are computed once.
+Assembly is face-elemental on component rows. The per-vertex chain-rule
+coefficients are built once for the whole mesh; the face-local stage
+then runs over consecutive slices of ``_FACE_BLOCK`` faces, each writing
+its faces' three corner blocks into one (3, 3, F) array, so its
 temporaries are (3, n) rows of one slice, not (3, F) rows of the whole
 mesh. Every step inside a slice is elementwise per face or a gather, so
 the slice size cannot change a bit. The corner blocks are then summed
 into (3, V) vertex rows with ``np.bincount`` (``mesh._scatter``), corner
-by corner and faces in index order, so results are bitwise deterministic.
-The gradient is returned as a C-contiguous (V, 3) array.
+by corner and faces in index order, so results are bitwise
+deterministic. The gradient is returned as a C-contiguous (V, 3) array.
 """
 
 from __future__ import annotations
@@ -44,22 +45,21 @@ __all__ = ["energy_and_gradient", "total_energy"]
 _FACE_BLOCK = 1 << 14
 
 
-def _checked_geometry(mesh):
+def _energy_pass(mesh, phases, params_list):
+    """Energy at the mesh's current positions and the terms its gradient continues from.
+
+    Returns ``(E, terms)``, terms the per-vertex G, G_H, G_K, the
+    per-(vertex, phase) weights and densities, the interface and its edge
+    coefficients sigma_left + sigma_right. ``phases=None`` is the fast path.
+    Raises DegenerateConfiguration on zero-area faces or vanishing normals.
+    """
     geo = geometry(mesh)
     if not (geo.area > 0).all():
         i = int(np.argmin(geo.area > 0))
         raise DegenerateConfiguration(f"face {i} has area {geo.area[i]:.3g}")
     if not (geo.Nv_norm > 0).all():
         raise DegenerateConfiguration(f"vertex {int(np.argmin(geo.Nv_norm > 0))} has a vanishing normal")
-    return geo
-
-
-def _phase_data(mesh, phases, params_list, H, K):
-    """Per-vertex G, G_H, G_K, per-(vertex,phase) weights and densities, and line terms.
-
-    The line terms are the line-tension energy, the interface and its edge
-    coefficients sigma_left + sigma_right. ``phases=None`` is the fast path.
-    """
+    H, K = geo.H, geo.K
     w, iface = _phase_split(mesh, phases, params_list)
     beta, gamma, h0, sigma = (
         np.array([getattr(p, k) for p in params_list]) for k in ("beta", "gamma", "h0", "sigma")
@@ -73,14 +73,13 @@ def _phase_data(mesh, phases, params_list, H, K):
         G = np.einsum("vp,vp->v", w, gp)
         G_H = np.einsum("vp,vp->v", w, beta[None, :] * (H[:, None] - h0[None, :]))
         G_K = w @ gamma
-    return G, G_H, G_K, w, gp, float(coeff @ iface.length), iface, coeff
+    E = float(geo.a @ G + coeff @ iface.length)
+    return E, (G, G_H, G_K, w, gp, iface, coeff)
 
 
 def total_energy(mesh, phases, params_list):
     """Discrete total energy at the mesh's current positions (fast path)."""
-    geo = _checked_geometry(mesh)
-    G, *_, line, _, _ = _phase_data(mesh, phases, params_list, geo.H, geo.K)
-    return float(geo.a @ G + line)
+    return _energy_pass(mesh, phases, params_list)[0]
 
 
 def energy_and_gradient(mesh, phases, params_list):
@@ -94,11 +93,16 @@ def energy_and_gradient(mesh, phases, params_list):
     DegenerateConfiguration
         On zero-area faces or vanishing vertex normals.
     """
-    geo = _checked_geometry(mesh)
+    E, terms = _energy_pass(mesh, phases, params_list)
+    return E, _gradient(mesh, phases, terms)
+
+
+def _gradient(mesh, phases, terms):
+    """Analytic gradient (V, 3) at the positions where :func:`_energy_pass` gave ``terms``."""
+    geo = geometry(mesh)
     f, V, F = mesh._face_rows, mesh.n_vertices, mesh.n_faces
     a, H, K, clamped, nu = geo.a, geo.H, geo.K, geo.clamped, geo.nu
-    G, G_H, G_K, w, gp, line, iface, coeff = _phase_data(mesh, phases, params_list, H, K)
-    E = float(a @ G + line)
+    G, G_H, G_K, w, gp, iface, coeff = terms
 
     # per-vertex chain-rule coefficients against the primitives (h, d, a)
     coef_h = np.where(clamped, 0.0, G_H / 2.0)
@@ -173,5 +177,4 @@ def energy_and_gradient(mesh, phases, params_list):
         pull = coeff * ((rows[:, o] - rows[:, d]) / iface.length)
         grad += _scatter((o, d), (pull, -pull), V)
 
-    grad = _columns(grad)
-    return E, grad
+    return _columns(grad)

@@ -119,17 +119,24 @@ def _face_vectors(vertices, face_rows):
 
 
 def _check_face_areas(mesh, area):
-    """Raise DegenerateFace at the first face whose area is not finite and above ``mesh.area_floor``.
+    """Raise DegenerateFace at the first face whose area is not between the floor and the cap.
 
-    Coordinates whose products overflow give inf or NaN areas, or an inf
-    floor; those faces are degenerate too, and no RuntimeWarning is raised.
+    The floor is max(1e-12 (bbox diagonal)^2, 2^-510) and the cap 2^510 / F,
+    so every area-vector norm sums squares that are normal floats: a face's
+    largest component is at least area / sqrt(3), and a vertex's area-vector
+    sum at most the total area. Inf or NaN areas and an inf floor fail too,
+    without a RuntimeWarning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        floor = mesh.area_floor
-    bad = np.flatnonzero(~(np.isfinite(area) & (area > floor)))
+        floor = max(1e-12 * mesh.bbox_diagonal**2, 2.0**-510)
+    cap = 2.0**510 / len(area)
+    bad = np.flatnonzero(~((area > floor) & (area < cap)))
     if len(bad):
         i = int(bad[0])
-        reason = f" <= {floor:.3g}" if np.isfinite(area[i]) else ", not finite"
+        if not np.isfinite(area[i]):
+            reason = ", not finite"
+        else:
+            reason = f" <= {floor:.3g}" if area[i] <= floor else f" >= {cap:.3g}"
         raise DegenerateFace(f"face {i} has area {area[i]:.3g}{reason}")
 
 
@@ -203,7 +210,9 @@ class TriMesh:
     def _validate_indices(self):
         v, f = self.vertices, self.faces
         if f.size and (f.min() < 0 or f.max() >= len(v)):
-            raise IndexOutOfRange("face index out of range")
+            bad = (f < 0) | (f >= len(v))
+            k = int(np.argmax(bad.any(axis=1)))
+            raise IndexOutOfRange(f"face {k}: vertex index {f[k][bad[k]][0]} is out of range for {len(v)} vertices")
         if len(f) == 0:
             raise IndexOutOfRange("mesh has no faces")
         referenced = np.zeros(len(v), dtype=bool)
@@ -310,11 +319,6 @@ class TriMesh:
     @property
     def bbox_diagonal(self):
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
-
-    @property
-    def area_floor(self):
-        """Face area at or below which a face is degenerate: 1e-12 * bbox_diagonal^2."""
-        return 1e-12 * self.bbox_diagonal**2
 
     @property
     def mean_edge_length(self):

@@ -36,14 +36,23 @@ def write_mesh(path, mesh):
     return _format(path)[1](path, mesh)
 
 
+def _mesh(path, vertices, faces):
+    """The TriMesh of a file's arrays; a failed validation re-raises its class naming the path."""
+    try:
+        return TriMesh(vertices, faces)
+    except MeshError as err:
+        raise type(err)(f"{path}: {err}") from err
+
+
 def read_off(path):
     """Read an OFF file (header OFF, then counts, vertices, faces; ``#`` starts a comment).
 
     Malformed, non-triangle or truncated input raises MeshError naming the
     path, and so does any other header: COFF and NOFF files carry colours
     or normals after each vertex, which this reader does not parse. A file
-    with no faces, or a face index below 0 or past the last vertex, raises
-    MeshError naming the path (and the first such face, 0-based).
+    with no faces raises MeshError naming the path. A mesh that TriMesh
+    rejects (a face index below 0 or past the last vertex names the first
+    such face, 0-based) raises TriMesh's error with the path before it.
     """
     with open(path) as fh:
         tokens = re.sub(r"#[^\n]*", "", fh.read()).split()
@@ -69,11 +78,7 @@ def read_off(path):
         raise MeshError(f"{path}: malformed OFF counts or numbers") from err
     if nf == 0:
         raise MeshError(f"{path}: no faces declared")
-    bad = (faces < 0) | (faces >= nv)
-    if bad.any():
-        k = int(np.argmax(bad.any(axis=1)))
-        raise MeshError(f"{path}: face {k}: vertex index {faces[k][bad[k]][0]} is out of range for {nv} vertices")
-    return TriMesh(verts, faces)
+    return _mesh(path, verts, faces)
 
 
 def write_off(path, mesh):
@@ -94,6 +99,7 @@ def read_obj(path):
     a number that does not parse raises MeshError naming the path and line,
     and so does a face index past the last vertex of the file, checked once
     every vertex is read (a face may name a vertex that comes after it).
+    A mesh that TriMesh rejects raises TriMesh's error with the path before it.
     """
     verts = []
     faces = []
@@ -130,7 +136,7 @@ def read_obj(path):
             f"{path}: line {face_lines[k]}: face index {faces[k][past[k]][0] + 1} "
             f"is past the last vertex ({len(verts)} vertices)"
         )
-    return TriMesh(np.array(verts), faces)
+    return _mesh(path, np.array(verts), faces)
 
 
 def write_obj(path, mesh):

@@ -8,16 +8,17 @@ ch. 7 and 17). The inner direction comes from the two-loop recursion over
 the last ``_MEMORY`` pairs of position and gradient changes, a memory that
 is cleared at every multiplier update. The run moves between evaluated
 points: ``_trial`` builds a trial mesh, rejects it when it is degenerate
-or breaks the mesh-quality guard, and evaluates its energy and constraint
-values once; an accepted point's values feed the next gradient, the
-multiplier update and the final augmented Lagrangian. ``_line_search``
-backtracks (Armijo) along the L-BFGS direction from the unit step and,
-when the memory is empty, the direction is not a descent direction or it
-fails ``_LBFGS_TRIALS`` trials (the memory is then cleared), along
-steepest descent from the last steepest step grown by ``_STEP_GROW``.
-Rigid translations are projected out of every descent direction;
-rotations are left free. Phase labels never change during a run. The
-gradient tolerances and the first steepest step are in units of
+or breaks the mesh-quality guard, and computes its energy terms
+(``gradient._energy_pass``) and constraint values once; an accepted
+point's energy terms feed the next gradient assembly, and its values the
+multiplier update and the run's final energy and augmented Lagrangian.
+``_line_search`` backtracks (Armijo) along the L-BFGS direction from the
+unit step and, when the memory is empty, the direction is not a descent
+direction or it fails ``_LBFGS_TRIALS`` trials (the memory is then
+cleared), along steepest descent from the last steepest step grown by
+``_STEP_GROW``. Rigid translations are projected out of every descent
+direction; rotations are left free. Phase labels never change during a
+run. The gradient tolerances and the first steepest step are in units of
 R = sqrt(target area / 4 pi), so a change of length unit changes nothing.
 """
 
@@ -45,7 +46,7 @@ from .errors import (
     InsufficientSamples,
     QualityCollapse,
 )
-from .gradient import energy_and_gradient, total_energy
+from .gradient import _energy_pass, _gradient
 from .mesh import _check_face_areas
 
 __all__ = [
@@ -88,8 +89,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("grad_tol", "constraint_tol", "penalty_init", "penalty_growth"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
 
@@ -183,7 +184,7 @@ def _augmented(E, c, lam, rho):
 
 
 def _trial(mesh, x, phases, params_list, con):
-    """((trial mesh, E, c), None) at positions x, or (None, guard fault or None) if rejected."""
+    """((trial mesh, energy pass, c), None) at positions x, or (None, guard fault or None) if rejected."""
     try:
         trial = mesh.with_vertices(x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -195,10 +196,10 @@ def _trial(mesh, x, phases, params_list, con):
     if fault:
         return None, fault
     try:
-        E = total_energy(trial, phases, params_list)
+        energy = _energy_pass(trial, phases, params_list)
     except DegenerateConfiguration:  # a vertex normal vanished
         return None, None
-    return (trial, E, con.values(trial)), None
+    return (trial, energy, con.values(trial)), None
 
 
 def _line_search(mesh, phi, searches, lam, rho, phases, params_list, con):
@@ -216,7 +217,7 @@ def _line_search(mesh, phi, searches, lam, rho, phases, params_list, con):
         point, fault = _trial(mesh, mesh.vertices + s * d, phases, params_list, con)
         guard = fault or guard
         if point is not None:
-            phi_trial = _augmented(point[1], point[2], lam, rho)
+            phi_trial = _augmented(point[1][0], point[2], lam, rho)
             if np.isfinite(phi_trial) and phi_trial <= phi + _ARMIJO_C * s * slope:
                 return point, s, trials, memory, guard
         if memory and trials == _LBFGS_TRIALS:
@@ -292,6 +293,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
                     f"initial phase area off target by {100 * abs(c0):.0f}% (> 20%)"
                 )
     _check_quality(mesh0)
+    E, terms = _energy_pass(mesh0, phases, params_list)  # and its energy pass
     R = float(np.sqrt(cs.area / (4.0 * np.pi)))  # radius of a sphere of the target area
     lam = np.zeros(len(cvals))
     rho = cfg.penalty_init
@@ -316,8 +318,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             if it >= cfg.max_iterations:
                 stop = "budget"
                 break
-            E, gE = energy_and_gradient(mesh, phases, params_list)
-            g = gE.copy()
+            g = _gradient(mesh, phases, terms)
             for lam_i, rho_c, gc in zip(lam, rho * cvals, con.gradients(mesh)):
                 g += (lam_i + rho_c) * gc
             phi = _augmented(E, cvals, lam, rho)
@@ -374,7 +375,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             if not memory:
                 step = s * _STEP_GROW
             last = (mesh.vertices, g)
-            mesh, _, cvals = accepted
+            mesh, (E, terms), cvals = accepted
         inner_stops.append(stop)
         # multiplier update and penalty management
         cnorm = float(np.abs(cvals).max())
@@ -406,7 +407,6 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         if it < cfg.max_iterations:
             termination = "outer_limit"
 
-    E = total_energy(mesh, phases, params_list)
     res = constraint_residuals(mesh, phases, cs)
     mult = {"volume": float(lam[-1])}
     if con.per_phase:

@@ -509,6 +509,13 @@ def test_non_finite_targets_exit_1(workdir, capsys, command, targets, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_minimize_rejects_a_non_finite_grad_tol(workdir, capsys, value):
+    assert run(["minimize", "--mesh", workdir / "sphere.off", "--beta", "1", "--area", "12.566",
+                "--volume", "4.0", "--grad-tol", value, "--out-dir", workdir / "non_finite_tol"]) == 1
+    assert "grad_tol must be finite and > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("phase_areas", ["inf,6.283", "nan,6.283"])
 def test_minimize_rejects_non_finite_phase_areas(workdir, capsys, phase_areas):
     assert run(["minimize", "--mesh", workdir / "split.off", "--phases", workdir / "labels.txt",

@@ -236,6 +236,21 @@ def test_overflowing_face_areas_are_degenerate(scale):
             TriMesh(scale * m.vertices, m.faces)
 
 
+@pytest.mark.parametrize("k, reason", [
+    (-265, r"<= 2\.98e-154"), (-258, r"<= 2\.98e-154"), (-253, r"<= 2\.98e-154"),
+    (253, r">= 1\.05e\+151"), (257, r">= 1\.05e\+151"), (258, r">= 1\.05e\+151"),
+])
+def test_face_areas_that_leave_the_normal_range_are_degenerate(k, reason):
+    # at 2^257 and 2^258 the vertex normals once overflowed to 0 and the
+    # energy read low; from 2^-258 the squares went subnormal and the
+    # Gauss-Bonnet records failed. The floor is 2^-510, the cap 2^510 / F.
+    m = shapes.jittered(shapes.icosphere(2), 0.02, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFace, match=rf"^face \d+ has area \S+ {reason}$"):
+            TriMesh(2.0**k * m.vertices, m.faces)
+
+
 def test_open_mesh_rejected():
     verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     with pytest.raises(NonManifold, match="boundary edge"):

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from helfrich import shapes
-from helfrich.errors import MeshError
+from helfrich.errors import DegenerateFace, IndexOutOfRange, MeshError
 from helfrich.mesh_io import read_mesh, read_obj, read_off, write_mesh
 
 
@@ -114,6 +116,34 @@ def test_off_without_faces_names_the_path(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MeshError, match=r"empty\.off: no faces declared$"):
         read_off(path)
+
+
+@pytest.mark.parametrize(
+    "case, error, reason",
+    [
+        ("unreferenced_vertex", IndexOutOfRange, r"unreferenced vertices: \[4\]"),
+        ("collinear_face", DegenerateFace, r"face 3 has area 0 <= 5e-12"),
+    ],
+    ids=["unreferenced_vertex", "collinear_face"],
+)
+@pytest.mark.parametrize("ext", [".off", ".obj"])
+def test_mesh_build_failure_names_the_path(tmp_path, case, error, reason, ext):
+    # the file parses; TriMesh then rejects the mesh, and the reader re-raises
+    # the same class with the path in front of TriMesh's message
+    if case == "unreferenced_vertex":
+        tet = shapes.tetrahedron()
+        verts, faces = [*tet.vertices, (0.0, 0.0, 0.0)], tet.faces
+    else:  # vertex 1 lies between vertices 0 and 2, so face 3 is flat
+        verts, faces = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)], [(0, 2, 3), (0, 3, 1), (1, 3, 2), (0, 1, 2)]
+    if ext == ".off":
+        lines = ["OFF", f"{len(verts)} {len(faces)} 0"] + [f"3 {a} {b} {c}" for a, b, c in faces]
+        lines[2:2] = [f"{x} {y} {z}" for x, y, z in verts]
+    else:
+        lines = [f"v {x} {y} {z}" for x, y, z in verts] + [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces]
+    path = tmp_path / f"built{ext}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match=rf"^{re.escape(str(path))}: {reason}$"):
+        read_mesh(path)
 
 
 @pytest.mark.parametrize("header, per_vertex", [("COFF", "255 0 0 255"), ("NOFF", "0 0 1")], ids=["COFF", "NOFF"])

@@ -27,7 +27,7 @@ from helfrich.errors import (
     PhaseCountMismatch,
     QualityCollapse,
 )
-from helfrich.gradient import energy_and_gradient, total_energy
+from helfrich.gradient import _gradient, energy_and_gradient, total_energy
 from helfrich.mesh import TriMesh, enclosed_volume
 from helfrich.optimize import (
     _ARMIJO_C,
@@ -71,6 +71,15 @@ def test_zero_iteration_run_echoes_input():
     assert state.mesh is mesh
     assert abs(state.energy - total_energy(mesh, None, WILLMORE)) == 0.0
     assert abs(state.residuals.area) < 1e-12 and abs(state.residuals.volume) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["grad_tol", "constraint_tol", "penalty_init", "penalty_growth"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_run_config_rejects_non_finite_floats(name, value):
+    # grad_tol nan once never converged, grad_tol inf ended outer_limit after
+    # 0 iterations at rho 1e12, and penalty_init nan raised Diverged
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0$"):
+        RunConfig(**{name: value})
 
 
 def test_infeasible_targets_rejected():
@@ -282,13 +291,13 @@ def test_volume_gradient_matches_fd_on_shifted_box():
 @pytest.mark.parametrize("two_phase", [False, True])
 def test_trajectory_energy_terms_match_energy_report(monkeypatch, two_phase):
     meshes = []
-    evaluate = optimize.energy_and_gradient
+    assemble = optimize._gradient
 
-    def recording(mesh, phases, params_list):
+    def recording(mesh, phases, terms):
         meshes.append(mesh)
-        return evaluate(mesh, phases, params_list)
+        return assemble(mesh, phases, terms)
 
-    monkeypatch.setattr(optimize, "energy_and_gradient", recording)
+    monkeypatch.setattr(optimize, "_gradient", recording)
     if two_phase:
         mesh = shapes.jittered(shapes.octasphere(3), 0.01, seed=5)
         phases = PhaseField(shapes.equator_phase_labels(mesh))
@@ -537,15 +546,18 @@ def test_bad_trials_are_rejected_not_fatal(monkeypatch, fault):
 
         monkeypatch.setattr(TriMesh, "with_vertices", collapsing)
     else:
-        def failing(m, phases, params):
-            calls.append(1)
-            if len(calls) == 1:
-                if fault == "not_finite":
-                    return float("nan")
-                raise DegenerateConfiguration("injected")
-            return total_energy(m, phases, params)
+        energy_pass = optimize._energy_pass
 
-        monkeypatch.setattr(optimize, "total_energy", failing)
+        def failing(m, phases, params):
+            calls.append(m)
+            E, terms = energy_pass(m, phases, params)
+            if len(calls) == 2:  # the first trial; call 1 is the start mesh
+                if fault == "not_finite":
+                    return float("nan"), terms
+                raise DegenerateConfiguration("injected")
+            return E, terms
+
+        monkeypatch.setattr(optimize, "_energy_pass", failing)
     state = minimize(mesh, None, WILLMORE, cs, RunConfig(max_iterations=10))
     assert state.iteration == 10
     assert state.trajectory[0].trials >= 2  # the bad first trial, then a good one
@@ -553,23 +565,25 @@ def test_bad_trials_are_rejected_not_fatal(monkeypatch, fault):
         assert geometry(calls[0]).area.min() > 0.0
         with pytest.raises(DegenerateFace):  # the threshold TriMesh applies
             calls[0]._validate_face_areas()
+    else:
+        assert calls[0] is mesh
 
 
 def test_diverged_names_iteration_vertex_and_value(monkeypatch):
     import helfrich.optimize as optimize
-    from helfrich.gradient import energy_and_gradient
 
     calls = []
+    assemble = optimize._gradient
 
-    def poisoned(m, phases, params):
+    def poisoned(m, phases, terms):
         calls.append(1)
-        E, g = energy_and_gradient(m, phases, params)
+        g = assemble(m, phases, terms)
         if len(calls) == 3:
             g = g.copy()
             g[17, 1] = np.inf
-        return E, g
+        return g
 
-    monkeypatch.setattr(optimize, "energy_and_gradient", poisoned)
+    monkeypatch.setattr(optimize, "_gradient", poisoned)
     mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
     cs = ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh))
     with pytest.raises(Diverged, match=r"at iteration 2; vertex 17 has gradient norm inf$"):
@@ -634,22 +648,55 @@ def test_criterion_8_search_builds_few_trials(monkeypatch):
 
 
 def test_criterion_8_run_evaluates_each_position_once(monkeypatch):
-    # the start mesh and every trial that reaches the energy get their
-    # constraint values once; the residual report adds the end mesh's
-    meshes = []
-    values = _Constraints.values
+    # the start mesh and every trial that reaches the energy get one energy
+    # pass and their constraint values once; the residual report adds the
+    # end mesh's values, and the next gradient continues from the pass
+    meshes, passes = [], []
+    values, energy_pass = _Constraints.values, optimize._energy_pass
 
     def recording(self, mesh):
         meshes.append(mesh)
         return values(self, mesh)
 
+    def counting(mesh, phases, params):
+        passes.append(mesh)
+        return energy_pass(mesh, phases, params)
+
     monkeypatch.setattr(_Constraints, "values", recording)
+    monkeypatch.setattr(optimize, "_energy_pass", counting)
     mesh0 = shapes.jittered(shapes.icosphere(4), 0.01, seed=11)
     cs = ConstraintSet(area=4 * np.pi, volume=4 * np.pi / 3)
     state = minimize(mesh0, None, WILLMORE, cs, RunConfig(max_iterations=150))
-    assert len(meshes) <= sum(p.trials for p in state.trajectory) + 2
+    trials = sum(p.trials for p in state.trajectory)
+    assert len(meshes) <= trials + 2
     assert meshes[0] is mesh0 and meshes[-1] is state.mesh
     assert len({id(m) for m in meshes[:-1]}) == len(meshes) - 1
+    assert len(passes) <= trials + 1
+    assert passes[0] is mesh0 and any(m is state.mesh for m in passes)
+    assert len({id(m) for m in passes}) == len(passes)
+
+
+@pytest.mark.parametrize("run", ["single_phase", "per_phase", "zero_iterations", "stalled"])
+def test_run_energy_is_the_end_mesh_energy(monkeypatch, run):
+    # the run's energy is the kept energy pass of its end mesh, bit for bit
+    mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=1)
+    phases, params, budget = None, [MaterialParams(1.0, -0.6, 0.4)], 8
+    cs = ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh) * 0.999)
+    if run == "per_phase":
+        mesh = shapes.jittered(shapes.octasphere(3), 0.01, seed=5)
+        phases = PhaseField(shapes.equator_phase_labels(mesh))
+        params = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
+        cs = ConstraintSet(area=4 * np.pi, volume=4.0, phase_areas=(2 * np.pi, 2 * np.pi))
+    elif run == "zero_iterations":
+        budget = 0
+    elif run == "stalled":
+        monkeypatch.setattr(optimize, "_SEARCH_TRIALS", 0)
+    state = minimize(mesh, phases, params, cs, RunConfig(max_iterations=budget))
+    assert state.iteration == budget
+    assert (state.mesh is mesh) == (run in ("zero_iterations", "stalled"))
+    assert state.energy == total_energy(state.mesh, phases, params)
+    if run == "stalled":
+        assert state.inner_stops == ["stalled"] * budget
 
 
 def _search_start():
@@ -678,11 +725,13 @@ def test_line_search_accepts_the_first_trial_that_passes_armijo():
     for k in range(trials):
         step = s0 * 0.5**k
         at, _ = _trial(mesh, mesh.vertices + step * -g, None, WILLMORE, con)
-        passes = at is not None and _augmented(at[1], at[2], lam, rho) <= phi + _ARMIJO_C * step * -gg
+        passes = at is not None and _augmented(at[1][0], at[2], lam, rho) <= phi + _ARMIJO_C * step * -gg
         assert passes == (k == trials - 1)
-    trial, E, c = point
+    trial, (E, terms), c = point
     assert np.array_equal(trial.vertices, mesh.vertices + s * -g)
     assert E == total_energy(trial, None, WILLMORE) and np.array_equal(c, con.values(trial))
+    # the kept terms assemble the gradient energy_and_gradient gives there
+    assert np.array_equal(_gradient(trial, None, terms), energy_and_gradient(trial, None, WILLMORE)[1])
 
 
 @pytest.mark.parametrize("scale", [2.0**260, 1e155, 1e308])
@@ -764,13 +813,13 @@ def test_two_loop_matches_dense_bfgs(seed, n_pairs, n_vertices):
 
 
 def _no_iterations(monkeypatch):
-    """Make any inner iteration fail, so a test sees what minimize rejects up front."""
+    """Make any energy pass or gradient fail, so a test sees what minimize rejects up front."""
 
     def unreachable(*args):
-        raise AssertionError("minimize started iterating")
+        raise AssertionError("minimize started evaluating")
 
-    monkeypatch.setattr(optimize, "energy_and_gradient", unreachable)
-    monkeypatch.setattr(optimize, "total_energy", unreachable)
+    monkeypatch.setattr(optimize, "_energy_pass", unreachable)
+    monkeypatch.setattr(optimize, "_gradient", unreachable)
 
 
 def test_parameter_count_mismatch_is_named_by_minimize():

@@ -2,8 +2,10 @@
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,8 +13,9 @@ from helfrich import shapes
 from helfrich.curvature import curvature_field
 from helfrich.density import MaterialParams
 from helfrich.diagnostics import standard_report
+from helfrich.errors import DegenerateFace
 from helfrich.energy import PhaseField, willmore
-from helfrich.gradient import total_energy
+from helfrich.gradient import energy_and_gradient, total_energy
 from helfrich.mesh import TriMesh
 from helfrich.mesh_io import read_mesh, write_mesh
 
@@ -127,3 +130,26 @@ def test_standard_report_does_not_depend_on_the_unit_of_length(k):
         if "H0=0.5]" not in want.name:
             assert got.rhs == want.rhs * scale, want.name
     assert scaled.all_pass == base.all_pass
+
+
+def test_meshes_at_the_ends_of_the_scale_range_evaluate_correctly():
+    # 2^-252 and 2^252 are the last scales at which _BASE builds: every
+    # area-vector square there is still a normal float, so the energy (H0
+    # and sigma 0, so no unit of length), its gradient, Willmore and every
+    # verdict agree with the unit scale to rounding
+    params = [MaterialParams(1.0, -0.5)]
+    E0, g0 = energy_and_gradient(_BASE, None, params)
+    W0, report0 = willmore(_BASE, curvature_field(_BASE)), standard_report(_BASE, n_fields=5)
+    for k in (-252, 252):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = TriMesh(2.0**k * _BASE.vertices, _BASE.faces)
+            E, g = energy_and_gradient(mesh, None, params)
+            W, report = willmore(mesh, curvature_field(mesh)), standard_report(mesh, n_fields=5)
+        assert _close(E, E0) and _close(W, W0)
+        assert np.abs(2.0**k * g - g0).max() <= RTOL * np.abs(g0).max()
+        for got, want in zip(report.checks, report0.checks, strict=True):
+            assert got.passed == want.passed, want.name
+            assert _close(got.lhs * 2.0 ** (-_length_power(want.name) * k), want.lhs, 1.0), want.name
+        with pytest.raises(DegenerateFace):
+            TriMesh(2.0 ** (k + np.sign(k)) * _BASE.vertices, _BASE.faces)
