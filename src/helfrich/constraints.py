@@ -317,6 +317,18 @@ class _Constraints:
         vals.append((geo.volume - self.cs.volume) / self.cs.volume)
         return np.array(vals)
 
+    def residuals(self, mesh, values):
+        """:class:`ConstraintResiduals` of ``mesh`` from its :meth:`values`.
+
+        The total-area residual is read from the mesh's geometry record.
+        """
+        *per_phase, volume = values.tolist()
+        return ConstraintResiduals(
+            area=(float(geometry(mesh).area.sum()) - self.cs.area) / self.cs.area,
+            volume=volume,
+            phase_areas=tuple(per_phase) if self.per_phase else (),
+        )
+
     def gradients(self, mesh):
         """List of (V, 3) gradients matching :meth:`values`, from the geometry record.
 
@@ -357,9 +369,5 @@ def constraint_residuals(mesh, phases, cs):
     :meth:`_Constraints.values`.
     """
     cs.check_phases(mesh, phases)
-    *per_phase, volume = _Constraints(phases, cs).values(mesh).tolist()
-    return ConstraintResiduals(
-        area=(float(geometry(mesh).area.sum()) - cs.area) / cs.area,
-        volume=volume,
-        phase_areas=tuple(per_phase) if cs.phase_areas is not None else (),
-    )
+    con = _Constraints(phases, cs)
+    return con.residuals(mesh, con.values(mesh))

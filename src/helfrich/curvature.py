@@ -32,8 +32,7 @@ Vector data in the record is component-major: face blocks are (3, F)
 rows (edges ``e`` (3, 3, F)) and vertex vectors (3, V) rows, so every
 stage works on contiguous rows. The row helpers of ``mesh`` keep the bits
 the (F, 3) layout had: a 3-dot is (x0 y0 + x2 y2) + x1 y1 (einsum's
-order), a norm sqrt((x0² + x1²) + x2²), and argmins over corners are
-taken in face-major order. Per-vertex sums gather face-corner
+order) and a norm sqrt((x0² + x1²) + x2²). Per-vertex sums gather face-corner
 contributions with ``np.bincount`` (``mesh._scatter``): corner row by
 corner row, faces in index order within a row, so repeated runs are
 bitwise deterministic. ``CurvatureField`` keeps (V, 3) arrays.
@@ -49,10 +48,6 @@ from .errors import DegenerateOneRing
 from .mesh import _columns, _cross, _dot, _face_vectors, _norm, _scatter
 
 __all__ = ["CurvatureField", "curvature_field"]
-
-# Corner permutations of a (3, ...) face block: ``block[_PREV][c]`` is
-# ``block[c - 1]`` and ``block[_NEXT][c]`` is ``block[c + 1]``.
-_PREV, _NEXT = [2, 0, 1], [1, 2, 0]
 
 # Below (_K_FLOOR_FACTOR / mean edge)^2 the defect is rounding noise and no
 # umbilic reconciliation is attempted.
@@ -158,11 +153,14 @@ class _Geometry:
     ``H_raw``, the reconciled ``H``, ``K``, the ``clamped`` mask, and
     ``k_floor``. Scalars: the signed enclosed ``volume`` (divergence
     theorem, sum_f x_i . N_f / 3 with N_f the face area vector; exact for
-    polyhedra), ``mean_edge`` (mean length over ``mesh.edges``),
-    ``edge_ratio`` (longest over shortest edge) with ``short_edge_face``
-    a face holding the shortest edge, and ``min_angle`` (the smallest
-    corner angle, radians) with ``min_angle_face`` its face; both faces
-    are the first in face-major order among ties.
+    polyhedra), ``mean_edge`` (mean length over ``mesh.edges``, read from
+    the (3, F) length rows at the positions ``mesh._edge_half``, in edge
+    order), ``edge_ratio`` (longest over shortest edge) with
+    ``short_edge_face`` a face holding the shortest edge, and
+    ``min_angle`` (the smallest corner angle, radians) with
+    ``min_angle_face`` its face. Both faces come from per-face minima
+    over the three corner rows; among ties the first face wins, the face
+    an argmin over the face-major (F, 3) values picks.
     Corner angles and face area vectors are not kept: the record lives as
     long as its mesh. ``splits`` maps each ``energy.PhaseField`` to its
     phase split (``energy._split``). Every array is read-only.
@@ -178,22 +176,31 @@ class _Geometry:
         self.area = _norm(N)
         # one einsum over the face-major values keeps its summation order
         self.volume = float(np.einsum("i,i->", _columns(x0).ravel(), _columns(N).ravel()) / 3.0)
-        # half-edge 3 f + c is e[c] of face f; twins have bitwise equal lengths
-        lengths = _columns(np.sqrt(l2)).ravel()
-        self.mean_edge = float(lengths[mesh._edge_half].mean())
-        short = int(np.argmin(lengths))
-        self.short_edge_face = short // 3
-        self.edge_ratio = float(lengths.max() / max(lengths[short], 1e-300))
+        lengths = np.sqrt(l2)
+        # twins have bitwise equal lengths; the half-edges come in edge order
+        self.mean_edge = float(np.take(lengths, mesh._edge_half).mean())
+        # per-face minima: argmin picks the first face among ties, as an
+        # argmin over the face-major (F, 3) values does
+        shortest = lengths.min(axis=0)
+        self.short_edge_face = int(np.argmin(shortest))
+        self.edge_ratio = float(lengths.max() / max(shortest[self.short_edge_face], 1e-300))
         # at corner c the edges are e[c] and -e[c - 1]; |e[c] x e[c - 1]| = 2 area
-        dots = -_dot(ec, ec[:, _PREV])
+        dots = np.empty_like(l2)
+        for c in range(3):
+            np.negative(_dot(e[c], e[c - 1]), out=dots[c])
         twice = 2.0 * self.area
         theta = np.arctan2(twice, dots)
-        sharp = int(np.argmin(_columns(theta)))
-        self.min_angle_face = sharp // 3
-        self.min_angle = float(theta[sharp % 3, sharp // 3])
+        sharpest = theta.min(axis=0)
+        self.min_angle_face = int(np.argmin(sharpest))
+        self.min_angle = float(sharpest[self.min_angle_face])
         cot = self.cot = dots / np.where(twice == 0, 1.0, twice)
-        # Voronoi share of corner c: its two edges times the opposite cotangents
-        corner_a = (l2 * cot[_PREV] + l2[_PREV] * cot[_NEXT]) / 8.0
+        # Voronoi share of corner c: its two edges times the opposite
+        # cotangents, l2[c] cot[c - 1] + l2[c - 1] cot[c + 1]
+        share = [l2[c] * cot[c - 1] for c in range(3)]
+        corner_a = np.empty_like(l2)
+        for c in range(3):
+            np.add(share[c], share[c - 1], out=corner_a[c])
+        corner_a /= 8.0
         self.obtuse = theta > np.pi / 2.0
         any_obtuse = self.obtuse.any(axis=0)
         corner_a[:, any_obtuse] = np.where(self.obtuse[:, any_obtuse], 0.5, 0.25) * self.area[any_obtuse]
@@ -220,10 +227,14 @@ def _cotan_corners(cot, e):
 
     L_v = sum over edges (cot a + cot b)(x_v - x_w), a and b the corners
     facing the edge; edge c runs from corner c to c + 1 and faces corner
-    c + 2. Scattered onto the face corners, the terms give L.
+    c + 2. Scattered onto the face corners, the terms give L: corner c
+    takes w[c - 1] - w[c], w[c] = cot[c - 1] e[c].
     """
-    w = cot[_PREV, None] * e
-    return w[_PREV] - w
+    w = [cot[c - 1] * e[c] for c in range(3)]
+    out = np.empty_like(e)
+    for c in range(3):
+        np.subtract(w[c - 1], w[c], out=out[c])
+    return out
 
 
 def geometry(mesh):

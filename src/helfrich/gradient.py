@@ -135,10 +135,13 @@ def _gradient(mesh, phases, terms):
         sl = slice(lo, lo + _FACE_BLOCK)
         fs, e, l2, cot = f[:, sl], geo.e[:, :, sl], geo.l2[:, sl], geo.cot[:, sl]
         obtuse = geo.obtuse[:, sl]
-        nhat = 0.5 * _cross(e[0], -e[2]) / geo.area[sl]
+        nhat = _cross(e[0], -e[2])
+        nhat *= 0.5
+        nhat /= geo.area[sl]
         s_corner = coef_a[fs]
         any_obt = obtuse.any(axis=0)
-        h_corner = [np.take(h_v, fc, axis=1) for fc in fs]
+        # h_corner[:, c] holds h_v at corner c
+        h_corner = np.take(h_v, fs, axis=1)
         qcot = np.empty_like(cot)
         ev = []
         for c in range(3):
@@ -146,16 +149,23 @@ def _gradient(mesh, phases, terms):
             # mixed-area term on regular faces: (s_c + s_n) / 8 * |e_c|^2 cot_far
             t = np.where(any_obt, 0.0, (s_corner[c] + s_corner[n]) / 8.0)
             # cotangent-vector term <L, nu> through L
-            dh = h_corner[c] - h_corner[n]
-            qcot[far] = t * l2[c] - _dot(e[c], dh)
-            ev.append(cot[far] * dh - (2.0 * t * cot[far]) * e[c])
+            dh = h_corner[:, c] - h_corner[:, n]
+            np.subtract(t * l2[c], _dot(e[c], dh), out=qcot[far])
+            dh *= cot[far]
+            t *= 2.0
+            t *= cot[far]
+            dh -= t * e[c]
+            ev.append(dh)
         # defect term and d cot = -(1 + cot^2) d theta
-        q = -coef_d[fs] - (1.0 + cot**2) * qcot
+        q = -coef_d[fs]
+        q -= (1.0 + cot**2) * qcot
         # d theta_c / d x_n = -nhat x e_c / |e_c|^2 and d theta_n / d x_c is
         # its negative, so edge c carries (q_c - q_n) nhat x e_c / |e_c|^2
         for c in range(3):
-            g = _cross(nhat, e[c]) / l2[c]
-            ev[c] += (q[c] - q[(c + 1) % 3]) * g
+            g = _cross(nhat, e[c])
+            g /= l2[c]
+            g *= q[c] - q[(c + 1) % 3]
+            ev[c] += g
 
         # obtuse faces: area * (sum_c s_c * (1/2 if obtuse at c else 1/4))
         qA = np.where(any_obt, np.sum(s_corner * np.where(obtuse, 0.5, 0.25), axis=0), 0.0)
@@ -163,11 +173,16 @@ def _gradient(mesh, phases, terms):
             lab = phases.labels[sl] - 1
             for vc in fs:
                 qA += (tau[vc, lab] - tau_w[vc]) / star_area[vc]
-        m_f = [np.take(m_v, fc, axis=1) for fc in fs]
-        M = qA * nhat + m_f[0] + m_f[1] + m_f[2]
+        m_f = np.take(m_v, fs, axis=1)
+        M = qA * nhat
+        for c in range(3):
+            M += m_f[:, c]
         # d(M . N_f)/d x_c = M x e_{c+1} / 2
         for c in range(3):
-            blocks[c, :, sl] = 0.5 * _cross(M, e[(c + 1) % 3]) + ev[c] - ev[(c + 2) % 3]
+            out = _cross(M, e[(c + 1) % 3], out=blocks[c, :, sl])
+            out *= 0.5
+            out += ev[c]
+            out -= ev[(c + 2) % 3]
     grad = _scatter(f, blocks, V)
 
     # line tension

@@ -31,7 +31,6 @@ import numpy as np
 
 from .constraints import (
     _Constraints,
-    constraint_residuals,
     isoperimetric_check,
     no_overlap_check,
     phase_support,
@@ -176,6 +175,30 @@ def _diverged(iteration, phi, grad):
         f"augmented Lagrangian {phi:.6g} at iteration {iteration}; "
         f"vertex {v} has gradient norm {norms[v]:.6g}"
     )
+
+
+def _centre(x):
+    """Subtract the mean row from a C-contiguous (V, 3) array in place.
+
+    Bitwise ``x -= x.mean(axis=0)``: that mean adds the rows one after
+    another, and einsum's ``"ij->j"`` adds them in the same order without a
+    reduction's per-row overhead; the subtraction runs on component rows.
+    """
+    mean = np.einsum("ij->j", x) / len(x)
+    for k in range(3):
+        x[:, k] -= mean[k]
+
+
+def _rms(x):
+    """Root mean square row length of a (V, 3) array, bitwise ``sqrt(mean(sum(x**2, axis=1)))``.
+
+    The squares are summed on component rows as (x0² + x1²) + x2², the
+    order of the row sums.
+    """
+    sq = x[:, 0] * x[:, 0]
+    sq += x[:, 1] * x[:, 1]
+    sq += x[:, 2] * x[:, 2]
+    return float(np.sqrt(np.mean(sq)))
 
 
 def _augmented(E, c, lam, rho):
@@ -324,8 +347,8 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             phi = _augmented(E, cvals, lam, rho)
             if not (np.isfinite(phi) and np.isfinite(g).all()):
                 raise _diverged(it, phi, g)
-            g -= g.mean(axis=0)  # translations are a null space
-            grad_norm = float(np.sqrt(np.mean(np.sum(g**2, axis=1))))
+            _centre(g)  # translations are a null space
+            grad_norm = _rms(g)
             if last is not None:
                 s_k = (mesh.vertices - last[0]).ravel()
                 y_k = (g - last[1]).ravel()
@@ -355,7 +378,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             searches = [(-g, -gg, step, 0)]
             if pairs:
                 d_qn = _two_loop(g, pairs)
-                d_qn -= d_qn.mean(axis=0)
+                _centre(d_qn)
                 slope_qn = float(np.sum(g * d_qn))
                 if slope_qn < 0:
                     searches.insert(0, (d_qn, slope_qn, 1.0, len(pairs)))
@@ -407,7 +430,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         if it < cfg.max_iterations:
             termination = "outer_limit"
 
-    res = constraint_residuals(mesh, phases, cs)
+    res = con.residuals(mesh, cvals)  # the kept values of the end point
     mult = {"volume": float(lam[-1])}
     if con.per_phase:
         mult["phase_areas"] = [float(x) for x in lam[:-1]]

@@ -368,6 +368,68 @@ def test_record_volume_and_mean_edge_match_oracles(kind, seed, shift, amplitude)
     assert abs(mesh.mean_edge_length - mean_edge) <= 1e-14 * mean_edge
 
 
+def _face_major_record(mesh):
+    """The record's reductions by the (F, 3) face-major expressions the row code replaced.
+
+    Returns the bounding-box diagonal, the mean edge length over the
+    half-edges the edge sort puts first (h = 3 f + c), the edge ratio with
+    its face, the smallest corner angle with its face, and the corner
+    cotangents, each as the (V, 3) or face-major code computed it.
+    """
+    geo = geometry(mesh)
+    v = mesh.vertices
+    bbox = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
+    lengths = _columns(np.sqrt(geo.l2)).ravel()
+    # each edge's first half-edge: the corner of edge_faces[k, 0] that starts it
+    f = mesh.edge_faces[:, 0]
+    tri = mesh.faces[f]
+    nxt = np.roll(tri, -1, axis=1)
+    lo, hi = mesh.edges.T
+    at = (np.minimum(tri, nxt) == lo[:, None]) & (np.maximum(tri, nxt) == hi[:, None])
+    mean_edge = float(lengths[3 * f + np.argmax(at, axis=1)].mean())
+    short = int(np.argmin(lengths))
+    ratio = float(lengths.max() / max(lengths[short], 1e-300))
+    ec = geo.e.transpose(1, 0, 2)
+    dots = -_dot(ec, ec[:, [2, 0, 1]])
+    twice = 2.0 * geo.area
+    theta = _columns(np.arctan2(twice, dots)).ravel()
+    sharp = int(np.argmin(theta))
+    cot = dots / np.where(twice == 0, 1.0, twice)
+    return bbox, mean_edge, (ratio, short // 3), (float(theta[sharp]), sharp // 3), cot
+
+
+@pytest.mark.parametrize("kind", ["sphere", "box"])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    shift=hnp.arrays(np.float64, 3, elements=st.floats(-2.0, 2.0)),
+    amplitude=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+)
+def test_record_row_reductions_keep_face_major_bits(kind, seed, shift, amplitude):
+    """Per-face minima over (3, F) rows pick the face-major argmin's face and value.
+
+    An unjittered box has exact ties in lengths and angles across faces
+    and corners; the first face among them must win, as before.
+    """
+    mesh = sample_mesh(kind, seed, shift, amplitude)
+    geo = geometry(mesh)
+    bbox, mean_edge, (ratio, short), (angle, sharp), cot = _face_major_record(mesh)
+    assert mesh.bbox_diagonal.hex() == bbox.hex()
+    assert geo.mean_edge.hex() == mean_edge.hex()
+    assert (geo.edge_ratio.hex(), geo.short_edge_face) == (ratio.hex(), short)
+    assert (geo.min_angle.hex(), geo.min_angle_face) == (angle.hex(), sharp)
+    assert _bits(geo.cot) == _bits(cot)
+
+
+def test_regular_octahedron_ties_go_to_face_zero():
+    mesh = shapes.octasphere(0)
+    geo = geometry(mesh)
+    # every edge and every corner angle is bitwise the same
+    assert len(np.unique(geo.l2)) == 1 and len(np.unique(geo.cot)) == 1
+    assert (geo.short_edge_face, geo.min_angle_face) == (0, 0)
+    assert _face_major_record(mesh)[2][1] == _face_major_record(mesh)[3][1] == 0
+
+
 def test_diameter():
     assert abs(diameter(shapes.cube()) - np.sqrt(3)) < 1e-12
     assert abs(diameter(shapes.tetrahedron(edge=1.0)) - 1.0) < 1e-12

@@ -35,10 +35,12 @@ from helfrich.optimize import (
     _MEMORY,
     RunConfig,
     _augmented,
+    _centre,
     _check_quality,
     _Constraints,
     _line_search,
     _quality_fault,
+    _rms,
     _trial,
     _two_loop,
     minimize,
@@ -268,6 +270,30 @@ def test_quality_guard_matches_arcsin_oracle(kind, seed, amplitude):
         _check_quality(mesh)
     with guard(ratio * loose, min_deg * loose), pytest.raises(QualityCollapse, match="min angle"):
         _check_quality(mesh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 40), st.integers(1, 100_001)),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.booleans(),
+)
+def test_centring_and_rms_keep_the_column_bits(n, seed, zeros):
+    """``_centre`` and ``_rms`` give the bits of the (V, 3) reductions they replace.
+
+    ``x.mean(axis=0)`` adds the rows one after another and
+    ``np.sum(x**2, axis=1)`` adds each row's squares left to right; a numpy
+    version that changes either order fails here.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3)) * np.exp2(rng.integers(-40, 40, (n, 3)))
+    if zeros:
+        x[rng.random((n, 3)) < 0.3] = -0.0
+    want = x - x.mean(axis=0)
+    got = x.copy()
+    _centre(got)
+    assert got.tobytes() == want.tobytes()
+    assert _rms(x).hex() == float(np.sqrt(np.mean(np.sum(x**2, axis=1)))).hex()
 
 
 def test_volume_gradient_matches_fd_on_shifted_box():
@@ -649,8 +675,8 @@ def test_criterion_8_search_builds_few_trials(monkeypatch):
 
 def test_criterion_8_run_evaluates_each_position_once(monkeypatch):
     # the start mesh and every trial that reaches the energy get one energy
-    # pass and their constraint values once; the residual report adds the
-    # end mesh's values, and the next gradient continues from the pass
+    # pass and their constraint values once; the residual report reads the
+    # end mesh's kept values, and the next gradient continues from the pass
     meshes, passes = [], []
     values, energy_pass = _Constraints.values, optimize._energy_pass
 
@@ -668,9 +694,9 @@ def test_criterion_8_run_evaluates_each_position_once(monkeypatch):
     cs = ConstraintSet(area=4 * np.pi, volume=4 * np.pi / 3)
     state = minimize(mesh0, None, WILLMORE, cs, RunConfig(max_iterations=150))
     trials = sum(p.trials for p in state.trajectory)
-    assert len(meshes) <= trials + 2
+    assert len(meshes) <= trials + 1
     assert meshes[0] is mesh0 and meshes[-1] is state.mesh
-    assert len({id(m) for m in meshes[:-1]}) == len(meshes) - 1
+    assert len({id(m) for m in meshes}) == len(meshes)
     assert len(passes) <= trials + 1
     assert passes[0] is mesh0 and any(m is state.mesh for m in passes)
     assert len({id(m) for m in passes}) == len(passes)

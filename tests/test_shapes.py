@@ -81,3 +81,18 @@ def test_corpus_perturbed_sphere_equals_a_fresh_jitter(corpus):
     fresh = shapes.jittered(shapes.icosphere(3), 0.01, seed=7)
     assert labels is None
     _assert_same(mesh, fresh.vertices, fresh.faces)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: shapes.icosphere(6), lambda: shapes.octasphere(5),
+     lambda: shapes.jittered(shapes.icosphere(5), 0.01, seed=3)],
+    ids=["icosphere6", "octasphere5", "jittered_icosphere5"],
+)
+def test_equator_labels_match_the_full_centroid_expression(make):
+    # the labels form only the centroid's z, with the bits of the full mean
+    mesh = make()
+    centroid_z = mesh.vertices[mesh.faces].mean(axis=1)[:, 2]
+    want = np.where(centroid_z > 0.0, 1, 2).astype(np.int64)
+    got = shapes.equator_phase_labels(mesh)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
