@@ -18,7 +18,7 @@ from .curvature import curvature_field, geometry
 from .density import MaterialParams, coercivity_constants
 from .energy import canham_helfrich, willmore
 from .errors import NotConvex
-from .mesh import _dot, _norm
+from .mesh import _dot, _norm, _vdot
 from .mesh import diameter as mesh_diameter
 
 __all__ = [
@@ -176,7 +176,7 @@ def _plane_wave_rows(rows, wave, phase, amp, work):
 
 def _divergence_integral(P, jac, mixed_area):
     """sum_v div^P X(x_v) a_v from the Jacobians of X and the projections P."""
-    return float(np.einsum("vij,vij->v", P, jac) @ mixed_area)
+    return float(_vdot(np.einsum("vij,vij->v", P, jac), mixed_area))
 
 
 def verify_first_variation(mesh, curv, n_fields=20, seed=0):
@@ -196,7 +196,7 @@ def verify_first_variation(mesh, curv, n_fields=20, seed=0):
     """
     a = curv.mixed_area
     mu = float(a.sum())
-    normA_L2 = float(np.sqrt(curv.norm_A_squared() @ a))
+    normA_L2 = float(np.sqrt(_vdot(curv.norm_A_squared(), a)))
     rhs = np.sqrt(2.0 * mu) * normA_L2
     P = curv.projection()
     records = []
@@ -216,7 +216,7 @@ def verify_first_variation(mesh, curv, n_fields=20, seed=0):
     # delta V of a constant is 0, so X = (x - c) / reach has delta V(x) / reach and |X| <= 1
     x = mesh.vertices
     reach = float(np.linalg.norm(x - (x.max(axis=0) + x.min(axis=0)) / 2, axis=1).max())
-    identity_delta = float(np.einsum("vii->v", P) @ a) / reach
+    identity_delta = float(_vdot(np.einsum("vii->v", P), a)) / reach
     check(
         "first_variation/identity_field", identity_delta,
         "delta V((x - c) / reach) = 2 mu / reach <= sqrt(2 mu) ||A||_L2, "
@@ -244,7 +244,7 @@ def verify_energy_bounds(mesh, curv, params):
         raise NotConvex("energy bounds need strictly convex parameters")
     c1, c2 = coercivity_constants(params)
     mu = float(curv.mixed_area.sum())
-    normA2 = float(curv.norm_A_squared() @ curv.mixed_area)
+    normA2 = float(_vdot(curv.norm_A_squared(), curv.mixed_area))
     F = canham_helfrich(mesh, curv, params)
     rhs = c1 * (F + c2 * mu)
     w_var = willmore(mesh, curv, "varifold")
@@ -313,7 +313,7 @@ def standard_report(mesh, name="mesh", n_fields=20, seed=0):
         checks += verify_energy_bounds(mesh, curv, params)
     checks += verify_diameter(mesh, curv)
     checks += verify_li_yau(mesh, curv)
-    gauss_sum = float(curv.K @ curv.mixed_area)
+    gauss_sum = float(_vdot(curv.K, curv.mixed_area))
     target = 2.0 * np.pi * mesh.euler_characteristic
     checks.append(
         _record(

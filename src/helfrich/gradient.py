@@ -35,7 +35,7 @@ import numpy as np
 from .curvature import geometry
 from .energy import _phase_split
 from .errors import DegenerateConfiguration
-from .mesh import _columns, _cross, _dot, _scatter
+from .mesh import _columns, _cross, _dot, _scatter, _vdot
 
 __all__ = ["energy_and_gradient", "total_energy"]
 
@@ -73,7 +73,7 @@ def _energy_pass(mesh, phases, params_list):
         G = np.einsum("vp,vp->v", w, gp)
         G_H = np.einsum("vp,vp->v", w, beta[None, :] * (H[:, None] - h0[None, :]))
         G_K = w @ gamma
-    E = float(geo.a @ G + coeff @ iface.length)
+    E = float(_vdot(geo.a, G) + _vdot(coeff, iface.length))
     return E, (G, G_H, G_K, w, gp, iface, coeff)
 
 

@@ -91,6 +91,26 @@ def _cross(a, b, out=None):
     return out
 
 
+# Elements per BLAS call of ``_vdot``. OpenBLAS splits a dot of more than
+# 10000 elements among its threads, so only shorter dots have bits that do
+# not depend on the thread count.
+_DOT_CHUNK = 8192
+
+
+def _vdot(x, y):
+    """``x @ y`` of two 1-D arrays, with bits independent of the BLAS thread count.
+
+    The dot is taken in chunks of ``_DOT_CHUNK`` elements, each one BLAS
+    call on one thread, and the chunk dots are added in order; a dot of at
+    most ``_DOT_CHUNK`` elements is ``x @ y`` itself. ``np.linalg.norm`` of
+    a 1-D array is ``sqrt(x @ x)``.
+    """
+    total = x[:_DOT_CHUNK] @ y[:_DOT_CHUNK]
+    for lo in range(_DOT_CHUNK, len(x), _DOT_CHUNK):
+        total += x[lo : lo + _DOT_CHUNK] @ y[lo : lo + _DOT_CHUNK]
+    return total
+
+
 def _columns(rows):
     """C-contiguous (n, 3) copy of a (3, n) block.
 

@@ -46,7 +46,7 @@ from .errors import (
     QualityCollapse,
 )
 from .gradient import _energy_pass, _gradient
-from .mesh import _check_face_areas
+from .mesh import _check_face_areas, _vdot
 
 __all__ = [
     "RunConfig",
@@ -259,13 +259,13 @@ def _two_loop(g, pairs):
     q = g.ravel().copy()
     alphas = []
     for s, y, r in reversed(pairs):
-        alpha = r * (s @ q)
+        alpha = r * _vdot(s, q)
         q -= alpha * y
         alphas.append(alpha)
     _, y, r = pairs[-1]
-    q *= 1.0 / (r * (y @ y))
+    q *= 1.0 / (r * _vdot(y, y))
     for (s, y, r), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - r * (y @ q)) * s
+        q += (alpha - r * _vdot(y, q)) * s
     return -q.reshape(g.shape)
 
 
@@ -352,8 +352,8 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
             if last is not None:
                 s_k = (mesh.vertices - last[0]).ravel()
                 y_k = (g - last[1]).ravel()
-                sy = float(s_k @ y_k)
-                if sy > _PAIR_COSINE * np.linalg.norm(s_k) * np.linalg.norm(y_k):
+                sy = float(_vdot(s_k, y_k))
+                if sy > _PAIR_COSINE * np.sqrt(_vdot(s_k, s_k)) * np.sqrt(_vdot(y_k, y_k)):
                     pairs.append((s_k, y_k, 1.0 / sy))
             res_phase = float(np.abs(cvals[:-1]).max()) if con.per_phase else 0.0
             geo = geometry(mesh)

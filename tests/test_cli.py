@@ -2,6 +2,9 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -634,10 +637,16 @@ PINNED_OUTPUTS = {
     "eval_single_phase": "9c8488e02c8f73f0c86c04ed7c74f0212b434975b83da08a287505dae7a780fe",
     "overlap": "0068ba1873b56634241f621eb9ddffb661130d9340f11e06785ec19fd353fcc1",
     "hessian": "943b490f4b81976ff883e186e513abdd2e90d42f5043c9b5cdc92319c08d5614",
-    "minimize_stdout": "345da69b982a3bf986bd1d9be9cd6192b53956697663762b797d478050f53b5d",
-    "minimize_state": "345da69b982a3bf986bd1d9be9cd6192b53956697663762b797d478050f53b5d",
-    "minimize_trajectory": "73c68538e8a0ee42699f0f5b00f1f729b9a71189fc1865c177c1c8deb1edc7ea",
+    "minimize_stdout": "6b4813f2ebd7fc265ad635b4cb14529f4860be17d24cbf61fa0593a26fdc9b3f",
+    "minimize_state": "6b4813f2ebd7fc265ad635b4cb14529f4860be17d24cbf61fa0593a26fdc9b3f",
+    "minimize_trajectory": "6baaf4ae3bdd1bcd392e038a90b057b1300b4fbbcc8345e5e3b5057d00b3cbfb",
 }
+
+# the pinned two-phase run on octasphere(5): its L-BFGS vectors hold
+# 3V = 49158 coordinates
+PINNED_MINIMIZE = ["--beta", "1,1.5", "--gamma", "-0.3,-0.5", "--h0", "0.2,-0.4",
+                   "--sigma", "0.7,0.7", "--area", "12.55", "--volume", "4.15",
+                   "--phase-areas", "6.2,6.35", "--max-iterations", "6"]
 
 
 def test_output_bytes_are_pinned(workdir, capsys):
@@ -651,10 +660,7 @@ def test_output_bytes_are_pinned(workdir, capsys):
                               "--gamma", "-0.5", "--h0", "0.3"],
         "overlap": ["overlap", *split, "--eps0", "0.15"],
         "hessian": ["hessian", "--beta", "2", "--gamma", "-1"],
-        "minimize_stdout": ["minimize", *split, "--beta", "1,1.5", "--gamma", "-0.3,-0.5",
-                            "--h0", "0.2,-0.4", "--sigma", "0.7,0.7", "--area", "12.55",
-                            "--volume", "4.15", "--phase-areas", "6.2,6.35",
-                            "--max-iterations", "6", "--out-dir", workdir / "pinned"],
+        "minimize_stdout": ["minimize", *split, *PINNED_MINIMIZE, "--out-dir", workdir / "pinned"],
     }
     digests = {}
     for name, args in commands.items():
@@ -664,6 +670,44 @@ def test_output_bytes_are_pinned(workdir, capsys):
     for name, out in (("minimize_state", "state.json"), ("minimize_trajectory", "trajectory.csv")):
         digests[name] = hashlib.sha256((workdir / "pinned" / out).read_bytes()).hexdigest()
     assert digests == PINNED_OUTPUTS
+
+
+# prints the large-split energy and gradient digest, then runs the CLI on argv[2:]
+_THREAD_PROBE = textwrap.dedent(
+    """
+    import hashlib, sys
+    sys.path.insert(0, sys.argv[1])
+    from test_gradient import SPLIT_PARAMS, jittered_split
+    from helfrich.cli import main
+    from helfrich.gradient import energy_and_gradient
+    mesh, phases = jittered_split(6, 1e-3, 0)
+    E, grad = energy_and_gradient(mesh, phases, SPLIT_PARAMS)
+    print(E.hex(), hashlib.sha256(grad.tobytes()).hexdigest())
+    sys.exit(main(sys.argv[2:]))
+    """
+)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(workdir):
+    """The large-split energy and gradient and the pinned minimize run, under 1 and 2 BLAS threads.
+
+    OpenBLAS splits a dot of more than 10000 elements among its threads;
+    every such dot in the package is summed in fixed chunks instead.
+    """
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    split = ["--mesh", workdir / "split.off", "--phases", workdir / "labels.txt"]
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = workdir / f"threads_{threads}"
+        args = ["minimize", *split, *PINNED_MINIMIZE, "--out-dir", out_dir]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(tests), *map(str, args)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append([run.stdout] + [(out_dir / name).read_bytes() for name in ("state.json", "trajectory.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_minimize_without_iterations_writes_the_trajectory_header(workdir):
