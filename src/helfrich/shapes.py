@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import TriMesh
+from .mesh import TriMesh, _stable_argsort
 
 __all__ = [
     "icosphere",
@@ -54,15 +54,21 @@ def _subdivide_on_sphere(verts, faces, levels, radius):
     for _ in range(levels):
         # edges ab, bc, ca of every face, in face order; midpoints are
         # numbered by first visit
+        nv = len(verts)
         a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
-        key = np.minimum(a, b) * len(verts) + np.maximum(a, b)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        number = np.empty_like(order)
-        number[order] = np.arange(len(order)) + len(verts)
-        p = verts[a[first[order]]] + verts[b[first[order]]]
+        order, key = _stable_argsort(np.minimum(a, b) * nv + np.maximum(a, b), nv * nv)
+        # a stable sort puts each edge's first visit first among its half-edges
+        starts = np.concatenate([[True], key[1:] != key[:-1]])
+        head = order[starts]
+        first = np.zeros(len(a), dtype=bool)
+        first[head] = True
+        number = np.cumsum(first) + (nv - 1)  # a midpoint's number, at its first visit
+        mid = np.empty_like(a)
+        mid[order] = number[head][np.cumsum(starts) - 1]
+        visits = np.flatnonzero(first)
+        p = verts[a[visits]] + verts[b[visits]]
         verts = np.vstack([verts, p / np.sqrt(np.vecdot(p, p))[:, None]])
-        ab, bc, ca = number[inverse].reshape(-1, 3).T
+        ab, bc, ca = mid.reshape(-1, 3).T
         i, j, k = faces.T
         faces = np.stack([i, ab, ca, ab, j, bc, ca, bc, k, ab, bc, ca], axis=1).reshape(-1, 3)
     return TriMesh(radius * verts, faces)

@@ -4,6 +4,7 @@ import pytest
 from helfrich import shapes
 from helfrich.curvature import curvature_field, geometry
 from helfrich.energy import _split
+from helfrich.errors import InconsistentOrientation, NonManifold
 from helfrich.mesh import TriMesh, _cross, _dot
 
 
@@ -59,6 +60,52 @@ def face_corners(mesh):
     The oracles gather them here, apart from the geometry record.
     """
     return tuple(mesh.vertices[mesh.faces[:, c]] for c in range(3))
+
+
+def stable_argsort_pairing(faces, n_vertices):
+    """Half-edge pairing by a stable argsort of the edge keys: the reference of ``TriMesh``'s one sort.
+
+    Returns (origin, twin, edges, edge_faces, edge_half) as
+    ``TriMesh._build_half_edges`` computed them with
+    ``np.argsort(kind="stable")``, and raises where it raised, with the
+    same class and message.
+    """
+    f = np.asarray(faces, dtype=np.int64)
+    nh = 3 * len(f)
+    origin = f.ravel()
+    dest = f[:, [1, 2, 0]].ravel()
+    lo = np.minimum(origin, dest)
+    hi = np.maximum(origin, dest)
+    und = lo * n_vertices + hi
+    order = np.argsort(und, kind="stable")
+    grp = np.flatnonzero(np.diff(und[order]) != 0)
+    sizes = np.diff(np.concatenate([[0], grp + 1, [nh]]))
+    if (sizes > 2).any():
+        raise NonManifold("edge with more than two incident faces")
+    if (sizes < 2).any():
+        raise NonManifold("boundary edge in closed mesh")
+    h1, h2 = order[0::2], order[1::2]
+    if (origin[h1] == origin[h2]).any():
+        raise InconsistentOrientation("shared edge traversed twice in the same direction")
+    twin = np.empty(nh, dtype=np.int64)
+    twin[h1] = h2
+    twin[h2] = h1
+    twin_face = (twin // 3).reshape(-1, 3)
+    if ((twin_face[:, 0] == twin_face[:, 1]) & (twin_face[:, 1] == twin_face[:, 2])).any():
+        raise NonManifold("duplicated face (same vertex triple)")
+    edges = np.column_stack([lo[h1], hi[h1]])
+    edge_faces = np.column_stack([h1 // 3, h2 // 3])
+    edge_half = (h1 % 3) * len(f) + h1 // 3
+    return origin, twin, edges, edge_faces, edge_half
+
+
+def stable_argsort_neighbors(faces, n_vertices):
+    """``TriMesh.vertex_neighbors``' CSR by a stable argsort of the half-edge origins."""
+    f = np.asarray(faces, dtype=np.int64)
+    origin = f.ravel()
+    order = np.argsort(origin, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(origin, minlength=n_vertices))])
+    return offsets, f[:, [1, 2, 0]].ravel()[order]
 
 
 def overlap_brute(support_a, support_b, eps):

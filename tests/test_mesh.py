@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,12 +29,20 @@ from helfrich.mesh import (
     _max_pair_d2,
     _norm,
     _scatter,
+    _stable_argsort,
     diameter,
     enclosed_volume,
 )
 from helfrich.shapes import _ICO_FACES, _ICO_VERTS
 
-from conftest import face_corners, rotation_matrix, sample_mesh, total_area
+from conftest import (
+    face_corners,
+    rotation_matrix,
+    sample_mesh,
+    stable_argsort_neighbors,
+    stable_argsort_pairing,
+    total_area,
+)
 
 
 def test_octahedron_valid():
@@ -272,6 +281,176 @@ def test_pinched_vertex_rejected():
     with pytest.raises(NonManifold):
         TriMesh(verts, np.vstack([a.faces, fb]))
     assert not _same_link_verdict(*_half_edges_only(verts, np.vstack([a.faces, fb])))
+
+
+def _stable_argsort_oracle(key):
+    order = np.argsort(key, kind="stable")
+    return order, key[order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=hnp.arrays(np.int64, st.integers(0, 300), elements=st.integers(0, 40)),
+    extra=st.integers(0, 1000),
+)
+def test_stable_argsort_matches_numpy_on_keys_with_ties(key, extra):
+    # few distinct keys, so most of them repeat; any bound above the largest key
+    got = _stable_argsort(key, int(key.max(initial=0)) + 1 + extra)
+    for a, b in zip(got, _stable_argsort_oracle(key)):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    key=hnp.arrays(
+        np.int64, st.integers(1, 60),
+        elements=st.one_of(st.integers(0, 3), st.integers(2**62 - 4, 2**62 - 1)),
+    ),
+    over=st.integers(1, 2**62),
+)
+def test_stable_argsort_falls_back_when_packed_keys_would_overflow(key, over):
+    want = _stable_argsort_oracle(key)
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+        got = _stable_argsort(key, -(-(2**63) // len(key)) + over)  # bound * n > 2**63
+    assert spy.call_count == 1 and spy.call_args.kwargs == {"kind": "stable"}
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_stable_argsort_packs_while_bound_times_n_is_at_most_2_to_the_63():
+    key = np.array([2**61 - 1, 0, 2**61 - 1, 5])
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+        got = _stable_argsort(key, 2**61)  # the largest packed value is 2**63 - 1
+    assert spy.call_count == 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, _stable_argsort_oracle(key)))
+
+
+_PAIRING_SHAPES = {
+    **_GLUE_SHAPES,
+    "icosphere2": lambda: shapes.icosphere(2),
+    "octasphere2": lambda: shapes.octasphere(2),
+    "capsule": lambda: shapes.capsule(0.5, 2.0, 6, 2, 3),
+}
+
+
+@st.composite
+def _renumbered_mesh(draw):
+    """One or two closed shapes side by side, with a mutation, renumbered.
+
+    Mutations: none; a face dropped (boundary edges), flipped (inconsistent
+    orientation) or joined by one or two faces on one of its edges; a reversed
+    face pair standing alone (duplicated face); one vertex of the second
+    shape glued onto the first (pinched vertex). Then the vertices, the
+    faces and each face's corners are drawn in a new order.
+    """
+    names = draw(st.lists(st.sampled_from(sorted(_PAIRING_SHAPES)), min_size=1, max_size=2), label="shapes")
+    parts = [_PAIRING_SHAPES[name]() for name in names]
+    verts = np.vstack([m.vertices + np.array([5.0 * i, 0.0, 0.0]) for i, m in enumerate(parts)])
+    offsets = np.cumsum([0] + [m.n_vertices for m in parts])
+    faces = np.vstack([m.faces + o for m, o in zip(parts, offsets)])
+    kinds = ["none", "drop", "flip", "faces on an edge", "reversed pair"] + ["pinch"] * (len(parts) == 2)
+    kind = draw(st.sampled_from(kinds), label="mutation")
+    i = draw(st.integers(0, parts[0].n_faces - 1), label="face")
+    if kind == "drop":
+        faces = np.delete(faces, i, axis=0)
+    elif kind == "flip":
+        faces[i] = faces[i, ::-1]
+    elif kind == "faces on an edge":
+        a, b = faces[i, :2]
+        d = draw(st.integers(0, parts[0].n_vertices - 1).filter(lambda d: d not in faces[i]), label="apex")
+        # three faces on edge ab, or four, whose half-edges pair up two by two
+        faces = np.vstack([faces, [(b, a, d), (a, b, d)][: draw(st.integers(1, 2), label="added")]])
+    elif kind == "reversed pair":
+        n = len(verts)
+        verts = np.vstack([verts, [(-5.0, 0.0, 0.0), (-4.0, 0.0, 0.0), (-5.0, 1.0, 0.0)]])
+        faces = np.vstack([faces, [(n, n + 1, n + 2), (n, n + 2, n + 1)]])
+    elif kind == "pinch":
+        a = draw(st.integers(0, parts[0].n_vertices - 1), label="glued in a")
+        b = draw(st.integers(offsets[1], offsets[2] - 1), label="glued in b")
+        faces[faces == b] = a
+    used, compact = np.unique(faces, return_inverse=True)
+    perm = np.array(draw(st.permutations(range(len(used))), label="numbering"), dtype=np.int64)
+    renamed = np.empty((len(used), 3))
+    renamed[perm] = verts[used]
+    faces = perm[compact.reshape(faces.shape)]
+    faces = faces[np.array(draw(st.permutations(range(len(faces))), label="face order"), dtype=np.int64)]
+    turns = draw(hnp.arrays(np.int64, len(faces), elements=st.integers(0, 2)), label="corner turns")
+    faces = faces[np.arange(len(faces))[:, None], (np.arange(3) + turns[:, None]) % 3]
+    return kind, renamed, faces
+
+
+def _reference_build(vertices, faces):
+    """The reference pairing and, on its twins, the fan check: (origin, twin, edges, edge_faces, edge_half)."""
+    origin, twin, *connectivity = stable_argsort_pairing(faces, len(vertices))
+    ref = object.__new__(TriMesh)
+    ref.vertices = vertices
+    ref._validate_vertex_links(origin, twin)
+    return (origin, twin, *connectivity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_renumbered_mesh())
+def test_one_sort_pairs_like_the_stable_argsort(case):
+    kind, vertices, faces = case
+    try:
+        want = _reference_build(vertices, faces)
+    except (NonManifold, InconsistentOrientation) as exc:
+        assert kind != "none"
+        with pytest.raises(type(exc)) as got:
+            TriMesh(vertices, faces)
+        assert str(got.value) == str(exc)
+        return
+    assert kind == "none"
+    mesh = TriMesh(vertices, faces)
+    half_edges = _half_edges_only(vertices, faces)[1]
+    got = (*half_edges, mesh.edges, mesh.edge_faces, mesh._edge_half)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for a, b in zip(mesh.vertex_neighbors(), stable_argsort_neighbors(faces, len(vertices))):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _shape_cases():
+    for level in range(7):
+        yield f"icosphere{level}", lambda level=level: shapes.icosphere(level)
+        yield f"octasphere{level}", lambda level=level: shapes.octasphere(level)
+    yield "torus", shapes.torus
+    yield "capsule", shapes.capsule
+    yield "two_spheres_touching", shapes.two_spheres_touching
+
+
+@pytest.mark.parametrize("name, build", list(_shape_cases()), ids=[name for name, _ in _shape_cases()])
+def test_shapes_pair_like_the_stable_argsort(name, build):
+    mesh = build()
+    _, _, *want = stable_argsort_pairing(mesh.faces, mesh.n_vertices)
+    want += stable_argsort_neighbors(mesh.faces, mesh.n_vertices)
+    got = (mesh.edges, mesh.edge_faces, mesh._edge_half, *mesh.vertex_neighbors())
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("value, why", [
+    (0.4, "0.4 is not an integer"),
+    (np.nan, "nan is not an integer"),
+    (np.inf, "inf is not an integer"),
+    (-np.inf, "-inf is not an integer"),
+    (2.0**63, r"9\.223372036854776e\+18 is out of range for 6 vertices"),
+    (-1e19, r"-1e\+19 is out of range for 6 vertices"),
+])
+def test_non_integral_face_values_are_rejected(value, why):
+    # 0.4 was once truncated to vertex 0 and the mesh built; NaN, inf and
+    # 2^63 made the cast warn and become vertex -2^63
+    octa = shapes.octasphere(0)
+    faces = octa.faces.astype(np.float64)
+    faces[3, 1] += value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IndexOutOfRange, match=rf"^face 3: vertex index {why}$"):
+            TriMesh(octa.vertices, faces)
+        with pytest.raises(IndexOutOfRange, match=rf"^face 3: vertex index {why}$"):
+            TriMesh(octa.vertices, faces.tolist())
+    # integral floats are indices
+    built = TriMesh(octa.vertices, octa.faces.astype(np.float64))
+    assert built.faces.dtype == np.int64 and np.array_equal(built.faces, octa.faces)
 
 
 def _scipy_components(edges, n):
