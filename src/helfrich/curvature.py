@@ -70,10 +70,9 @@ class CurvatureField:
         total angle defect, exactly.
     kappa1, kappa2 : (V,) ndarray
         Principal curvatures, ``kappa1 >= kappa2``.
-    direction1, direction2 : (V, 3) ndarray
-        Principal directions (unit, tangent, orthogonal).
     shape_operator : (V, 3, 3) ndarray
-        ``kappa1 d1 d1^T + kappa2 d2 d2^T``.
+        ``kappa1 d1 d1^T + kappa2 d2 d2^T``, d1 and d2 the principal
+        directions (unit, tangent, orthogonal).
     clamped : (V,) bool ndarray
         Vertices where H was reconciled with K (negative discriminant).
 
@@ -101,14 +100,6 @@ class CurvatureField:
     @cached_property
     def _directions(self):
         return _principal_directions(self.mesh, self.normal)
-
-    @property
-    def direction1(self):
-        return self._directions[0]
-
-    @property
-    def direction2(self):
-        return self._directions[1]
 
     @cached_property
     def shape_operator(self):

@@ -37,7 +37,7 @@ from .energy import _phase_split
 from .errors import DegenerateConfiguration
 from .mesh import _columns, _cross, _dot, _scatter, _vdot
 
-__all__ = ["energy_and_gradient", "total_energy"]
+__all__ = ["energy_and_gradient"]
 
 # Faces per slice of the gradient's face-local stage: a (3, n) row block
 # of a slice is 384 KiB, so the stage's temporaries take about 10 MiB at
@@ -75,11 +75,6 @@ def _energy_pass(mesh, phases, params_list):
         G_K = w @ gamma
     E = float(_vdot(geo.a, G) + _vdot(coeff, iface.length))
     return E, (G, G_H, G_K, w, gp, iface, coeff)
-
-
-def total_energy(mesh, phases, params_list):
-    """Discrete total energy at the mesh's current positions (fast path)."""
-    return _energy_pass(mesh, phases, params_list)[0]
 
 
 def energy_and_gradient(mesh, phases, params_list):

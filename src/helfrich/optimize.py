@@ -7,25 +7,32 @@ the augmented Lagrangian (Nocedal & Wright, *Numerical Optimization*,
 ch. 7 and 17). The inner direction comes from the two-loop recursion over
 the last ``_MEMORY`` pairs of position and gradient changes, a memory that
 is cleared at every multiplier update. The run moves between evaluated
-points: ``_trial`` builds a trial mesh, rejects it when it is degenerate
-or breaks the mesh-quality guard, and computes its energy terms
-(``gradient._energy_pass``) and constraint values once; an accepted
-point's energy terms feed the next gradient assembly, and its values the
+points: a ``_Point`` holds a mesh, its energy E, the energy-pass terms
+(``gradient._energy_pass``) and its constraint values c. ``_trial``
+builds a trial mesh, rejects it when it is degenerate or breaks the
+mesh-quality guard, and evaluates it once as a ``_Point``; an accepted
+point's terms feed the next gradient assembly, and its E and c the
 multiplier update and the run's final energy and augmented Lagrangian.
-``_line_search`` backtracks (Armijo) along the L-BFGS direction from the
-unit step and, when the memory is empty, the direction is not a descent
-direction or it fails ``_LBFGS_TRIALS`` trials (the memory is then
-cleared), along steepest descent from the last steepest step grown by
-``_STEP_GROW``. Rigid translations are projected out of every descent
-direction; rotations are left free. Phase labels never change during a
-run. The gradient tolerances and the first steepest step are in units of
+``_inner_round`` runs one outer round's inner iterations from a point:
+the gradient and constraint-gradient assembly, the L-BFGS pair update,
+the trajectory row, the search and the step growth. ``_line_search``
+backtracks (Armijo) along the L-BFGS direction from the unit step and,
+when the memory is empty, the direction is not a descent direction or it
+fails ``_LBFGS_TRIALS`` trials (the memory is then cleared), along
+steepest descent from the last steepest step grown by ``_STEP_GROW``.
+``minimize`` holds the outer loop: the input checks, the start point,
+the multiplier and penalty update, the no-overlap gate and the end state.
+Rigid translations are projected out of every descent direction;
+rotations are left free. Phase labels never change during a run. The
+gradient tolerances and the first steepest step are in units of
 R = sqrt(target area / 4 pi), so a change of length unit changes nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
@@ -87,11 +94,24 @@ class RunConfig:
     penalty_growth: float = 10.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         for name in ("grad_tol", "constraint_tol", "penalty_init", "penalty_growth"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0")
-        if self.max_iterations < 0:
+        if self.penalty_growth < 1:
+            raise ValueError("penalty_growth must be >= 1")
+        try:
+            n = int(self.max_iterations)
+        except (OverflowError, ValueError):  # inf, nan
+            n = None
+        if n is None or n != self.max_iterations:
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        if n < 0:
             raise ValueError("max_iterations must be >= 0")
+        object.__setattr__(self, "max_iterations", n)  # 3.0 is stored as 3
 
 
 @dataclass
@@ -132,6 +152,12 @@ class OptimizerState:
     'max_iterations' (budget spent), 'outer_limit' (every outer round ran
     before the budget was spent) or 'no_overlap_violation' (a no-overlap
     gate failed).
+
+    ``grad_norm`` is the last rms gradient the run computed (inf when it
+    ran no iteration). A round that ended 'grad_tol' or 'stalled' measured
+    it at the end mesh; after 'inner_cap' or 'budget' it belongs to the
+    point before the last accepted step, since no gradient is assembled
+    at a point the run does not iterate from.
     """
 
     mesh: object
@@ -158,13 +184,6 @@ def _quality_fault(geo):
     if min_deg < _MIN_ANGLE_DEG:
         return f"min angle {min_deg:.3g} deg < {_MIN_ANGLE_DEG} in face {geo.min_angle_face}"
     return None
-
-
-def _check_quality(mesh):
-    """Raise QualityCollapse when a start mesh breaks the guard."""
-    fault = _quality_fault(geometry(mesh))
-    if fault:
-        raise QualityCollapse(f"{fault} at iteration 0")
 
 
 def _diverged(iteration, phi, grad):
@@ -206,8 +225,18 @@ def _augmented(E, c, lam, rho):
     return E + lam @ c + 0.5 * rho * (c @ c)
 
 
+@dataclass
+class _Point:
+    """An evaluated position: its mesh, energy, energy-pass terms and constraint values."""
+
+    mesh: object
+    E: float
+    terms: tuple
+    c: np.ndarray
+
+
 def _trial(mesh, x, phases, params_list, con):
-    """((trial mesh, energy pass, c), None) at positions x, or (None, guard fault or None) if rejected."""
+    """(``_Point``, None) at positions x, or (None, guard fault or None) if rejected."""
     try:
         trial = mesh.with_vertices(x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -219,10 +248,10 @@ def _trial(mesh, x, phases, params_list, con):
     if fault:
         return None, fault
     try:
-        energy = _energy_pass(trial, phases, params_list)
+        E, terms = _energy_pass(trial, phases, params_list)
     except DegenerateConfiguration:  # a vertex normal vanished
         return None, None
-    return (trial, energy, con.values(trial)), None
+    return _Point(trial, E, terms, con.values(trial)), None
 
 
 def _line_search(mesh, phi, searches, lam, rho, phases, params_list, con):
@@ -231,8 +260,8 @@ def _line_search(mesh, phi, searches, lam, rho, phases, params_list, con):
     ``searches`` holds (direction, slope, first step, memory) tuples: the
     L-BFGS search, when there is one, and then steepest descent, which
     takes over after ``_LBFGS_TRIALS`` failed L-BFGS trials. Returns the
-    accepted point (or None), its step, the trial count, the memory of the
-    last search and the last guard fault among the trials.
+    accepted ``_Point`` (or None), its step, the trial count, the memory
+    of the last search and the last guard fault among the trials.
     """
     (d, slope, s, memory), trials, guard = searches[0], 0, None
     while trials < _SEARCH_TRIALS:
@@ -240,7 +269,7 @@ def _line_search(mesh, phi, searches, lam, rho, phases, params_list, con):
         point, fault = _trial(mesh, mesh.vertices + s * d, phases, params_list, con)
         guard = fault or guard
         if point is not None:
-            phi_trial = _augmented(point[1][0], point[2], lam, rho)
+            phi_trial = _augmented(point.E, point.c, lam, rho)
             if np.isfinite(phi_trial) and phi_trial <= phi + _ARMIJO_C * s * slope:
                 return point, s, trials, memory, guard
         if memory and trials == _LBFGS_TRIALS:
@@ -269,26 +298,92 @@ def _two_loop(g, pairs):
     return -q.reshape(g.shape)
 
 
+def _inner_round(point, lam, rho, step, it, outer, inner_tol, budget, R,
+                 phases, params_list, con, trajectory):
+    """One outer round's inner iterations from ``point`` at multipliers lam and penalty rho.
+
+    Appends one trajectory row per iteration, built after its search.
+    ``step`` is the steepest step carried over from the last round (None
+    before the first search) and ``it`` the run's iteration count; the
+    caller starts a round only with budget left. Returns the end point,
+    the iteration count, the steepest step, the last rms gradient and the
+    round's stop: 'grad_tol', 'inner_cap', 'stalled' or 'budget'.
+    """
+    pairs = deque(maxlen=_MEMORY)  # a round starts empty: lam or rho changed
+    last = None  # positions and gradient before the last accepted step
+    for _ in range(_INNER_ITERATIONS):
+        if it >= budget:
+            return point, it, step, grad_norm, "budget"
+        mesh, c = point.mesh, point.c
+        g = _gradient(mesh, phases, point.terms)
+        for lam_i, rho_c, gc in zip(lam, rho * c, con.gradients(mesh)):
+            g += (lam_i + rho_c) * gc
+        phi = _augmented(point.E, c, lam, rho)
+        if not (np.isfinite(phi) and np.isfinite(g).all()):
+            raise _diverged(it, phi, g)
+        _centre(g)  # translations are a null space
+        grad_norm = _rms(g)
+        if last is not None:
+            s_k = (mesh.vertices - last[0]).ravel()
+            y_k = (g - last[1]).ravel()
+            sy = float(_vdot(s_k, y_k))
+            if sy > _PAIR_COSINE * np.sqrt(_vdot(s_k, s_k)) * np.sqrt(_vdot(y_k, y_k)):
+                pairs.append((s_k, y_k, 1.0 / sy))
+        geo = geometry(mesh)  # the row's terms, formed before any trial is alive
+        reports, line = _phase_terms(mesh, geo.a, geo.H, geo.K, phases, params_list)
+        accepted, s, trials, memory = None, 0.0, 0, 0
+        at_tol = grad_norm * R < inner_tol
+        if not at_tol:
+            if step is None:
+                step = R / max(grad_norm, 1e-30)
+            gg = float(np.sum(g * g))
+            searches = [(-g, -gg, step, 0)]
+            if pairs:
+                d_qn = _two_loop(g, pairs)
+                _centre(d_qn)
+                slope_qn = float(np.sum(g * d_qn))
+                if slope_qn < 0:
+                    searches.insert(0, (d_qn, slope_qn, 1.0, len(pairs)))
+            accepted, s, trials, memory, guard = _line_search(
+                mesh, phi, searches, lam, rho, phases, params_list, con
+            )
+            if accepted is None and guard:
+                raise QualityCollapse(f"{guard} at iteration {it}: no acceptable step in {trials} trials")
+            if len(searches) > 1 and not memory:
+                pairs.clear()  # the L-BFGS search fell back
+        trajectory.append(TrajectoryPoint(
+            it, outer, point.E, phi,
+            *(sum(getattr(p, term) for p in reports) for term in ("bending", "gauss", "spontaneous")),
+            line,
+            float(c[0]) if not con.per_phase else float("nan"),
+            float(c[-1]), float(np.abs(c[:-1]).max()) if con.per_phase else 0.0,
+            rho, s if accepted is not None else 0.0, grad_norm,
+            float(np.degrees(geo.min_angle)), geo.edge_ratio,
+            36.0 * np.pi * geo.volume**2 / float(geo.area.sum()) ** 3,
+            trials, memory, int(geo.clamped.sum()), int(geo.obtuse.any(axis=0).sum()),
+        ))
+        if at_tol:
+            return point, it, step, grad_norm, "grad_tol"
+        it += 1
+        if accepted is None:
+            return point, it, step, grad_norm, "stalled"
+        if not memory:
+            step = s * _STEP_GROW
+        last = (mesh.vertices, g)
+        point = accepted
+    return point, it, step, grad_norm, "inner_cap"
+
+
 def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
     """Augmented-Lagrangian minimization of the (multi)phase energy.
 
-    Parameters
-    ----------
-    mesh0 : TriMesh
-        Starting mesh; never mutated.
-    phases : PhaseField or None
-        None for single-phase runs.
-    params_list : sequence of MaterialParams
-    cs : ConstraintSet
-    cfg : RunConfig
-
-    Returns
-    -------
-    OptimizerState
-        With the full scalar trajectory; ``termination`` is 'converged',
-        'max_iterations' (the inner-iteration budget is spent),
-        'outer_limit' (all outer rounds ran with budget left) or
-        'no_overlap_violation'.
+    ``mesh0`` (TriMesh) is the start and is never mutated; ``phases`` is a
+    PhaseField, or None for single-phase runs; ``params_list`` holds the
+    MaterialParams, ``cs`` is the ConstraintSet and ``cfg`` the RunConfig.
+    Returns an OptimizerState with the full scalar trajectory; its
+    ``termination`` is 'converged', 'max_iterations' (the inner-iteration
+    budget is spent), 'outer_limit' (all outer rounds ran with budget
+    left) or 'no_overlap_violation'.
 
     Raises
     ------
@@ -308,113 +403,44 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         )
     cs.check_phases(mesh0, phases)
     con = _Constraints(phases, cs)
-    mesh, cvals = mesh0, con.values(mesh0)  # the current point's mesh and constraint values
+    c0 = con.values(mesh0)
     if con.per_phase:
-        for c0 in cvals[:-1]:
-            if abs(c0) > 0.2:
-                raise Infeasible(
-                    f"initial phase area off target by {100 * abs(c0):.0f}% (> 20%)"
-                )
-    _check_quality(mesh0)
-    E, terms = _energy_pass(mesh0, phases, params_list)  # and its energy pass
+        for c in c0[:-1]:
+            if abs(c) > 0.2:
+                raise Infeasible(f"initial phase area off target by {100 * abs(c):.0f}% (> 20%)")
+    fault = _quality_fault(geometry(mesh0))
+    if fault:
+        raise QualityCollapse(f"{fault} at iteration 0")
+    point = _Point(mesh0, *_energy_pass(mesh0, phases, params_list), c0)
     R = float(np.sqrt(cs.area / (4.0 * np.pi)))  # radius of a sphere of the target area
-    lam = np.zeros(len(cvals))
-    rho = cfg.penalty_init
-    step = None  # steepest-descent step length, grown after each steepest accept
-    pairs = deque(maxlen=_MEMORY)
-    trajectory = []
-    overlap_log = []
-    inner_stops = []
-    it = 0
-    grad_norm = np.inf
+    lam, rho = np.zeros(len(c0)), cfg.penalty_init
+    step, it, grad_norm, prev_cnorm = None, 0, np.inf, np.inf
+    trajectory, overlap_log, inner_stops = [], [], []
     termination = "max_iterations"
-    prev_cnorm = np.inf
-
     for outer in range(_OUTER_ITERATIONS):
         if it >= cfg.max_iterations:
             break
         inner_tol = max(cfg.grad_tol, cfg.grad_tol * 100.0 * 0.25**outer)
-        pairs.clear()  # the multipliers or rho changed since these pairs
-        last = None  # positions and gradient before the last accepted step
-        stop = "inner_cap"
-        for _ in range(_INNER_ITERATIONS):
-            if it >= cfg.max_iterations:
-                stop = "budget"
-                break
-            g = _gradient(mesh, phases, terms)
-            for lam_i, rho_c, gc in zip(lam, rho * cvals, con.gradients(mesh)):
-                g += (lam_i + rho_c) * gc
-            phi = _augmented(E, cvals, lam, rho)
-            if not (np.isfinite(phi) and np.isfinite(g).all()):
-                raise _diverged(it, phi, g)
-            _centre(g)  # translations are a null space
-            grad_norm = _rms(g)
-            if last is not None:
-                s_k = (mesh.vertices - last[0]).ravel()
-                y_k = (g - last[1]).ravel()
-                sy = float(_vdot(s_k, y_k))
-                if sy > _PAIR_COSINE * np.sqrt(_vdot(s_k, s_k)) * np.sqrt(_vdot(y_k, y_k)):
-                    pairs.append((s_k, y_k, 1.0 / sy))
-            res_phase = float(np.abs(cvals[:-1]).max()) if con.per_phase else 0.0
-            geo = geometry(mesh)
-            reports, line = _phase_terms(mesh, geo.a, geo.H, geo.K, phases, params_list)
-            point = TrajectoryPoint(
-                it, outer, E, phi,
-                *(sum(getattr(p, term) for p in reports) for term in ("bending", "gauss", "spontaneous")),
-                line,
-                float(cvals[0]) if not con.per_phase else float("nan"),
-                float(cvals[-1]), res_phase, rho, 0.0, grad_norm,
-                float(np.degrees(geo.min_angle)), geo.edge_ratio,
-                36.0 * np.pi * geo.volume**2 / float(geo.area.sum()) ** 3,
-                0, 0, int(geo.clamped.sum()), int(geo.obtuse.any(axis=0).sum()),
-            )
-            trajectory.append(point)
-            if grad_norm * R < inner_tol:
-                stop = "grad_tol"
-                break
-            if step is None:
-                step = R / max(grad_norm, 1e-30)
-            gg = float(np.sum(g * g))
-            searches = [(-g, -gg, step, 0)]
-            if pairs:
-                d_qn = _two_loop(g, pairs)
-                _centre(d_qn)
-                slope_qn = float(np.sum(g * d_qn))
-                if slope_qn < 0:
-                    searches.insert(0, (d_qn, slope_qn, 1.0, len(pairs)))
-            accepted, s, trials, memory, guard = _line_search(
-                mesh, phi, searches, lam, rho, phases, params_list, con
-            )
-            point.trials, point.memory = trials, memory
-            if accepted is None and guard:
-                raise QualityCollapse(f"{guard} at iteration {it}: no acceptable step in {trials} trials")
-            if len(searches) > 1 and not memory:
-                pairs.clear()  # the L-BFGS search fell back
-            it += 1
-            if accepted is None:
-                stop = "stalled"
-                break
-            point.step = s
-            if not memory:
-                step = s * _STEP_GROW
-            last = (mesh.vertices, g)
-            mesh, (E, terms), cvals = accepted
+        # the round holds its start point alone: its mesh and record go once it moves on
+        held, point = [point], None
+        point, it, step, grad_norm, stop = _inner_round(
+            held.pop(), lam, rho, step, it, outer, inner_tol, cfg.max_iterations, R,
+            phases, params_list, con, trajectory,
+        )
         inner_stops.append(stop)
         # multiplier update and penalty management
-        cnorm = float(np.abs(cvals).max())
-        lam = lam + rho * cvals
+        cnorm = float(np.abs(point.c).max())
+        lam = lam + rho * point.c
         if cnorm > 0.25 * prev_cnorm and rho < _PENALTY_MAX:
             rho = min(rho * cfg.penalty_growth, _PENALTY_MAX)
         prev_cnorm = cnorm
         if phases is not None and cs.overlap_eps0 > 0 and phases.n_phases >= 2:
             gates = []
-            supports = [phase_support(mesh, phases, p) for p in range(1, phases.n_phases + 1)]
+            supports = [phase_support(point.mesh, phases, p) for p in range(1, phases.n_phases + 1)]
             for i, sa in enumerate(supports):
                 for sb in supports[i + 1:]:
                     try:
-                        gates.append(
-                            no_overlap_check(sa, sb, cs.overlap_eps0, n_eps=_OVERLAP_SAMPLES)
-                        )
+                        gates.append(no_overlap_check(sa, sb, cs.overlap_eps0, n_eps=_OVERLAP_SAMPLES))
                     except InsufficientSamples:
                         # eps0 below mesh resolution: the scaling gate is
                         # meaningless at this refinement; recorded as None
@@ -430,24 +456,19 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         if it < cfg.max_iterations:
             termination = "outer_limit"
 
-    res = con.residuals(mesh, cvals)  # the kept values of the end point
-    mult = {"volume": float(lam[-1])}
-    if con.per_phase:
-        mult["phase_areas"] = [float(x) for x in lam[:-1]]
-    else:
-        mult["area"] = float(lam[0])
-    report = multiphase_energy(mesh, curvature_field(mesh), phases, params_list)
+    mesh, E, c = point.mesh, point.E, point.c
+    area_mult = {"phase_areas": [float(x) for x in lam[:-1]]} if con.per_phase else {"area": float(lam[0])}
     return OptimizerState(
         mesh=mesh,
         iteration=it,
         energy=E,
-        augmented=float(_augmented(E, cvals, lam, rho)),
-        residuals=res,
-        multipliers=mult,
+        augmented=float(_augmented(E, c, lam, rho)),
+        residuals=con.residuals(mesh, c),  # the kept values of the end point
+        multipliers={"volume": float(lam[-1]), **area_mult},
         penalty=rho,
         grad_norm=grad_norm,
         termination=termination,
-        energy_report=report,
+        energy_report=multiphase_energy(mesh, curvature_field(mesh), phases, params_list),
         trajectory=trajectory,
         overlap_verdicts=overlap_log,
         inner_stops=inner_stops,

@@ -22,7 +22,6 @@ __all__ = [
     "capsule",
     "jittered",
     "equator_phase_labels",
-    "two_spheres_touching",
     "standard_corpus",
 ]
 
@@ -190,20 +189,6 @@ def equator_phase_labels(mesh):
     z0 += z2
     z0 /= 3.0
     return np.where(z0 > 0.0, 1, 2).astype(np.int64)
-
-
-def two_spheres_touching(level=3, radius=1.0):
-    """Two spheres tangent at the origin (one mesh, two components).
-
-    Octahedral spheres carry their poles as vertices, so the tangent point
-    is an exact vertex of both components: point multiplicity two.
-    """
-    a = octasphere(level, radius)
-    b = octasphere(level, radius)
-    va = a.vertices + np.array([0.0, 0.0, radius])
-    vb = b.vertices - np.array([0.0, 0.0, radius])
-    faces = np.vstack([a.faces, b.faces + len(va)])
-    return TriMesh(np.vstack([va, vb]), faces)
 
 
 def standard_corpus():

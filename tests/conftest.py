@@ -5,6 +5,7 @@ from helfrich import shapes
 from helfrich.curvature import curvature_field, geometry
 from helfrich.energy import _split
 from helfrich.errors import InconsistentOrientation, NonManifold
+from helfrich.gradient import _energy_pass
 from helfrich.mesh import TriMesh, _cross, _dot
 
 
@@ -33,6 +34,25 @@ def split_sphere():
 def split_sphere5():
     mesh = shapes.octasphere(5)
     return mesh, shapes.equator_phase_labels(mesh)
+
+
+def total_energy(mesh, phases, params_list):
+    """Discrete total energy at the mesh's positions: the E of its energy pass."""
+    return _energy_pass(mesh, phases, params_list)[0]
+
+
+def two_spheres_touching(level=3, radius=1.0):
+    """Two spheres tangent at the origin (one mesh, two components).
+
+    Octahedral spheres carry their poles as vertices, so the tangent point
+    is an exact vertex of both components: point multiplicity two.
+    """
+    a = shapes.octasphere(level, radius)
+    b = shapes.octasphere(level, radius)
+    va = a.vertices + np.array([0.0, 0.0, radius])
+    vb = b.vertices - np.array([0.0, 0.0, radius])
+    faces = np.vstack([a.faces, b.faces + len(va)])
+    return TriMesh(np.vstack([va, vb]), faces)
 
 
 def total_area(mesh):

@@ -19,7 +19,6 @@ from helfrich.constraints import ConstraintSet, no_overlap_check, overlap_measur
 from helfrich.curvature import curvature_field
 from helfrich.density import MaterialParams, convexity_check, f_ch, hessian
 from helfrich.energy import PhaseField, canham_helfrich, multiphase_energy, willmore
-from helfrich.gradient import energy_and_gradient, total_energy
 from helfrich.mesh import enclosed_volume
 from helfrich.optimize import RunConfig, minimize
 

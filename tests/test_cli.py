@@ -629,6 +629,24 @@ def test_minimize_negative_max_iterations_exits_1(workdir, capsys):
     assert "max_iterations must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
+        ("max_iterations", True, "max_iterations must be a number, got True"),
+        ("grad_tol", True, "grad_tol must be a number, got True"),
+        ("grad_tol", "0.1", "grad_tol must be a number, got '0.1'"),
+        ("penalty_growth", 0.5, "penalty_growth must be >= 1"),
+    ],
+)
+def test_minimize_config_rejects_bad_run_values(workdir, capsys, key, value, message):
+    config = {"mesh": str(workdir / "sphere.off"), "params": [{"beta": 1.0}],
+              "constraints": {"area": 12.5, "volume": 4.1}, "run": {key: value}}
+    (workdir / "run_values.cfg.json").write_text(dumps(config))
+    assert run(["minimize", "--config", workdir / "run_values.cfg.json"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # sha256 of every output a subcommand writes; a change to the JSON or CSV
 # layout, to the float format or to any value shows here
 PINNED_OUTPUTS = {

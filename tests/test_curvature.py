@@ -101,10 +101,11 @@ def test_principal_curvature_product_and_sum(icosphere4_curv):
 
 def test_principal_directions_orthonormal(icosphere4_curv):
     c = icosphere4_curv
-    for d in (c.direction1, c.direction2):
+    d1, d2 = c._directions
+    for d in (d1, d2):
         assert np.abs(np.linalg.norm(d, axis=1) - 1).max() < 1e-9
         assert np.abs(np.einsum("vi,vi->v", d, c.normal)).max() < 1e-9
-    assert np.abs(np.einsum("vi,vi->v", c.direction1, c.direction2)).max() < 1e-9
+    assert np.abs(np.einsum("vi,vi->v", d1, d2)).max() < 1e-9
 
 
 def test_degenerate_one_ring_raises():
@@ -153,7 +154,7 @@ def test_tensors_run_the_fit_once(fit_calls):
     A = curv.curvature_tensor
     assert len(fit_calls) == 1
     assert curv.curvature_tensor is A
-    for name in ("direction1", "direction2", "shape_operator", "second_fundamental_form"):
+    for name in ("_directions", "shape_operator", "second_fundamental_form"):
         getattr(curv, name)
     assert len(fit_calls) == 1
 
@@ -175,7 +176,8 @@ def test_ignored_tensors_keyword_keeps_the_bits():
     # the sphere_minimize workload of bench/workloads.py still passes tensors=False
     mesh = shapes.jittered(shapes.icosphere(3), 0.01, 0)
     old, new = curvature_field(mesh, tensors=False), curvature_field(mesh)
-    for name in ("direction1", "direction2", "shape_operator", "second_fundamental_form", "curvature_tensor"):
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(old._directions, new._directions))
+    for name in ("shape_operator", "second_fundamental_form", "curvature_tensor"):
         a, b = getattr(old, name), getattr(new, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -282,10 +284,11 @@ def test_principal_directions_match_assembled_oracle(kind, amplitude, seed):
     frame = (curv.kappa1 - curv.kappa2) * np.minimum(2.0, 1e-14 / np.maximum(gap, 1e-300))
     err = np.abs(S - S_oracle).max(axis=(1, 2))
     assert (err <= 1e-12 * np.abs(S).max() + frame).all()
-    for d in (curv.direction1, curv.direction2):
+    f1, f2 = curv._directions
+    for d in (f1, f2):
         assert np.abs(np.linalg.norm(d, axis=1) - 1.0).max() < 1e-12
         assert np.abs(np.einsum("vi,vi->v", d, curv.normal)).max() < 1e-12
-    assert np.abs(np.einsum("vi,vi->v", curv.direction1, curv.direction2)).max() < 1e-12
+    assert np.abs(np.einsum("vi,vi->v", f1, f2)).max() < 1e-12
 
 
 @settings(max_examples=50, deadline=None)

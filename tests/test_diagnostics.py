@@ -20,6 +20,7 @@ from helfrich.diagnostics import (
     verify_pointwise,
 )
 
+from conftest import two_spheres_touching
 from test_first_variation import first_variation
 
 FOUR_PI = 4 * np.pi
@@ -168,7 +169,7 @@ def test_li_yau_sphere_equality(icosphere4, icosphere4_curv):
 
 
 def test_li_yau_two_touching_spheres():
-    mesh = shapes.two_spheres_touching(level=3)
+    mesh = two_spheres_touching(level=3)
     curv = curvature_field(mesh)
     (rec,) = verify_li_yau(mesh, curv, multiplicity_hint=2)
     assert rec.passed

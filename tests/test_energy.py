@@ -15,10 +15,9 @@ from helfrich.energy import (
     willmore,
 )
 from helfrich.errors import PhaseCountMismatch
-from helfrich.gradient import total_energy
 from helfrich.mesh import TriMesh
 
-from conftest import interface_kink
+from conftest import interface_kink, total_energy
 
 FOUR_PI = 4 * np.pi
 

@@ -11,10 +11,10 @@ from helfrich.constraints import ConstraintSet
 from helfrich.energy import PhaseField, multiphase_energy, canham_helfrich
 from helfrich.curvature import curvature_field
 from helfrich.errors import DegenerateConfiguration, PhaseCountMismatch
-from helfrich.gradient import energy_and_gradient, total_energy
+from helfrich.gradient import energy_and_gradient
 from helfrich.optimize import _Constraints
 
-from conftest import flat_cube_faces, interface_kink, rotation_matrix
+from conftest import flat_cube_faces, interface_kink, rotation_matrix, total_energy
 
 # criterion 7's split-sphere material sets
 SPLIT_PARAMS = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]

@@ -42,6 +42,7 @@ from conftest import (
     stable_argsort_neighbors,
     stable_argsort_pairing,
     total_area,
+    two_spheres_touching,
 )
 
 
@@ -415,7 +416,7 @@ def _shape_cases():
         yield f"octasphere{level}", lambda level=level: shapes.octasphere(level)
     yield "torus", shapes.torus
     yield "capsule", shapes.capsule
-    yield "two_spheres_touching", shapes.two_spheres_touching
+    yield "two_spheres_touching", two_spheres_touching
 
 
 @pytest.mark.parametrize("name, build", list(_shape_cases()), ids=[name for name, _ in _shape_cases()])
@@ -488,7 +489,7 @@ def _disjoint_union(meshes):
 def _component_cases():
     """name -> (mesh, known component count)."""
     cases = {name: (mesh, 1) for name, (mesh, _) in shapes.standard_corpus().items()}
-    cases["two_spheres_touching"] = (shapes.two_spheres_touching(), 2)
+    cases["two_spheres_touching"] = (two_spheres_touching(), 2)
     spheres = [shapes.icosphere(1), shapes.octasphere(2), shapes.icosphere(2), shapes.octasphere(0)]
     for k in range(1, 5):
         cases[f"union{k}"] = (_disjoint_union(spheres[:k]), k)

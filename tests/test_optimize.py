@@ -27,7 +27,7 @@ from helfrich.errors import (
     PhaseCountMismatch,
     QualityCollapse,
 )
-from helfrich.gradient import _gradient, energy_and_gradient, total_energy
+from helfrich.gradient import _gradient, energy_and_gradient
 from helfrich.mesh import TriMesh, enclosed_volume
 from helfrich.optimize import (
     _ARMIJO_C,
@@ -36,7 +36,6 @@ from helfrich.optimize import (
     RunConfig,
     _augmented,
     _centre,
-    _check_quality,
     _Constraints,
     _line_search,
     _quality_fault,
@@ -46,7 +45,7 @@ from helfrich.optimize import (
     minimize,
 )
 
-from conftest import face_corners, rotation_matrix, sample_mesh, total_area
+from conftest import face_corners, rotation_matrix, sample_mesh, total_area, total_energy
 
 WILLMORE = [MaterialParams(1.0, 0.0, 0.0)]
 
@@ -82,6 +81,38 @@ def test_run_config_rejects_non_finite_floats(name, value):
     # 0 iterations at rho 1e12, and penalty_init nan raised Diverged
     with pytest.raises(ValueError, match=f"^{name} must be finite and > 0$"):
         RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["max_iterations", "grad_tol", "constraint_tol", "penalty_init", "penalty_growth"])
+@pytest.mark.parametrize("value", [True, False, "3", None])
+def test_run_config_rejects_bools_and_non_numbers(name, value):
+    # a max_iterations of true once ran 1 iteration, a grad_tol of true was
+    # read as 1.0, and a string or None raised a TypeError naming no field
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+        RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 1e-300, float("nan"), float("inf")])
+def test_run_config_rejects_a_budget_that_is_not_whole(value):
+    # a budget of 2.5 once ran 3 iterations and reported max_iterations
+    with pytest.raises(ValueError, match="^max_iterations must be an integer, got "):
+        RunConfig(max_iterations=value)
+
+
+def test_run_config_stores_a_whole_float_budget_as_an_int():
+    cfg = RunConfig(max_iterations=3.0)
+    assert type(cfg.max_iterations) is int and cfg.max_iterations == 3
+    mesh = shapes.jittered(shapes.icosphere(1), 0.01, seed=1)
+    cs = ConstraintSet(area=total_area(mesh), volume=enclosed_volume(mesh) * 0.99)
+    assert minimize(mesh, None, WILLMORE, cs, cfg).iteration == 3
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0 - 2.0**-53])
+def test_run_config_rejects_a_penalty_that_shrinks(value):
+    # a growth of 0.5 once took a 2000-iteration run down to penalty 5.8e-10
+    with pytest.raises(ValueError, match="^penalty_growth must be >= 1$"):
+        RunConfig(penalty_growth=value)
+    assert RunConfig(penalty_growth=1.0).penalty_growth == 1.0
 
 
 def test_infeasible_targets_rejected():
@@ -265,11 +296,11 @@ def test_quality_guard_matches_arcsin_oracle(kind, seed, amplitude):
         return mock.patch.multiple(optimize, _MAX_EDGE_RATIO=max_edge_ratio, _MIN_ANGLE_DEG=min_angle_deg)
 
     with guard(ratio * loose, min_deg / loose):
-        _check_quality(mesh)
-    with guard(ratio / loose, min_deg / loose), pytest.raises(QualityCollapse, match="edge ratio"):
-        _check_quality(mesh)
-    with guard(ratio * loose, min_deg * loose), pytest.raises(QualityCollapse, match="min angle"):
-        _check_quality(mesh)
+        assert _quality_fault(geo) is None
+    with guard(ratio / loose, min_deg / loose):
+        assert _quality_fault(geo).startswith("edge ratio")
+    with guard(ratio * loose, min_deg * loose):
+        assert _quality_fault(geo).startswith("min angle")
 
 
 @settings(max_examples=40, deadline=None)
@@ -751,13 +782,13 @@ def test_line_search_accepts_the_first_trial_that_passes_armijo():
     for k in range(trials):
         step = s0 * 0.5**k
         at, _ = _trial(mesh, mesh.vertices + step * -g, None, WILLMORE, con)
-        passes = at is not None and _augmented(at[1][0], at[2], lam, rho) <= phi + _ARMIJO_C * step * -gg
+        passes = at is not None and _augmented(at.E, at.c, lam, rho) <= phi + _ARMIJO_C * step * -gg
         assert passes == (k == trials - 1)
-    trial, (E, terms), c = point
+    trial = point.mesh
     assert np.array_equal(trial.vertices, mesh.vertices + s * -g)
-    assert E == total_energy(trial, None, WILLMORE) and np.array_equal(c, con.values(trial))
+    assert point.E == total_energy(trial, None, WILLMORE) and np.array_equal(point.c, con.values(trial))
     # the kept terms assemble the gradient energy_and_gradient gives there
-    assert np.array_equal(_gradient(trial, None, terms), energy_and_gradient(trial, None, WILLMORE)[1])
+    assert np.array_equal(_gradient(trial, None, point.terms), energy_and_gradient(trial, None, WILLMORE)[1])
 
 
 @pytest.mark.parametrize("scale", [2.0**260, 1e155, 1e308])
@@ -896,3 +927,57 @@ def test_run_does_not_depend_on_the_unit_of_length(k):
         for name, value in vars(want).items():
             expected = value * scale[name] if name in scale else value
             assert np.array(getattr(got, name)).tobytes() == np.array(expected).tobytes(), name
+
+
+def _drawn_run(level, seed, jitter, axes, reduced_volume, phase_mode):
+    """A jittered, axis-scaled icosphere with its own area, a reduced-volume target, and its phases."""
+    mesh = shapes.jittered(shapes.icosphere(level), jitter * (0.06 if level == 1 else 0.03), seed=seed)
+    mesh = mesh.with_vertices(mesh.vertices * np.array(axes))
+    area = total_area(mesh)
+    volume = reduced_volume * area**1.5 / (6.0 * np.sqrt(np.pi))
+    if phase_mode == "one":
+        return mesh, None, [MaterialParams(1.0, -0.5, 0.3)], ConstraintSet(area=area, volume=volume)
+    labels = shapes.equator_phase_labels(mesh)
+    params = [MaterialParams(1.0, -0.5, 0.3, 0.5), MaterialParams(2.0, 0.0, 0.0, 0.5)]
+    targets = None
+    if phase_mode == "two_with_targets":
+        per = np.bincount(labels - 1, weights=geometry(mesh).area, minlength=2)
+        targets = tuple(per * (area / per.sum()))
+    return mesh, PhaseField(labels), params, ConstraintSet(area=area, volume=volume, phase_areas=targets)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    level=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+    jitter=st.floats(0.0, 1.0),
+    axes=st.tuples(*[st.floats(0.5, 2.0)] * 3),
+    reduced_volume=st.floats(0.55, 1.0),
+    phase_mode=st.sampled_from(["one", "two", "two_with_targets"]),
+    budget=st.integers(0, 60),
+    grad_tol=st.sampled_from([1e-4, 1e-2, 0.1, 1.0]),
+    constraint_tol=st.sampled_from([1e-5, 1e-2, 0.1]),
+)
+def test_drawn_runs_end_documented_and_keep_a_consistent_record(
+    level, seed, jitter, axes, reduced_volume, phase_mode, budget, grad_tol, constraint_tol
+):
+    mesh, phases, params, cs = _drawn_run(level, seed, jitter, axes, reduced_volume, phase_mode)
+    cfg = RunConfig(max_iterations=budget, grad_tol=grad_tol, constraint_tol=constraint_tol)
+    try:
+        state = minimize(mesh, phases, params, cs, cfg)
+    except (QualityCollapse, Diverged):
+        return
+    assert state.termination in ("converged", "max_iterations", "outer_limit", "no_overlap_violation")
+    rows = state.trajectory
+    per_phase = cs.phase_areas is not None
+    for row in rows:
+        for name, value in vars(row).items():
+            if name == "residual_area" and per_phase:
+                assert np.isnan(value)
+            else:
+                assert np.isfinite(value), name
+    # one stop per round, and every row but a round's grad_tol row is an iteration
+    assert len(state.inner_stops) == len({row.outer for row in rows})
+    assert state.iteration == len(rows) - state.inner_stops.count("grad_tol")
+    # the L-BFGS memory starts empty in every round
+    assert all(row.memory == 0 for prev, row in zip([None, *rows], rows) if prev is None or prev.outer != row.outer)

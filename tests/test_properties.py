@@ -15,9 +15,11 @@ from helfrich.density import MaterialParams
 from helfrich.diagnostics import standard_report
 from helfrich.errors import DegenerateFace
 from helfrich.energy import PhaseField, willmore
-from helfrich.gradient import energy_and_gradient, total_energy
+from helfrich.gradient import energy_and_gradient
 from helfrich.mesh import TriMesh
 from helfrich.mesh_io import read_mesh, write_mesh
+
+from conftest import total_energy
 
 PARAMS = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
 RTOL = 1e-12
