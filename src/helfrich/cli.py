@@ -10,7 +10,7 @@ hessian   9x9 density Hessian, eigenvalues, and convexity verdict
 
 ``--config file.json`` supplies a JSON run configuration; each flag given
 is written over its config key (``_SCHEMA``), and any key outside that
-table is an error. Per-phase lists may start with a minus sign
+table is an error, as is a bool or a string where a number belongs. Per-phase lists may start with a minus sign
 (``--gamma -0.3,-1``, ``--gamma -inf``). Exit codes: 0 success, 1 parse/validation error
 (argparse's message follows the usage line), 2 infeasible constraints,
 3 optimizer failure, 4 verification failure.
@@ -22,6 +22,7 @@ import argparse
 import os
 import re
 import sys
+from numbers import Real
 
 import numpy as np
 
@@ -195,18 +196,38 @@ def _required(cfg, key):
     return cfg[key]
 
 
+def _number(key, value):
+    """``value`` of config ``key`` as a float; a bool or any other non-number raises HelfrichError."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise HelfrichError(f"config {key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _material_params(cfg):
     columns = [cfg.get(f"params[i].{name}", []) for name in _MATERIAL]
     if not columns[0] or None in columns[0]:
         raise HelfrichError("material parameters missing (use --beta or config params[i].beta)")
+    columns = [
+        [_number(f"params[{i}].{name}", v) for i, v in enumerate(col)] for name, col in zip(_MATERIAL, columns)
+    ]
     n = max(map(len, columns))
     columns = [col + [col[-1] if col else 0.0] * (n - len(col)) for col in columns]
     return [MaterialParams(*row, phase_id=i + 1) for i, row in enumerate(zip(*columns))]
 
 
-def _constraint_set(cfg, **optional):
-    area, volume = (float(_required(cfg, f"constraints.{key}")) for key in ("area", "volume"))
-    return ConstraintSet(area=area, volume=volume, **optional)
+def _constraint_set(cfg, multiphase=False):
+    """The ``constraints.*`` targets; ``multiphase`` adds the phase areas and the overlap threshold."""
+    area, volume = (_number(key, _required(cfg, key)) for key in ("constraints.area", "constraints.volume"))
+    if not multiphase:
+        return ConstraintSet(area=area, volume=volume)
+    key = "constraints.phase_areas"
+    phase_areas = cfg.get(key)
+    if phase_areas is not None:
+        if not isinstance(phase_areas, list):
+            raise HelfrichError(f"config {key} must be a list of numbers, got {phase_areas!r}")
+        phase_areas = [_number(key, x) for x in phase_areas]
+    eps0 = _number("constraints.overlap_eps0", cfg.get("constraints.overlap_eps0", 0.0))
+    return ConstraintSet(area=area, volume=volume, phase_areas=phase_areas, overlap_eps0=eps0)
 
 
 def _read_inputs(cfg):
@@ -258,11 +279,7 @@ def cmd_minimize(args):
     cfg = _resolve(args)
     mesh, phases = _read_inputs(cfg)
     params = _material_params(cfg)
-    cs = _constraint_set(
-        cfg,
-        phase_areas=cfg.get("constraints.phase_areas"),
-        overlap_eps0=float(cfg.get("constraints.overlap_eps0", 0.0)),
-    )
+    cs = _constraint_set(cfg, multiphase=True)
     run_cfg = RunConfig(**{key[4:]: value for key, value in cfg.items() if key.startswith("run.")})
     state = minimize(mesh, phases, params, cs, run_cfg)
     out_dir = cfg.get("output_dir")
@@ -305,7 +322,7 @@ def cmd_verify(args):
 
 def cmd_overlap(args):
     cfg = _resolve(args)
-    eps0 = float(_required(cfg, "constraints.overlap_eps0"))
+    eps0 = _number("constraints.overlap_eps0", _required(cfg, "constraints.overlap_eps0"))
     if args.mesh_b:
         given = [f"--{f.replace('_', '-')}" for f in ("phases", "phase_a", "phase_b")
                  if getattr(args, f) is not None]

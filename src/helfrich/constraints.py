@@ -10,11 +10,15 @@ accelerated by a uniform spatial hash. One hash of cell size max(eps)
 collects the cross pairs closer than the largest radius once, and every
 smaller radius of the gate masks the same pairs. Both phases are sorted
 by cell: each occupied cell of A queries its neighbour cells once, the
-candidates are read component-major from contiguous ranges of B, and
-the survivors are put in (a, b) order by one integer key. Every measure
-is bitwise equal to the brute-force double loop. The admissible scaling
-is m(eps) <= eps^3 / eps0 on (0, eps0): surface-to-surface contact scales
-like eps^2 and fails, curve or point contact scales like eps^3 and passes.
+candidates are read component-major from contiguous ranges of B, and A
+is scanned in cell order in chunks of a fixed candidate budget, whose
+survivors are put in (a, b) order by one integer key. Time is
+O(candidates) and memory O(N_A + N_B + chunk), so the candidate count,
+which grows quadratically under refinement at a fixed eps0, sets no
+memory. Every measure is bitwise equal to the brute-force double loop.
+The admissible scaling is m(eps) <= eps^3 / eps0 on (0, eps0):
+surface-to-surface contact scales like eps^2 and fails, curve or point
+contact scales like eps^3 and passes.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _cotan_corners, geometry
+from .curvature import _cotan_vector, geometry
 from .energy import vertex_phase_weights
 from .errors import InsufficientSamples, NonPositiveTarget, PhaseCountMismatch, UnknownPhase
-from .mesh import _columns, _scatter
+from .mesh import _columns
 
 __all__ = [
     "ConstraintSet",
@@ -144,6 +148,11 @@ def phase_support(mesh, phases, phase_id):
     return PhaseSupport(mesh.vertices[keep], w[keep], mesh.mean_edge_length)
 
 
+# Candidate pairs per chunk of the overlap scan: a chunk's temporaries
+# take a few MiB, whatever the supports' sizes and pair count.
+_CANDIDATE_CHUNK = 1 << 15
+
+
 def _cell_keys(points, eps, origin):
     cells = np.floor((points - origin) / eps).astype(np.int64)
     if cells.max(initial=0) >= (1 << 20):
@@ -162,19 +171,22 @@ def _overlap_measures(support_a, support_b, radii):
     cell order, so a range is a contiguous slice, and d^2 is formed
     component-major as (dx^2 + dy^2) + dz^2, the order in which
     ``np.sum(axis=1)`` adds the (n, 3) differences of the brute force.
-    Pairs closer than the largest radius survive; they are sorted once by
-    the single key a * N_B + b, which is unique since each (a, b) pair lies
-    in exactly one column, and each radius sums its own hits per a with
-    ``np.add.reduceat``. The pairs, their d^2, the summation order and the
-    final sum are those of the brute-force kernel, so every measure is
-    bitwise equal to it.
+
+    A is scanned in cell order, in chunks of about ``_CANDIDATE_CHUNK``
+    candidate pairs; a chunk ends between two points, possibly inside a
+    cell, and holds at least one point. A chunk's pairs closer than the
+    largest radius are sorted by the single key a * N_B + b, unique since
+    each (a, b) pair lies in exactly one column, and each radius writes its
+    per-a sums of w_B (``np.add.reduceat``) into its row of an (R, N_A)
+    array. Every a keeps the b-ascending run of the brute-force kernel, and
+    the final sum is its sum, so every measure is bitwise equal to it.
+    Time is O(candidates); memory is O(N_A + N_B + chunk) at any pair count.
     """
     radii = np.asarray(radii, dtype=np.float64)
     pa, wa = support_a.points, support_a.weights
     pb, wb = support_b.points, support_b.weights
-    measures = np.zeros(len(radii))
     if len(pa) == 0 or len(pb) == 0:
-        return measures
+        return np.zeros(len(radii))
     eps = float(radii.max())
     origin = np.minimum(pa.min(axis=0), pb.min(axis=0)) - eps
     keys_b, _ = _cell_keys(pb, eps, origin)
@@ -187,25 +199,54 @@ def _overlap_measures(support_a, support_b, radii):
     rows_a = np.ascontiguousarray(pa[order_a].T)
     # first point of each occupied A cell, in cell order
     first = np.flatnonzero(np.r_[True, keys_a_sorted[1:] != keys_a_sorted[:-1]])
-    members = np.diff(np.r_[first, len(pa)])
+    cell_of = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(pa)]))
     cells = cells_a[order_a[first]]
-    pairs_a, pairs_b, pairs_d2 = [], [], []
-    for dx, dy in itertools.product((-1, 0, 1), repeat=2):
+    # lo[j], count[j]: each A cell's range of cell-sorted B in column j
+    lo = np.empty((9, len(first)), dtype=np.int64)
+    count = np.empty_like(lo)
+    for j, (dx, dy) in enumerate(itertools.product((-1, 0, 1), repeat=2)):
         # z is the low field of the key and every cell index lies in
         # [1, 2^20), so the cells z-1, z, z+1 of one column are one key range
         key = ((cells[:, 0] + dx) << 42) | ((cells[:, 1] + dy) << 21) | cells[:, 2]
-        lo = np.searchsorted(keys_b_sorted, key - 1, side="left")
-        hi = np.searchsorted(keys_b_sorted, key + 1, side="right")
-        # every point of a cell, in cell order, takes its cell's range of B
-        lo, count = np.repeat(lo, members), np.repeat(hi - lo, members)
-        has = count > 0
-        if not has.any():
-            continue
-        sizes = count[has]
+        lo[j] = np.searchsorted(keys_b_sorted, key - 1, side="left")
+        count[j] = np.searchsorted(keys_b_sorted, key + 1, side="right") - lo[j]
+    per_point = count.sum(axis=0)[cell_of]
+    starts = np.cumsum(per_point) - per_point
+    # chunk k takes the points whose candidates start in [k, k + 1) budgets
+    cuts = np.searchsorted(starts, np.arange(_CANDIDATE_CHUNK, starts[-1] + per_point[-1], _CANDIDATE_CHUNK))
+    sums = np.zeros((len(radii), len(pa)))
+    for i0, i1 in itertools.pairwise(np.unique(np.r_[0, cuts, len(pa)])):
+        cell = cell_of[i0:i1]
+        ai, bi, d2 = _near_pairs(rows_a[:, i0:i1], rows_b, lo[:, cell], count[:, cell], eps * eps)
+        ai, bi = order_a[i0 + ai], order_b[bi]
+        # ascending (a, b) order makes the segment sums bitwise equal to the
+        # brute-force masked sums
+        order = np.argsort(ai * len(pb) + bi)
+        ai, wb_pair, d2 = ai[order], wb[bi[order]], d2[order]
+        for row, e in zip(sums, radii):
+            hit = d2 < e * e
+            a_hit = ai[hit]
+            if len(a_hit):
+                seg_start = np.flatnonzero(np.r_[True, a_hit[1:] != a_hit[:-1]])
+                row[a_hit[seg_start]] = np.add.reduceat(wb_pair[hit], seg_start)
+    return np.array([np.sum(wa * row) for row in sums])
+
+
+def _near_pairs(rows_a, rows_b, lo, count, eps2):
+    """Pairs closer than sqrt(eps2) between points of A (3, n) and cell-sorted B rows.
+
+    Point i of A takes the B ranges ``lo[j, i]`` .. ``lo[j, i] + count[j, i]``,
+    one per column j. Returns (a, b, d2): a indexes ``rows_a``, b the
+    columns of ``rows_b``, column by column and, within one, in point order.
+    """
+    pairs_a, pairs_b, pairs_d2 = [], [], []
+    for lo_j, count_j in zip(lo, count):
+        has = np.flatnonzero(count_j)
+        sizes = count_j[has]
         start = np.cumsum(sizes) - sizes
         # each candidate's index in cell-sorted B: its range's start plus
         # its offset in the range
-        bpos = np.repeat(lo[has] - start, sizes)
+        bpos = np.repeat(lo_j[has] - start, sizes)
         bpos += np.arange(len(bpos))
         sq = np.repeat(rows_a[:, has], sizes, axis=1)
         sq -= np.take(rows_b, bpos, axis=1)
@@ -215,37 +256,19 @@ def _overlap_measures(support_a, support_b, radii):
         d2 += sq[2]
         # filtering each column's candidates keeps the pair list at the
         # size of the hits, not of the 27-cell neighbourhoods
-        near = np.flatnonzero(d2 < eps * eps)
-        pairs_a.append(np.repeat(order_a[has], sizes)[near])
-        pairs_b.append(order_b[bpos[near]])
+        near = np.flatnonzero(d2 < eps2)
+        pairs_a.append(np.repeat(has, sizes)[near])
+        pairs_b.append(bpos[near])
         pairs_d2.append(d2[near])
-    if not pairs_a:
-        return measures
-    ai = np.concatenate(pairs_a)
-    bi = np.concatenate(pairs_b)
-    # ascending (a, b) order makes the segment sums bitwise equal to the
-    # brute-force masked sums
-    order = np.argsort(ai * len(pb) + bi)
-    ai = ai[order]
-    wb_pair = wb[bi[order]]
-    d2 = np.concatenate(pairs_d2)[order]
-    for k, e in enumerate(radii):
-        hit = d2 < e * e
-        a_hit = ai[hit]
-        if len(a_hit) == 0:
-            continue
-        seg_start = np.flatnonzero(np.r_[True, a_hit[1:] != a_hit[:-1]])
-        s = np.zeros(len(pa))
-        s[a_hit[seg_start]] = np.add.reduceat(wb_pair[hit], seg_start)
-        measures[k] = np.sum(wa * s)
-    return measures
+    return np.concatenate(pairs_a), np.concatenate(pairs_b), np.concatenate(pairs_d2)
 
 
 def overlap_measure(support_a, support_b, eps):
     """Product-measure mass of the eps-neighborhood of the diagonal.
 
     The one-radius case of the spatial-hash kernel ``no_overlap_check``
-    uses, in O(N + M + matches); bitwise equal to the O(N*M) double loop.
+    uses: time O(candidates), memory O(N_A + N_B + chunk); bitwise equal
+    to the O(N*M) double loop.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -345,7 +368,7 @@ class _Constraints:
             V, P = mesh.n_vertices, len(self.cs.phase_areas)
             # phase p's faces scatter into bins p * V .. p * V + V - 1
             bins = mesh._face_rows + V * (self.phases.labels - 1)
-            L = _scatter(bins, _cotan_corners(geo.cot, geo.e), P * V)
+            L = _cotan_vector(bins, geo.cot, geo.e, P * V)
             grads = [(L[:, i * V : (i + 1) * V], 2.0 * t) for i, t in enumerate(self.cs.phase_areas)]
         else:
             grads = [(geo.L, 2.0 * self.cs.area)]

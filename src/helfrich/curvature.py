@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateOneRing
-from .mesh import _columns, _cross, _dot, _face_vectors, _norm, _scatter
+from .mesh import _columns, _cross, _dot, _face_edges, _norm, _scatter
 
 __all__ = ["CurvatureField", "curvature_field"]
 
@@ -155,52 +155,28 @@ class _Geometry:
     Corner angles and face area vectors are not kept: the record lives as
     long as its mesh. ``splits`` maps each ``energy.PhaseField`` to its
     phase split (``energy._split``). Every array is read-only.
+
+    It keeps about 180 bytes per face (``e``, ``l2``, ``cot``, ``obtuse``,
+    ``area`` and the vertex rows), and its build holds about 60 more at
+    its peak: each face-sized intermediate lives in the helper that reads
+    it last and is freed on its return. The area vectors die once the
+    area, the normals and the volume are read, the corner angles once the
+    cotangents, the defects and the obtuse mask are, the corner areas once
+    they are scattered, and the cotangent vector is scattered one (3, F)
+    corner block at a time.
     """
 
     def __init__(self, mesh):
         f, V = mesh._face_rows, mesh.n_vertices
-        x0, e, N = _face_vectors(mesh.vertices, f)
+        self.e = e = _face_edges(mesh.vertices, f)
+        self._area_vectors(mesh)
         # ec[k, c] is component k of edge c
         ec = e.transpose(1, 0, 2)
-        l2 = _dot(ec, ec)
-        self.e, self.l2 = e, l2
-        self.area = _norm(N)
-        # one einsum over the face-major values keeps its summation order
-        self.volume = float(np.einsum("i,i->", _columns(x0).ravel(), _columns(N).ravel()) / 3.0)
-        lengths = np.sqrt(l2)
-        # twins have bitwise equal lengths; the half-edges come in edge order
-        self.mean_edge = float(np.take(lengths, mesh._edge_half).mean())
-        # per-face minima: argmin picks the first face among ties, as an
-        # argmin over the face-major (F, 3) values does
-        shortest = lengths.min(axis=0)
-        self.short_edge_face = int(np.argmin(shortest))
-        self.edge_ratio = float(lengths.max() / max(shortest[self.short_edge_face], 1e-300))
-        # at corner c the edges are e[c] and -e[c - 1]; |e[c] x e[c - 1]| = 2 area
-        dots = np.empty_like(l2)
-        for c in range(3):
-            np.negative(_dot(e[c], e[c - 1]), out=dots[c])
-        twice = 2.0 * self.area
-        theta = np.arctan2(twice, dots)
-        sharpest = theta.min(axis=0)
-        self.min_angle_face = int(np.argmin(sharpest))
-        self.min_angle = float(sharpest[self.min_angle_face])
-        cot = self.cot = dots / np.where(twice == 0, 1.0, twice)
-        # Voronoi share of corner c: its two edges times the opposite
-        # cotangents, l2[c] cot[c - 1] + l2[c - 1] cot[c + 1]
-        share = [l2[c] * cot[c - 1] for c in range(3)]
-        corner_a = np.empty_like(l2)
-        for c in range(3):
-            np.add(share[c], share[c - 1], out=corner_a[c])
-        corner_a /= 8.0
-        self.obtuse = theta > np.pi / 2.0
-        any_obtuse = self.obtuse.any(axis=0)
-        corner_a[:, any_obtuse] = np.where(self.obtuse[:, any_obtuse], 0.5, 0.25) * self.area[any_obtuse]
-        self.a = _scatter(f, corner_a, V)
-        self.defect = 2.0 * np.pi - _scatter(f, theta, V)
-        self.L = _scatter(f, _cotan_corners(cot, e), V)
-        Nv = _scatter(f, (N, N, N), V)
-        self.Nv_norm = _norm(Nv)
-        self.nu = Nv / np.where(self.Nv_norm == 0, 1.0, self.Nv_norm)
+        self.l2 = _dot(ec, ec)
+        self._edge_lengths(mesh)
+        self._angles(f, V)
+        self._mixed_areas(f, V)
+        self.L = _cotan_vector(f, self.cot, e, V)
         self.H_raw = _dot(self.L, self.nu) / (2.0 * self.a)
         self.K = self.defect / self.a
         self.k_floor = (_K_FLOOR_FACTOR / self.mean_edge) ** 2
@@ -212,20 +188,82 @@ class _Geometry:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
+    def _area_vectors(self, mesh):
+        """``area``, ``volume``, ``nu`` and ``Nv_norm`` from the face area vectors N = e[2] x e[0] / 2.
 
-def _cotan_corners(cot, e):
-    """Per-corner terms (3, 3, F) of the cotangent vector L of faces with edges ``e``.
+        e[2] x e[0] is bitwise e[0] x -e[2], without the negated copy.
+        """
+        f = mesh._face_rows
+        N = _cross(self.e[2], self.e[0])
+        N *= 0.5
+        self.area = _norm(N)
+        Nv = _scatter(f, (N, N, N), mesh.n_vertices)
+        self.Nv_norm = _norm(Nv)
+        self.nu = Nv / np.where(self.Nv_norm == 0, 1.0, self.Nv_norm)
+        # one einsum over the face-major values keeps its summation order
+        x0 = mesh.vertices.take(f[0], axis=0)
+        self.volume = float(np.einsum("i,i->", x0.ravel(), _columns(N).ravel()) / 3.0)
+
+    def _edge_lengths(self, mesh):
+        """``mean_edge``, ``edge_ratio`` and ``short_edge_face`` from the (3, F) edge lengths."""
+        lengths = np.sqrt(self.l2)
+        # twins have bitwise equal lengths; the half-edges come in edge order
+        self.mean_edge = float(np.take(lengths, mesh._edge_half).mean())
+        # per-face minima: argmin picks the first face among ties, as an
+        # argmin over the face-major (F, 3) values does
+        shortest = lengths.min(axis=0)
+        self.short_edge_face = int(np.argmin(shortest))
+        self.edge_ratio = float(lengths.max() / max(shortest[self.short_edge_face], 1e-300))
+
+    def _angles(self, f, V):
+        """``cot``, ``obtuse``, ``defect``, ``min_angle`` and ``min_angle_face`` from the corner angles."""
+        e = self.e
+        # at corner c the edges are e[c] and -e[c - 1]; |e[c] x e[c - 1]| = 2 area
+        cot = np.empty_like(self.l2)
+        for c in range(3):
+            np.negative(_dot(e[c], e[c - 1]), out=cot[c])
+        twice = 2.0 * self.area
+        theta = np.arctan2(twice, cot)
+        sharpest = theta.min(axis=0)
+        self.min_angle_face = int(np.argmin(sharpest))
+        self.min_angle = float(sharpest[self.min_angle_face])
+        # the dot products become the cotangents in place
+        cot /= np.where(twice == 0, 1.0, twice)
+        self.cot = cot
+        self.obtuse = theta > np.pi / 2.0
+        self.defect = 2.0 * np.pi - _scatter(f, theta, V)
+
+    def _mixed_areas(self, f, V):
+        """Mixed Voronoi areas ``a`` (V,) from the corner areas (3, F)."""
+        l2, cot, obtuse = self.l2, self.cot, self.obtuse
+        # Voronoi share of corner c: its two edges times the opposite
+        # cotangents, l2[c] cot[c - 1] + l2[c - 1] cot[c + 1]
+        share = [l2[c] * cot[c - 1] for c in range(3)]
+        corner_a = np.empty_like(l2)
+        for c in range(3):
+            np.add(share[c], share[c - 1], out=corner_a[c])
+        corner_a /= 8.0
+        any_obtuse = obtuse.any(axis=0)
+        corner_a[:, any_obtuse] = np.where(obtuse[:, any_obtuse], 0.5, 0.25) * self.area[any_obtuse]
+        self.a = _scatter(f, corner_a, V)
+
+
+def _cotan_vector(index, cot, e, n):
+    """Cotangent vector L (3, n) of faces with edges ``e``, corner c of face r in bin ``index[c, r]``.
 
     L_v = sum over edges (cot a + cot b)(x_v - x_w), a and b the corners
     facing the edge; edge c runs from corner c to c + 1 and faces corner
-    c + 2. Scattered onto the face corners, the terms give L: corner c
-    takes w[c - 1] - w[c], w[c] = cot[c - 1] e[c].
+    c + 2, so corner c takes cot[c - 2] e[c - 1] - cot[c - 1] e[c]. The
+    corners are built and summed one at a time, in ``mesh._scatter``'s
+    order, so one (3, F) corner block is alive at a time.
     """
-    w = [cot[c - 1] * e[c] for c in range(3)]
-    out = np.empty_like(e)
+    L = np.zeros((3, n))
     for c in range(3):
-        np.subtract(w[c - 1], w[c], out=out[c])
-    return out
+        corner = cot[c - 2] * e[c - 1]
+        corner -= cot[c - 1] * e[c]
+        for row, weights in zip(L, corner):
+            row += np.bincount(index[c], weights=weights, minlength=n)
+    return L
 
 
 def geometry(mesh):

@@ -40,9 +40,9 @@ from .mesh import _columns, _cross, _dot, _scatter, _vdot
 __all__ = ["energy_and_gradient"]
 
 # Faces per slice of the gradient's face-local stage: a (3, n) row block
-# of a slice is 384 KiB, so the stage's temporaries take about 10 MiB at
+# of a slice is 192 KiB, so the stage's temporaries take about 5 MiB at
 # any mesh size.
-_FACE_BLOCK = 1 << 14
+_FACE_BLOCK = 1 << 13
 
 
 def _energy_pass(mesh, phases, params_list):

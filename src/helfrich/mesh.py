@@ -160,18 +160,23 @@ def _corners(vertices, face_rows):
     return [np.take(rows, corner, axis=1) for corner in face_rows]
 
 
-def _face_vectors(vertices, face_rows):
-    """Corner-0 positions (3, F), edges ``e`` (3, 3, F) and area vectors (3, F).
+def _face_edges(vertices, face_rows):
+    """Edge vectors ``e`` (3, 3, F): ``e[c]`` runs from corner c to c + 1, ``e[c, k]`` its component k.
 
-    ``e[c]`` runs from corner c to c + 1, ``e[c, k]`` its component k;
-    ``-e[2]`` equals ``x2 - x0`` bitwise, up to the sign of a zero. The
-    geometry record starts here.
+    ``-e[2]`` equals ``x2 - x0`` bitwise, up to the sign of a zero. Corner
+    2 is gathered into ``e[1]`` and the corner-1 positions are subtracted in
+    place, so no more than two (3, F) corner blocks are alive at a time.
+    The geometry record starts here.
     """
-    x = _corners(vertices, face_rows)
-    e = np.empty((3,) + x[0].shape)
-    for c in range(3):  # in place; stacking would copy all three
-        np.subtract(x[(c + 1) % 3], x[c], out=e[c])
-    return x[0], e, 0.5 * _cross(e[0], -e[2])
+    rows = np.ascontiguousarray(vertices.T)
+    x0, x1 = (np.take(rows, corner, axis=1) for corner in face_rows[:2])
+    e = np.empty((3,) + x0.shape)
+    np.subtract(x1, x0, out=e[0])
+    # the indices are validated, and mode="raise" would buffer the output
+    np.take(rows, face_rows[2], axis=1, out=e[1], mode="clip")
+    np.subtract(x0, e[1], out=e[2])
+    e[1] -= x1
+    return e
 
 
 def _check_face_areas(mesh, area):
@@ -366,7 +371,7 @@ class TriMesh:
             raise NonManifold(f"pinched vertex {pinched[0]}: star is not a single fan")
 
     def _validate_face_areas(self):
-        """Area vectors from x1 - x0 and x2 - x0: ``_face_vectors``' N, without the third edge."""
+        """Area vectors from x1 - x0 and x2 - x0: the geometry record's, without the third edge."""
         x0, x1, x2 = _corners(self.vertices, self._face_rows)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: inf or NaN areas
             x1 -= x0

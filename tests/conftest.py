@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,21 @@ def two_spheres_touching(level=3, radius=1.0):
 def total_area(mesh):
     """Total face area, from the mesh's geometry record."""
     return float(geometry(mesh).area.sum())
+
+
+def traced_memory(call, *args):
+    """``call(*args)`` under tracemalloc: its result, and the bytes traced since the call began.
+
+    Returns ``(result, current, peak)``: ``current`` is what the call left
+    allocated, its result included, and ``peak`` the most it held at once.
+    """
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
 
 
 def rotation_matrix(seed=0):

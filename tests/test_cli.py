@@ -487,6 +487,46 @@ def test_overlap_reads_eps0_from_config_constraints(workdir):
     assert (workdir / "eps_cfg.json").read_bytes() == (workdir / "eps_flags.json").read_bytes()
 
 
+# JSON true is an int to Python: it once ran as 1.0, and a string failed
+# without naming its key
+_TARGETS = {"area": 12.566, "volume": 4.0}
+NOT_A_NUMBER = [
+    pytest.param("minimize", {"constraints": {"area": True, "volume": 4.0}},
+                 "constraints.area must be a number, got True", id="area-true"),
+    pytest.param("eval", {"constraints": {"area": 12.566, "volume": "4.0"}},
+                 "constraints.volume must be a number, got '4.0'", id="volume-string"),
+    pytest.param("minimize", {"constraints": {**_TARGETS, "overlap_eps0": True}},
+                 "constraints.overlap_eps0 must be a number, got True", id="eps0-true"),
+    pytest.param("overlap", {"constraints": {"overlap_eps0": False}},
+                 "constraints.overlap_eps0 must be a number, got False", id="overlap-eps0-false"),
+    pytest.param("minimize", {"constraints": {**_TARGETS, "phase_areas": [True, 11.566]}},
+                 "constraints.phase_areas must be a number, got True", id="phase-area-true"),
+    pytest.param("minimize", {"constraints": {**_TARGETS, "phase_areas": 12.566}},
+                 "constraints.phase_areas must be a list of numbers, got 12.566", id="phase-areas-scalar"),
+    pytest.param("eval", {"params": [{"beta": "abc"}]}, "params[0].beta must be a number, got 'abc'",
+                 id="beta-string"),
+    pytest.param("eval", {"params": [{"beta": 1.0, "gamma": True}]},
+                 "params[0].gamma must be a number, got True", id="gamma-true"),
+    pytest.param("eval", {"params": [{"beta": 1.0}, {"beta": 2.0, "h0": None}]},
+                 "params[1].h0 must be a number, got None", id="h0-null"),
+    pytest.param("minimize", {"params": [{"beta": 1.0}, {"beta": 2.0, "sigma": [0.5]}]},
+                 "params[1].sigma must be a number, got [0.5]", id="sigma-list"),
+]
+
+
+@pytest.mark.parametrize("command, config, message", NOT_A_NUMBER)
+def test_config_value_that_is_not_a_number_exits_1(workdir, tmp_path, capsys, command, config, message):
+    config = {"mesh": str(workdir / "split.off"), "phase_labels": str(workdir / "labels.txt"), **config}
+    if "params" not in config:
+        config["params"] = [{"beta": 1.0}, {"beta": 1.0}]
+    if command == "minimize" and "area" not in config.get("constraints", {}):
+        config["constraints"] = _TARGETS
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    extra = ["--max-iterations", "1"] if command == "minimize" else []
+    assert run([command, "--config", tmp_path / "cfg.json", *extra]) == 1
+    assert capsys.readouterr().err == f"error: config {message}\n"
+
+
 @pytest.mark.parametrize("targets, message", [
     (["--area", "0", "--volume", "4.1"], "need m, e > 0, got (0.0, 4.1)"),
     (["--area", "12"], "--volume (or config constraints.volume) is required"),

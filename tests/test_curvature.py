@@ -1,4 +1,3 @@
-import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -15,7 +14,7 @@ from helfrich.errors import DegenerateOneRing
 from helfrich.mesh import _scatter
 from helfrich.mesh_io import write_mesh
 
-from conftest import flat_cube_faces, total_area
+from conftest import flat_cube_faces, total_area, traced_memory
 
 
 def test_sphere_curvatures_r1(icosphere4, icosphere4_curv):
@@ -348,13 +347,23 @@ def test_principal_directions_peak_allocation():
     mesh = shapes.jittered(shapes.icosphere(5), 1e-3, 0)
     nu = geometry(mesh).nu.T
     n_edges = len(mesh.vertex_neighbors()[1])
-    tracemalloc.start()
-    try:
-        _principal_directions(mesh, nu)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_memory(_principal_directions, mesh, nu)[2]
     assert peak <= 160 * n_edges, f"{peak / n_edges:.0f} bytes per directed edge"
+
+
+def test_record_transient_allocation_is_bounded():
+    """Building the geometry record allocates at most 100 bytes per face besides what it keeps.
+
+    On jittered icosphere(5) the record keeps about 180 bytes per face.
+    Each face-sized intermediate is freed after its last reader, so the
+    excess is about 60 bytes per face; with every intermediate alive until
+    the record was built it was 297.
+    """
+    mesh = shapes.jittered(shapes.icosphere(5), 1e-3, 0)
+    geo, _, peak = traced_memory(curvature._Geometry, mesh)
+    kept = sum(value.nbytes for value in vars(geo).values() if isinstance(value, np.ndarray))
+    per_face = (peak - kept) / mesh.n_faces
+    assert per_face <= 100, f"{per_face:.0f} bytes per face besides the record"
 
 
 def test_clamp_reconciles_discriminant(icosphere4_curv):

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from helfrich.errors import DegenerateConfiguration, PhaseCountMismatch
 from helfrich.gradient import energy_and_gradient
 from helfrich.optimize import _Constraints
 
-from conftest import flat_cube_faces, interface_kink, rotation_matrix, total_energy
+from conftest import flat_cube_faces, interface_kink, rotation_matrix, total_energy, traced_memory
 
 # criterion 7's split-sphere material sets
 SPLIT_PARAMS = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
@@ -252,10 +251,5 @@ def test_gradient_transient_memory_is_bounded(large_split):
     """
     mesh, phases = large_split
     total_energy(mesh, phases, SPLIT_PARAMS)
-    tracemalloc.start()
-    try:
-        energy_and_gradient(mesh, phases, SPLIT_PARAMS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_memory(energy_and_gradient, mesh, phases, SPLIT_PARAMS)[2]
     assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MiB"

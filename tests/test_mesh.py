@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -42,6 +41,7 @@ from conftest import (
     stable_argsort_neighbors,
     stable_argsort_pairing,
     total_area,
+    traced_memory,
     two_spheres_touching,
 )
 
@@ -825,14 +825,8 @@ def test_mesh_keeps_each_connectivity_fact_once():
     # so besides its own copies of the inputs a build keeps (3, F) face
     # rows, two (E, 2) edge arrays and one half-edge per edge: 84 bytes per face
     m = shapes.icosphere(5)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        mesh = TriMesh(m.vertices, m.faces)
-        grown = tracemalloc.get_traced_memory()[0] - before
-        per_face = (grown - mesh.vertices.nbytes - mesh.faces.nbytes) / mesh.n_faces
-    finally:
-        tracemalloc.stop()
+    mesh, grown, _ = traced_memory(TriMesh, m.vertices, m.faces)
+    per_face = (grown - mesh.vertices.nbytes - mesh.faces.nbytes) / mesh.n_faces
     kept = {"vertices", "faces", "_face_rows", "edges", "edge_faces", "_edge_half"}
     moved = mesh.with_vertices(1.5 * mesh.vertices)
     for built in (mesh, moved):

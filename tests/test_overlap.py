@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helfrich import shapes
+from helfrich import constraints, shapes
 from helfrich.constraints import (
     PhaseSupport,
     _overlap_measures,
@@ -18,7 +18,7 @@ from helfrich.constraints import (
 from helfrich.energy import PhaseField
 from helfrich.errors import UnknownPhase
 
-from conftest import overlap_brute
+from conftest import overlap_brute, traced_memory
 
 # Quarter-lattice clouds give exact distance ties with quarter radii, so a
 # mask that admits d == eps shows; arbitrary floats cover the generic case.
@@ -73,6 +73,24 @@ _TIES = PhaseSupport([[0.544871, 0.512832, -0.663414], [0.386512, -0.352541, 0.8
 _TIE_RADII = [0.9999996011304204, 0.9999999636704994]
 
 
+_EXAMPLES = [
+    ((_CLOUD, _EMPTY), _EDGE_RADII),
+    ((_EMPTY, _CLOUD), _EDGE_RADII),
+    ((_CLOUD, _FAR), _EDGE_RADII),
+    ((_CLOUD, _CLOUD), _EDGE_RADII),
+    ((_LATTICE, _LATTICE), [0.25, 0.5, 0.25]),
+    ((_DENSE, _DENSE_B), [0.5, 0.05, 0.2, 0.1]),
+    ((_COLUMN_A, _COLUMN_B), [1.0, 0.6, 0.95, 0.3]),
+    ((_ORIGIN, _TIES), _TIE_RADII),
+]
+
+
+def _with_examples(test):
+    for supports, radii in _EXAMPLES:
+        test = example(supports=supports, radii=radii)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     supports=_supports(),
@@ -81,18 +99,39 @@ _TIE_RADII = [0.9999996011304204, 0.9999999636704994]
         lambda r: st.permutations(r + r[: len(r) // 2])
     ),
 )
-@example(supports=(_CLOUD, _EMPTY), radii=_EDGE_RADII)
-@example(supports=(_EMPTY, _CLOUD), radii=_EDGE_RADII)
-@example(supports=(_CLOUD, _FAR), radii=_EDGE_RADII)
-@example(supports=(_CLOUD, _CLOUD), radii=_EDGE_RADII)
-@example(supports=(_LATTICE, _LATTICE), radii=[0.25, 0.5, 0.25])
-@example(supports=(_DENSE, _DENSE_B), radii=[0.5, 0.05, 0.2, 0.1])
-@example(supports=(_COLUMN_A, _COLUMN_B), radii=[1.0, 0.6, 0.95, 0.3])
-@example(supports=(_ORIGIN, _TIES), radii=_TIE_RADII)
+@_with_examples
 def test_multi_radius_kernel_equals_brute_force(supports, radii):
     a, b = supports
     brute = np.array([overlap_brute(a, b, e) for e in radii])
     assert _overlap_measures(a, b, radii).tobytes() == brute.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunks_cut_inside_cells_keep_the_bits(monkeypatch, chunk):
+    """The property test's examples, scanned in chunks of ``chunk`` candidates.
+
+    Chunks this small end inside cells (every point of ``_DENSE`` shares
+    one), and a point with more candidates than the budget is a chunk alone.
+    """
+    monkeypatch.setattr(constraints, "_CANDIDATE_CHUNK", chunk)
+    for (a, b), radii in _EXAMPLES:
+        brute = np.array([overlap_brute(a, b, e) for e in radii])
+        assert _overlap_measures(a, b, radii).tobytes() == brute.tobytes()
+
+
+def test_dense_clouds_are_scanned_in_bounded_memory():
+    """Two 800-point clouds in one cell: 640000 candidate pairs, each a hit at the largest radius.
+
+    A chunk's pairs are freed before the next chunk is scanned, so the
+    peak stays at a few MiB; with every pair held at once it was 74 MiB.
+    """
+    rng = np.random.default_rng(7)
+    a, b = (PhaseSupport(rng.uniform(0, 0.1, (800, 3)), rng.uniform(0.1, 1, 800), 0.1) for _ in range(2))
+    radii = [0.5, 0.05, 0.1]
+    measures, _, peak = traced_memory(_overlap_measures, a, b, radii)
+    brute = np.array([overlap_brute(a, b, e) for e in radii])
+    assert measures.tobytes() == brute.tobytes()
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_radius_below_the_grid_resolution_is_rejected():
