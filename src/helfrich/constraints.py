@@ -7,15 +7,18 @@ than epsilon,
     m(eps) = sum_{x in A} w_A(x) * sum_{y in B, |x-y| < eps} w_B(y),
 
 accelerated by a uniform spatial hash. One hash of cell size max(eps)
-collects the cross pairs closer than the largest radius once, and every
-smaller radius of the gate masks the same pairs. Both phases are sorted
-by cell: each occupied cell of A queries its neighbour cells once, the
-candidates are read component-major from contiguous ranges of B, and A
-is scanned in cell order in chunks of a fixed candidate budget, whose
-survivors are put in (a, b) order by one integer key. Time is
-O(candidates) and memory O(N_A + N_B + chunk), so the candidate count,
-which grows quadratically under refinement at a fixed eps0, sets no
-memory. Every measure is bitwise equal to the brute-force double loop.
+collects the cross pairs closer than the largest radius once. B is
+sorted by grid column, then by z. Each occupied cell of A queries its
+neighbour columns once; only the live points of A, those of cells with
+some B in reach, go on, and each narrows every column to the window of
+B within max(eps) of it in z. The candidates are read component-major
+from these contiguous windows, and the live points are scanned in cell
+order in chunks of a fixed candidate budget, whose survivors are put in
+(a, b) order by one integer key. The radii are then taken largest
+first, each filtering the survivors of the one before. Time is
+O(candidates) and memory O(N_A + N_B + n_live + chunk), so the candidate
+count, which grows quadratically under refinement at a fixed eps0, sets
+no memory. Every measure is bitwise equal to the brute-force double loop.
 The admissible scaling is m(eps) <= eps^3 / eps0 on (0, eps0):
 surface-to-surface contact scales like eps^2 and fails, curve or point
 contact scales like eps^3 and passes.
@@ -110,9 +113,12 @@ def isoperimetric_check(m, e):
 class PhaseSupport:
     """Weighted point sampling of a phase measure.
 
-    points : (N, 3) positions
-    weights : (N,) nonnegative mass weights (mixed areas)
+    points : (N, 3) finite positions
+    weights : (N,) finite nonnegative mass weights (mixed areas)
     resolution : mesh length scale below which the sampling is atomic
+        (finite, > 0)
+
+    Input that breaks these raises ValueError naming the field.
     """
 
     points: np.ndarray
@@ -120,10 +126,20 @@ class PhaseSupport:
     resolution: float
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.ascontiguousarray(self.points, dtype=np.float64))
-        object.__setattr__(self, "weights", np.ascontiguousarray(self.weights, dtype=np.float64))
-        if len(self.points) != len(self.weights):
-            raise ValueError("points and weights length mismatch")
+        points = np.ascontiguousarray(self.points, dtype=np.float64)
+        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"points must have shape (N, 3), got {points.shape}")
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
+        if weights.shape != (len(points),):
+            raise ValueError(f"weights must have shape ({len(points)},), got {weights.shape}")
+        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+            raise ValueError("weights must be finite and >= 0")
+        if not (np.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError(f"resolution must be finite and > 0, got {self.resolution}")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def mass(self):
@@ -158,29 +174,34 @@ def _cell_keys(points, eps, origin):
     if cells.max(initial=0) >= (1 << 20):
         raise ValueError("radius too small for the grid extent")
     # nonnegative by construction of origin; pack three ints into one key
-    return ((cells[:, 0] << 42) | (cells[:, 1] << 21) | cells[:, 2], cells)
+    return (cells[:, 0] << 42) | (cells[:, 1] << 21) | cells[:, 2]
 
 
 def _overlap_measures(support_a, support_b, radii):
     """m(eps) for every eps in ``radii``, from one spatial hash.
 
-    Both supports are hashed with cell size max(radii) and sorted by cell
-    key. Each occupied cell of A looks up its 27 neighbour cells in B once,
-    as 9 key ranges of 3 cells stacked in z, and every point of the cell
-    takes the same ranges as its candidates. B is held as (3, N_B) rows in
-    cell order, so a range is a contiguous slice, and d^2 is formed
-    component-major as (dx^2 + dy^2) + dz^2, the order in which
-    ``np.sum(axis=1)`` adds the (n, 3) differences of the brute force.
+    Both supports are hashed with cell size eps = max(radii). B is put in
+    column-then-z order (``_column_z_order``) and held as (3, N_B) rows in
+    that order, so that each live point of A takes, in each of the 9
+    columns around its cell, one contiguous window of B: the points with
+    |z_b - z_a| < eps (1 + 2^-30) among the column's 3 cells around the
+    point's (``_z_windows``). d^2 is formed component-major as
+    (dx^2 + dy^2) + dz^2, the order in which ``np.sum(axis=1)`` adds the
+    (n, 3) differences of the brute force.
 
-    A is scanned in cell order, in chunks of about ``_CANDIDATE_CHUNK``
-    candidate pairs; a chunk ends between two points, possibly inside a
-    cell, and holds at least one point. A chunk's pairs closer than the
-    largest radius are sorted by the single key a * N_B + b, unique since
-    each (a, b) pair lies in exactly one column, and each radius writes its
-    per-a sums of w_B (``np.add.reduceat``) into its row of an (R, N_A)
-    array. Every a keeps the b-ascending run of the brute-force kernel, and
-    the final sum is its sum, so every measure is bitwise equal to it.
-    Time is O(candidates); memory is O(N_A + N_B + chunk) at any pair count.
+    The live points are scanned in cell order, in chunks of about
+    ``_CANDIDATE_CHUNK`` candidate pairs; a chunk ends between two points,
+    possibly inside a cell, and holds at least one point. A chunk's pairs
+    closer than eps are sorted by the single key a * N_B + b, unique since
+    each (a, b) pair lies in exactly one window. The radii are then taken
+    largest first (``argsort(-radii)``, stable), each filtering the
+    survivors of the one before, so each radius holds the pairs of its
+    own mask, in the same order, and writes its per-a sums of w_B
+    (``np.add.reduceat``) into its row of an (R, n_live) array. Every a
+    keeps the b-ascending run of the brute-force kernel, and the final sum
+    over the N_A points is its sum, so every measure is bitwise equal to
+    it. Time is O(candidates); memory is O(N_A + N_B + n_live + chunk) at
+    any pair count.
     """
     radii = np.asarray(radii, dtype=np.float64)
     pa, wa = support_a.points, support_a.weights
@@ -188,90 +209,168 @@ def _overlap_measures(support_a, support_b, radii):
     if len(pa) == 0 or len(pb) == 0:
         return np.zeros(len(radii))
     eps = float(radii.max())
-    origin = np.minimum(pa.min(axis=0), pb.min(axis=0)) - eps
-    keys_b, _ = _cell_keys(pb, eps, origin)
-    order_b = np.argsort(keys_b, kind="stable")
-    keys_b_sorted = keys_b[order_b]
+    # per column: an (N, 3) axis-0 reduction is ten times slower
+    origin = np.array([min(pa[:, k].min(), pb[:, k].min()) for k in range(3)]) - eps
+    order_b, keys_b, zkey, rank, scale = _column_z_order(pb, eps, origin)
+    live, start, count = _z_windows(pa, eps, origin, keys_b, zkey, rank, scale)
+    if len(live) == 0:
+        return np.zeros(len(radii))
+    rows_a = np.ascontiguousarray(pa[live].T)
     rows_b = np.ascontiguousarray(pb[order_b].T)
-    keys_a, cells_a = _cell_keys(pa, eps, origin)
-    order_a = np.argsort(keys_a, kind="stable")
-    keys_a_sorted = keys_a[order_a]
-    rows_a = np.ascontiguousarray(pa[order_a].T)
-    # first point of each occupied A cell, in cell order
-    first = np.flatnonzero(np.r_[True, keys_a_sorted[1:] != keys_a_sorted[:-1]])
-    cell_of = np.repeat(np.arange(len(first)), np.diff(np.r_[first, len(pa)]))
-    cells = cells_a[order_a[first]]
-    # lo[j], count[j]: each A cell's range of cell-sorted B in column j
-    lo = np.empty((9, len(first)), dtype=np.int64)
-    count = np.empty_like(lo)
-    for j, (dx, dy) in enumerate(itertools.product((-1, 0, 1), repeat=2)):
-        # z is the low field of the key and every cell index lies in
-        # [1, 2^20), so the cells z-1, z, z+1 of one column are one key range
-        key = ((cells[:, 0] + dx) << 42) | ((cells[:, 1] + dy) << 21) | cells[:, 2]
-        lo[j] = np.searchsorted(keys_b_sorted, key - 1, side="left")
-        count[j] = np.searchsorted(keys_b_sorted, key + 1, side="right") - lo[j]
-    per_point = count.sum(axis=0)[cell_of]
+    wb = wb[order_b]
+    per_point = count.sum(axis=0)
     starts = np.cumsum(per_point) - per_point
     # chunk k takes the points whose candidates start in [k, k + 1) budgets
     cuts = np.searchsorted(starts, np.arange(_CANDIDATE_CHUNK, starts[-1] + per_point[-1], _CANDIDATE_CHUNK))
-    sums = np.zeros((len(radii), len(pa)))
-    for i0, i1 in itertools.pairwise(np.unique(np.r_[0, cuts, len(pa)])):
-        cell = cell_of[i0:i1]
-        ai, bi, d2 = _near_pairs(rows_a[:, i0:i1], rows_b, lo[:, cell], count[:, cell], eps * eps)
-        ai, bi = order_a[i0 + ai], order_b[bi]
+    sums = np.zeros((len(radii), len(live)))
+    largest_first = np.argsort(-radii, kind="stable")
+    for i0, i1 in itertools.pairwise(np.unique(np.r_[0, cuts, len(live)])):
+        ai, bi, d2 = _near_pairs(rows_a[:, i0:i1], rows_b, start[:, i0:i1], count[:, i0:i1], eps * eps)
         # ascending (a, b) order makes the segment sums bitwise equal to the
         # brute-force masked sums
-        order = np.argsort(ai * len(pb) + bi)
+        order = np.argsort(ai * len(pb) + order_b[bi])
         ai, wb_pair, d2 = ai[order], wb[bi[order]], d2[order]
-        for row, e in zip(sums, radii):
-            hit = d2 < e * e
-            a_hit = ai[hit]
-            if len(a_hit):
-                seg_start = np.flatnonzero(np.r_[True, a_hit[1:] != a_hit[:-1]])
-                row[a_hit[seg_start]] = np.add.reduceat(wb_pair[hit], seg_start)
-    return np.array([np.sum(wa * row) for row in sums])
+        for r in largest_first:
+            e = radii[r]
+            # _near_pairs has already filtered at the largest radius
+            if e < eps:
+                hit = np.flatnonzero(d2 < e * e)
+                ai, wb_pair, d2 = ai.take(hit), wb_pair.take(hit), d2.take(hit)
+            if len(ai) == 0:
+                break
+            seg_start = np.flatnonzero(np.r_[True, ai[1:] != ai[:-1]])
+            sums[r, i0 + ai[seg_start]] = np.add.reduceat(wb_pair, seg_start)
+    row = np.zeros(len(pa))
+    measures = np.empty(len(radii))
+    for r, s in enumerate(sums):
+        row[live] = s
+        measures[r] = np.sum(wa * row)
+    return measures
+
+
+def _column_z_order(points, eps, origin):
+    """Order of ``points`` by grid column, then z: (order, keys, zkey, rank, scale).
+
+    The points are sorted by cell key, then stably by the float key
+    ``zkey = rank * scale + (z - oz)``, where rank is the dense rank of
+    the point's x/y column, oz the origin's z, and the power of two
+    ``scale`` exceeds every z - oz plus 2 eps. The second sort moves
+    points only within their column, so ``rank`` keeps its order, and the
+    cell keys stay sorted: a point's z cell cannot fall while its z rises,
+    and ties keep the cell order. ``keys`` and ``zkey`` are returned in
+    the final order.
+    """
+    keys = _cell_keys(points, eps, origin)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    rank = np.cumsum(np.r_[0, (keys[1:] >> 21) != (keys[:-1] >> 21)])
+    scale = 2.0 ** np.frexp(float(points[:, 2].max() - origin[2]) + 2 * eps)[1]
+    zkey = rank * scale + (points[order, 2] - origin[2])
+    by_z = np.argsort(zkey, kind="stable")
+    return order[by_z], keys[by_z], zkey[by_z], rank, scale
+
+
+def _z_windows(points, eps, origin, keys_b, zkey, rank, scale):
+    """Live points of A and their windows in B in column-then-z order.
+
+    Each occupied cell of A looks up its 27 neighbour cells in B once, as
+    9 key ranges of 3 cells stacked in z. The live points, those of cells
+    with at least one non-empty range, are the only ones that can have a
+    partner. Each live point narrows each non-empty range to its z window
+    |z_b - z_a| < eps (1 + 2^-30), by two ``searchsorted`` calls on
+    ``zkey``, clipped to the range so that no (a, b) pair can appear
+    twice. Returns (live, start, count): the live points' indices in A,
+    in cell order, and their windows as (9, n_live) arrays.
+
+    Margin: the window holds every b with float d^2 < fl(eps^2), d^2 as
+    ``_near_pairs`` forms it. If fl(eps^2) = 0 there is no such b.
+    Otherwise eps > 2^-538 is normal, and w = fl(eps (1 + 2^-30)) >
+    eps (1 + 2^-31 + 2^-49). Such a pair has fl(dz^2) <= d^2, since adding
+    a nonnegative float and rounding cannot lower a sum. fl(x^2) is
+    monotone in |x|, so |fl(dz)| < eps, and the exact |dz| < eps
+    (1 + 2^-50): a subnormal difference is exact. The grid check keeps
+    every t = fl(z - oz) below 2^20 eps, so t is off by less than
+    eps 2^-32, and |t_b - t_a| < eps (1 + 2^-50 + 2^-31) < w. Hence
+    t_a - w <= t_b <= t_a + w exactly, and fl(t_a - w) <= t_b <=
+    fl(t_a + w). Every key, of B and of a window end, is
+    fl(rank * scale + t) with rank * scale exact, and rounding is
+    monotone, so a window computed on rounded keys holds every b of the
+    exact window.
+    """
+    keys = _cell_keys(points, eps, origin)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # first point of each occupied A cell, in cell order
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    cells = keys[first]
+    # lo[j], hi[j]: each A cell's range of sorted B in column j
+    lo = np.empty((9, len(first)), dtype=np.int64)
+    hi = np.empty_like(lo)
+    for j, (dx, dy) in enumerate(itertools.product((-1, 0, 1), repeat=2)):
+        # cell indices lie in [0, 2^20): a field moved up by one stays in its
+        # 21 bits, and one moved below 0 borrows into a key that sorts just
+        # before the same B points, so the cells z-1, z, z+1 of one column
+        # are one key range, and a column off the grid an empty one
+        key = cells + ((dx << 42) + (dy << 21))
+        lo[j] = np.searchsorted(keys_b, key - 1, side="left")
+        hi[j] = np.searchsorted(keys_b, key + 1, side="right")
+    live_cell = (hi > lo).any(axis=0)
+    sizes = np.diff(np.r_[first, len(points)])
+    live = order[np.repeat(live_cell, sizes)]
+    cell = np.repeat(np.flatnonzero(live_cell), sizes[live_cell])
+    lo, hi = lo[:, cell], hi[:, cell]
+    # only non-empty ranges are searched; the others keep empty windows, and
+    # a window found outside its range ends up with a count of 0
+    has = hi > lo
+    t = (points[live, 2] - origin[2])[np.nonzero(has)[1]]
+    base = rank[lo[has]] * scale
+    w = eps * (1 + 2.0**-30)
+    start, end = lo.copy(), lo.copy()
+    start[has] = np.maximum(np.searchsorted(zkey, base + (t - w), side="left"), lo[has])
+    end[has] = np.minimum(np.searchsorted(zkey, base + (t + w), side="right"), hi[has])
+    return live, start, np.maximum(end - start, 0)
 
 
 def _near_pairs(rows_a, rows_b, lo, count, eps2):
-    """Pairs closer than sqrt(eps2) between points of A (3, n) and cell-sorted B rows.
+    """Pairs closer than sqrt(eps2) between points of A (3, n) and sorted B rows.
 
-    Point i of A takes the B ranges ``lo[j, i]`` .. ``lo[j, i] + count[j, i]``,
-    one per column j. Returns (a, b, d2): a indexes ``rows_a``, b the
-    columns of ``rows_b``, column by column and, within one, in point order.
+    Point i of A takes the B windows ``lo[j, i]`` .. ``lo[j, i] + count[j, i]``,
+    one per column j, (9, n) each. Returns (a, b, d2): a indexes
+    ``rows_a``, ascending, and b the columns of ``rows_b``. Time and
+    memory are O(n + sum of count).
     """
-    pairs_a, pairs_b, pairs_d2 = [], [], []
-    for lo_j, count_j in zip(lo, count):
-        has = np.flatnonzero(count_j)
-        sizes = count_j[has]
-        start = np.cumsum(sizes) - sizes
-        # each candidate's index in cell-sorted B: its range's start plus
-        # its offset in the range
-        bpos = np.repeat(lo_j[has] - start, sizes)
-        bpos += np.arange(len(bpos))
-        sq = np.repeat(rows_a[:, has], sizes, axis=1)
-        sq -= np.take(rows_b, bpos, axis=1)
-        sq *= sq
-        # x plus y, then z: the order in which np.sum(axis=1) adds an (n, 3) row
-        d2 = sq[0] + sq[1]
-        d2 += sq[2]
-        # filtering each column's candidates keeps the pair list at the
-        # size of the hits, not of the 27-cell neighbourhoods
-        near = np.flatnonzero(d2 < eps2)
-        pairs_a.append(np.repeat(has, sizes)[near])
-        pairs_b.append(bpos[near])
-        pairs_d2.append(d2[near])
-    return np.concatenate(pairs_a), np.concatenate(pairs_b), np.concatenate(pairs_d2)
+    per_point = count.sum(axis=0)
+    # point-major windows: each point's candidates are contiguous
+    lo, count = lo.T.ravel(), count.T.ravel()
+    has = np.flatnonzero(count)
+    sizes = count[has]
+    # each candidate's index in sorted B: its window's start plus its
+    # offset in the window
+    bpos = np.repeat(lo[has] - (np.cumsum(sizes) - sizes), sizes)
+    bpos += np.arange(len(bpos))
+    # 0 + x^2 is exact, so this adds (x^2 + y^2) + z^2, the order in which
+    # np.sum(axis=1) adds an (n, 3) row; one component is held at a time
+    d2 = np.zeros(len(bpos))
+    for k in range(3):
+        d = np.repeat(rows_a[k], per_point)
+        d -= rows_b[k].take(bpos)
+        d *= d
+        d2 += d
+    near = np.flatnonzero(d2 < eps2)
+    return np.repeat(np.arange(len(per_point)), per_point)[near], bpos[near], d2[near]
 
 
 def overlap_measure(support_a, support_b, eps):
     """Product-measure mass of the eps-neighborhood of the diagonal.
 
     The one-radius case of the spatial-hash kernel ``no_overlap_check``
-    uses: time O(candidates), memory O(N_A + N_B + chunk); bitwise equal
-    to the O(N*M) double loop.
+    uses: candidates are the B points in each live A point's z windows of
+    its 9 neighbour columns; time O(candidates), memory
+    O(N_A + N_B + n_live + chunk); bitwise equal to the O(N*M) double
+    loop. ``eps`` must be finite and > 0 (ValueError).
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     return float(_overlap_measures(support_a, support_b, [eps])[0])
 
 

@@ -155,6 +155,42 @@ def test_no_overlap_check_rejects_a_non_finite_eps0(eps0):
         no_overlap_check(sup, sup, eps0)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_overlap_measure_rejects_a_non_positive_or_non_finite_eps(eps):
+    # the cloud overlaps itself, so a NaN or infinite radius read as 0.0 hid it
+    sup = unit_square_support(n=10, spacing=0.1)
+    with pytest.raises(ValueError, match=f"eps must be finite and > 0, got {eps}"):
+        overlap_measure(sup, sup, eps)
+
+
+_POINTS = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "points, weights, resolution, field",
+    [
+        (_POINTS[:, :2], np.ones(3), 0.1, "points"),
+        (_POINTS.ravel(), np.ones(9), 0.1, "points"),
+        (np.where(np.eye(3, dtype=bool), np.nan, _POINTS), np.ones(3), 0.1, "points"),
+        (_POINTS + [0.0, 0.0, np.inf], np.ones(3), 0.1, "points"),
+        (_POINTS, np.ones(2), 0.1, "weights"),
+        (_POINTS, np.ones((3, 1)), 0.1, "weights"),
+        (_POINTS, [1.0, -1.0, 1.0], 0.1, "weights"),
+        (_POINTS, [1.0, np.nan, 1.0], 0.1, "weights"),
+        (_POINTS, [1.0, np.inf, 1.0], 0.1, "weights"),
+        (_POINTS, np.ones(3), 0.0, "resolution"),
+        (_POINTS, np.ones(3), -0.1, "resolution"),
+        (_POINTS, np.ones(3), np.nan, "resolution"),
+        (_POINTS, np.ones(3), np.inf, "resolution"),
+    ],
+)
+def test_phase_support_rejects_bad_input(points, weights, resolution, field):
+    # unchecked, a weight of -1 gave a negative measure, a NaN point a NaN
+    # grid origin and (N, 2) points a bare broadcast error
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        PhaseSupport(points, weights, resolution)
+
+
 def test_insufficient_samples():
     sup = unit_square_support(n=10, spacing=0.1)
     with pytest.raises(InsufficientSamples):

@@ -504,8 +504,9 @@ def test_multiphase_initial_phase_areas_sanity(split_sphere):
 
 
 def test_optimizer_path_does_not_import_scipy_sparse():
-    # numpy is the only runtime dependency: neither the optimizer nor the
-    # verify report, which counts each mesh's components, loads scipy
+    # numpy is the only runtime dependency: neither the optimizer, nor the
+    # verify report, which counts each mesh's components, nor the overlap
+    # gate, whose neighbour search needs no k-d tree, loads scipy
     code = textwrap.dedent(
         """
         import os
@@ -523,6 +524,12 @@ def test_optimizer_path_does_not_import_scipy_sparse():
         cs = ConstraintSet(area=4 * np.pi, volume=4 * np.pi / 3)
         minimize(mesh, None, params, cs, RunConfig(max_iterations=2))
         assert cli.main(["verify", "--corpus", "--n-fields", "1", "--out", os.devnull]) == 0
+        # the overlap gate; below eps0 = 0.45 this input raises InsufficientSamples
+        from helfrich.constraints import no_overlap_check, phase_support
+        from helfrich.energy import PhaseField
+        base = shapes.icosphere(2)
+        phases = PhaseField(shapes.equator_phase_labels(base))
+        no_overlap_check(phase_support(base, phases, 1), phase_support(base, phases, 2), 1.0)
         print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         """
     )

@@ -73,6 +73,53 @@ _TIES = PhaseSupport([[0.544871, 0.512832, -0.663414], [0.386512, -0.352541, 0.8
 _TIE_RADII = [0.9999996011304204, 0.9999999636704994]
 
 
+_EDGE_WINDOW_RADII = [0.5, 1.0, 0.5]
+# dz = +-r from z = 1.75, 2 and 2.25 ends on both sides of the z-cell
+# boundary at 2, and in the cell above or below
+_Z_EDGE = [[0.5, 0.5, z] for z in (1.75, 2.0, 2.25)]
+# x = 1 and y = 2 are column boundaries; 1 - ulp and 2 - ulp lie in the
+# columns before them
+_COLUMN_EDGE = [[x, y, 1.5] for x, y in [(1.0, 0.5), (np.nextafter(1.0, 0), 0.5), (0.5, 2.0), (0.5, np.nextafter(2.0, 0))]]
+
+
+def _window_edge_example(a, scale=1.0, shift=0.0):
+    """A at ``a * scale + shift`` and, for each radius r, B right above and
+    below each point of A at |dz| = r and one ulp of z inside it.
+
+    The anchor (0, 0, 0), mapped like A and added to A only, puts the grid
+    origin at -1 for cell size 1, so that cell boundaries lie at the
+    integers.
+    """
+    radii = [r * scale for r in _EDGE_WINDOW_RADII]
+    a = np.asarray(a) * scale + shift
+    b = []
+    for r in sorted(set(radii)):
+        for z in (a[:, 2] + r, a[:, 2] - r):
+            b += [np.c_[a[:, :2], z], np.c_[a[:, :2], np.nextafter(z, a[:, 2])]]
+    a, b = np.r_[[[shift] * 3], a], np.concatenate(b)
+    supports = (PhaseSupport(a, np.linspace(0.25, 1, len(a)), 0.1), PhaseSupport(b, np.linspace(1, 0.5, len(b)), 0.1))
+    return supports, radii
+
+
+_WINDOW_EDGES = [
+    _window_edge_example(points, *transform)
+    for points in (_Z_EDGE, _COLUMN_EDGE)
+    # 2^-10, about 1e-3, keeps every coordinate and radius exact at 1e6
+    for transform in ((), (2.0**-10, 1e6))
+]
+
+# (eps, z of the anchor, z_a, z_b): B lies just inside eps of A, above or
+# below it, but z_b - oz and z_a - oz, oz the grid origin's z, round
+# apart by more than eps, so a z window of exactly eps would miss the pair
+_MARGIN = [
+    ((PhaseSupport([[0, 0, z0], [0, 0, za]], [0.5, 1.0], 0.1), PhaseSupport([[0, 0, zb]], [0.25], 0.1)), [eps])
+    for eps, z0, za, zb in [
+        (0.836093595829174, -0.6830814536401725, 30.88856950504479, 30.052475909215616),
+        (0.5712568071914436, -0.8232919721561289, 3.1560354970508597, 3.727292304242303),
+    ]
+]
+
+
 _EXAMPLES = [
     ((_CLOUD, _EMPTY), _EDGE_RADII),
     ((_EMPTY, _CLOUD), _EDGE_RADII),
@@ -82,6 +129,8 @@ _EXAMPLES = [
     ((_DENSE, _DENSE_B), [0.5, 0.05, 0.2, 0.1]),
     ((_COLUMN_A, _COLUMN_B), [1.0, 0.6, 0.95, 0.3]),
     ((_ORIGIN, _TIES), _TIE_RADII),
+    *_WINDOW_EDGES,
+    *_MARGIN,
 ]
 
 
@@ -104,6 +153,12 @@ def test_multi_radius_kernel_equals_brute_force(supports, radii):
     a, b = supports
     brute = np.array([overlap_brute(a, b, e) for e in radii])
     assert _overlap_measures(a, b, radii).tobytes() == brute.tobytes()
+
+
+@pytest.mark.parametrize("example", range(len(_WINDOW_EDGES)))
+def test_window_edge_examples_have_pairs_at_every_radius(example):
+    (a, b), radii = _WINDOW_EDGES[example]
+    assert all(overlap_brute(a, b, e) > 0 for e in radii)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -165,6 +220,8 @@ def test_gate_on_the_large_split_input_is_pinned():
     equator labels, jittered by 1e-3 with seed 0, and eps0 = 0.15. On
     smaller inputs the kernel is checked against the brute force bit for
     bit; here the pinned hash of the measures stands in for that check.
+    A second call, traced, bounds the gate's working memory: 5.55 MiB
+    when every A point took its cells' full 27-cell neighbourhoods.
     """
     mesh = shapes.icosphere(6)
     labels = shapes.equator_phase_labels(mesh)
@@ -177,3 +234,6 @@ def test_gate_on_the_large_split_input_is_pinned():
     )
     assert verdict.slope == pytest.approx(2.9309327266064997, rel=1e-12, abs=0)
     assert verdict.passed
+    again, _, peak = traced_memory(no_overlap_check, a, b, 0.15)
+    assert again.measures.tobytes() == verdict.measures.tobytes()
+    assert peak <= 5.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
