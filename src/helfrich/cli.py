@@ -24,15 +24,13 @@ import re
 import sys
 from numbers import Real
 
-import numpy as np
-
 from . import serialize
 from .constraints import ConstraintSet, constraint_residuals, no_overlap_check, phase_support
 from .curvature import curvature_field
 from .density import MaterialParams, convexity_check, hessian
 from .energy import PhaseField, multiphase_energy
-from .errors import Diverged, HelfrichError, Infeasible, QualityCollapse
-from .mesh_io import read_mesh, write_mesh
+from .errors import Diverged, HelfrichError, Infeasible, PhaseCountMismatch, QualityCollapse
+from .mesh_io import _read_labels, read_mesh, write_mesh
 from .optimize import RunConfig, TrajectoryPoint, minimize
 from .shapes import standard_corpus
 
@@ -91,7 +89,7 @@ def build_parser():
         p.add_argument("--config", help="JSON run configuration; flags override its fields")
         p.add_argument("--mesh", help="input mesh (.off or .obj)")
         if phases:
-            p.add_argument("--phases", help="per-face integer phase labels, one per line")
+            p.add_argument("--phases", help="per-face integer phase labels, whitespace-separated")
         if material:
             for name, what in zip(_MATERIAL, ("bending rigidity", "Gaussian rigidity",
                                               "spontaneous curvature", "line tension")):
@@ -158,7 +156,10 @@ _SCHEMA = {
 def _resolve(args):
     """The run configuration as {schema key: value}: the --config file, with
     every given flag written over its key. A file key outside the schema raises."""
-    loaded = serialize.load_json(args.config) if args.config else {}
+    try:
+        loaded = serialize.load_json(args.config) if args.config else {}
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise HelfrichError(f"{args.config}: {err}") from err
     if not isinstance(loaded, dict):
         raise HelfrichError(f"{args.config}: a config file holds one JSON object")
     cfg = {}
@@ -232,10 +233,15 @@ def _constraint_set(cfg, multiphase=False):
 
 def _read_inputs(cfg):
     mesh = read_mesh(_required(cfg, "mesh"))
-    if not cfg.get("phase_labels"):
+    path = cfg.get("phase_labels")
+    if not path:
         return mesh, None
-    phases = PhaseField(np.loadtxt(cfg["phase_labels"], dtype=np.int64, ndmin=1))
-    phases.check(mesh)
+    labels = _read_labels(path)
+    try:
+        phases = PhaseField(labels)
+        phases.check(mesh)
+    except PhaseCountMismatch as err:
+        raise PhaseCountMismatch(f"{path}: {err}") from err
     return mesh, phases
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from helfrich import shapes
 from helfrich.curvature import curvature_field, geometry
 from helfrich.energy import _split
-from helfrich.errors import InconsistentOrientation, NonManifold
+from helfrich.errors import InconsistentOrientation, MeshError, NonManifold
 from helfrich.gradient import _energy_pass
 from helfrich.mesh import TriMesh, _cross, _dot
+from helfrich.mesh_io import _mesh
 
 
 @pytest.fixture(scope="session")
@@ -216,3 +218,38 @@ def sample_mesh(kind, seed, shift=(0.0, 0.0, 0.0), amplitude=0.02):
     base = shapes.icosphere(2) if kind == "sphere" else midpoint_subdivision(shapes.cube(1.0), 2)
     mesh = shapes.jittered(base, amplitude, seed=seed)
     return mesh.with_vertices(mesh.vertices + np.asarray(shift))
+
+
+def read_off_tokens(path):
+    """The OFF reader over Python string tokens: the oracle of ``read_off``.
+
+    The file is decoded as UTF-8, ``#`` comments are cut with a regex and
+    the text is split into one ``str`` per number; the vertex block is
+    converted as floats and the face block as int64. ``read_off`` parses
+    the same files in one numeric pass over their bytes.
+    """
+    with open(path, encoding="utf-8") as fh:
+        tokens = re.sub(r"#[^\n]*", "", fh.read()).split()
+    header = tokens[0] if tokens else ""
+    if header.upper() != "OFF":
+        raise MeshError(f"{path}: header {header!r} is not OFF; only plain OFF files are read")
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])  # then the edge count
+        if nv < 0 or nf < 0:
+            raise MeshError(f"{path}: negative vertex or face count")
+        start, end = 4 + 3 * nv, 4 + 3 * nv + 4 * nf
+        if len(tokens) < start:
+            raise MeshError(f"{path}: truncated vertex section: {nv} vertices declared")
+        verts = np.array(tokens[4:start], dtype=np.float64).reshape(nv, 3)
+        # while every face before it is a triangle, face i's count is token 4 i
+        counts = np.array(tokens[start:end:4], dtype=np.int64)
+        if (counts != 3).any():
+            raise MeshError(f"{path}: non-triangle face with {counts[np.argmax(counts != 3)]} vertices")
+        if len(tokens) < end:
+            raise MeshError(f"{path}: truncated face section: {nf} faces declared")
+        faces = np.array(tokens[start:end], dtype=np.int64).reshape(nf, 4)[:, 1:]
+    except (ValueError, IndexError) as err:
+        raise MeshError(f"{path}: malformed OFF counts or numbers") from err
+    if nf == 0:
+        raise MeshError(f"{path}: no faces declared")
+    return _mesh(path, verts, faces)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -619,6 +620,36 @@ def test_config_that_is_not_an_object_exits_1(workdir, capsys):
     (workdir / "list.cfg.json").write_text("[1]")
     assert run(["eval", "--config", workdir / "list.cfg.json"]) == 1
     assert "a config file holds one JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"{not json", "Expecting property name enclosed in double quotes"),
+    (b'{"mesh": "caf\xe9.off"}', "codec can't decode byte 0xe9"),
+], ids=["not_json", "not_utf8"])
+def test_config_that_does_not_parse_names_the_file(workdir, capsys, content, reason):
+    path = workdir / "unparsed.cfg.json"
+    path.write_bytes(content)
+    assert run(["eval", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and reason in err
+
+
+@pytest.mark.parametrize("labels, reason", [
+    ("1\n2\n1\n1.5\n", "face 3 has phase label 1.5, not an integer"),
+    ("1\n0\n", "phase labels are 1-based"),
+    ("1 2 1\n", "3 labels for 8192 faces"),
+    ("", "0 labels for 8192 faces"),
+    ("# no labels\n \n", "0 labels for 8192 faces"),
+    ("1 2 x\n", "malformed phase labels"),
+], ids=["non_integer", "below_one", "count", "empty", "comment_only", "not_a_number"])
+def test_label_file_errors_name_the_file_and_warn_nothing(workdir, capsys, labels, reason):
+    # np.loadtxt once printed "input contained no data" before the error
+    path = workdir / "bad_labels.txt"
+    path.write_text(labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eval", "--mesh", workdir / "split.off", "--phases", path, "--beta", "1,1"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
 
 @pytest.mark.parametrize(
