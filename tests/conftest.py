@@ -6,7 +6,8 @@ import pytest
 
 from helfrich import shapes
 from helfrich.curvature import curvature_field, geometry
-from helfrich.energy import _split
+from helfrich.density import MaterialParams
+from helfrich.energy import PhaseField, _split
 from helfrich.errors import InconsistentOrientation, MeshError, NonManifold
 from helfrich.gradient import _energy_pass
 from helfrich.mesh import TriMesh, _cross, _dot
@@ -38,6 +39,23 @@ def split_sphere():
 def split_sphere5():
     mesh = shapes.octasphere(5)
     return mesh, shapes.equator_phase_labels(mesh)
+
+
+@pytest.fixture(scope="session", params=[3, 5, 9])
+def triple_junctions(request):
+    """A jittered icosphere(3) labelled by face index mod P, with P parameter sets.
+
+    Neighbouring faces mostly carry different labels, so most vertices see
+    three or more phases: a reordered sum over a vertex's phases can move
+    its last bit here, unlike under a band split, where no vertex has more
+    than two nonzero weights. P = 9 takes numpy's pairwise reduction
+    (8 lanes) where P = 3 and 5 take its sequential one.
+    """
+    n = request.param
+    mesh = shapes.jittered(shapes.icosphere(3), 0.01, seed=9)
+    phases = PhaseField(np.arange(mesh.n_faces) % n + 1, n_phases=n)
+    params = [MaterialParams(1.0 + 0.25 * p, -0.3 - 0.1 * p, 0.5 - 0.2 * p, 0.1 + 0.15 * p, p + 1) for p in range(n)]
+    return mesh, phases, params
 
 
 def total_energy(mesh, phases, params_list):

@@ -6,8 +6,8 @@ import pytest
 from helfrich import gradient, shapes
 from helfrich.curvature import geometry
 from helfrich.density import MaterialParams
-from helfrich.constraints import ConstraintSet
-from helfrich.energy import PhaseField, multiphase_energy, canham_helfrich
+from helfrich.constraints import ConstraintSet, phase_support
+from helfrich.energy import PhaseField, multiphase_energy, canham_helfrich, vertex_phase_weights
 from helfrich.curvature import curvature_field
 from helfrich.errors import DegenerateConfiguration, PhaseCountMismatch
 from helfrich.gradient import energy_and_gradient
@@ -240,6 +240,49 @@ def test_two_phase_icosphere5_outputs_pinned():
     E, grad = energy_and_gradient(mesh, phases, SPLIT_PARAMS)
     assert E.hex() == "0x1.2bf691316199ap+9"
     assert sha(grad) == "c1dd21990cb8132a845b0fcdc416884ef71e7eb581a88d10477b1ff1979b645a"
+
+
+# (E, grad, multiphase_energy total, vertex_phase_weights, phase_support
+# weights of phases 1..P end to end) on the triple-junction fixture, by P
+JUNCTION_PINS = {
+    3: (
+        "0x1.244d583fcfcccp+7",
+        "72b8d2ccab3c63a94188d11ab0f293d3e50b3f845720d136f44eccc866c37c70",
+        "0x1.244d583fcfcccp+7",
+        "91d70fa242184c4e5dfd8b90f3b44808bada915a2a1451e6e295d3b9c3f2efe0",
+        "5344dddcabd4774cd2a16949e1a541a8b69050402b60d975ca611ae50eb4ca95",
+    ),
+    5: (
+        "0x1.27b709435be1bp+8",
+        "2800fdc6bd00c532b5b8b921647fee72ce6e06def708d84cdc39a18a3fd6ac1c",
+        "0x1.27b709435be19p+8",
+        "3c148416a58bf4edf04c63d0a1e100a5ed6005539332ee26911f5bf445f6badc",
+        "e2a3f265bc5448db523089956f1d7cb1655fe403b99b86364097d26cf3dfdcea",
+    ),
+    9: (
+        "0x1.ff8d1dadf6ae6p+8",
+        "378baf680366eceb69275413768e7b3d5055a9ced1123a64d15e921fd5e93b74",
+        "0x1.ff8d1dadf6ae8p+8",
+        "5d7b6d14d2060e789f9ccd17cae1f0bcde9bee9d006929ef4c92129e16872466",
+        "4bce715b7c5f0a7df8b1c8674565acef2af26d112c8cd4b7bd3e4af2781a588b",
+    ),
+}
+
+
+def test_triple_junction_outputs_pinned(triple_junctions):
+    """Bitwise phase outputs where vertices carry three or more nonzero weights.
+
+    Pinned when every per-(vertex, phase) term was a (V, P) broadcast; a
+    per-phase column layout must keep every sum over a vertex's phases in
+    its order, so these bits must not move at any phase count.
+    """
+    mesh, phases, params = triple_junctions
+    w = vertex_phase_weights(mesh, phases)
+    assert (w > 0).sum(axis=1).max() >= 3
+    E, grad = energy_and_gradient(mesh, phases, params)
+    total = multiphase_energy(mesh, curvature_field(mesh), phases, params).total
+    support = np.concatenate([phase_support(mesh, phases, p).weights for p in range(1, phases.n_phases + 1)])
+    assert (E.hex(), sha(grad), total.hex(), sha(w), sha(support)) == JUNCTION_PINS[phases.n_phases]
 
 
 def test_gradient_transient_memory_is_bounded(large_split):
