@@ -40,6 +40,10 @@ EXIT_INFEASIBLE = 2
 EXIT_OPTIMIZER = 3
 EXIT_VERIFICATION = 4
 
+# The most radii ``overlap`` samples: ``no_overlap_check`` keeps an
+# (n_eps, n_live) array of sums and filters the pairs once per radius.
+_MAX_N_EPS = 64
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -126,7 +130,7 @@ def build_parser():
     p_ovl.add_argument("--phase-a", type=int, help="first phase of --phases (default 1)")
     p_ovl.add_argument("--phase-b", type=int, help="second phase of --phases (default 2)")
     p_ovl.add_argument("--eps0", type=float)
-    p_ovl.add_argument("--n-eps", type=int, default=6)
+    p_ovl.add_argument("--n-eps", type=int, default=6, help=f"radii sampled, 4 to {_MAX_N_EPS}")
 
     p_hes = sub.add_parser("hessian", help="density Hessian and convexity verdict")
     p_hes.add_argument("--beta", type=float, required=True)
@@ -204,6 +208,16 @@ def _number(key, value):
     return float(value)
 
 
+def _path(key, value):
+    """``value`` of config ``key`` as a path, None passed through; any other non-string raises HelfrichError.
+
+    A JSON number or bool would reach ``open`` as a file descriptor.
+    """
+    if value is not None and not isinstance(value, str):
+        raise HelfrichError(f"config {key} must be a path string, got {value!r}")
+    return value
+
+
 def _material_params(cfg):
     columns = [cfg.get(f"params[i].{name}", []) for name in _MATERIAL]
     if not columns[0] or None in columns[0]:
@@ -232,8 +246,8 @@ def _constraint_set(cfg, multiphase=False):
 
 
 def _read_inputs(cfg):
-    mesh = read_mesh(_required(cfg, "mesh"))
-    path = cfg.get("phase_labels")
+    mesh = read_mesh(_path("mesh", _required(cfg, "mesh")))
+    path = _path("phase_labels", cfg.get("phase_labels"))
     if not path:
         return mesh, None
     labels = _read_labels(path)
@@ -287,8 +301,8 @@ def cmd_minimize(args):
     params = _material_params(cfg)
     cs = _constraint_set(cfg, multiphase=True)
     run_cfg = RunConfig(**{key[4:]: value for key, value in cfg.items() if key.startswith("run.")})
+    out_dir = _path("output_dir", cfg.get("output_dir"))
     state = minimize(mesh, phases, params, cs, run_cfg)
-    out_dir = cfg.get("output_dir")
     payload = {
         "termination": state.termination,
         "inner_stops": state.inner_stops,
@@ -318,7 +332,7 @@ def cmd_verify(args):
             raise HelfrichError("--corpus verifies the shipped corpus; drop --mesh and --config")
         meshes = [(name, mesh) for name, (mesh, _) in standard_corpus().items()]
     else:
-        mesh_path = _required(_resolve(args), "mesh")
+        mesh_path = _path("mesh", _required(_resolve(args), "mesh"))
         meshes = [(mesh_path, read_mesh(mesh_path))]
     reports = [standard_report(m, name, n_fields=args.n_fields, seed=args.seed) for name, m in meshes]
     payload = {"all_pass": all(r.all_pass for r in reports), "reports": reports}
@@ -327,6 +341,8 @@ def cmd_verify(args):
 
 
 def cmd_overlap(args):
+    if args.n_eps > _MAX_N_EPS:
+        raise HelfrichError(f"--n-eps must be at most {_MAX_N_EPS}, got {args.n_eps}")
     cfg = _resolve(args)
     eps0 = _number("constraints.overlap_eps0", _required(cfg, "constraints.overlap_eps0"))
     if args.mesh_b:
@@ -334,7 +350,7 @@ def cmd_overlap(args):
                  if getattr(args, f) is not None]
         if given:  # no phase labels are read, from flags or config
             raise HelfrichError(f"--mesh-b compares whole meshes; {', '.join(given)} do not apply")
-        mesh_a = read_mesh(_required(cfg, "mesh"))
+        mesh_a = read_mesh(_path("mesh", _required(cfg, "mesh")))
         mesh_b = read_mesh(args.mesh_b)
         sup_a = phase_support(mesh_a, PhaseField.uniform(mesh_a), 1)
         sup_b = phase_support(mesh_b, PhaseField.uniform(mesh_b), 1)

@@ -58,7 +58,7 @@ class ConstraintSet:
     phase_areas : per-phase area targets, each finite and > 0, summing to
         ``area`` (optional)
     overlap_eps0 : threshold of the no-overlap condition (length units,
-        finite and >= 0; 0 disables the gate)
+        finite and >= 0 with a finite cube; 0 disables the gate)
     """
 
     area: float
@@ -73,6 +73,7 @@ class ConstraintSet:
             raise NonPositiveTarget(f"need finite m, e, got ({self.area}, {self.volume})")
         if not (np.isfinite(self.overlap_eps0) and self.overlap_eps0 >= 0):
             raise ValueError(f"overlap_eps0 must be finite and >= 0, got {self.overlap_eps0}")
+        _check_eps0(self.overlap_eps0)
         if self.phase_areas is not None:
             pa = tuple(float(x) for x in self.phase_areas)
             object.__setattr__(self, "phase_areas", pa)
@@ -92,6 +93,19 @@ class ConstraintSet:
         phases.check(mesh)
         if len(self.phase_areas) != phases.n_phases:
             raise PhaseCountMismatch(f"{len(self.phase_areas)} phase targets for {phases.n_phases} phases")
+
+
+def _check_eps0(eps0):
+    """Raise ValueError naming overlap_eps0 unless ``eps0 ** 3`` is a finite float.
+
+    The gate compares d^2 with eps^2 and m(eps) with eps^3 / eps0 for
+    radii eps < eps0, so with a finite cube (eps0 below about 5.6e102)
+    none of them overflows.
+    """
+    with np.errstate(over="ignore"):
+        cube = np.float64(eps0) ** 3
+    if not np.isfinite(cube):
+        raise ValueError(f"overlap_eps0 must be finite with a finite cube, got {eps0}")
 
 
 def isoperimetric_check(m, e):
@@ -395,12 +409,12 @@ def no_overlap_check(support_a, support_b, eps0, n_eps=6):
 
     Returns an :class:`OverlapVerdict`; the fitted exponent is the
     least-squares slope of log(measure) against log(eps) over nonzero
-    samples (NaN if fewer than two).
+    samples (NaN if fewer than two). An eps0 whose cube is not a finite
+    float raises ValueError.
     """
     if n_eps < 4:
         raise InsufficientSamples(f"need at least 4 radii, got {n_eps}")
-    if not np.isfinite(eps0):
-        raise ValueError(f"eps0 must be finite, got {eps0}")
+    _check_eps0(eps0)
     eps_min = 1.5 * max(support_a.resolution, support_b.resolution)
     if not 0 < eps_min < eps0:
         raise InsufficientSamples(

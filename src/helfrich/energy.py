@@ -93,7 +93,8 @@ def vertex_phase_weights(mesh, phases):
     """(V, N) fractions splitting each vertex's mixed area between phases.
 
     Proportional to incident face area per phase; rows sum to 1. Read-only:
-    the array of the phase split stored on the mesh's geometry record.
+    the C-contiguous array of the phase split stored on the mesh's
+    geometry record (:func:`_split` gives its layout and summation order).
     """
     return _split(mesh, phases)[0]
 
@@ -188,15 +189,24 @@ def _interface(mesh, phases):
 
 
 def _split(mesh, phases):
-    """Read-only (V, N) vertex phase weights and the :class:`_Interface`, once per geometry record."""
+    """Read-only (V, N) vertex phase weights and the :class:`_Interface`, once per geometry record.
+
+    The weights are a C-contiguous (V, N) array: the face areas scattered
+    into bin ``v * N + label - 1``, each row then divided by its sum
+    (``sum(axis=1)`` on that array, whose order numpy fixes by N alone),
+    one phase column at a time. Each column's division is elementwise, so
+    the weights have the bits of the row-broadcast division at any N.
+    """
     geo = geometry(mesh)
     if phases not in geo.splits:
         phases.check(mesh)
         n = phases.n_phases
         bins = mesh._face_rows * n + (phases.labels - 1)
         w = _scatter(bins, (geo.area,) * 3, mesh.n_vertices * n).reshape(mesh.n_vertices, n)
-        total = w.sum(axis=1, keepdims=True)
-        w /= np.where(total == 0, 1.0, total)
+        total = w.sum(axis=1)
+        total[total == 0] = 1.0
+        for p in range(n):
+            np.divide(w[:, p], total, out=w[:, p])
         w.setflags(write=False)
         geo.splits[phases] = w, _interface(mesh, phases)
     return geo.splits[phases]

@@ -26,6 +26,16 @@ the slice size cannot change a bit. The corner blocks are then summed
 into (3, V) vertex rows with ``np.bincount`` (``mesh._scatter``), corner
 by corner and faces in index order, so results are bitwise
 deterministic. The gradient is returned as a C-contiguous (V, 3) array.
+
+Per-(vertex, phase) arrays (the phase densities, the G_H factors, the
+phase-area fraction table) are C-contiguous (V, P) arrays filled one
+phase column at a time, each column an elementwise expression of
+(V,) rows, so no broadcast runs an inner loop of length P. Every sum
+over a vertex's phases (``einsum("vp,vp->v")``, ``w @ gamma``) reads
+these (V, P) arrays as numpy would read the broadcasts they replace, so
+the summation order, and with it every bit, is the same at any phase
+count. The face slices read the fraction table with one flat ``take``
+per corner, at ``v * P + label``.
 """
 
 from __future__ import annotations
@@ -69,9 +79,14 @@ def _energy_pass(mesh, phases, params_list):
         G = 0.5 * beta[0] * (H - h0[0]) ** 2 + gamma[0] * K
         G_H, G_K, gp = beta[0] * (H - h0[0]), np.full(len(H), gamma[0]), G[:, None]
     else:
-        gp = 0.5 * beta[None, :] * (H[:, None] - h0[None, :]) ** 2 + gamma[None, :] * K[:, None]
+        # phase densities and G_H factors, one phase column at a time
+        gp, gh = np.empty(w.shape), np.empty(w.shape)
+        for p in range(w.shape[1]):
+            dH = H - h0[p]
+            np.multiply(beta[p], dH, out=gh[:, p])
+            gp[:, p] = 0.5 * beta[p] * dH**2 + gamma[p] * K
         G = np.einsum("vp,vp->v", w, gp)
-        G_H = np.einsum("vp,vp->v", w, beta[None, :] * (H[:, None] - h0[None, :]))
+        G_H = np.einsum("vp,vp->v", w, gh)
         G_K = w @ gamma
     E = float(_vdot(geo.a, G) + _vdot(coeff, iface.length))
     return E, (G, G_H, G_K, w, gp, iface, coeff)
@@ -115,10 +130,19 @@ def _gradient(mesh, phases, terms):
     m_v = geo.L - nu * _dot(nu, geo.L)
     m_v *= coef_h / geo.Nv_norm
     if w is not None:
-        # phase-area fraction term
+        # phase-area fraction term: the (V, P) table
+        # (tau_vp - tau_w_v) / star_area_v, tau = a * gp, built in place
+        P = w.shape[1]
         star_area = _scatter(f, (geo.area,) * 3, V)
-        tau = a[:, None] * gp  # (V, P)
-        tau_w = np.einsum("vp,vp->v", tau, w)
+        frac = np.empty(w.shape)
+        for p in range(P):
+            np.multiply(a, gp[:, p], out=frac[:, p])
+        tau_w = np.einsum("vp,vp->v", frac, w)
+        for p in range(P):
+            col = frac[:, p]
+            col -= tau_w
+            col /= star_area
+        frac = frac.ravel()
 
     # Face-local derivatives, one slice of faces at a time, as (3, n)
     # component rows. Edge c runs from corner c to corner c + 1 and faces
@@ -133,7 +157,7 @@ def _gradient(mesh, phases, terms):
         nhat = _cross(e[0], -e[2])
         nhat *= 0.5
         nhat /= geo.area[sl]
-        s_corner = coef_a[fs]
+        s_corner = coef_a.take(fs)
         any_obt = obtuse.any(axis=0)
         # h_corner[:, c] holds h_v at corner c
         h_corner = np.take(h_v, fs, axis=1)
@@ -152,7 +176,7 @@ def _gradient(mesh, phases, terms):
             dh -= t * e[c]
             ev.append(dh)
         # defect term and d cot = -(1 + cot^2) d theta
-        q = -coef_d[fs]
+        q = -coef_d.take(fs)
         q -= (1.0 + cot**2) * qcot
         # d theta_c / d x_n = -nhat x e_c / |e_c|^2 and d theta_n / d x_c is
         # its negative, so edge c carries (q_c - q_n) nhat x e_c / |e_c|^2
@@ -167,7 +191,7 @@ def _gradient(mesh, phases, terms):
         if w is not None:
             lab = phases.labels[sl] - 1
             for vc in fs:
-                qA += (tau[vc, lab] - tau_w[vc]) / star_area[vc]
+                qA += frac.take(vc * P + lab)
         m_f = np.take(m_v, fs, axis=1)
         M = qA * nhat
         for c in range(3):
@@ -180,11 +204,14 @@ def _gradient(mesh, phases, terms):
             out -= ev[(c + 2) % 3]
     grad = _scatter(f, blocks, V)
 
-    # line tension
+    # line tension, summed over the interface's end vertices only: grad
+    # holds no -0.0 (its sums start from +0.0), so adding +0.0 elsewhere,
+    # as a full (3, V) scatter would, changes no bit
     if len(iface.edges):
         o, d = mesh.edges[iface.edges].T
         rows = mesh.vertices.T
         pull = coeff * ((rows[:, o] - rows[:, d]) / iface.length)
-        grad += _scatter((o, d), (pull, -pull), V)
+        ends, slot = np.unique(np.r_[o, d], return_inverse=True)
+        grad[:, ends] += _scatter(slot.reshape(2, -1), (pull, -pull), len(ends))
 
     return _columns(grad)

@@ -53,9 +53,12 @@ def triple_junctions(request):
     """
     n = request.param
     mesh = shapes.jittered(shapes.icosphere(3), 0.01, seed=9)
-    phases = PhaseField(np.arange(mesh.n_faces) % n + 1, n_phases=n)
-    params = [MaterialParams(1.0 + 0.25 * p, -0.3 - 0.1 * p, 0.5 - 0.2 * p, 0.1 + 0.15 * p, p + 1) for p in range(n)]
-    return mesh, phases, params
+    return mesh, PhaseField(np.arange(mesh.n_faces) % n + 1, n_phases=n), phase_params(n)
+
+
+def phase_params(n):
+    """``n`` distinct material parameter sets, one per phase, all constants nonzero."""
+    return [MaterialParams(1.0 + 0.25 * p, -0.3 - 0.1 * p, 0.5 - 0.2 * p, 0.1 + 0.15 * p, p + 1) for p in range(n)]
 
 
 def total_energy(mesh, phases, params_list):

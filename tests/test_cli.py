@@ -808,3 +808,75 @@ def test_minimize_without_iterations_writes_the_trajectory_header(workdir):
         b"residual_area,residual_volume,residual_phase_max,penalty,step,grad_norm,"
         b"min_angle_deg,max_edge_ratio,iso_quotient,trials,memory,clamped,obtuse\r\n"
     )
+
+
+# runs the CLI on each argv list of argv[1] (JSON) and prints [exit code,
+# stderr] per run; stdout must still be open to print them
+_PATH_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from helfrich.cli import main
+    results = []
+    for argv in json.loads(sys.argv[1]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            results.append([main(argv), err.getvalue()])
+    print(json.dumps(results))
+    """
+)
+
+PATH_KEYS = [
+    ("eval", {"phase_labels": 1}),
+    ("eval", {"phase_labels": True}),
+    ("eval", {"phase_labels": 0}),
+    ("eval", {"phase_labels": False}),
+    ("eval", {"mesh": 3.7}),
+    ("verify", {"mesh": 3.7}),
+    ("overlap", {"mesh": 2}),
+    ("minimize", {"output_dir": 5}),
+]
+
+
+def test_config_path_that_is_not_a_string_exits_1(workdir, tmp_path):
+    """A number or bool in a path key exits 1 naming the key, and leaves stdout open.
+
+    ``{"phase_labels": 1}`` once opened file descriptor 1, read it and
+    closed it, so the runs go through a subprocess; ``0`` and ``false``
+    meant no labels.
+    """
+    base = {"mesh": str(workdir / "split.off"), "phase_labels": str(workdir / "labels.txt"),
+            "params": [{"beta": 1.0}, {"beta": 1.0}],
+            "constraints": {"area": 12.566, "volume": 4.0, "overlap_eps0": 0.15}}
+    runs, expected = [], []
+    for i, (command, override) in enumerate(PATH_KEYS):
+        (tmp_path / f"{i}.json").write_text(json.dumps({**base, **override}))
+        runs.append([command, "--config", str(tmp_path / f"{i}.json")])
+        (key, value), = override.items()
+        expected.append([1, f"error: config {key} must be a path string, got {value!r}\n"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run([sys.executable, "-c", _PATH_PROBE, json.dumps(runs)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == expected
+
+
+def test_overlap_n_eps_is_at_most_64(workdir, capsys):
+    split = ["--mesh", workdir / "split.off", "--phases", workdir / "labels.txt", "--eps0", "0.3"]
+    # rejected before any mesh is read or radius allocated
+    assert run(["overlap", "--mesh", workdir / "nonexistent.off", "--eps0", "0.3", "--n-eps", "65"]) == 1
+    assert capsys.readouterr().err == "error: --n-eps must be at most 64, got 65\n"
+    assert run(["overlap", *split, "--n-eps", "64", "--out", workdir / "n_eps_64.json"]) == 4
+    assert len(json.loads((workdir / "n_eps_64.json").read_text())["radii"]) == 64
+
+
+@pytest.mark.parametrize("command", ["overlap", "minimize"])
+def test_eps0_whose_cube_overflows_exits_1_without_warnings(workdir, capsys, command):
+    # overlap once warned of overflow in d^2 < eps^2 and eps^3, then exited 4
+    args = [command, "--mesh", workdir / "split.off", "--phases", workdir / "labels.txt", "--eps0", "1e300"]
+    if command == "minimize":
+        args += ["--beta", "1,1", "--area", "12.566", "--volume", "4.0", "--max-iterations", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args) == 1
+    assert capsys.readouterr().err == "error: overlap_eps0 must be finite with a finite cube, got 1e+300\n"

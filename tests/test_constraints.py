@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,24 @@ def test_no_overlap_check_rejects_a_non_finite_eps0(eps0):
     sup = unit_square_support(n=10, spacing=0.1)
     with pytest.raises(ValueError, match="eps0 must be finite"):
         no_overlap_check(sup, sup, eps0)
+
+
+@pytest.mark.parametrize("eps0", [1e103, 1e300])
+def test_an_eps0_whose_cube_overflows_is_rejected(eps0):
+    # 1e300 once reached the gate and overflowed in d^2 < eps^2 and eps^3
+    sup = unit_square_support(n=10, spacing=0.1)
+    message = re.escape(f"overlap_eps0 must be finite with a finite cube, got {eps0}")
+    with pytest.raises(ValueError, match=message):
+        no_overlap_check(sup, sup, eps0)
+    with pytest.raises(ValueError, match=message):
+        ConstraintSet(area=2.0, volume=0.1, overlap_eps0=eps0)
+
+
+def test_an_eps0_near_the_cube_limit_runs_without_warnings():
+    # every pair lies within the largest radius; RuntimeWarnings are errors here
+    sup = unit_square_support(n=10, spacing=0.1)
+    verdict = no_overlap_check(sup, sup, 1e102)
+    assert np.isfinite(verdict.bounds).all() and verdict.measures[-1] == sup.mass**2
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -1.0])

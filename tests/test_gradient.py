@@ -11,9 +11,10 @@ from helfrich.energy import PhaseField, multiphase_energy, canham_helfrich, vert
 from helfrich.curvature import curvature_field
 from helfrich.errors import DegenerateConfiguration, PhaseCountMismatch
 from helfrich.gradient import energy_and_gradient
+from helfrich.mesh import _scatter
 from helfrich.optimize import _Constraints
 
-from conftest import flat_cube_faces, interface_kink, rotation_matrix, total_energy, traced_memory
+from conftest import flat_cube_faces, interface_kink, phase_params, rotation_matrix, total_energy, traced_memory
 
 # criterion 7's split-sphere material sets
 SPLIT_PARAMS = [MaterialParams(1.0, -0.3, 0.5, 0.8, 1), MaterialParams(2.0, -1.0, -0.2, 0.4, 2)]
@@ -283,6 +284,34 @@ def test_triple_junction_outputs_pinned(triple_junctions):
     total = multiphase_energy(mesh, curvature_field(mesh), phases, params).total
     support = np.concatenate([phase_support(mesh, phases, p).weights for p in range(1, phases.n_phases + 1)])
     assert (E.hex(), sha(grad), total.hex(), sha(w), sha(support)) == JUNCTION_PINS[phases.n_phases]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_phase_columns_equal_the_broadcasts(n):
+    """The per-phase columns have the bits of the (V, P) broadcasts they replace, P = 1..8.
+
+    For P > 1, labels cycle through phases 1..P-1 face by face and phase P
+    is empty, so the weights hold a zero column and zeros in mixed rows.
+    """
+    mesh = shapes.jittered(shapes.icosphere(2), 0.01, seed=2)
+    phases = PhaseField(np.arange(mesh.n_faces) % max(n - 1, 1) + 1, n_phases=n)
+    params = phase_params(n)
+    geo = geometry(mesh)
+    H, K, V = geo.H, geo.K, mesh.n_vertices
+    bins = mesh._face_rows * n + (phases.labels - 1)
+    raw = _scatter(bins, (geo.area,) * 3, V * n).reshape(V, n)
+    total = raw.sum(axis=1, keepdims=True)
+    w = raw / np.where(total == 0, 1.0, total)
+    assert vertex_phase_weights(mesh, phases).tobytes() == w.tobytes()
+    beta, gamma, h0 = (np.array([getattr(p, k) for p in params]) for k in ("beta", "gamma", "h0"))
+    gp = 0.5 * beta[None, :] * (H[:, None] - h0[None, :]) ** 2 + gamma[None, :] * K[:, None]
+    gh = beta[None, :] * (H[:, None] - h0[None, :])
+    terms = gradient._energy_pass(mesh, phases, params)[1]
+    G, G_H, G_K, _, gp_pass = terms[:5]
+    assert gp_pass.tobytes() == gp.tobytes()
+    assert G.tobytes() == np.einsum("vp,vp->v", w, gp).tobytes()
+    assert G_H.tobytes() == np.einsum("vp,vp->v", w, gh).tobytes()
+    assert G_K.tobytes() == (w @ gamma).tobytes()
 
 
 def test_gradient_transient_memory_is_bounded(large_split):
