@@ -43,7 +43,9 @@ class MaterialParams:
     sigma : line tension (energy/length); used only by multiphase energies
     phase_id : small integer label
 
-    A non-finite constant raises ValueError.
+    A non-finite constant, or one whose square overflows (|x| above
+    about 1.34e154), raises ValueError: the energies and the coercivity
+    constants square each of them.
     """
 
     beta: float
@@ -54,8 +56,11 @@ class MaterialParams:
 
     def __post_init__(self):
         for name in ("beta", "gamma", "h0", "sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if not math.isfinite(float(value) * float(value)):  # inf on overflow; ** would raise
+                raise ValueError(f"{name} must be finite with a finite square, got {value}")
         # beta = 0 is admitted so the pure Gauss term can be evaluated; the
         # convexity window then rejects it where convexity matters
         if self.beta < 0:

@@ -1,11 +1,12 @@
 """Numerical verification of the proved inequalities on arbitrary meshes.
 
 Every check evaluates both sides of one inequality on a mesh and records
-name, values, margin, and pass/fail. Reports are reproducible bit-for-bit
-for a fixed mesh and seed. The lower-semicontinuity statement has no
-pointwise discrete counterpart, so no check here covers it; the tests
-check it only by refinement, as convergence of the energy on refined
-analytic shapes.
+name, values, margin, and pass/fail. A check takes the mesh's
+``CurvatureField`` and reads the mesh itself as ``curv.mesh``. Reports
+are reproducible bit-for-bit for a fixed mesh and seed. The
+lower-semicontinuity statement has no pointwise discrete counterpart, so
+no check here covers it; the tests check it only by refinement, as
+convergence of the energy on refined analytic shapes.
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ def _divergence_integral(P, jac, mixed_area):
     return float(_vdot(np.einsum("vij,vij->v", P, jac), mixed_area))
 
 
-def verify_first_variation(mesh, curv, n_fields=20, seed=0):
-    """|delta V(X)| <= sqrt(2 mu) ||A||_L2 for random unit-sup-norm fields.
+def verify_first_variation(curv, n_fields=20, seed=0):
+    """|delta V(X)| <= sqrt(2 mu) ||A||_L2 for random unit-sup-norm fields on ``curv.mesh``.
 
     A 5% tolerance on the right-hand side absorbs the vertex quadrature;
     the constant field and the identity field, centred and scaled to
@@ -194,7 +195,7 @@ def verify_first_variation(mesh, curv, n_fields=20, seed=0):
     FMA vector lanes, so that einsum's bits depend on the operand layout,
     and no row form reproduces them.
     """
-    a = curv.mixed_area
+    mesh, a = curv.mesh, curv.mixed_area
     mu = float(a.sum())
     normA_L2 = float(np.sqrt(_vdot(curv.norm_A_squared(), a)))
     rhs = np.sqrt(2.0 * mu) * normA_L2
@@ -235,8 +236,8 @@ def verify_first_variation(mesh, curv, n_fields=20, seed=0):
     return records
 
 
-def verify_energy_bounds(mesh, curv, params):
-    """||A||^2 <= c1 (F + c2 mu) and its Willmore consequence.
+def verify_energy_bounds(curv, params):
+    """||A||^2 <= c1 (F + c2 mu) and its Willmore consequence on ``curv.mesh``.
 
     Raises NotConvex outside the strict convexity window.
     """
@@ -245,9 +246,9 @@ def verify_energy_bounds(mesh, curv, params):
     c1, c2 = coercivity_constants(params)
     mu = float(curv.mixed_area.sum())
     normA2 = float(_vdot(curv.norm_A_squared(), curv.mixed_area))
-    F = canham_helfrich(mesh, curv, params)
+    F = canham_helfrich(curv.mesh, curv, params)
     rhs = c1 * (F + c2 * mu)
-    w_var = willmore(mesh, curv, "varifold")
+    w_var = willmore(curv.mesh, curv, "varifold")
     tag = f"beta={params.beta:g},gamma={params.gamma:g},H0={params.h0:g}"
     return [
         _record(
@@ -261,12 +262,12 @@ def verify_energy_bounds(mesh, curv, params):
     ]
 
 
-def verify_diameter(mesh, curv):
-    """Lower and upper diameter bounds through the Willmore energy."""
+def verify_diameter(curv):
+    """Lower and upper diameter bounds of ``curv.mesh`` through the Willmore energy."""
     mu = float(curv.mixed_area.sum())
-    w_q = willmore(mesh, curv, "quarter")
-    w_var = willmore(mesh, curv, "varifold")
-    diam = mesh_diameter(mesh)
+    w_q = willmore(curv.mesh, curv, "quarter")
+    w_var = willmore(curv.mesh, curv, "varifold")
+    diam = mesh_diameter(curv.mesh)
     return [
         _record(
             "diameter/lower_varifold", mu / np.sqrt(mu * w_var), diam, 1e-9 * diam,
@@ -283,9 +284,9 @@ def verify_diameter(mesh, curv):
     ]
 
 
-def verify_li_yau(mesh, curv, multiplicity_hint=1):
-    """W_quarter >= 4 pi k for a mesh of known max point multiplicity k."""
-    w_q = willmore(mesh, curv, "quarter")
+def verify_li_yau(curv, multiplicity_hint=1):
+    """W_quarter >= 4 pi k for ``curv.mesh`` of known max point multiplicity k."""
+    w_q = willmore(curv.mesh, curv, "quarter")
     rhs = 4.0 * np.pi * multiplicity_hint
     return [
         _record(
@@ -308,11 +309,11 @@ def standard_report(mesh, name="mesh", n_fields=20, seed=0):
         mesh.mean_edge_length,
     )
     checks = verify_pointwise(curv)
-    checks += verify_first_variation(mesh, curv, n_fields=n_fields, seed=seed)
+    checks += verify_first_variation(curv, n_fields=n_fields, seed=seed)
     for params in _REPORT_PARAMS:
-        checks += verify_energy_bounds(mesh, curv, params)
-    checks += verify_diameter(mesh, curv)
-    checks += verify_li_yau(mesh, curv)
+        checks += verify_energy_bounds(curv, params)
+    checks += verify_diameter(curv)
+    checks += verify_li_yau(curv)
     gauss_sum = float(_vdot(curv.K, curv.mixed_area))
     target = 2.0 * np.pi * mesh.euler_characteristic
     checks.append(

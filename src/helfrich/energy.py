@@ -74,7 +74,7 @@ class PhaseField:
 
     @classmethod
     def uniform(cls, mesh):
-        return cls(np.ones(mesh.n_faces, dtype=np.int64), n_phases=1)
+        return cls(np.ones(mesh.n_faces, dtype=np.int64))
 
     def check(self, mesh):
         if len(self.labels) != mesh.n_faces:
@@ -144,6 +144,7 @@ def multiphase_energy(mesh, curv, phases, params_list):
     Parameters
     ----------
     mesh : TriMesh
+        Unread: every term is taken from ``curv`` and ``curv.mesh``.
     curv : CurvatureField
     phases : PhaseField or None
         Labels must cover {1..N}; one entry of ``params_list`` per phase.
@@ -157,7 +158,7 @@ def multiphase_energy(mesh, curv, phases, params_list):
     EnergyReport
     """
     report = EnergyReport(0.0, 0.0, willmore(mesh, curv, "quarter"), willmore(mesh, curv, "varifold"))
-    report.phases, report.line_tension = _phase_terms(mesh, curv.mixed_area, curv.H, curv.K, phases, params_list)
+    report.phases, report.line_tension = _phase_terms(curv.mesh, phases, params_list)
     report.total = report.parts_sum()
     return report
 
@@ -233,12 +234,16 @@ def _phase_split(mesh, phases, params_list):
     return _split(mesh, phases)
 
 
-def _phase_terms(mesh, a, H, K, phases, params_list):
-    """Per-phase reports and the total line tension of vertex data (a, H, K).
+def _phase_terms(mesh, phases, params_list):
+    """Per-phase reports and the total line tension of the mesh's geometry record.
 
     The breakdown :func:`multiphase_energy` reports, without the Willmore
-    terms; ``phases=None`` is one phase over the whole mesh.
+    terms, from the record's mixed areas a, mean curvature H and Gauss
+    curvature K (a curvature field's arrays are those same arrays);
+    ``phases=None`` is one phase over the whole mesh.
     """
+    geo = geometry(mesh)
+    a, H, K = geo.a, geo.H, geo.K
     w, iface = _phase_split(mesh, phases, params_list)
     reports = []
     line = 0.0

@@ -235,8 +235,11 @@ class _Point:
     c: np.ndarray
 
 
-def _trial(mesh, x, phases, params_list, con):
-    """(``_Point``, None) at positions x, or (None, guard fault or None) if rejected."""
+def _trial(mesh, x, params_list, con):
+    """(``_Point``, None) at positions x, or (None, guard fault or None) if rejected.
+
+    The trial's phases are the run's, ``con.phases``.
+    """
     try:
         trial = mesh.with_vertices(x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -248,14 +251,19 @@ def _trial(mesh, x, phases, params_list, con):
     if fault:
         return None, fault
     try:
-        E, terms = _energy_pass(trial, phases, params_list)
+        E, terms = _energy_pass(trial, con.phases, params_list)
     except DegenerateConfiguration:  # a vertex normal vanished
         return None, None
     return _Point(trial, E, terms, con.values(trial)), None
 
 
-def _line_search(mesh, phi, searches, lam, rho, phases, params_list, con):
+def _line_search(mesh, phi, searches, lam, rho, params_list, con):
     """Armijo backtracking from ``mesh``, whose augmented Lagrangian is phi.
+
+    A trial is accepted when its augmented Lagrangian passes the Armijo
+    test and is strictly below phi: once s * slope rounds away against
+    phi, a trial that moves the vertices at rounding level would pass
+    Armijo alone with phi unchanged.
 
     ``searches`` holds (direction, slope, first step, memory) tuples: the
     L-BFGS search, when there is one, and then steepest descent, which
@@ -266,11 +274,11 @@ def _line_search(mesh, phi, searches, lam, rho, phases, params_list, con):
     (d, slope, s, memory), trials, guard = searches[0], 0, None
     while trials < _SEARCH_TRIALS:
         trials += 1
-        point, fault = _trial(mesh, mesh.vertices + s * d, phases, params_list, con)
+        point, fault = _trial(mesh, mesh.vertices + s * d, params_list, con)
         guard = fault or guard
         if point is not None:
             phi_trial = _augmented(point.E, point.c, lam, rho)
-            if np.isfinite(phi_trial) and phi_trial <= phi + _ARMIJO_C * s * slope:
+            if np.isfinite(phi_trial) and phi_trial <= phi + _ARMIJO_C * s * slope and phi_trial < phi:
                 return point, s, trials, memory, guard
         if memory and trials == _LBFGS_TRIALS:
             d, slope, s, memory = searches[-1]
@@ -299,7 +307,7 @@ def _two_loop(g, pairs):
 
 
 def _inner_round(point, lam, rho, step, it, outer, inner_tol, budget, R,
-                 phases, params_list, con, trajectory):
+                 params_list, con, trajectory):
     """One outer round's inner iterations from ``point`` at multipliers lam and penalty rho.
 
     Appends one trajectory row per iteration, built after its search.
@@ -315,7 +323,7 @@ def _inner_round(point, lam, rho, step, it, outer, inner_tol, budget, R,
         if it >= budget:
             return point, it, step, grad_norm, "budget"
         mesh, c = point.mesh, point.c
-        g = _gradient(mesh, phases, point.terms)
+        g = _gradient(mesh, con.phases, point.terms)
         for lam_i, rho_c, gc in zip(lam, rho * c, con.gradients(mesh)):
             g += (lam_i + rho_c) * gc
         phi = _augmented(point.E, c, lam, rho)
@@ -330,7 +338,7 @@ def _inner_round(point, lam, rho, step, it, outer, inner_tol, budget, R,
             if sy > _PAIR_COSINE * np.sqrt(_vdot(s_k, s_k)) * np.sqrt(_vdot(y_k, y_k)):
                 pairs.append((s_k, y_k, 1.0 / sy))
         geo = geometry(mesh)  # the row's terms, formed before any trial is alive
-        reports, line = _phase_terms(mesh, geo.a, geo.H, geo.K, phases, params_list)
+        reports, line = _phase_terms(mesh, con.phases, params_list)
         accepted, s, trials, memory = None, 0.0, 0, 0
         at_tol = grad_norm * R < inner_tol
         if not at_tol:
@@ -345,7 +353,7 @@ def _inner_round(point, lam, rho, step, it, outer, inner_tol, budget, R,
                 if slope_qn < 0:
                     searches.insert(0, (d_qn, slope_qn, 1.0, len(pairs)))
             accepted, s, trials, memory, guard = _line_search(
-                mesh, phi, searches, lam, rho, phases, params_list, con
+                mesh, phi, searches, lam, rho, params_list, con
             )
             if accepted is None and guard:
                 raise QualityCollapse(f"{guard} at iteration {it}: no acceptable step in {trials} trials")
@@ -425,7 +433,7 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         held, point = [point], None
         point, it, step, grad_norm, stop = _inner_round(
             held.pop(), lam, rho, step, it, outer, inner_tol, cfg.max_iterations, R,
-            phases, params_list, con, trajectory,
+            params_list, con, trajectory,
         )
         inner_stops.append(stop)
         # multiplier update and penalty management

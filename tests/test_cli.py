@@ -175,9 +175,10 @@ def test_overlap_rejects_equal_phase_ids(workdir, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--beta", "--gamma", "--h0", "--sigma"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "-1e300"])
 def test_eval_rejects_non_finite_material_constants(workdir, capsys, flag, value):
-    # NaN passed the beta >= 0 test, so eval once exited 0 with a "nan" total
+    # NaN passed the beta >= 0 test, so eval once exited 0 with a "nan" total;
+    # --h0 1e300 once ended in an OverflowError traceback from h0**2
     args = ["eval", "--mesh", workdir / "sphere.off", "--beta", "1", "--out", workdir / "nan.json"]
     assert run(args + [f"{flag}={value}"]) == 1
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
@@ -193,6 +194,7 @@ def test_negative_non_finite_value_after_a_space_is_a_value(workdir, capsys, val
 
 def test_exit_codes(workdir):
     assert run(["hessian", "--beta", "2"]) == 1  # missing --gamma
+    assert run(["hessian", "--beta", "1e200", "--gamma", "-1"]) == 1  # beta**2 overflows
     assert run(["eval", "--mesh", workdir / "nonexistent.off", "--beta", "1"]) == 1
     assert run(
         ["minimize", "--mesh", workdir / "sphere.off", "--beta", "1",
@@ -880,3 +882,26 @@ def test_eps0_whose_cube_overflows_exits_1_without_warnings(workdir, capsys, com
         warnings.simplefilter("error")
         assert run(args) == 1
     assert capsys.readouterr().err == "error: overlap_eps0 must be finite with a finite cube, got 1e+300\n"
+
+
+def test_eval_without_material_parameters_exits_1(workdir, capsys):
+    assert run(["eval", "--mesh", workdir / "sphere.off"]) == 1
+    assert capsys.readouterr().err == (
+        "error: material parameters missing (use --beta or config params[i].beta)\n"
+    )
+
+
+def test_overlap_without_phases_or_a_second_mesh_exits_1(workdir, capsys):
+    assert run(["overlap", "--mesh", workdir / "sphere.off", "--eps0", "0.3"]) == 1
+    assert capsys.readouterr().err == "error: overlap needs --phases or --mesh-b\n"
+
+
+def test_minimize_from_a_mesh_that_breaks_the_guard_exits_3(workdir, capsys):
+    mesh = shapes.icosphere(1)
+    write_mesh(workdir / "needle.off", mesh.with_vertices(mesh.vertices * np.array([1.0, 1.0, 200.0])))
+    args = ["minimize", "--mesh", workdir / "needle.off", "--beta", "1", "--area", "12.566", "--volume", "1.0",
+            "--max-iterations", "1"]
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("optimizer failure: edge ratio 226 > 50.0 (shortest edge in face ")
+    assert err.endswith(") at iteration 0\n")

@@ -214,6 +214,15 @@ def test_hessian_matches_finite_differences():
 @pytest.mark.parametrize("name", ["beta", "gamma", "h0", "sigma"])
 def test_material_params_reject_non_finite_constants(name):
     values = {"beta": 1.0, "gamma": -0.5, "h0": 0.3, "sigma": 0.2}
-    for bad in (float("nan"), float("inf"), -float("inf")):
+    # a finite value whose square overflows too: coercivity_constants once
+    # raised OverflowError from beta**2 at MaterialParams(1e200, -1e200)
+    for bad in (float("nan"), float("inf"), -float("inf"), 1e200, -1e200, 1.3407807929942597e154):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             MaterialParams(**{**values, name: bad})
+    # the largest float whose square is finite is admitted
+    MaterialParams(**{**values, name: 1.3407807929942596e154})
+
+
+def test_material_params_reject_a_negative_beta():
+    with pytest.raises(ValueError, match=r"^beta must be >= 0, got -1.0$"):
+        MaterialParams(-1.0, 0.0)

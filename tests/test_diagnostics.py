@@ -99,7 +99,7 @@ def test_identity_field_record_scales_with_the_radius(radius):
     # lhs = 2 mu / max |x - c| and rhs = sqrt(2 mu) ||A||_L2 both scale like the
     # radius, so the verdict does not depend on the unit of length
     def identity(mesh):
-        records = verify_first_variation(mesh, curvature_field(mesh), n_fields=0)
+        records = verify_first_variation(curvature_field(mesh), n_fields=0)
         return next(r for r in records if r.name.endswith("identity_field"))
 
     unit = identity(shapes.icosphere(3))
@@ -111,7 +111,7 @@ def test_identity_field_record_scales_with_the_radius(radius):
 
 
 def test_first_variation_records(icosphere4, icosphere4_curv):
-    records = verify_first_variation(icosphere4, icosphere4_curv, n_fields=20, seed=0)
+    records = verify_first_variation(icosphere4_curv, n_fields=20, seed=0)
     assert len(records) == 22  # constant + identity + 20 random
     assert all(r.passed for r in records)
     const = [r for r in records if r.name.endswith("constant_field")][0]
@@ -119,7 +119,7 @@ def test_first_variation_records(icosphere4, icosphere4_curv):
 
 
 def test_energy_bounds_sphere(icosphere4, icosphere4_curv):
-    records = verify_energy_bounds(icosphere4, icosphere4_curv, MaterialParams(1.0, -1.0, 0.0))
+    records = verify_energy_bounds(icosphere4_curv, MaterialParams(1.0, -1.0, 0.0))
     by_name = {r.name.split("[")[0]: r for r in records}
     curvature = by_name["energy_bounds/curvature"]
     # ||A||^2 = 16 pi <= c1 F = 8 * 4 pi
@@ -133,19 +133,19 @@ def test_energy_bounds_sphere(icosphere4, icosphere4_curv):
 
 def test_energy_bounds_requires_convexity(icosphere4, icosphere4_curv):
     with pytest.raises(NotConvex):
-        verify_energy_bounds(icosphere4, icosphere4_curv, MaterialParams(1.0, 0.5, 0.0))
+        verify_energy_bounds(icosphere4_curv, MaterialParams(1.0, 0.5, 0.0))
 
 
 def test_energy_bounds_nonzero_h0_on_corpus(corpus):
     params = MaterialParams(1.0, -1.0, 0.7)
     for name, (mesh, _) in corpus.items():
         curv = curvature_field(mesh)
-        records = verify_energy_bounds(mesh, curv, params)
+        records = verify_energy_bounds(curv, params)
         assert all(r.passed for r in records), name
 
 
 def test_diameter_bounds_sphere(icosphere4, icosphere4_curv):
-    records = {r.name: r for r in verify_diameter(icosphere4, icosphere4_curv)}
+    records = {r.name: r for r in verify_diameter(icosphere4_curv)}
     lower_var = records["diameter/lower_varifold"]
     assert abs(lower_var.lhs - 0.5) < 0.01  # 4pi / sqrt(4pi * 16pi)
     assert abs(lower_var.rhs - 2.0) < 0.01
@@ -159,11 +159,11 @@ def test_diameter_bounds_sphere(icosphere4, icosphere4_curv):
 def test_diameter_bounds_capsule(corpus):
     mesh, _ = corpus["capsule"]
     curv = curvature_field(mesh)
-    assert all(r.passed for r in verify_diameter(mesh, curv))
+    assert all(r.passed for r in verify_diameter(curv))
 
 
 def test_li_yau_sphere_equality(icosphere4, icosphere4_curv):
-    (rec,) = verify_li_yau(icosphere4, icosphere4_curv, multiplicity_hint=1)
+    (rec,) = verify_li_yau(icosphere4_curv, multiplicity_hint=1)
     assert rec.passed
     assert abs(rec.rhs - FOUR_PI) < 0.01 * FOUR_PI  # equality case
 
@@ -171,7 +171,7 @@ def test_li_yau_sphere_equality(icosphere4, icosphere4_curv):
 def test_li_yau_two_touching_spheres():
     mesh = two_spheres_touching(level=3)
     curv = curvature_field(mesh)
-    (rec,) = verify_li_yau(mesh, curv, multiplicity_hint=2)
+    (rec,) = verify_li_yau(curv, multiplicity_hint=2)
     assert rec.passed
     wq = willmore(mesh, curv, "quarter")
     assert abs(wq - 8 * np.pi) < 0.02 * 8 * np.pi
@@ -180,7 +180,7 @@ def test_li_yau_two_touching_spheres():
 def test_li_yau_torus(corpus):
     mesh, _ = corpus["torus"]
     curv = curvature_field(mesh)
-    (rec,) = verify_li_yau(mesh, curv, multiplicity_hint=1)
+    (rec,) = verify_li_yau(curv, multiplicity_hint=1)
     assert rec.passed
     assert willmore(mesh, curv, "quarter") >= FOUR_PI
 

@@ -248,3 +248,12 @@ def test_energy_routes_share_one_phase_split(name, n_phases, data):
     ends = mesh.edges[cut]
     interface = np.linalg.norm(mesh.vertices[ends[:, 0]] - mesh.vertices[ends[:, 1]], axis=1).sum()
     assert abs(sum(p.boundary_length for p in rep.phases) - 2.0 * interface) <= 1e-12 * max(interface, 1e-300)
+
+
+@pytest.mark.parametrize("labels, n_phases, message", [
+    ([[1, 2], [1, 1]], None, "labels must be one integer per face"),
+    ([1, 3], 2, "label exceeds declared phase count"),
+], ids=["two_dimensional", "label_past_the_count"])
+def test_phase_field_rejects_labels_by_name(labels, n_phases, message):
+    with pytest.raises(PhaseCountMismatch, match=f"^{message}$"):
+        PhaseField(labels, n_phases=n_phases)

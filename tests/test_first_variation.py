@@ -74,7 +74,7 @@ def test_records_equal_the_two_evaluation_loop(shape, seed, request):
     if shape == "split_sphere":
         mesh = mesh[0]
     curv = curvature_field(mesh)
-    got = verify_first_variation(mesh, curv, n_fields=20, seed=seed)
+    got = verify_first_variation(curv, n_fields=20, seed=seed)
     want = _two_evaluation_records(mesh, curv, 20, seed)
     assert len(got) == len(want) == 22
     for g, w in zip(got, want):

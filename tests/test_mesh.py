@@ -229,6 +229,19 @@ def test_index_and_reference_validation():
         TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 5, 5)], [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("vertices, faces, error, message", [
+    (np.zeros((4, 2)), [[0, 1, 2]], IndexOutOfRange, r"vertices must be \(V, 3\), got \(4, 2\)"),
+    (np.eye(4, 3), [[0, 1, 2, 3]], IndexOutOfRange, r"faces must be \(F, 3\), got \(1, 4\)"),
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, np.nan, 0.0]], [[0, 1, 2]], DegenerateFace,
+     "non-finite vertex coordinates"),
+    (np.eye(3), np.zeros((0, 3), dtype=np.int64), IndexOutOfRange, "mesh has no faces"),
+    (np.eye(3)[:2], [[0, 0, 1]], DegenerateFace, "face with repeated vertex"),
+], ids=["vertices_2d", "quad_face", "nan_vertex", "no_faces", "repeated_vertex"])
+def test_malformed_input_arrays_are_rejected_by_name(vertices, faces, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        TriMesh(vertices, faces)
+
+
 def test_degenerate_face_rejected():
     verts = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]
     # face 3 is flat; the threshold is 1e-12 * bbox_diagonal^2 = 5e-12
@@ -913,3 +926,4 @@ def test_edges_and_adjacency(icosphere4):
     # neighbor relation is symmetric
     half_edges = zip(m.faces.ravel(), m.faces[:, [1, 2, 0]].ravel())
     assert set(map(tuple, m.edges)) == {(min(a, b), max(a, b)) for a, b in half_edges}
+

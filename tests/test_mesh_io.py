@@ -427,3 +427,14 @@ def test_label_file_text_that_is_not_a_number_names_the_path(tmp_path):
     path.write_text("1 2 two\n")
     with pytest.raises(PhaseCountMismatch, match=rf"^{re.escape(str(path))}: malformed phase labels$"):
         _read_labels(path)
+
+
+def test_negative_off_count_and_comment_only_obj_are_rejected(tmp_path):
+    off = tmp_path / "negative.off"
+    off.write_text("OFF\n-1 4 0\n")
+    with pytest.raises(MeshError, match=f"^{re.escape(str(off))}: negative vertex or face count$"):
+        read_off(off)
+    obj = tmp_path / "comments.obj"
+    obj.write_text("# a comment\n# another\n")
+    with pytest.raises(MeshError, match=f"^{re.escape(str(obj))}: no geometry found$"):
+        read_obj(obj)

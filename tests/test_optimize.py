@@ -777,7 +777,7 @@ def _search_start():
 
 
 def _search(mesh, con, lam, rho, phi, searches):
-    return _line_search(mesh, phi, searches, lam, rho, None, WILLMORE, con)
+    return _line_search(mesh, phi, searches, lam, rho, WILLMORE, con)
 
 
 def test_line_search_accepts_the_first_trial_that_passes_armijo():
@@ -788,8 +788,9 @@ def test_line_search_accepts_the_first_trial_that_passes_armijo():
     assert trials > 1 and memory == 0 and s == s0 * 0.5 ** (trials - 1)
     for k in range(trials):
         step = s0 * 0.5**k
-        at, _ = _trial(mesh, mesh.vertices + step * -g, None, WILLMORE, con)
-        passes = at is not None and _augmented(at.E, at.c, lam, rho) <= phi + _ARMIJO_C * step * -gg
+        at, _ = _trial(mesh, mesh.vertices + step * -g, WILLMORE, con)
+        phi_at = _augmented(at.E, at.c, lam, rho) if at is not None else np.inf
+        passes = phi_at <= phi + _ARMIJO_C * step * -gg and phi_at < phi
         assert passes == (k == trials - 1)
     trial = point.mesh
     assert np.array_equal(trial.vertices, mesh.vertices + s * -g)
@@ -803,7 +804,7 @@ def test_trial_rejects_overflowing_face_areas(scale):
     mesh, con = _search_start()[:2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _trial(mesh, scale * mesh.vertices, None, WILLMORE, con) == (None, None)
+        assert _trial(mesh, scale * mesh.vertices, WILLMORE, con) == (None, None)
 
 
 def test_line_search_falls_back_to_steepest_descent(monkeypatch):
@@ -988,3 +989,7 @@ def test_drawn_runs_end_documented_and_keep_a_consistent_record(
     assert state.iteration == len(rows) - state.inner_stops.count("grad_tol")
     # the L-BFGS memory starts empty in every round
     assert all(row.memory == 0 for prev, row in zip([None, *rows], rows) if prev is None or prev.outer != row.outer)
+    # an accepted step strictly lowers the augmented Lagrangian: a round cannot accept a non-move
+    for row, after in zip(rows, rows[1:]):
+        if row.step > 0 and after.outer == row.outer:
+            assert after.augmented < row.augmented, row.iteration
