@@ -45,7 +45,8 @@ class MaterialParams:
 
     A non-finite constant, or one whose square overflows (|x| above
     about 1.34e154), raises ValueError: the energies and the coercivity
-    constants square each of them.
+    constants square each of them. So does a pair whose beta * h0**2 / 2,
+    the bending density at zero mean curvature, overflows.
     """
 
     beta: float
@@ -65,6 +66,11 @@ class MaterialParams:
         # convexity window then rejects it where convexity matters
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
+        # in the energy pass's order, 0.5 * beta * (H - h0)**2
+        if not math.isfinite(0.5 * float(self.beta) * (float(self.h0) * float(self.h0))):
+            raise ValueError(
+                f"beta and h0 must give a finite beta * h0**2 / 2, got beta={self.beta}, h0={self.h0}"
+            )
 
     @property
     def strictly_convex(self):

@@ -18,14 +18,16 @@ computed in one place, ``_energy_pass``, with the terms ``_gradient``
 continues from, so each position's energy terms are computed once.
 Assembly is face-elemental on component rows. The per-vertex chain-rule
 coefficients are built once for the whole mesh; the face-local stage
-then runs over consecutive slices of ``_FACE_BLOCK`` faces, each writing
-its faces' three corner blocks into one (3, 3, F) array, so its
+then runs over consecutive slices of ``_FACE_BLOCK`` faces, so its
 temporaries are (3, n) rows of one slice, not (3, F) rows of the whole
 mesh. Every step inside a slice is elementwise per face or a gather, so
-the slice size cannot change a bit. The corner blocks are then summed
-into (3, V) vertex rows with ``np.bincount`` (``mesh._scatter``), corner
-by corner and faces in index order, so results are bitwise
-deterministic. The gradient is returned as a C-contiguous (V, 3) array.
+the slice size cannot change a bit. Each corner block of a slice goes
+straight into per-corner vertex sums, one (V,) row per corner and
+component, with ``np.add.at``: it adds faces in index order from +0.0,
+as ``np.bincount`` does, and the slices arrive in order, so each corner
+row is bitwise ``mesh._scatter``'s and the gradient row, (corner 0 +
+corner 1) + corner 2, is too. Results are bitwise deterministic. The
+gradient is returned as a C-contiguous (V, 3) array.
 
 Per-(vertex, phase) arrays (the phase densities, the G_H factors, the
 phase-area fraction table) are C-contiguous (V, P) arrays filled one
@@ -119,6 +121,7 @@ def _gradient(mesh, phases, terms):
     with np.errstate(divide="ignore", invalid="ignore"):
         clamp_d = np.where(clamped, a * G_H * H / (2.0 * geo.defect), 0.0)
     coef_d = np.where(clamped, clamp_d + G_K, G_K)
+    del clamp_d
     coef_a = np.where(
         clamped,
         G - G_H * H / 2.0 - G_K * K,
@@ -129,6 +132,7 @@ def _gradient(mesh, phases, terms):
     # M the face sum of m_v = coef_h / |N_v| * (L - nu <nu, L>)
     m_v = geo.L - nu * _dot(nu, geo.L)
     m_v *= coef_h / geo.Nv_norm
+    del coef_h
     if w is not None:
         # phase-area fraction term: the (V, P) table
         # (tau_vp - tau_w_v) / star_area_v, tau = a * gp, built in place
@@ -142,14 +146,18 @@ def _gradient(mesh, phases, terms):
             col = frac[:, p]
             col -= tau_w
             col /= star_area
+        del star_area, tau_w
         frac = frac.ravel()
 
     # Face-local derivatives, one slice of faces at a time, as (3, n)
     # component rows. Edge c runs from corner c to corner c + 1 and faces
     # corner c + 2. A term that moves corner c by +ev[c] and corner c + 1
     # by -ev[c] is an edge term; q[c] collects the coefficient of
-    # d theta_c and qA the coefficient of the face area.
-    blocks = np.empty((3, 3, F))
+    # d theta_c and qA the coefficient of the face area. Each corner block
+    # is formed in ``buf`` and added at once into acc[c][k], the sum over
+    # corner c of component k.
+    acc = [[np.zeros(V) for _ in range(3)] for _ in range(3)]
+    buf = np.empty((3, min(F, _FACE_BLOCK)))
     for lo in range(0, F, _FACE_BLOCK):
         sl = slice(lo, lo + _FACE_BLOCK)
         fs, e, l2, cot = f[:, sl], geo.e[:, :, sl], geo.l2[:, sl], geo.cot[:, sl]
@@ -198,11 +206,19 @@ def _gradient(mesh, phases, terms):
             M += m_f[:, c]
         # d(M . N_f)/d x_c = M x e_{c+1} / 2
         for c in range(3):
-            out = _cross(M, e[(c + 1) % 3], out=blocks[c, :, sl])
+            out = _cross(M, e[(c + 1) % 3], out=buf[:, : fs.shape[1]])
             out *= 0.5
             out += ev[c]
             out -= ev[(c + 2) % 3]
-    grad = _scatter(f, blocks, V)
+            for k in range(3):
+                np.add.at(acc[c][k], fs[c], out[k])
+    # coef_a, coef_d, h_v and m_v live until here: freed before the sums,
+    # they let glibc trim the heap, and a fresh-process minimize paid ten
+    # times the page faults to map it back on the next call
+    grad = np.empty((3, V))
+    for k in range(3):
+        np.add(acc[0][k], acc[1][k], out=grad[k])
+        grad[k] += acc[2][k]
 
     # line tension, summed over the interface's end vertices only: grad
     # holds no -0.0 (its sums start from +0.0), so adding +0.0 elsewhere,

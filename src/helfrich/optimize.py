@@ -398,6 +398,9 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
     PhaseCountMismatch
         Phase labels, parameter sets and phase area targets disagree.
     Infeasible
+        The targets break the isoperimetric inequality, a start phase
+        area is more than 20% off its target, or a start relative
+        residual has a square that overflows.
     QualityCollapse
         The start mesh breaks the quality guard, or a line search ran out
         of trials and the guard rejected at least one of them.
@@ -411,7 +414,18 @@ def minimize(mesh0, phases, params_list, cs, cfg=RunConfig()):
         )
     cs.check_phases(mesh0, phases)
     con = _Constraints(phases, cs)
-    c0 = con.values(mesh0)
+    with np.errstate(over="ignore"):
+        c0 = con.values(mesh0)
+    if con.per_phase:
+        targets = [(f"phase {i} area", t) for i, t in enumerate(cs.phase_areas, 1)]
+    else:
+        targets = [("area", cs.area)]
+    targets.append(("volume", cs.volume))
+    for (name, target), c in zip(targets, c0.tolist()):
+        if not np.isfinite(c * c):  # the augmented Lagrangian squares c
+            raise Infeasible(
+                f"initial relative {name} residual {c:.3g} against the target {target} has a square that overflows"
+            )
     if con.per_phase:
         for c in c0[:-1]:
             if abs(c) > 0.2:

@@ -905,3 +905,19 @@ def test_minimize_from_a_mesh_that_breaks_the_guard_exits_3(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("optimizer failure: edge ratio 226 > 50.0 (shortest edge in face ")
     assert err.endswith(") at iteration 0\n")
+
+
+@pytest.mark.parametrize("volume", ["1e-300", "5e-324"])
+def test_minimize_whose_start_residual_square_overflows_exits_2(workdir, capsys, monkeypatch, volume):
+    # with --volume 1e-300 the start's relative volume residual is 4.2e300:
+    # this once warned at the penalty term and exited 3 with "augmented
+    # Lagrangian inf at iteration 0"; now nothing is evaluated
+    write_mesh(workdir / "jittered4.off", shapes.jittered(shapes.icosphere(4), 0.01, seed=11))
+    monkeypatch.setattr("helfrich.optimize._energy_pass", None)
+    args = ["minimize", "--mesh", workdir / "jittered4.off", "--beta", "1", "--area", "12.566370614359172",
+            "--volume", volume, "--out-dir", workdir / "overflow"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: initial relative volume residual ")
+    assert err.endswith(f" against the target {float(volume)} has a square that overflows\n")
+    assert not (workdir / "overflow").exists()

@@ -11,6 +11,7 @@ from helfrich.density import (
     hessian,
 )
 from helfrich.errors import NonUnitNormal, NotConvex
+from helfrich.gradient import energy_and_gradient
 
 
 def test_zero_tensor_leaves_spontaneous_term():
@@ -221,6 +222,24 @@ def test_material_params_reject_non_finite_constants(name):
             MaterialParams(**{**values, name: bad})
     # the largest float whose square is finite is admitted
     MaterialParams(**{**values, name: 1.3407807929942596e154})
+
+
+def test_material_params_reject_an_overflowing_bending_density():
+    # energy_and_gradient on icosphere(2) once returned E = inf and a
+    # non-finite gradient for this set, after RuntimeWarnings
+    with pytest.raises(
+        ValueError,
+        match=r"^beta and h0 must give a finite beta \* h0\*\*2 / 2, got beta=1e\+150, h0=1e\+150$",
+    ):
+        MaterialParams(1e150, 0.0, 1e150)
+    # beta / 2 = 1 leaves the largest finite h0**2 finite; beta / 2 = 2 doubles it past the range
+    h0 = -1.3407807929942596e154
+    MaterialParams(2.0, 0.0, h0)
+    with pytest.raises(ValueError, match="^beta and h0 must give a finite"):
+        MaterialParams(4.0, 0.0, h0)
+    # an admitted large set evaluates without a RuntimeWarning (an error here)
+    E, grad = energy_and_gradient(shapes.icosphere(2), None, [MaterialParams(1e100, 0.0, 1e100)])
+    assert np.isfinite(E) and np.isfinite(grad).all()
 
 
 def test_material_params_reject_a_negative_beta():
